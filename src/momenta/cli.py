@@ -432,7 +432,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DomainError, ShapeError, OSError) as exc:
+    except (ValueError, ArithmeticError, DomainError, ShapeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

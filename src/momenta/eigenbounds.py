@@ -40,6 +40,12 @@ class DegenerateMomentsError(DomainError):
     """The functional sees at most two spectral atoms; the cubic collapses."""
 
 
+def _require_finite(what: str, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} overflow double precision; "
+                          "rescale the matrix")
+
+
 @dataclass(frozen=True)
 class CentralMoments:
     """Mean and central moments 2..5 of the spectral measure under phi."""
@@ -65,9 +71,11 @@ def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
         functional.apply(np.outer(v, v.conj()))[0, 0].real
         for v in spectrum.eigenvectors.T
     ])
-    mean = float(weights @ lam)
-    centered = lam - mean
-    b = [float(weights @ centered ** k) for k in range(2, 6)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(weights @ lam)
+        centered = lam - mean
+        b = [float(weights @ centered ** k) for k in range(2, 6)]
+    _require_finite("central moments", [mean, *b])
     return CentralMoments(mean=mean, b2=b[0], b3=b[1], b4=b[2], b5=b[3])
 
 
@@ -177,10 +185,14 @@ def wolkowicz_styan(a) -> tuple[float, float]:
     n = h.shape[0]
     if n < 2:
         raise ShapeError("comparator bounds need a matrix of dimension >= 2")
-    mu = float(np.trace(h).real) / n
-    s2 = max(frobenius(h) ** 2 / n - mu * mu, 0.0)
+    # numpy scalars, so overflow yields inf (checked below) instead of raising
+    mu = np.trace(h).real / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = max(np.float64(frobenius(h)) ** 2 / n - mu * mu, 0.0)
     d = math.sqrt(s2) / math.sqrt(n - 1.0)
-    return mu - d, mu + d
+    bounds = float(mu - d), float(mu + d)
+    _require_finite("comparator bounds", bounds)
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -219,13 +231,18 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
         ws_min = ws_max = None
     try:
         c2, c1, c0, gamma = cubic_coefficients(cm)
+        roots = solve_cubic(c2, c1, c0)
     except DegenerateMomentsError:
         return EigenBoundReport(
             mean=cm.mean, gamma=gamma_value(cm), degenerate=True,
             cubic=None, roots=(), lambda_min_upper=None,
             lambda_max_lower=None, ws_min_upper=ws_min, ws_max_lower=ws_max,
         )
-    roots = solve_cubic(c2, c1, c0)
+    except OverflowError:
+        # float ** raises where float * returns inf; report both alike
+        raise DomainError("cubic bounds overflow double precision; "
+                          "rescale the matrix") from None
+    _require_finite("cubic bounds", roots)
     return EigenBoundReport(
         mean=cm.mean, gamma=gamma, degenerate=False,
         cubic=(c2, c1, c0), roots=roots,

@@ -7,7 +7,3 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine failed to reach its target accuracy."""

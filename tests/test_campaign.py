@@ -1,6 +1,9 @@
-import numpy as np
+import dataclasses
 
-from momenta import campaign, linalg, maps
+import numpy as np
+import pytest
+
+from momenta import campaign, cli, linalg, maps
 
 
 def test_corpus_is_deterministic():
@@ -42,11 +45,83 @@ def test_oracle_suite_has_no_failures():
             assert rec.passed is not False, (rec.check, rec.seed, rec.margin)
 
 
+def _file_instance(matrix, pulm):
+    n = matrix.shape[0]
+    return campaign.Instance(index=0, seed=0, n=n, r=3, kind="file",
+                             matrix=matrix, matrix_pd=matrix, pulm=pulm)
+
+
+def _identity_verdicts(inst):
+    return {r.check: r.passed
+            for r in campaign.oracle_suite(inst, include_pd=False)
+            if r.check in ("shift_sum_identity", "tensor_reconstruction")}
+
+
+@pytest.mark.parametrize("spec", ["trace", "vector-state", "pinching",
+                                  "compression"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_identities_pass_at_n128(spec, seed):
+    # every map kind; a full verify on the matrix-valued maps takes seconds
+    # at this size, so only the two scale-carrying identities run here
+    a = linalg.random_hermitian(128, seed)
+    inst = _file_instance(a, cli.build_map(spec, 128, 0))
+    verdicts = _identity_verdicts(inst)
+    assert verdicts and all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("shift,spread", [(1.0, 1e-8), (100.0, 1e-6)])
+@pytest.mark.parametrize("spec", ["trace", "pinching"])
+def test_oracle_identities_pass_on_near_identity(shift, spread, spec):
+    # a spectrum spread far below its offset: the shifted blocks cancel to
+    # a sliver of their terms, so the threshold has to carry the terms' size
+    a = shift * np.eye(6) + spread * linalg.random_hermitian(6, 3)
+    verdicts = _identity_verdicts(_file_instance(a, cli.build_map(spec, 6, 0)))
+    assert verdicts and all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_oracle_identity_verdicts_are_scale_invariant(c):
+    insts = campaign.corpus(12, seed=5)
+    insts.append(_file_instance(linalg.random_hermitian(64, 1),
+                                maps.NormalizedTrace(64)))
+    near_identity = np.eye(6) + 1e-8 * linalg.random_hermitian(6, 3)
+    insts.append(_file_instance(near_identity, maps.NormalizedTrace(6)))
+    for inst in insts:
+        scaled = dataclasses.replace(inst, matrix=c * inst.matrix,
+                                     matrix_pd=c * inst.matrix_pd)
+        base = _identity_verdicts(inst)
+        assert all(base.values()), (inst.seed, base)
+        assert _identity_verdicts(scaled) == base, inst.seed
+
+
 def test_bounds_suite_skips_two_atom_instances():
     insts = campaign.corpus(12, seed=6, n_range=(2, 2))
     records = [r for inst in insts for r in campaign.bounds_suite(inst)]
     # every n = 2 instance has a two-atom spectrum: all bounds skipped
     assert records and all(r.passed is None for r in records)
+
+
+def test_bounds_suite_allows_rounding_of_a_close_eigenvalue_pair():
+    # n = 3 with top eigenvalues 2e-3 apart: the cubic's largest root carries
+    # ~7e-8 of rounding error, above the fixed 1e-8 tolerance
+    inst = campaign.corpus(6, seed=951503465)[1]
+    lam = linalg.hermitian_eig(inst.matrix).eigenvalues
+    assert inst.n == 3 and lam[2] - lam[1] < 3e-3
+    records = campaign.bounds_suite(inst)
+    assert all(r.passed for r in records), [(r.check, r.margin)
+                                            for r in records]
+
+
+def test_bounds_suite_still_bites_on_separated_atoms():
+    # three atoms make the bounds exact; demanding 1e-9 of room must fail
+    # both bound checks, since the rounding allowance stays far below that
+    a = linalg.hermitian_with_spectrum([-1.0, 0.2, 1.3], 4)
+    inst = _file_instance(a, maps.NormalizedTrace(3))
+    verdicts = {r.check: r.passed
+                for r in campaign.bounds_suite(inst, tol=-1e-9)}
+    assert verdicts["bound_min_upper"] is False
+    assert verdicts["bound_max_lower"] is False
+    assert all(r.passed for r in campaign.bounds_suite(inst))
 
 
 def test_normal_suite_has_no_failures():

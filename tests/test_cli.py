@@ -107,6 +107,27 @@ class TestBoundsCommand:
         assert "lambda_min <= 1\n" in out
         assert "lambda_max >= 4\n" in out
 
+    def test_three_atom_n256_is_exact(self, tmp_path, capsys):
+        atoms = [-2.0, 0.5, 3.0]
+        a = linalg.hermitian_with_spectrum(np.repeat(atoms, [128, 64, 64]), 7)
+        path = write(tmp_path, "a.json", cli.write_matrix_json(a))
+        out = str(tmp_path / "r.json")
+        assert cli.main(["bounds", path, "--out", out]) == 0
+        capsys.readouterr()
+        values = {r["check"]: r["margin"]
+                  for r in json.loads(open(out).read())["records"]}
+        rho = max(abs(x) for x in atoms)
+        assert abs(values["lambda_min_upper"] - atoms[0]) <= 1e-6 * rho
+        assert abs(values["lambda_max_lower"] - atoms[-1]) <= 1e-6 * rho
+
+    def test_overflow_exits_1_without_non_finite_output(self, tmp_path, capsys):
+        m = np.diag([1e200, -1e200, 3.0]).astype(complex)
+        path = write(tmp_path, "big.json", cli.write_matrix_json(m))
+        assert cli.main(["bounds", path]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and "inf" not in captured.out
+        assert "overflow" in captured.err
+
     def test_requires_functional_map(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
         assert cli.main(["bounds", path, "--map", "identity"]) == 1
@@ -148,6 +169,30 @@ class TestVerifyCommand:
         assert cli.main(["verify", path, "--r-max", "2"]) == 0
         out = capsys.readouterr().out
         assert "checks" in out and "worst margin" in out
+
+    def test_large_random_hermitian_passes(self, tmp_path, capsys):
+        # moments of this input reach ~1e8; the oracle identities must judge
+        # their rounding error against that scale (n = 128 is covered by
+        # test_campaign.test_oracle_identities_pass_at_n128)
+        path = write(tmp_path, "a.json",
+                     cli.write_matrix_json(linalg.random_hermitian(64, 1)))
+        assert cli.main(["verify", path, "--map", "trace"]) == 0
+        assert "FAILED" not in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_1(self, tmp_path, capsys):
+        # the oracle cubic's degree-9 terms overflow float ** at this scale
+        a = 1e35 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
+        path = write(tmp_path, "big.json", cli.write_matrix_json(a))
+        assert cli.main(["verify", path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_random_mode_close_eigenvalue_pair_passes(self, tmp_path, capsys):
+        # instance 1 of this program seed has two eigenvalues 2e-3 apart,
+        # which leaves ~7e-8 of rounding error in its cubic bound
+        assert cli.main(["verify", "--random", "--instances", "6", "--seed",
+                         "951503465", "--out", str(tmp_path / "r.json")]) == 0
+        assert "FAILED" not in capsys.readouterr().out
 
     def test_random_mode_passes_and_is_deterministic(self, tmp_path, capsys):
         out1 = str(tmp_path / "r1.json")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momenta import eigenbounds, linalg, maps
-from momenta.errors import ShapeError
+from momenta.errors import DomainError, ShapeError
 
 from conftest import EXAMPLE_3X3
 
@@ -61,6 +61,10 @@ class TestCentralMoments:
     def test_needs_functional(self):
         with pytest.raises(ShapeError):
             eigenbounds.central_moments(maps.Identity(2), np.eye(2))
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflow"):
+            eigenbounds.central_moments(TR3, np.diag([1e200, -1e200, 3.0]))
 
 
 class TestCubicCoefficients:
@@ -180,6 +184,11 @@ class TestWolkowiczStyan:
         with pytest.raises(ShapeError):
             eigenbounds.wolkowicz_styan([[1.0]])
 
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_overflow_is_a_domain_error(self, big):
+        with pytest.raises(DomainError, match="overflow"):
+            eigenbounds.wolkowicz_styan(np.diag([big, -big, 3.0]))
+
     def test_always_valid_on_random_instances(self):
         for seed in range(20):
             a = linalg.random_hermitian(2 + seed % 5, seed)
@@ -190,6 +199,12 @@ class TestWolkowiczStyan:
 
 
 class TestSpectralBounds:
+    @pytest.mark.parametrize("big", [1e40, 1e60])
+    def test_cubic_overflow_is_a_domain_error(self, big):
+        # the central moments are finite but the cubic's coefficients are not
+        with pytest.raises(DomainError, match="overflow"):
+            eigenbounds.spectral_bounds(TR3, np.diag([big, -big, 3.0]))
+
     def test_example_3x3(self):
         report = eigenbounds.spectral_bounds(TR3, EXAMPLE_3X3)
         assert not report.degenerate

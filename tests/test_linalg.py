@@ -37,12 +37,31 @@ class TestHermitianEig:
             assert linalg.frobenius(gram - np.eye(n)) <= 1e-12
             assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("kind", ["random", "three_atom"])
+    def test_large_dimensions(self, n, kind):
+        if kind == "random":
+            a = linalg.random_hermitian(n, n)
+        else:
+            # three atoms of multiplicity n/2, n/4 and n/4
+            lam = np.repeat([-2.0, 0.5, 3.0], [n // 2, n // 4, n // 4])
+            a = linalg.hermitian_with_spectrum(lam, n)
+        spec = linalg.hermitian_eig(a)
+        assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+        assert (linalg.frobenius(spec.reconstruct() - a)
+                <= 1e-10 * linalg.frobenius(a))
+        v = spec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12 * n
+        if kind == "three_atom":
+            np.testing.assert_allclose(spec.eigenvalues, lam, atol=1e-12 * n)
+
     def test_matches_reference_solver(self):
-        # cross-check against an independent LAPACK-backed eigensolver
+        # cross-check against the general (non-Hermitian) eigensolver, an
+        # algorithm independent of the Hermitian solver behind hermitian_eig
         for n in (2, 4, 7, 12, 25):
             a = linalg.random_hermitian(n, n)
             ours = linalg.hermitian_eig(a).eigenvalues
-            ref = np.linalg.eigvalsh(a)
+            ref = np.sort(np.linalg.eigvals(a).real)
             np.testing.assert_allclose(ours, ref, atol=1e-11 * max(1.0, np.abs(ref).max()))
 
     def test_eigenvector_equation(self):
