@@ -30,8 +30,8 @@ for kind in MAP_KINDS:
           f"unitality residual {report.unitality_residual:.1e}, "
           f"positivity probes failed: {report.positivity_failures}")
     for res in scalar_checks(phi, A):
-        if res.applicable and res.check in ("kadison", "variance_range",
-                                            "variance_endpoints"):
+        if res.passed is not None and res.check in (
+                "kadison", "variance_range", "variance_endpoints"):
             print(f"    {res.check:20s} margin {res.margin:+.3e} "
                   f"{'ok' if res.passed else 'VIOLATED'}")
 

@@ -22,12 +22,12 @@ from .errors import DomainError
 from .linalg import (
     frobenius,
     hermitian_eig,
-    hermitian_part,
     hermitian_with_spectrum,
-    is_psd,
+    is_hermitian,
     random_normal_matrix,
 )
 from .maps import MAP_KINDS, NormalizedTrace, PositiveUnitalMap, random_map
+from .moments import CheckRecord, psd_outcome, record, skip_record
 
 #: Minimum eigenvalue of the shifted positive definite variant.
 PD_FLOOR = 0.1
@@ -39,45 +39,6 @@ _ALWAYS_KINDS = ("hankel", "lower_shift", "upper_shift", "range_product")
 _PD_KINDS = ("hankel_shift1",) + moments.PD_BLOCK_KINDS
 _PD_EXTRA_CHECKS = ("refinement_chain_outer", "refinement_chain_inner",
                     "log_deficit", "log_endpoint_upper", "log_endpoint_lower")
-
-_DESCRIPTIONS = {
-    "hankel": "moment Hankel block matrix is PSD",
-    "hankel_shift1": "odd-shifted moment Hankel is PSD for nonnegative matrices",
-    "lower_shift": "moment Hankel weighted by the distance above m is PSD",
-    "upper_shift": "moment Hankel weighted by the distance below M is PSD",
-    "lower_shift_inv": "inverse-shifted lower-weighted Hankel is PSD",
-    "upper_shift_inv": "inverse-shifted upper-weighted Hankel is PSD",
-    "range_product": "Hankel weighted by (x - m)(M - x) is PSD",
-    "gap_product": "Hankel weighted by an eigenvalue-gap quadratic is PSD",
-    "range_product_inv": "inverse-shifted range-weighted Hankel is PSD",
-    "centered_lower_shift": "centered-moment Hankel weighted above the lower endpoint is PSD",
-    "centered_upper_shift": "centered-moment Hankel weighted below the upper endpoint is PSD",
-    "refinement_chain_outer": "even-moment Hankel dominates its refinement",
-    "refinement_chain_inner": "refinement of the even-moment Hankel is PSD",
-    "log_deficit": "block matrix of x - log x moments is PSD",
-    "log_endpoint_upper": "log-distance block at the upper endpoint is PSD",
-    "log_endpoint_lower": "log-distance block at the lower endpoint is PSD",
-    "normal_block": "three-by-three moment block of a normal matrix is PSD",
-    "route_agreement": "spectral and direct moment routes agree",
-    "shift_sum_identity": "lower plus upper shifted blocks equal (M - m) times the Hankel",
-    "determinant_identity": "shifted-Hankel determinant matches the cubic expansion",
-    "tensor_reconstruction": "moment Hankel equals its weighted scalar-Hankel sum",
-    "bound_min_upper": "smallest eigenvalue respects its cubic upper bound",
-    "bound_max_lower": "largest eigenvalue respects its cubic lower bound",
-    "cubic_sign_min": "cubic is non-positive at the smallest centered eigenvalue",
-    "cubic_sign_max": "cubic is non-negative at the largest centered eigenvalue",
-}
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified statement: identifier, outcome, margin, instance seed."""
-
-    check: str
-    citation: str
-    passed: bool | None
-    margin: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -92,31 +53,6 @@ class Instance:
     matrix: np.ndarray
     matrix_pd: np.ndarray
     pulm: PositiveUnitalMap
-
-
-def _describe(check: str) -> str:
-    base = check[4:] if check.startswith("psd_") else check
-    base = base[:-3] if base.endswith("_pd") else base
-    return _DESCRIPTIONS.get(base, base)
-
-
-def _record(check: str, seed: int, passed: bool | None,
-            margin: float, citation: str | None = None) -> CheckRecord:
-    return CheckRecord(
-        check=check, citation=citation or _describe(check),
-        passed=None if passed is None else bool(passed),
-        margin=float(margin), seed=seed,
-    )
-
-
-def _skip(check: str, seed: int) -> CheckRecord:
-    return _record(check, seed, None, 0.0)
-
-
-def _psd_record(check: str, seed: int, matrix: np.ndarray,
-                tol: float) -> CheckRecord:
-    verdict = is_psd(hermitian_part(matrix), tol)
-    return _record(check, seed, verdict.passed, verdict.min_eigenvalue)
 
 
 def corpus(count: int = 200, seed: int = 42, n_range: tuple[int, int] = (2, 6),
@@ -176,16 +112,18 @@ def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
     records = []
     for kind in _ALWAYS_KINDS:
         block = moments.build_block(kind, table, r)
-        records.append(_psd_record(f"psd_{kind}", seed, block.assembled, tol))
+        records.append(record(f"psd_{kind}", seed,
+                              *psd_outcome(block.assembled, tol)))
     distinct = moments.distinct_eigenvalues(hermitian_eig(matrix).eigenvalues)
     for g in range(2, distinct.size + 1):
         try:
             block = moments.build_block("gap_product", table, r,
                                         eigenvalues=distinct, gap_index=g)
         except DomainError:
-            records.append(_skip("psd_gap_product", seed))
+            records.append(skip_record("psd_gap_product", seed))
             continue
-        records.append(_psd_record("psd_gap_product", seed, block.assembled, tol))
+        records.append(record("psd_gap_product", seed,
+                              *psd_outcome(block.assembled, tol)))
     return records
 
 
@@ -194,23 +132,19 @@ def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
     records = []
     for kind in _PD_KINDS:
         block = moments.build_block(kind, table_pd, r)
-        records.append(_psd_record(f"psd_{kind}", seed, block.assembled, tol))
+        records.append(record(f"psd_{kind}", seed,
+                              *psd_outcome(block.assembled, tol)))
     return records
 
 
 def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
     table = moments.moment_table(pulm, matrix_pd, 0, 4)
     outer, inner = moments.build_refinement_chain(table)
-    records = [
-        _psd_record("refinement_chain_outer", seed, outer - inner, tol),
-        _psd_record("refinement_chain_inner", seed, inner, tol),
-        _psd_record("log_deficit", seed,
-                    moments.build_log_deficit_block(pulm, matrix_pd), tol),
-    ]
+    deficit = moments.build_log_deficit_block(pulm, matrix_pd)
     upper, lower = moments.build_log_endpoint_blocks(pulm, matrix_pd)
-    records.append(_psd_record("log_endpoint_upper", seed, upper, tol))
-    records.append(_psd_record("log_endpoint_lower", seed, lower, tol))
-    return records
+    blocks = (outer - inner, inner, deficit, upper, lower)
+    return [record(check, seed, *psd_outcome(block, tol))
+            for check, block in zip(_PD_EXTRA_CHECKS, blocks)]
 
 
 def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
@@ -224,8 +158,15 @@ def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
     for kind, name in (("lower_shift", "centered_lower_shift"),
                        ("upper_shift", "centered_upper_shift")):
         block = moments.build_block(kind, ctable, r)
-        records.append(_psd_record(name, seed, block.assembled, tol))
+        records.append(record(name, seed, *psd_outcome(block.assembled, tol)))
     return records
+
+
+def _restamp(results: list[CheckRecord], seed: int,
+             suffix: str) -> list[CheckRecord]:
+    """Scalar-check records under the instance seed and a name suffix."""
+    return [record(res.check + suffix, seed, res.passed, res.margin)
+            for res in results]
 
 
 def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
@@ -236,13 +177,10 @@ def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
 
 def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
     """Scalar-form and two-block inequality checks on one instance."""
-    records = []
-    for res in moments.scalar_checks(inst.pulm, inst.matrix, tol=tol):
-        records.append(_record(res.check, inst.seed, res.passed, res.margin,
-                               res.description))
-    for res in moments.scalar_checks(inst.pulm, inst.matrix_pd, tol=tol):
-        records.append(_record(f"{res.check}_pd", inst.seed,
-                               res.passed, res.margin, res.description))
+    records = _restamp(moments.scalar_checks(inst.pulm, inst.matrix, tol=tol),
+                       inst.seed, "")
+    records += _restamp(moments.scalar_checks(inst.pulm, inst.matrix_pd,
+                                              tol=tol), inst.seed, "_pd")
     records.extend(_pd_extra_records(inst.pulm, inst.matrix_pd, inst.seed, tol))
     if inst.pulm.is_functional:
         records.extend(_centered_records(inst.pulm, inst.matrix, inst.r,
@@ -263,11 +201,8 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
 def _determinant_identity_error(cm: eigenbounds.CentralMoments) -> float:
     """Worst relative mismatch of determinant vs cubic at five shifts."""
     sigma = np.sqrt(max(cm.b2, 0.0)) + 1e-3
-    b2, b3, b4, b5 = cm.b2, cm.b3, cm.b4, cm.b5
     gamma = eigenbounds.gamma_value(cm)
-    beta1 = -b4 * b3 - b2 ** 2 * b3 + b2 * b5
-    beta2 = -b3 * b5 + b4 ** 2 + b3 ** 2 * b2 - b2 ** 2 * b4
-    beta3 = 2.0 * b2 * b3 * b4 - b2 ** 2 * b5 - b3 ** 3
+    beta1, beta2, beta3 = eigenbounds.beta_values(cm)
     worst = 0.0
     for a in (-2.0 * sigma, -sigma, 0.0, sigma, 2.0 * sigma):
         det = eigenbounds.determinant_oracle(cm, a)
@@ -289,8 +224,8 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
     if include_pd:
         err = max(err, _route_error(inst.pulm, inst.matrix_pd, -1,
                                     max(2 * r + 2, 4)))
-    records.append(_record("route_agreement", inst.seed,
-                           err <= 1e-8, 1e-8 - err))
+    records.append(record("route_agreement", inst.seed,
+                          err <= 1e-8, 1e-8 - err))
 
     table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * r + 2)
     low = moments.build_block("lower_shift", table, r).assembled
@@ -301,13 +236,13 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
     # rounding scales with the terms before subtraction
     threshold = 1e-10 * _max_entry(low, high,
                                    max(abs(table.m), abs(table.M)) * hank)
-    records.append(_record("shift_sum_identity", inst.seed,
-                           err <= threshold, threshold - err))
+    records.append(record("shift_sum_identity", inst.seed,
+                          err <= threshold, threshold - err))
 
     cm = eigenbounds.central_moments(NormalizedTrace(inst.n), inst.matrix)
     worst = _determinant_identity_error(cm)
-    records.append(_record("determinant_identity", inst.seed,
-                           worst <= 1e-8, 1e-8 - worst))
+    records.append(record("determinant_identity", inst.seed,
+                          worst <= 1e-8, 1e-8 - worst))
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
@@ -319,8 +254,8 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
             acc += w * np.outer(v, v)
         err = float(np.max(np.abs(acc - hank.real)))
         threshold = 1e-9 * _max_entry(acc, hank.real)
-        records.append(_record("tensor_reconstruction", inst.seed,
-                               err <= threshold, threshold - err))
+        records.append(record("tensor_reconstruction", inst.seed,
+                              err <= threshold, threshold - err))
     return records
 
 
@@ -353,49 +288,47 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
     A bound fails only when it misses its eigenvalue by more than ``tol``
     plus the bound's own rounding error (:func:`_root_rounding_error`).
     """
-    records = []
     functional = NormalizedTrace(inst.n)
     report = eigenbounds.spectral_bounds(functional, inst.matrix)
     lam = hermitian_eig(inst.matrix).eigenvalues
     if report.degenerate:
-        for check in ("bound_min_upper", "bound_max_lower",
-                      "cubic_sign_min", "cubic_sign_max"):
-            records.append(_skip(check, inst.seed))
-        return records
+        return [skip_record(check, inst.seed)
+                for check in ("bound_min_upper", "bound_max_lower",
+                              "cubic_sign_min", "cubic_sign_max")]
     mu_min = lam[0] - report.mean
     mu_max = lam[-1] - report.mean
     rho = max(-mu_min, mu_max)
     slack_min = tol + _root_rounding_error(report, rho, report.roots[0])
     slack_max = tol + _root_rounding_error(report, rho, report.roots[-1])
-    records.append(_record(
-        "bound_min_upper", inst.seed,
-        lam[0] <= report.lambda_min_upper + slack_min,
-        report.lambda_min_upper - lam[0]))
-    records.append(_record(
-        "bound_max_lower", inst.seed,
-        lam[-1] >= report.lambda_max_lower - slack_max,
-        lam[-1] - report.lambda_max_lower))
+    records = [
+        record("bound_min_upper", inst.seed,
+               lam[0] <= report.lambda_min_upper + slack_min,
+               report.lambda_min_upper - lam[0]),
+        record("bound_max_lower", inst.seed,
+               lam[-1] >= report.lambda_max_lower - slack_max,
+               lam[-1] - report.lambda_max_lower),
+    ]
     c2, c1, c0 = report.cubic
     scale = max(1.0, abs(c2), abs(c1), abs(c0))
     p_min = ((mu_min + c2) * mu_min + c1) * mu_min + c0
     p_max = ((mu_max + c2) * mu_max + c1) * mu_max + c0
-    records.append(_record("cubic_sign_min", inst.seed,
-                           p_min <= tol * scale, -p_min))
-    records.append(_record("cubic_sign_max", inst.seed,
-                           p_max >= -tol * scale, p_max))
+    records.append(record("cubic_sign_min", inst.seed,
+                          p_min <= tol * scale, -p_min))
+    records.append(record("cubic_sign_max", inst.seed,
+                          p_max >= -tol * scale, p_max))
     return records
 
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = 1e-9) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
-    records = [_psd_record(
-        "normal_block", seed, moments.build_normal_block(pulm, matrix), tol)]
+    records = [record("normal_block", seed, *psd_outcome(
+        moments.build_normal_block(pulm, matrix), tol))]
     if pulm.is_functional:
         slack = moments.centered_fourth_moment_slack(pulm, matrix)
         scale = max(1.0, frobenius(matrix) ** 4)
-        records.append(_record("centered_fourth_moment", seed,
-                               slack >= -tol * scale, slack))
+        records.append(record("centered_fourth_moment", seed,
+                              slack >= -tol * scale, slack))
     return records
 
 
@@ -421,46 +354,36 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
 
     Non-Hermitian but normal input gets the normal-matrix checks; checks
     whose hypotheses fail for the given matrix are recorded as skipped,
-    never as failures.
+    never as failures. Each check is recorded once (``psd_gap_product`` once
+    per eigenvalue gap).
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    n = m.shape[0]
-    scale = max(frobenius(m), np.finfo(float).tiny)
-    hermitian = frobenius(m - m.conj().T) <= 1e-8 * scale
-    comm = frobenius(m.conj().T @ m - m @ m.conj().T)
-    normal = comm <= moments.NORMALITY_RTOL * max(frobenius(m) ** 2,
-                                                  np.finfo(float).tiny)
     records: list[CheckRecord] = []
-    if hermitian:
-        h = (m + m.conj().T) / 2.0
-        pd = hermitian_eig(h).min > 0.0
-        records.extend(_psd_base_records(pulm, h, r_max, seed, tol))
+    if is_hermitian(m):
+        m = (m + m.conj().T) / 2.0
+        pd = hermitian_eig(m).min > 0.0
+        records.extend(_psd_base_records(pulm, m, r_max, seed, tol))
         if pd:
-            records.extend(_psd_pd_records(pulm, h, r_max, seed, tol))
-            records.extend(_pd_extra_records(pulm, h, seed, tol))
+            records.extend(_psd_pd_records(pulm, m, r_max, seed, tol))
+            records.extend(_pd_extra_records(pulm, m, seed, tol))
         else:
             for kind in _PD_KINDS:
-                records.append(_skip(f"psd_{kind}", seed))
+                records.append(skip_record(f"psd_{kind}", seed))
             for check in _PD_EXTRA_CHECKS:
-                records.append(_skip(check, seed))
-        for res in moments.scalar_checks(pulm, h, tol=tol):
-            records.append(_record(res.check, seed, res.passed, res.margin,
-                                   res.description))
+                records.append(skip_record(check, seed))
         if pulm.is_functional:
-            records.extend(_centered_records(pulm, h, r_max, seed, tol))
-        inst = Instance(index=0, seed=seed, n=n, r=r_max, kind="file",
-                        matrix=h, matrix_pd=h, pulm=pulm)
+            records.extend(_centered_records(pulm, m, r_max, seed, tol))
+        inst = Instance(index=0, seed=seed, n=m.shape[0], r=r_max,
+                        kind="file", matrix=m, matrix_pd=m, pulm=pulm)
         records.extend(oracle_suite(inst, include_pd=pd))
         records.extend(bounds_suite(inst))
-        records.extend(normal_suite(seed, h, pulm, tol))
-    elif normal:
-        records.extend(normal_suite(seed, m, pulm, tol))
-        for res in moments.scalar_checks(pulm, m, tol=tol):
-            records.append(_record(res.check, seed, res.passed, res.margin,
-                                   res.description))
-    else:
+    elif not moments.is_normal(m):
         # Neither Hermitian nor normal: nothing in the catalog applies.
-        for check in ("psd_hankel", "normal_block", "kadison",
-                      "centered_fourth_moment"):
-            records.append(_skip(check, seed))
+        return [skip_record(check, seed)
+                for check in ("psd_hankel", "normal_block", "kadison",
+                              "centered_fourth_moment")]
+    records += _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
+    # scalar_checks already covers the normal suite's centered fourth moment
+    records += [res for res in normal_suite(seed, m, pulm, tol)
+                if res.check == "normal_block"]
     return records

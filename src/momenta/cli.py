@@ -196,7 +196,7 @@ def _config_dict(config: RunConfig, source: str) -> dict:
 
 
 def make_report(config: RunConfig, source: str,
-                records: list[campaign.CheckRecord]) -> dict:
+                records: list[moments.CheckRecord]) -> dict:
     """Assemble the JSON report structure, deterministically ordered."""
     ordered = sorted(records, key=lambda r: (r.check, r.seed))
     applicable = [r for r in ordered if r.passed is not None]
@@ -252,14 +252,6 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _value_records(pairs, seed) -> list[campaign.CheckRecord]:
-    return [
-        campaign.CheckRecord(check=name, citation=desc, passed=True,
-                             margin=float(value), seed=seed)
-        for name, desc, value in pairs
-    ]
-
-
 def cmd_bounds(args) -> int:
     config = _config_from_args(args)
     m = parse_matrix(args.matrix)
@@ -271,7 +263,7 @@ def cmd_bounds(args) -> int:
             f"got {config.map_spec!r}"
         )
     report = eigenbounds.spectral_bounds(functional, h)
-    pairs = []
+    values = []
     if report.degenerate:
         print("degenerate moment data: the functional sees at most two "
               "spectral atoms; no cubic bounds")
@@ -283,30 +275,20 @@ def cmd_bounds(args) -> int:
         print("roots:", " ".join(f"{r:.12g}" for r in report.roots))
         print(f"lambda_min <= {report.lambda_min_upper:.12g}")
         print(f"lambda_max >= {report.lambda_max_lower:.12g}")
-        pairs += [
-            ("cubic_c2", "quadratic coefficient of the bounding cubic", c2),
-            ("cubic_c1", "linear coefficient of the bounding cubic", c1),
-            ("cubic_c0", "constant coefficient of the bounding cubic", c0),
-            ("lambda_min_upper", "upper bound on the smallest eigenvalue",
-             report.lambda_min_upper),
-            ("lambda_max_lower", "lower bound on the largest eigenvalue",
-             report.lambda_max_lower),
-        ]
-        pairs += [(f"root_{i}", "root of the bounding cubic", r)
-                  for i, r in enumerate(report.roots)]
-    pairs.append(("gamma", "Hankel determinant scale of the cubic", report.gamma))
+        values += [("cubic_c2", c2), ("cubic_c1", c1), ("cubic_c0", c0),
+                   ("lambda_min_upper", report.lambda_min_upper),
+                   ("lambda_max_lower", report.lambda_max_lower)]
+        values += [(f"root_{i}", r) for i, r in enumerate(report.roots)]
+    values.append(("gamma", report.gamma))
     if report.ws_min_upper is not None:
         print(f"comparator (trace moments): lambda_min <= "
               f"{report.ws_min_upper:.12g}, lambda_max >= "
               f"{report.ws_max_lower:.12g}")
-        pairs += [
-            ("ws_min_upper", "trace-moment comparator upper bound on the "
-             "smallest eigenvalue", report.ws_min_upper),
-            ("ws_max_lower", "trace-moment comparator lower bound on the "
-             "largest eigenvalue", report.ws_max_lower),
-        ]
-    _write_out(args.out, make_report(config, args.matrix,
-                                     _value_records(pairs, config.seed)))
+        values += [("ws_min_upper", report.ws_min_upper),
+                   ("ws_max_lower", report.ws_max_lower)]
+    records = [moments.record(name, config.seed, True, value)
+               for name, value in values]
+    _write_out(args.out, make_report(config, args.matrix, records))
     return 0
 
 
@@ -330,10 +312,8 @@ def cmd_moments(args) -> int:
         verdict = is_psd(block.assembled, config.tolerance)
         status = "PASS" if verdict.passed else "FAIL"
         print(f"hankel r={r}: {status} (min eigenvalue {verdict.min_eigenvalue:.6g})")
-        records.append(campaign.CheckRecord(
-            check="psd_hankel", citation="moment Hankel block matrix is PSD",
-            passed=verdict.passed, margin=float(verdict.min_eigenvalue),
-            seed=config.seed))
+        records.append(moments.record("psd_hankel", config.seed,
+                                      verdict.passed, verdict.min_eigenvalue))
     _write_out(args.out, make_report(config, args.matrix, records))
     return 0 if all(r.passed for r in records) else 1
 
@@ -355,7 +335,7 @@ def cmd_verify(args) -> int:
         records = campaign.single_matrix_records(
             m, pulm, config.seed, config.r_max, config.tolerance)
 
-    by_check: dict[str, list[campaign.CheckRecord]] = {}
+    by_check: dict[str, list[moments.CheckRecord]] = {}
     for r in records:
         by_check.setdefault(r.check, []).append(r)
     for check in sorted(by_check):

@@ -84,6 +84,18 @@ def gamma_value(cm: CentralMoments) -> float:
     return cm.b3 ** 2 - cm.b2 * cm.b4 + cm.b2 ** 3
 
 
+def beta_values(cm: CentralMoments) -> tuple[float, float, float]:
+    """``(beta_1, beta_2, beta_3)``, the cubic's coefficients times gamma.
+
+    Defined for degenerate moment data too, where gamma vanishes.
+    """
+    b2, b3, b4, b5 = cm.b2, cm.b3, cm.b4, cm.b5
+    beta1 = -b4 * b3 - b2 ** 2 * b3 + b2 * b5
+    beta2 = -b3 * b5 + b4 ** 2 + b3 ** 2 * b2 - b2 ** 2 * b4
+    beta3 = 2.0 * b2 * b3 * b4 - b2 ** 2 * b5 - b3 ** 3
+    return beta1, beta2, beta3
+
+
 def is_degenerate(cm: CentralMoments) -> bool:
     return abs(gamma_value(cm)) <= GAMMA_DEGENERACY_RTOL * max(1.0, cm.b2 ** 3)
 
@@ -98,10 +110,7 @@ def cubic_coefficients(cm: CentralMoments) -> tuple[float, float, float, float]:
         raise DegenerateMomentsError(
             f"gamma = {gamma:.3e} is degenerate (at most two spectral atoms)"
         )
-    b2, b3, b4, b5 = cm.b2, cm.b3, cm.b4, cm.b5
-    beta1 = -b4 * b3 - b2 ** 2 * b3 + b2 * b5
-    beta2 = -b3 * b5 + b4 ** 2 + b3 ** 2 * b2 - b2 ** 2 * b4
-    beta3 = 2.0 * b2 * b3 * b4 - b2 ** 2 * b5 - b3 ** 3
+    beta1, beta2, beta3 = beta_values(cm)
     return beta1 / gamma, beta2 / gamma, beta3 / gamma, gamma
 
 

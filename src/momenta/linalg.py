@@ -28,9 +28,6 @@ SYMMETRY_RTOL = 1e-8
 #: Default relative tolerance for positive semidefiniteness verdicts.
 DEFAULT_PSD_TOL = 1e-9
 
-#: Default cap on any dimension of a Kronecker product output.
-DEFAULT_KRON_CAP = 4096
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
@@ -61,19 +58,25 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return ``(M + M*)/2`` if ``M`` is Hermitian up to ``rtol``, else raise.
+def is_hermitian(a: np.ndarray) -> bool:
+    """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``.
 
-    The comparison scale is ``max(||M||_F, tiny)`` so the zero matrix passes.
+    The ``tiny`` floor lets the zero matrix pass.
     """
+    scale = max(frobenius(a), np.finfo(float).tiny)
+    return frobenius(a - a.conj().T) <= SYMMETRY_RTOL * scale
+
+
+def symmetrize(a) -> np.ndarray:
+    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else raise."""
     m = as_matrix(a)
     _require_square(m)
-    scale = max(frobenius(m), np.finfo(float).tiny)
-    asym = frobenius(m - m.conj().T)
-    if asym > rtol * scale:
+    if not is_hermitian(m):
+        scale = max(frobenius(m), np.finfo(float).tiny)
         raise DomainError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{rtol:.1e} * ||M||_F = {rtol * scale:.3e}"
+            f"matrix is not Hermitian: asymmetry "
+            f"{frobenius(m - m.conj().T):.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e} * ||M||_F = {SYMMETRY_RTOL * scale:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
@@ -144,46 +147,6 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
         passed=lam_min >= -tol * scale,
         tolerance_used=tol,
     )
-
-
-def kron(a, b, dim_cap: int = DEFAULT_KRON_CAP) -> np.ndarray:
-    """Kronecker (tensor) product with a configurable output-size cap."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    rows = ma.shape[0] * mb.shape[0]
-    cols = ma.shape[1] * mb.shape[1]
-    if max(rows, cols) > dim_cap:
-        raise ShapeError(
-            f"Kronecker product dimension {rows}x{cols} exceeds cap {dim_cap}"
-        )
-    return np.kron(ma, mb)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Schur (entrywise) product of two equally shaped matrices."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ShapeError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return ma * mb
-
-
-def matrix_power(a, p: int) -> np.ndarray:
-    """Integer power of a Hermitian matrix, by repeated multiplication.
-
-    Negative powers require a positive definite argument; the guard is a
-    Cholesky factorization so this route stays independent of the
-    eigensolver.
-    """
-    h = symmetrize(a)
-    p = int(p)
-    if p < 0:
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            raise DomainError(
-                "negative power requires a positive definite matrix"
-            ) from None
-    out = np.linalg.matrix_power(h, p)
-    return (out + out.conj().T) / 2.0
 
 
 def matrix_function(a, f, *, positive_only: bool = False) -> np.ndarray:

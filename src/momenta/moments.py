@@ -22,9 +22,11 @@ range_product_inv   Phi(A^{i+j-3} (A - mI)(MI - A))       (A > 0)
 
 Product kinds are assembled from the expanded moment combination (linearity
 makes this equal to applying the map to the product matrix; the equality is
-itself tested). The scalar Hankel oracles at the bottom of the module supply
-independently computable positive matrices used to cross-check the tensor
-decomposition of these blocks.
+itself tested).
+
+The module also holds the check catalog: :data:`CATALOG` says what every
+check name verifies, and :func:`record` turns an outcome into the one record
+type, :class:`CheckRecord`, that every suite and the command line emit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .linalg import (
     frobenius,
     hermitian_eig,
     hermitian_part,
+    is_hermitian,
     is_psd,
     matrix_log,
     symmetrize,
@@ -94,6 +97,20 @@ class MomentTable:
         return self.blocks[k - self.k_min]
 
 
+def _spectrum_interval(spectrum, m: float | None,
+                       M: float | None) -> tuple[float, float]:
+    """``[m, M]``, defaulting to the extreme eigenvalues; must contain them."""
+    lo, hi = spectrum.min, spectrum.max
+    m = lo if m is None else float(m)
+    M = hi if M is None else float(M)
+    grace = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if m > lo + grace or M < hi - grace:
+        raise DomainError(
+            f"[m, M] = [{m}, {M}] does not contain the spectrum [{lo}, {hi}]"
+        )
+    return m, M
+
+
 def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
                  route: str = "spectral", m: float | None = None,
                  M: float | None = None) -> MomentTable:
@@ -115,20 +132,12 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
     h = symmetrize(a)
     spectrum = hermitian_eig(h)
     lam = spectrum.eigenvalues
-    lo, hi = spectrum.min, spectrum.max
-    if k_min == -1 and lo <= 0.0:
+    if k_min == -1 and spectrum.min <= 0.0:
         raise DomainError(
             f"inverse moments need a positive definite matrix "
-            f"(min eigenvalue {lo:.3e})"
+            f"(min eigenvalue {spectrum.min:.3e})"
         )
-    grace = 1e-12 * max(1.0, abs(lo), abs(hi))
-    m = lo if m is None else float(m)
-    M = hi if M is None else float(M)
-    if m > lo + grace or M < hi - grace:
-        raise DomainError(
-            f"[m, M] = [{m}, {M}] does not contain the spectrum "
-            f"[{lo}, {hi}]"
-        )
+    m, M = _spectrum_interval(spectrum, m, M)
     powers = range(k_min, k_max + 1)
     if route == "spectral":
         images = [pulm.apply(np.outer(v, v.conj()))
@@ -296,16 +305,9 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap, a,
     """
     h = symmetrize(a)
     spectrum = hermitian_eig(h)
-    lo, hi = spectrum.min, spectrum.max
-    m = lo if m is None else float(m)
-    M = hi if M is None else float(M)
+    m, M = _spectrum_interval(spectrum, m, M)
     if m <= 0.0:
         raise DomainError(f"log endpoint blocks need m > 0, got {m}")
-    grace = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if m > lo + grace or M < hi - grace:
-        raise DomainError(
-            f"[m, M] = [{m}, {M}] does not contain the spectrum [{lo}, {hi}]"
-        )
     v = spectrum.eigenvectors
     la = hermitian_part((v * np.log(spectrum.eigenvalues)) @ v.conj().T)
     h2 = hermitian_part(h @ h)
@@ -324,6 +326,13 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap, a,
     return upper, lower
 
 
+def is_normal(a: np.ndarray) -> bool:
+    """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``."""
+    ms = a.conj().T
+    comm = frobenius(ms @ a - a @ ms)
+    return comm <= NORMALITY_RTOL * max(frobenius(a) ** 2, np.finfo(float).tiny)
+
+
 def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
     """Three-by-three moment block of a normal (possibly non-Hermitian) matrix.
 
@@ -335,11 +344,10 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got {m.shape}")
     ms = m.conj().T
-    comm = frobenius(ms @ m - m @ ms)
-    scale = max(frobenius(m) ** 2, np.finfo(float).tiny)
-    if comm > NORMALITY_RTOL * scale:
+    if not is_normal(m):
         raise DomainError(
-            f"matrix is not normal: ||A*A - AA*||_F = {comm:.3e} "
+            f"matrix is not normal: ||A*A - AA*||_F = "
+            f"{frobenius(ms @ m - m @ ms):.3e} "
             f"exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2"
         )
     eye = np.eye(pulm.codomain_dim)
@@ -350,55 +358,101 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True, eq=False)
-class CheckResult:
-    """One scalar/block inequality check: outcome, margin, and evidence.
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verified statement: identifier, citation, outcome, margin, seed.
 
-    ``passed`` is None when the check's hypotheses do not hold for the given
-    input ("not applicable"); that is never counted as a failure. ``margin``
-    is the minimum eigenvalue of the tested difference (or the scalar slack),
-    so slightly negative values within tolerance still pass. ``difference``
-    holds the tested matrix itself (1x1 for scalar slacks) when applicable.
+    ``passed`` is None when the check's hypotheses do not hold for the input
+    ("skipped"), which is never counted as a failure. ``margin`` is the
+    minimum eigenvalue of the tested difference, or the scalar slack, so
+    slightly negative values within tolerance still pass. ``seed`` is the
+    seed of the instance the check ran on (0 outside a seeded campaign).
     """
 
     check: str
-    description: str
-    applicable: bool
+    citation: str
     passed: bool | None
     margin: float
-    difference: np.ndarray | None = None
-    detail: str = ""
+    seed: int
 
 
-def _psd_result(check: str, description: str, difference: np.ndarray,
-                tol: float) -> CheckResult:
-    # Differences are Hermitian by construction; drop rounding asymmetry.
-    tested = hermitian_part(difference)
-    verdict = is_psd(tested, tol)
-    return CheckResult(
-        check=check,
-        description=description,
-        applicable=True,
-        passed=verdict.passed,
-        margin=verdict.min_eigenvalue,
-        difference=tested,
+#: What each check verifies, by check name. A check name may add a ``psd_``
+#: prefix (block constructions) or a ``_pd`` suffix (the same check on the
+#: positive definite variant); both cite the entry of the bare name.
+CATALOG = {
+    "hankel": "moment Hankel block matrix is PSD",
+    "hankel_shift1": "odd-shifted moment Hankel is PSD for nonnegative matrices",
+    "lower_shift": "moment Hankel weighted by the distance above m is PSD",
+    "upper_shift": "moment Hankel weighted by the distance below M is PSD",
+    "lower_shift_inv": "inverse-shifted lower-weighted Hankel is PSD",
+    "upper_shift_inv": "inverse-shifted upper-weighted Hankel is PSD",
+    "range_product": "Hankel weighted by (x - m)(M - x) is PSD",
+    "gap_product": "Hankel weighted by an eigenvalue-gap quadratic is PSD",
+    "range_product_inv": "inverse-shifted range-weighted Hankel is PSD",
+    "centered_lower_shift": "centered-moment Hankel weighted above the lower endpoint is PSD",
+    "centered_upper_shift": "centered-moment Hankel weighted below the upper endpoint is PSD",
+    "refinement_chain_outer": "even-moment Hankel dominates its refinement",
+    "refinement_chain_inner": "refinement of the even-moment Hankel is PSD",
+    "log_deficit": "block matrix of x - log x moments is PSD",
+    "log_endpoint_upper": "log-distance block at the upper endpoint is PSD",
+    "log_endpoint_lower": "log-distance block at the lower endpoint is PSD",
+    "normal_block": "three-by-three moment block of a normal matrix is PSD",
+    "kadison": "square moment dominates the squared moment",
+    "variance_range": "variance at most the squared half-width of the spectrum interval",
+    "variance_endpoints": "variance at most the product of distances to the interval endpoints",
+    "inverse_moment": "moment of the inverse dominates the inverse of the moment",
+    "third_moment_lower": "third moment above its Schur-complement lower bound",
+    "third_moment_upper": "third moment below its Schur-complement upper bound",
+    "centered_fourth_moment": "centered fourth moment dominates its two-term lower bound",
+    "route_agreement": "spectral and direct moment routes agree",
+    "shift_sum_identity": "lower plus upper shifted blocks equal (M - m) times the Hankel",
+    "determinant_identity": "shifted-Hankel determinant matches the cubic expansion",
+    "tensor_reconstruction": "moment Hankel equals its weighted scalar-Hankel sum",
+    "bound_min_upper": "smallest eigenvalue respects its cubic upper bound",
+    "bound_max_lower": "largest eigenvalue respects its cubic lower bound",
+    "cubic_sign_min": "cubic is non-positive at the smallest centered eigenvalue",
+    "cubic_sign_max": "cubic is non-negative at the largest centered eigenvalue",
+    # values reported by ``momenta bounds``
+    "cubic_c2": "quadratic coefficient of the bounding cubic",
+    "cubic_c1": "linear coefficient of the bounding cubic",
+    "cubic_c0": "constant coefficient of the bounding cubic",
+    **{f"root_{i}": "root of the bounding cubic" for i in range(3)},
+    "lambda_min_upper": "upper bound on the smallest eigenvalue",
+    "lambda_max_lower": "lower bound on the largest eigenvalue",
+    "gamma": "Hankel determinant scale of the cubic",
+    "ws_min_upper": "trace-moment comparator upper bound on the smallest eigenvalue",
+    "ws_max_lower": "trace-moment comparator lower bound on the largest eigenvalue",
+}
+
+#: Scalar checks that need Hermitian input, in the order they are emitted.
+_HERMITIAN_SCALAR_CHECKS = ("kadison", "variance_range", "variance_endpoints",
+                            "inverse_moment", "third_moment_lower",
+                            "third_moment_upper")
+
+
+def record(check: str, seed: int, passed: bool | None,
+           margin: float) -> CheckRecord:
+    """The record of one outcome, cited from :data:`CATALOG`."""
+    base = check.removeprefix("psd_").removesuffix("_pd")
+    return CheckRecord(
+        check=check, citation=CATALOG[base],
+        passed=None if passed is None else bool(passed),
+        margin=float(margin), seed=seed,
     )
 
 
-def _skip(check: str, description: str, reason: str) -> CheckResult:
-    return CheckResult(
-        check=check,
-        description=description,
-        applicable=False,
-        passed=None,
-        margin=0.0,
-        detail=reason,
-    )
+def skip_record(check: str, seed: int) -> CheckRecord:
+    """The record of a check whose hypotheses do not hold."""
+    return record(check, seed, None, 0.0)
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    scale = max(frobenius(m), np.finfo(float).tiny)
-    return frobenius(m - m.conj().T) <= 1e-8 * scale
+def psd_outcome(difference: np.ndarray, tol: float) -> tuple[bool, float]:
+    """PSD verdict and minimum eigenvalue of a Hermitian-by-construction matrix.
+
+    Rounding asymmetry is dropped before the test.
+    """
+    verdict = is_psd(hermitian_part(difference), tol)
+    return verdict.passed, verdict.min_eigenvalue
 
 
 def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
@@ -427,7 +481,7 @@ def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
 
 def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
                   M: float | None = None,
-                  tol: float = DEFAULT_PSD_TOL) -> list[CheckResult]:
+                  tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Run the non-block inequality checks on one matrix under one map.
 
     For Hermitian input this covers the square-moment bound, the two
@@ -436,54 +490,37 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
     bounds on the third moment (which need ``Phi(A) - mI`` respectively
     ``MI - Phi(A)`` to be safely invertible). For a functional it adds the
     centered fourth-moment bound, which also covers normal non-Hermitian
-    input; all other checks are then reported as not applicable.
+    input; all other checks are then reported as skipped. The records carry
+    seed 0; a seeded campaign restamps them with its instance seed.
     """
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got {mat.shape}")
-    results: list[CheckResult] = []
-    hermitian = _is_hermitian(mat)
+    results: list[CheckRecord] = []
 
-    d_kadison = "square moment dominates the squared moment"
-    d_range = "variance at most the squared half-width of the spectrum interval"
-    d_ends = "variance at most the product of distances to the interval endpoints"
-    d_inv = "moment of the inverse dominates the inverse of the moment"
-    d_lower3 = "third moment above its Schur-complement lower bound"
-    d_upper3 = "third moment below its Schur-complement upper bound"
-    d_fourth = "centered fourth moment dominates its two-term lower bound"
-
-    if hermitian:
+    if is_hermitian(mat):
         h = symmetrize(mat)
         spectrum = hermitian_eig(h)
-        lo, hi = spectrum.min, spectrum.max
-        m = lo if m is None else float(m)
-        M = hi if M is None else float(M)
-        grace = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if m > lo + grace or M < hi - grace:
-            raise DomainError(
-                f"[m, M] = [{m}, {M}] does not contain the spectrum [{lo}, {hi}]"
-            )
+        m, M = _spectrum_interval(spectrum, m, M)
         eye = np.eye(pulm.codomain_dim)
         p1 = hermitian_part(pulm.apply(h))
         p2 = hermitian_part(pulm.apply(hermitian_part(h @ h)))
         p3 = hermitian_part(pulm.apply(hermitian_part(h @ h @ h)))
         variance = p2 - p1 @ p1
 
-        results.append(_psd_result("kadison", d_kadison, variance, tol))
+        results.append(record("kadison", 0, *psd_outcome(variance, tol)))
         half = (M - m) / 2.0
-        results.append(_psd_result(
-            "variance_range", d_range, half * half * eye - variance, tol))
-        results.append(_psd_result(
-            "variance_endpoints", d_ends,
-            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance, tol))
+        results.append(record("variance_range", 0, *psd_outcome(
+            half * half * eye - variance, tol)))
+        results.append(record("variance_endpoints", 0, *psd_outcome(
+            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance, tol)))
 
-        if lo > 0.0:
+        if spectrum.min > 0.0:
             pinv = hermitian_part(pulm.apply(np.linalg.inv(h)))
-            results.append(_psd_result(
-                "inverse_moment", d_inv, pinv - np.linalg.inv(p1), tol))
+            results.append(record("inverse_moment", 0, *psd_outcome(
+                pinv - np.linalg.inv(p1), tol)))
         else:
-            results.append(_skip(
-                "inverse_moment", d_inv, "matrix is not positive definite"))
+            results.append(skip_record("inverse_moment", 0))
 
         strict = 1e-6
         low_gap = p1 - m * eye
@@ -491,75 +528,29 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
         if gap_min > strict * max(1.0, frobenius(low_gap)):
             x = p2 - m * p1
             bound = m * p2 + hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            results.append(_psd_result("third_moment_lower", d_lower3, p3 - bound, tol))
+            results.append(record("third_moment_lower", 0,
+                                  *psd_outcome(p3 - bound, tol)))
         else:
-            results.append(_skip(
-                "third_moment_lower", d_lower3,
-                "Phi(A) - mI is not safely invertible"))
+            results.append(skip_record("third_moment_lower", 0))
 
         high_gap = M * eye - p1
         gap_min = hermitian_eig(high_gap).min
         if gap_min > strict * max(1.0, frobenius(high_gap)):
             y = M * p1 - p2
             bound = M * p2 - hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            results.append(_psd_result("third_moment_upper", d_upper3, bound - p3, tol))
+            results.append(record("third_moment_upper", 0,
+                                  *psd_outcome(bound - p3, tol)))
         else:
-            results.append(_skip(
-                "third_moment_upper", d_upper3,
-                "MI - Phi(A) is not safely invertible"))
+            results.append(skip_record("third_moment_upper", 0))
     else:
-        for check, desc in (
-            ("kadison", d_kadison),
-            ("variance_range", d_range),
-            ("variance_endpoints", d_ends),
-            ("inverse_moment", d_inv),
-            ("third_moment_lower", d_lower3),
-            ("third_moment_upper", d_upper3),
-        ):
-            results.append(_skip(check, desc, "matrix is not Hermitian"))
+        results.extend(skip_record(check, 0)
+                       for check in _HERMITIAN_SCALAR_CHECKS)
 
-    if pulm.is_functional:
-        ms = mat.conj().T
-        comm = frobenius(ms @ mat - mat @ ms)
-        if comm <= NORMALITY_RTOL * max(frobenius(mat) ** 2, np.finfo(float).tiny):
-            slack = centered_fourth_moment_slack(pulm, mat)
-            fourth_scale = max(1.0, frobenius(mat) ** 4)
-            results.append(CheckResult(
-                check="centered_fourth_moment",
-                description=d_fourth,
-                applicable=True,
-                passed=slack >= -tol * fourth_scale,
-                margin=slack,
-                difference=np.array([[slack]], dtype=np.complex128),
-            ))
-        else:
-            results.append(_skip(
-                "centered_fourth_moment", d_fourth, "matrix is not normal"))
+    if pulm.is_functional and is_normal(mat):
+        slack = centered_fourth_moment_slack(pulm, mat)
+        fourth_scale = max(1.0, frobenius(mat) ** 4)
+        results.append(record("centered_fourth_moment", 0,
+                              slack >= -tol * fourth_scale, slack))
     else:
-        results.append(_skip(
-            "centered_fourth_moment", d_fourth,
-            "check needs a functional (1x1 codomain)"))
+        results.append(skip_record("centered_fourth_moment", 0))
     return results
-
-
-def scalar_shift_hankel(x: float, y: float, r: int) -> np.ndarray:
-    """The (r+1)x(r+1) matrix ``[x^{i+j-1} - y x^{i+j-2}]`` for ``x >= y``.
-
-    Rank one and positive semidefinite: it factors as the power vector outer
-    product scaled by ``x - y``. Used as an independent oracle for the
-    tensor-sum structure of the shifted moment blocks.
-    """
-    if x < y:
-        raise DomainError(f"scalar shift Hankel needs x >= y, got x={x}, y={y}")
-    v = np.array([float(x) ** k for k in range(r + 1)])
-    return (x - y) * np.outer(v, v)
-
-
-def scalar_bracket_hankel(x: float, y: float, z: float, r: int) -> np.ndarray:
-    """The (r+1)x(r+1) matrix ``[y^{i+j-2} (x-y)(y-z)]`` for ``x >= y >= z``."""
-    if not (x >= y >= z):
-        raise DomainError(
-            f"scalar bracket Hankel needs x >= y >= z, got {x}, {y}, {z}"
-        )
-    v = np.array([float(y) ** k for k in range(r + 1)])
-    return (x - y) * (y - z) * np.outer(v, v)

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from momenta import campaign, cli, linalg, maps
+from momenta import campaign, cli, linalg, maps, moments
 
 
 def test_corpus_is_deterministic():
@@ -174,3 +176,46 @@ def test_records_carry_reproducible_seeds():
     for inst in insts:
         for rec in campaign.psd_suite(inst):
             assert rec.seed == inst.seed
+
+
+def test_catalog_cites_each_check_once(tmp_path, capsys):
+    # One citation per check name, never the bare name, and each check
+    # recorded once per matrix (psd_gap_product once per eigenvalue gap).
+    def gaps(a):
+        lam = linalg.hermitian_eig(a).eigenvalues
+        return moments.distinct_eigenvalues(lam).size - 1
+
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--random", "--instances", "12", "--seed", "5",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    random_records = json.loads(out.read_text())["records"]
+    inputs = (  # (matrix, eigenvalue gaps): PD, indefinite, normal, neither
+        (linalg.hermitian_with_spectrum([0.5, 1.0, 2.0, 3.0], 61), 3),
+        (linalg.hermitian_with_spectrum([-1.0, 0.5, 2.0, 3.0], 62), 3),
+        (linalg.random_normal_matrix(4, 63), 0),
+        (np.diag(np.ones(3), 1), 0),
+    )
+    reports = [(random_records, {inst.seed: gaps(inst.matrix)
+                                 for inst in campaign.corpus(12, seed=5)})]
+    for kind in maps.MAP_KINDS:
+        pulm = maps.random_map(kind, 4, 2, seed=64)
+        for a, n_gaps in inputs:
+            records = campaign.single_matrix_records(a, pulm, seed=7)
+            reports.append(([dataclasses.asdict(r) for r in records],
+                            {7: n_gaps}))
+
+    citations = {}
+    for records, gap_count in reports:
+        keys = collections.Counter((r["check"], r["seed"]) for r in records)
+        for (check, seed), count in keys.items():
+            if check == "psd_gap_product":
+                assert count == gap_count[seed], (check, seed)
+            else:
+                assert count == 1, (check, seed)
+        for r in records:
+            citations.setdefault(r["check"], set()).add(r["citation"])
+    for check, cited in citations.items():
+        assert len(cited) == 1, (check, cited)
+        bare = check.removeprefix("psd_").removesuffix("_pd")
+        assert cited.isdisjoint({check, bare}), check

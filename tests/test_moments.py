@@ -17,6 +17,29 @@ def table12(k_min=-1, k_max=4):
     return moments.moment_table(TR2, DIAG12, k_min, k_max)
 
 
+def scalar_shift_hankel(x, y, r):
+    """The (r+1)x(r+1) matrix ``[x^{i+j-1} - y x^{i+j-2}]`` for ``x >= y``.
+
+    Rank one and positive semidefinite: the power vector outer product
+    scaled by ``x - y``. An oracle for the tensor-sum structure of the
+    shifted moment blocks.
+    """
+    if x < y:
+        raise DomainError(f"scalar shift Hankel needs x >= y, got x={x}, y={y}")
+    v = np.array([float(x) ** k for k in range(r + 1)])
+    return (x - y) * np.outer(v, v)
+
+
+def scalar_bracket_hankel(x, y, z, r):
+    """The (r+1)x(r+1) matrix ``[y^{i+j-2} (x-y)(y-z)]`` for ``x >= y >= z``."""
+    if not (x >= y >= z):
+        raise DomainError(
+            f"scalar bracket Hankel needs x >= y >= z, got {x}, {y}, {z}"
+        )
+    v = np.array([float(y) ** k for k in range(r + 1)])
+    return (x - y) * (y - z) * np.outer(v, v)
+
+
 class TestMomentTable:
     def test_example_3x3_trace_moments(self):
         t = moments.moment_table(TR3, EXAMPLE_3X3, 0, 5)
@@ -161,7 +184,7 @@ class TestBuildBlock:
         prod = (a - m * eye) @ (M * eye - a)
         base = -3 if kind == "range_product_inv" else -2
         direct = np.block([
-            [pulm.apply(linalg.matrix_power(a, i + j + 2 + base) @ prod)
+            [pulm.apply(np.linalg.matrix_power(a, i + j + 2 + base) @ prod)
              for j in range(r + 1)]
             for i in range(r + 1)
         ])
@@ -310,7 +333,7 @@ class TestScalarChecks:
         results = {r.check: r
                    for r in moments.scalar_checks(t1, [[c]], m=0.5)}
         res = results["third_moment_lower"]
-        assert res.applicable and res.passed
+        assert res.passed is True
         # one-point spectrum: phi(A^3) equals m c^2 + c^2 (c - m) exactly
         assert res.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -318,21 +341,21 @@ class TestScalarChecks:
         results = {r.check: r
                    for r in moments.scalar_checks(TR2, DIAG12, m=0.5)}
         res = results["third_moment_lower"]
-        assert res.applicable and res.passed
+        assert res.passed is True
         # phi(A^3) = 4.5 against 0.5 * 2.5 + (2.5 - 0.75)^2 / (1.5 - 0.5)
         assert res.margin == pytest.approx(4.5 - 4.3125, abs=1e-12)
 
     def test_inverse_moment_two_point_spectrum(self):
         results = {r.check: r for r in moments.scalar_checks(TR2, DIAG12)}
         res = results["inverse_moment"]
-        assert res.applicable and res.passed
+        assert res.passed is True
         assert res.margin == pytest.approx(0.75 - 1.0 / 1.5, abs=1e-12)
 
     def test_inverse_moment_skipped_for_indefinite(self):
         results = {r.check: r
                    for r in moments.scalar_checks(TR2, np.diag([-1.0, 1.0]))}
         res = results["inverse_moment"]
-        assert not res.applicable and res.passed is None
+        assert res.passed is None
 
     def test_centered_fourth_moment_equality(self):
         # B = A, |B|^2 = I: phi(|B|^4) = 1 = 0 + 1^2
@@ -344,7 +367,7 @@ class TestScalarChecks:
         x = maps.random_map("vector_state", 4, seed=7)
         results = {r.check: r for r in moments.scalar_checks(x, a)}
         res = results["centered_fourth_moment"]
-        assert res.applicable and res.passed
+        assert res.passed is True
         # Hermitian-only checks are reported not applicable, never failed
         assert results["kadison"].passed is None
         assert results["third_moment_upper"].passed is None
@@ -365,37 +388,56 @@ class TestScalarChecks:
 
 class TestScalarOracles:
     def test_shift_collapses_at_equal_arguments(self):
-        np.testing.assert_array_equal(moments.scalar_shift_hankel(1.4, 1.4, 3),
+        np.testing.assert_array_equal(scalar_shift_hankel(1.4, 1.4, 3),
                                       np.zeros((4, 4)))
 
     def test_shift_rank_one_values(self):
-        out = moments.scalar_shift_hankel(2.0, 1.0, 1)
+        out = scalar_shift_hankel(2.0, 1.0, 1)
         np.testing.assert_array_equal(out, [[1.0, 2.0], [2.0, 4.0]])
         assert np.linalg.matrix_rank(out) == 1
 
     def test_bracket_values(self):
-        out = moments.scalar_bracket_hankel(3.0, 2.0, 1.0, 1)
+        out = scalar_bracket_hankel(3.0, 2.0, 1.0, 1)
         np.testing.assert_array_equal(out, [[1.0, 2.0], [2.0, 4.0]])
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            moments.scalar_shift_hankel(1.0, 2.0, 1)
+            scalar_shift_hankel(1.0, 2.0, 1)
         with pytest.raises(DomainError):
-            moments.scalar_bracket_hankel(1.0, 2.0, 0.0, 1)
+            scalar_bracket_hankel(1.0, 2.0, 0.0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-3, 3), gap=st.floats(0, 2),
            r=st.integers(0, 3))
     def test_shift_is_psd(self, x, gap, r):
-        out = moments.scalar_shift_hankel(x, x - gap, r)
+        out = scalar_shift_hankel(x, x - gap, r)
         assert linalg.is_psd(out).passed
 
     @settings(max_examples=60, deadline=None)
     @given(y=st.floats(-3, 3), up=st.floats(0, 2), down=st.floats(0, 2),
            r=st.integers(0, 3))
     def test_bracket_is_psd(self, y, up, down, r):
-        out = moments.scalar_bracket_hankel(y + up, y, y - down, r)
+        out = scalar_bracket_hankel(y + up, y, y - down, r)
         assert linalg.is_psd(out).passed
+
+    def test_weighted_scalar_hankels_rebuild_shift_and_range_blocks(self):
+        # a functional's lower_shift and range_product blocks are the
+        # spectral-weight averages of the scalar oracles at each eigenvalue
+        a = linalg.random_hermitian(4, 33)
+        x = maps.random_map("vector_state", 4, seed=34)
+        spectrum = linalg.hermitian_eig(a)
+        t = moments.moment_table(x, a, 0, 8)
+        r = 3
+        low = moments.build_block("lower_shift", t, r).assembled.real
+        rng = moments.build_block("range_product", t, r).assembled.real
+        acc_low = np.zeros((r + 1, r + 1))
+        acc_rng = np.zeros((r + 1, r + 1))
+        for lam, v in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
+            w = x.apply(np.outer(v, v.conj()))[0, 0].real
+            acc_low += w * scalar_shift_hankel(lam, t.m, r)
+            acc_rng += w * scalar_bracket_hankel(t.M, lam, t.m, r)
+        assert np.max(np.abs(acc_low - low)) <= 1e-9 * np.max(np.abs(low))
+        assert np.max(np.abs(acc_rng - rng)) <= 1e-9 * np.max(np.abs(rng))
 
     def test_tensor_sum_reconstructs_functional_hankel(self):
         # the moment Hankel of a functional is the weight-averaged scalar Hankel
