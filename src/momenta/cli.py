@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
 from .errors import DomainError, ShapeError
-from .linalg import is_psd, symmetrize
+from .linalg import is_psd
 from .maps import (
     Identity,
     NormalizedTrace,
@@ -255,14 +255,13 @@ def _config_from_args(args) -> RunConfig:
 def cmd_bounds(args) -> int:
     config = _config_from_args(args)
     m = parse_matrix(args.matrix)
-    h = symmetrize(m)
-    functional = build_map(config.map_spec, h.shape[0], config.seed)
+    functional = build_map(config.map_spec, m.shape[0], config.seed)
     if not functional.is_functional:
         raise ValueError(
             f"bounds needs a functional map (trace or vector-state), "
             f"got {config.map_spec!r}"
         )
-    report = eigenbounds.spectral_bounds(functional, h)
+    report = eigenbounds.spectral_bounds(functional, m)
     values = []
     if report.degenerate:
         print("degenerate moment data: the functional sees at most two "
@@ -295,10 +294,9 @@ def cmd_bounds(args) -> int:
 def cmd_moments(args) -> int:
     config = _config_from_args(args)
     m = parse_matrix(args.matrix)
-    h = symmetrize(m)
-    pulm = build_map(config.map_spec, h.shape[0], config.seed)
+    pulm = build_map(config.map_spec, m.shape[0], config.seed)
     k_max = 2 * config.r_max + 1
-    table = moments.moment_table(pulm, h, config.k_min, k_max)
+    table = moments.moment_table(pulm, m, config.k_min, k_max)
     records = []
     for k in range(config.k_min, k_max + 1):
         block = table.power(k)

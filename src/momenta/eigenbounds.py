@@ -106,7 +106,7 @@ def cubic_coefficients(cm: CentralMoments) -> tuple[float, float, float, float]:
     Raises :class:`DegenerateMomentsError` when gamma is numerically zero.
     """
     gamma = gamma_value(cm)
-    if abs(gamma) <= GAMMA_DEGENERACY_RTOL * max(1.0, cm.b2 ** 3):
+    if is_degenerate(cm):
         raise DegenerateMomentsError(
             f"gamma = {gamma:.3e} is degenerate (at most two spectral atoms)"
         )
@@ -232,12 +232,8 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
     largest eigenvalue from below. Degenerate moment data (at most two
     atoms) is flagged, with the trace comparator still reported.
     """
-    h = symmetrize(a)
-    cm = central_moments(functional, h)
-    if h.shape[0] >= 2:
-        ws_min, ws_max = wolkowicz_styan(h)
-    else:
-        ws_min = ws_max = None
+    cm = central_moments(functional, a)
+    ws_min, ws_max = wolkowicz_styan(a) if len(a) >= 2 else (None, None)
     try:
         c2, c1, c0, gamma = cubic_coefficients(cm)
         roots = solve_cubic(c2, c1, c0)

@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernel.
 
-Everything operates on square ``numpy`` arrays of ``complex128``. Hermitian
-inputs are symmetrized on ingest: a matrix whose asymmetry ``||M - M*||_F``
-exceeds ``SYMMETRY_RTOL * ||M||_F`` is rejected rather than silently fixed,
-so file round-trip noise is absorbed but genuinely non-Hermitian data is not.
+Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
+validated once, where it enters: :func:`symmetrize` rejects non-finite,
+non-square and non-Hermitian input (asymmetry ``||M - M*||_F`` above
+``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). Every eigensolve
+runs that check in :func:`hermitian_eig`, which returns the validated matrix
+with the spectrum, so callers never symmetrize twice.
 
 The eigensolver is LAPACK's Hermitian divide-and-conquer routine (``zheevd``)
 reached through ``numpy.linalg.eigh``. It returns the spectrum in ascending
@@ -39,11 +41,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -70,7 +67,8 @@ def is_hermitian(a: np.ndarray) -> bool:
 def symmetrize(a) -> np.ndarray:
     """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else raise."""
     m = as_matrix(a)
-    _require_square(m)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         scale = max(frobenius(m), np.finfo(float).tiny)
         raise DomainError(
@@ -78,18 +76,20 @@ def symmetrize(a) -> np.ndarray:
             f"{frobenius(m - m.conj().T):.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * ||M||_F = {SYMMETRY_RTOL * scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return hermitian_part(m)
 
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
     """Eigenvalues (ascending, real) and an orthonormal eigenvector basis.
 
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``.
+    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
+    ``matrix`` is the validated Hermitian matrix they decompose.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    matrix: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         """Assemble ``V diag(lambda) V*`` back into a matrix."""
@@ -106,13 +106,13 @@ class HermitianSpectrum:
 
 
 def hermitian_eig(a) -> HermitianSpectrum:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, checked by :func:`symmetrize`.
 
     Returns the spectrum sorted ascending with matching orthonormal
     eigenvector columns; reconstruction error is a few ulps of ``||A||_F``.
     """
-    lam, v = np.linalg.eigh(symmetrize(a))
-    return HermitianSpectrum(eigenvalues=lam, eigenvectors=v)
+    h = symmetrize(a)
+    return HermitianSpectrum(*np.linalg.eigh(h), matrix=h)
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,12 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    h = symmetrize(m)
-    scale = max(1.0, frobenius(h))
-    lam_min = hermitian_eig(h).min
+    spectrum = hermitian_eig(m)
+    scale = max(1.0, frobenius(spectrum.matrix))
     return PsdVerdict(
-        min_eigenvalue=lam_min,
+        min_eigenvalue=spectrum.min,
         scale=scale,
-        passed=lam_min >= -tol * scale,
+        passed=spectrum.min >= -tol * scale,
         tolerance_used=tol,
     )
 
@@ -166,8 +165,7 @@ def matrix_function(a, f, *, positive_only: bool = False) -> np.ndarray:
     if values.shape != spec.eigenvalues.shape or not np.all(np.isfinite(values)):
         raise DomainError("scalar function produced non-finite or misshaped values")
     v = spec.eigenvectors
-    out = (v * values) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return hermitian_part((v * values) @ v.conj().T)
 
 
 def matrix_log(a) -> np.ndarray:
@@ -191,11 +189,11 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d)).conj()
 
 
-def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded random Hermitian matrix with entries of size ~``scale``."""
+def random_hermitian(n: int, seed: int) -> np.ndarray:
+    """Seeded random Hermitian matrix with entries of size ~1."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (g + g.conj().T) / 2.0
+    return hermitian_part(g)
 
 
 def random_psd(n: int, seed: int) -> np.ndarray:
@@ -205,10 +203,10 @@ def random_psd(n: int, seed: int) -> np.ndarray:
     return c.conj().T @ c
 
 
-def random_normal_matrix(n: int, seed: int, radius: float = 2.0) -> np.ndarray:
-    """Seeded random normal matrix ``U diag(z) U*`` with complex ``z``."""
+def random_normal_matrix(n: int, seed: int) -> np.ndarray:
+    """Seeded random normal matrix ``U diag(z) U*``, Re z and Im z in [-2, 2]."""
     rng = np.random.default_rng(seed)
-    z = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    z = 2.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     u = random_unitary(n, seed + 1)
     return (u * z) @ u.conj().T
 
@@ -217,5 +215,4 @@ def hermitian_with_spectrum(eigenvalues, seed: int) -> np.ndarray:
     """Hermitian matrix with a prescribed real spectrum and a seeded basis."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     u = random_unitary(lam.size, seed)
-    m = (u * lam) @ u.conj().T
-    return (m + m.conj().T) / 2.0
+    return hermitian_part((u * lam) @ u.conj().T)

@@ -71,7 +71,8 @@ class PositiveUnitalMap:
         return self.codomain_dim == 1
 
     def _check_input(self, a) -> np.ndarray:
-        m = as_matrix(a)
+        # shape only: matrices are validated where they enter, not per map
+        m = np.asarray(a, dtype=np.complex128)
         n = self.domain_dim
         if m.shape != (n, n):
             raise ShapeError(f"map expects a {n}x{n} matrix, got {m.shape}")
@@ -97,7 +98,7 @@ class Identity(PositiveUnitalMap):
         return self.n
 
     def apply(self, a) -> np.ndarray:
-        return self._check_input(a)
+        return self._check_input(a).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,19 +297,18 @@ def _payload_issues(pulm: PositiveUnitalMap) -> list:
     return issues
 
 
-def validate(pulm: PositiveUnitalMap, seed: int = 0,
-             probes: int = POSITIVITY_PROBES) -> MapValidation:
+def validate(pulm: PositiveUnitalMap, seed: int = 0) -> MapValidation:
     """Check unitality, payload soundness, and spot-check positivity.
 
-    Positivity is probed by applying the map to seeded random PSD matrices
-    ``C* C`` and testing the images. Failures are reported, never raised.
+    Positivity is probed by applying the map to ``POSITIVITY_PROBES`` seeded
+    random PSD matrices ``C* C``; failures are reported, never raised.
     """
     n, k = pulm.domain_dim, pulm.codomain_dim
     residual = frobenius(pulm.apply(np.eye(n)) - np.eye(k))
     unital = residual <= UNITALITY_TOL
     payload_issues = _payload_issues(pulm)
     failures = 0
-    for t in range(probes):
+    for t in range(POSITIVITY_PROBES):
         image = pulm.apply(random_psd(n, seed + t))
         if not is_psd(image).passed:
             failures += 1
@@ -317,7 +317,7 @@ def validate(pulm: PositiveUnitalMap, seed: int = 0,
         issues.append(f"map is not unital: ||Phi(I) - I||_F = {residual:.3e}")
     issues.extend(payload_issues)
     if failures:
-        issues.append(f"positivity spot check failed on {failures}/{probes} probes")
+        issues.append(f"positivity spot check failed on {failures}/{POSITIVITY_PROBES} probes")
     return MapValidation(
         unital=unital,
         unitality_residual=residual,

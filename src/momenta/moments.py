@@ -44,8 +44,6 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     is_psd,
-    matrix_log,
-    symmetrize,
 )
 from .maps import PositiveUnitalMap
 
@@ -97,13 +95,13 @@ class MomentTable:
         return self.blocks[k - self.k_min]
 
 
-def _spectrum_interval(spectrum, m: float | None,
+def _spectrum_interval(lo: float, hi: float, m: float | None,
                        M: float | None) -> tuple[float, float]:
-    """``[m, M]``, defaulting to the extreme eigenvalues; must contain them."""
-    lo, hi = spectrum.min, spectrum.max
+    """``[m, M]``, defaulting to ``[lo, hi]``, which it must contain up to
+    round-off relative to ``max(|lo|, |hi|)`` (no absolute floor)."""
     m = lo if m is None else float(m)
     M = hi if M is None else float(M)
-    grace = 1e-12 * max(1.0, abs(lo), abs(hi))
+    grace = 1e-12 * max(abs(lo), abs(hi))
     if m > lo + grace or M < hi - grace:
         raise DomainError(
             f"[m, M] = [{m}, {M}] does not contain the spectrum [{lo}, {hi}]"
@@ -129,15 +127,14 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
         raise DomainError(f"k_min must be -1 or 0, got {k_min}")
     if k_max < k_min:
         raise DomainError(f"k_max {k_max} below k_min {k_min}")
-    h = symmetrize(a)
-    spectrum = hermitian_eig(h)
-    lam = spectrum.eigenvalues
+    spectrum = hermitian_eig(a)
+    h, lam = spectrum.matrix, spectrum.eigenvalues
     if k_min == -1 and spectrum.min <= 0.0:
         raise DomainError(
             f"inverse moments need a positive definite matrix "
             f"(min eigenvalue {spectrum.min:.3e})"
         )
-    m, M = _spectrum_interval(spectrum, m, M)
+    m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
     powers = range(k_min, k_max + 1)
     if route == "spectral":
         images = [pulm.apply(np.outer(v, v.conj()))
@@ -179,11 +176,11 @@ class BlockMatrixSpec:
     assembled: np.ndarray
 
 
-def distinct_eigenvalues(values, rtol: float = GAP_RTOL) -> np.ndarray:
+def distinct_eigenvalues(values) -> np.ndarray:
     """Cluster an ascending spectrum into distinct atoms.
 
-    Adjacent values closer than ``rtol`` times the spectral width are merged
-    (represented by their mean).
+    Adjacent values closer than ``GAP_RTOL`` times the spectral width are
+    merged (represented by their mean).
     """
     vals = np.sort(np.asarray(values, dtype=np.float64))
     if vals.size == 0:
@@ -191,7 +188,7 @@ def distinct_eigenvalues(values, rtol: float = GAP_RTOL) -> np.ndarray:
     width = max(vals[-1] - vals[0], np.finfo(float).tiny)
     groups = [[vals[0]]]
     for v in vals[1:]:
-        if v - groups[-1][-1] <= rtol * width:
+        if v - groups[-1][-1] <= GAP_RTOL * width:
             groups[-1].append(v)
         else:
             groups.append([v])
@@ -265,13 +262,9 @@ def build_refinement_chain(table: MomentTable,
     ``inner`` are positive semidefinite whenever the spectrum lies in
     ``[m, inf)`` with ``m > 0``.
     """
-    m = table.m if m is None else float(m)
+    m, _ = _spectrum_interval(table.m, table.M, m, None)
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
-    if m > table.m + 1e-12 * max(1.0, abs(table.m)):
-        raise DomainError(
-            f"m = {m} exceeds the least admissible spectrum point {table.m}"
-        )
     T = table.power
     outer = np.block([[T(2), T(3)], [T(3), T(4)]])
     inner = 2.0 * m * np.block([[T(1), T(2)], [T(2), T(3)]]) \
@@ -279,13 +272,23 @@ def build_refinement_chain(table: MomentTable,
     return outer, inner
 
 
+def _log(spectrum) -> np.ndarray:
+    """``log A`` from the spectrum of a positive definite ``A``."""
+    if spectrum.min <= 0.0:
+        raise DomainError(
+            f"matrix must be positive definite (min eigenvalue {spectrum.min:.3e})"
+        )
+    v = spectrum.eigenvectors
+    return hermitian_part((v * np.log(spectrum.eigenvalues)) @ v.conj().T)
+
+
 def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
     """``[[Phi(A^2), Phi(A)], [Phi(A), Phi(A - log A)]]`` for ``A > 0``.
 
     Positive semidefinite because ``x - log x >= 1`` on the positive axis.
     """
-    h = symmetrize(a)
-    la = matrix_log(h)
+    spectrum = hermitian_eig(a)
+    h, la = spectrum.matrix, _log(spectrum)
     one = pulm.apply(h)
     two = pulm.apply(hermitian_part(h @ h))
     deficit = pulm.apply(h - la)
@@ -303,13 +306,11 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap, a,
       [..., Phi((log M) A^2 - A^2 log A)]]``
     - lower: the mirrored block with ``log m`` subtracted instead.
     """
-    h = symmetrize(a)
-    spectrum = hermitian_eig(h)
-    m, M = _spectrum_interval(spectrum, m, M)
+    spectrum = hermitian_eig(a)
+    m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
     if m <= 0.0:
         raise DomainError(f"log endpoint blocks need m > 0, got {m}")
-    v = spectrum.eigenvectors
-    la = hermitian_part((v * np.log(spectrum.eigenvalues)) @ v.conj().T)
+    h, la = spectrum.matrix, _log(spectrum)
     h2 = hermitian_part(h @ h)
     hla = hermitian_part(h @ la)
     h2la = hermitian_part(h2 @ la)
@@ -455,6 +456,13 @@ def psd_outcome(difference: np.ndarray, tol: float) -> tuple[bool, float]:
     return verdict.passed, verdict.min_eigenvalue
 
 
+def centered_fourth_moment_outcome(functional: PositiveUnitalMap, a,
+                                   tol: float) -> tuple[bool, float]:
+    """Verdict and slack: the bound holds if slack >= -tol max(1, ||A||_F^4)."""
+    slack = centered_fourth_moment_slack(functional, a)
+    return slack >= -tol * max(1.0, frobenius(a) ** 4), slack
+
+
 def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
     """Slack of the centered fourth-moment bound for a normal matrix.
 
@@ -499,9 +507,9 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
     results: list[CheckRecord] = []
 
     if is_hermitian(mat):
-        h = symmetrize(mat)
-        spectrum = hermitian_eig(h)
-        m, M = _spectrum_interval(spectrum, m, M)
+        spectrum = hermitian_eig(mat)
+        h = spectrum.matrix
+        m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
         eye = np.eye(pulm.codomain_dim)
         p1 = hermitian_part(pulm.apply(h))
         p2 = hermitian_part(pulm.apply(hermitian_part(h @ h)))
@@ -522,10 +530,11 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
         else:
             results.append(skip_record("inverse_moment", 0))
 
-        strict = 1e-6
+        # a gap is inverted only if it stands clear of its own norm and of
+        # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
+        scale = max(abs(m), abs(M))
         low_gap = p1 - m * eye
-        gap_min = hermitian_eig(low_gap).min
-        if gap_min > strict * max(1.0, frobenius(low_gap)):
+        if hermitian_eig(low_gap).min > 1e-6 * max(frobenius(low_gap), scale):
             x = p2 - m * p1
             bound = m * p2 + hermitian_part(x @ np.linalg.inv(low_gap) @ x)
             results.append(record("third_moment_lower", 0,
@@ -534,8 +543,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
             results.append(skip_record("third_moment_lower", 0))
 
         high_gap = M * eye - p1
-        gap_min = hermitian_eig(high_gap).min
-        if gap_min > strict * max(1.0, frobenius(high_gap)):
+        if hermitian_eig(high_gap).min > 1e-6 * max(frobenius(high_gap), scale):
             y = M * p1 - p2
             bound = M * p2 - hermitian_part(y @ np.linalg.inv(high_gap) @ y)
             results.append(record("third_moment_upper", 0,
@@ -547,10 +555,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
                        for check in _HERMITIAN_SCALAR_CHECKS)
 
     if pulm.is_functional and is_normal(mat):
-        slack = centered_fourth_moment_slack(pulm, mat)
-        fourth_scale = max(1.0, frobenius(mat) ** 4)
         results.append(record("centered_fourth_moment", 0,
-                              slack >= -tol * fourth_scale, slack))
+                              *centered_fourth_moment_outcome(pulm, mat, tol)))
     else:
         results.append(skip_record("centered_fourth_moment", 0))
     return results

@@ -171,6 +171,17 @@ def test_single_matrix_records_unstructured_input_all_skipped():
     assert records and all(r.passed is None for r in records)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e7])
+def test_single_matrix_records_near_identity_runs_centered_checks(c):
+    # the centered interval comes from the uncentered spectrum, whose
+    # rounding is far above the centered spectrum's own scale
+    a = c * (np.eye(5) + 1e-8 * linalg.random_hermitian(5, 5))
+    records = campaign.single_matrix_records(a, maps.NormalizedTrace(5), 0)
+    centered = [r for r in records if r.check.startswith("centered_")]
+    assert len(centered) == 3
+    assert all(r.passed is True for r in centered)
+
+
 def test_records_carry_reproducible_seeds():
     insts = campaign.corpus(6, seed=9)
     for inst in insts:

@@ -73,6 +73,13 @@ class TestMomentTable:
         with pytest.raises(DomainError):
             moments.moment_table(TR2, DIAG12, 0, 2, M=1.5)
 
+    @pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+    def test_narrowed_endpoints_rejected_at_every_scale(self, c):
+        # m sits inside the spectrum {c, 3c}; its lower_shift block would
+        # have a negative eigenvalue
+        with pytest.raises(DomainError):
+            moments.moment_table(TR2, c * np.diag([1.0, 3.0]), 0, 2, m=2.5 * c)
+
     def test_inverse_moments_need_positive_definite(self):
         with pytest.raises(DomainError):
             moments.moment_table(TR2, np.diag([1.0, -1.0]), -1, 2)
@@ -231,6 +238,11 @@ class TestRefinementChain:
         with pytest.raises(DomainError):
             moments.build_refinement_chain(table12(0, 4), 1.5)
 
+    def test_rejects_m_above_a_small_scale_spectrum(self):
+        t = moments.moment_table(TR2, 1e-14 * DIAG12, 0, 4)
+        with pytest.raises(DomainError):
+            moments.build_refinement_chain(t, 1.5e-14)
+
 
 class TestLogBlocks:
     def test_deficit_single_atom_at_one(self):
@@ -344,6 +356,22 @@ class TestScalarChecks:
         assert res.passed is True
         # phi(A^3) = 4.5 against 0.5 * 2.5 + (2.5 - 0.75)^2 / (1.5 - 0.5)
         assert res.margin == pytest.approx(4.5 - 4.3125, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-7, 1.0, 1e7])
+    def test_third_moment_runs_at_every_scale(self, c):
+        results = {r.check: r for r in moments.scalar_checks(
+            TR3, c * np.diag([1.0, 2.0, 3.0]))}
+        assert results["third_moment_lower"].passed is True
+        assert results["third_moment_upper"].passed is True
+
+    @pytest.mark.parametrize("kind, n, c", [("compression", 2, 1e3),
+                                            ("vector_state", 3, 1e7)])
+    def test_third_moment_skips_a_rounding_level_gap(self, kind, n, c):
+        # Phi(cI) - m I is zero up to rounding; inverting it would FAIL
+        pulm = maps.random_map(kind, n, 1, seed=3)
+        results = {r.check: r for r in moments.scalar_checks(pulm, c * np.eye(n))}
+        assert results["third_moment_lower"].passed is None
+        assert results["third_moment_upper"].passed is None
 
     def test_inverse_moment_two_point_spectrum(self):
         results = {r.check: r for r in moments.scalar_checks(TR2, DIAG12)}

@@ -1,0 +1,86 @@
+"""Input validation at the boundary.
+
+Every public function that takes a Hermitian matrix rejects bad input with
+the error of the one Hermitian check, ``linalg.symmetrize``; map
+application checks only the shape and never aliases its input.
+"""
+
+import numpy as np
+import pytest
+
+from momenta import eigenbounds, linalg, maps, moments
+from momenta.errors import DomainError, ShapeError
+
+TR2 = maps.NormalizedTrace(2)
+
+#: Public functions taking a Hermitian matrix, each as a one-argument call.
+HERMITIAN_ENTRY_POINTS = {
+    "hermitian_eig": linalg.hermitian_eig,
+    "is_psd": linalg.is_psd,
+    "moment_table": lambda a: moments.moment_table(TR2, a),
+    "build_log_deficit_block": lambda a: moments.build_log_deficit_block(TR2, a),
+    "build_log_endpoint_blocks":
+        lambda a: moments.build_log_endpoint_blocks(TR2, a),
+    "central_moments": lambda a: eigenbounds.central_moments(TR2, a),
+    "wolkowicz_styan": eigenbounds.wolkowicz_styan,
+    "spectral_bounds": lambda a: eigenbounds.spectral_bounds(TR2, a),
+}
+
+BAD_INPUTS = {
+    "non_hermitian": (np.array([[1.0, 1.0], [0.0, 2.0]]), DomainError),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
+    "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), DomainError),
+    "non_square": (np.ones((2, 3)), ShapeError),
+}
+
+
+def _error_of(call, a):
+    with pytest.raises((DomainError, ShapeError)) as info:
+        call(a)
+    return info.value
+
+
+@pytest.mark.parametrize("entry", sorted(HERMITIAN_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+def test_entry_point_rejects_bad_input_like_symmetrize(entry, bad):
+    a, error = BAD_INPUTS[bad]
+    expected = _error_of(linalg.symmetrize, a)
+    got = _error_of(HERMITIAN_ENTRY_POINTS[entry], a)
+    assert type(got) is error is type(expected)
+    assert str(got) == str(expected)
+
+
+@pytest.mark.parametrize("kind", maps.MAP_KINDS)
+def test_apply_rejects_wrong_shape(kind):
+    pulm = maps.random_map(kind, 3, k=2, seed=1)
+    for a in (np.eye(2), np.ones((3, 2)), np.ones(3)):
+        with pytest.raises(ShapeError):
+            pulm.apply(a)
+
+
+@pytest.mark.parametrize("kind", maps.MAP_KINDS)
+def test_apply_never_aliases_its_input(kind):
+    pulm = maps.random_map(kind, 3, k=2, seed=1)
+    a = linalg.random_hermitian(3, 2)
+    before = a.copy()
+    out = pulm.apply(a)
+    assert out is not a and not np.shares_memory(out, a)
+    out[...] = 0.0
+    np.testing.assert_array_equal(a, before)
+
+
+def test_identity_apply_returns_a_copy():
+    a = linalg.random_hermitian(3, 4)
+    out = maps.Identity(3).apply(a)
+    assert out is not a
+    np.testing.assert_array_equal(out, a)
+
+
+def test_hermitian_eig_returns_the_validated_matrix():
+    a = linalg.random_hermitian(4, 0)
+    noisy = a.copy()
+    noisy[0, 1] += 1e-12
+    spectrum = linalg.hermitian_eig(noisy)
+    np.testing.assert_array_equal(spectrum.matrix, linalg.symmetrize(noisy))
+    np.testing.assert_allclose(spectrum.reconstruct(), spectrum.matrix,
+                               atol=1e-13)
