@@ -13,6 +13,7 @@ in isolation. A record whose hypotheses fail reports ``passed=None``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from . import eigenbounds, moments
 from .errors import DomainError
 from .linalg import (
-    frobenius,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
@@ -191,25 +191,39 @@ def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
 
 
 def _route_error(pulm, matrix, k_min, k_max) -> float:
-    spectral = moments.moment_table(pulm, matrix, k_min, k_max, route="spectral")
-    direct = moments.moment_table(pulm, matrix, k_min, k_max, route="direct")
-    err = 0.0
-    for k in range(k_min, k_max + 1):
-        s, d = spectral.power(k), direct.power(k)
-        err = max(err, frobenius(s - d) / max(1.0, frobenius(s)))
-    return err
+    spectral = moments.moment_table(pulm, matrix, k_min, k_max,
+                                    route="spectral").blocks
+    direct = moments.moment_table(pulm, matrix, k_min, k_max,
+                                  route="direct").blocks
+    err = (np.linalg.norm(spectral - direct, axis=(1, 2))
+           / np.maximum(1.0, np.linalg.norm(spectral, axis=(1, 2))))
+    return float(err.max())
 
 
 def _determinant_identity_error(cm: eigenbounds.CentralMoments) -> float:
-    """Worst relative mismatch of determinant vs cubic at five shifts."""
-    sigma = np.sqrt(max(cm.b2, 0.0)) + 1e-3
-    gamma = eigenbounds.gamma_value(cm)
-    beta1, beta2, beta3 = eigenbounds.beta_values(cm)
+    """Worst mismatch of determinant vs cubic at five shifts, relative to
+    the moments' own scale ``s = max_k |b_k|^(1/k)``.
+
+    Every determinant term is of degree 9 in ``s``, so the check runs on the
+    moments ``b_k / s^k`` (scaled by a power of two first, which is exact
+    and cannot overflow) at the shifts ``-2..2``. Moments that all vanish
+    give error 0.
+    """
+    b = (cm.b2, cm.b3, cm.b4, cm.b5)
+    s = max(abs(bk) ** (1.0 / k) for k, bk in enumerate(b, start=2))
+    if s == 0.0:
+        return 0.0
+    e = math.frexp(s)[1]
+    sigma = math.ldexp(s, -e)  # in [1/2, 1)
+    unit = eigenbounds.CentralMoments(0.0, *(
+        math.ldexp(bk, -e * k) / sigma ** k for k, bk in enumerate(b, start=2)))
+    gamma = eigenbounds.gamma_value(unit)
+    beta1, beta2, beta3 = eigenbounds.beta_values(unit)
     worst = 0.0
-    for a in (-2.0 * sigma, -sigma, 0.0, sigma, 2.0 * sigma):
-        det = eigenbounds.determinant_oracle(cm, a)
+    for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        det = eigenbounds.determinant_oracle(unit, a)
         poly = ((gamma * a + beta1) * a + beta2) * a + beta3
-        worst = max(worst, abs(det - poly) / max(1.0, abs(det)))
+        worst = max(worst, abs(det - poly))
     return worst
 
 
@@ -248,8 +262,7 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
-        weights = [float(inst.pulm.apply(np.outer(v, v.conj()))[0, 0].real)
-                   for v in spectrum.eigenvectors.T]
+        weights = moments.spectral_images(inst.pulm, spectrum).real.ravel()
         acc = np.zeros((r + 1, r + 1))
         for lam_j, w in zip(spectrum.eigenvalues, weights):
             v = np.array([lam_j ** k for k in range(r + 1)])

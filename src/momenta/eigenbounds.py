@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .linalg import frobenius, hermitian_eig, symmetrize
 from .maps import PositiveUnitalMap
+from .moments import spectral_images
 
 #: |gamma| at or below this fraction of max(1, b2^3) counts as degenerate.
 GAMMA_DEGENERACY_RTOL = 1e-10
@@ -67,10 +68,7 @@ def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
         raise ShapeError("central moments need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
     lam = spectrum.eigenvalues
-    weights = np.array([
-        functional.apply(np.outer(v, v.conj()))[0, 0].real
-        for v in spectrum.eigenvectors.T
-    ])
+    weights = spectral_images(functional, spectrum).real.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(weights @ lam)
         centered = lam - mean

@@ -2,10 +2,10 @@
 
 A :class:`MomentTable` holds the images ``Phi(A^k)`` of the powers of a
 Hermitian matrix over a contiguous range of exponents (possibly starting at
--1 for positive definite ``A``), together with an interval ``[m, M]``
-containing the spectrum. From such a table, :func:`build_block` assembles
-the family of block matrices whose positive semidefiniteness this package
-verifies:
+-1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
+with an interval ``[m, M]`` containing the spectrum. From such a table,
+:func:`build_block` assembles the family of block matrices whose positive
+semidefiniteness this package verifies:
 
 ==================  block (i, j), indices 1-based over 1..r+1
 hankel              Phi(A^{i+j-2})
@@ -20,9 +20,12 @@ gap_product         Phi(A^{i+j-2} (A - s I)(A - t I)),    (s, t) adjacent
 range_product_inv   Phi(A^{i+j-3} (A - mI)(MI - A))       (A > 0)
 ==================
 
-Product kinds are assembled from the expanded moment combination (linearity
-makes this equal to applying the map to the product matrix; the equality is
-itself tested).
+Every kind is a Hankel block matrix: block (i, j) depends on i + j only. So
+an order-r block is a fixed combination of shifted slices of the stacked
+table, a sequence of 2r + 1 blocks, gathered into place at index i + j
+(:func:`hankel_gather`). Product kinds are assembled from the expanded
+moment combination (linearity makes this equal to applying the map to the
+product matrix; the equality is itself tested).
 
 The module also holds the check catalog: :data:`CATALOG` says what every
 check name verifies, and :func:`record` turns an outcome into the one record
@@ -74,25 +77,35 @@ PD_BLOCK_KINDS = ("lower_shift_inv", "upper_shift_inv", "range_product_inv")
 class MomentTable:
     """Images ``Phi(A^k)`` for ``k = k_min..k_max`` plus spectrum interval.
 
-    ``m`` and ``M`` bracket the spectrum of ``A``; by default they are its
-    exact extreme eigenvalues, the tightest admissible choice.
+    ``blocks`` is one ``(k_max - k_min + 1, k, k)`` array whose entry
+    ``blocks[k - k_min]`` is ``Phi(A^k)``. ``m`` and ``M`` bracket the
+    spectrum of ``A``; by default they are its exact extreme eigenvalues,
+    the tightest admissible choice.
     """
 
     k_min: int
     k_max: int
-    blocks: tuple
+    blocks: np.ndarray
     m: float
     M: float
     block_dim: int
 
-    def power(self, k: int) -> np.ndarray:
-        """The block ``Phi(A^k)``; raises if ``k`` is outside the table."""
-        if not self.k_min <= k <= self.k_max:
+    def powers(self, lo: int, count: int) -> np.ndarray:
+        """``Phi(A^k)`` for ``k = lo..lo+count-1`` as one slice of the stack.
+
+        Raises if a requested power is outside the table.
+        """
+        hi = lo + count - 1
+        if lo < self.k_min or hi > self.k_max:
             raise ShapeError(
                 f"moment table covers powers {self.k_min}..{self.k_max}, "
-                f"power {k} requested"
+                f"powers {lo}..{hi} requested"
             )
-        return self.blocks[k - self.k_min]
+        return self.blocks[lo - self.k_min:hi - self.k_min + 1]
+
+    def power(self, k: int) -> np.ndarray:
+        """The block ``Phi(A^k)``; raises if ``k`` is outside the table."""
+        return self.powers(k, 1)[0]
 
 
 def _spectrum_interval(lo: float, hi: float, m: float | None,
@@ -114,10 +127,11 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
                  M: float | None = None) -> MomentTable:
     """Tabulate ``Phi(A^k)`` for ``k = k_min..k_max``.
 
-    ``route="spectral"`` sums ``lambda_j^k Phi(v_j v_j*)`` over the
-    eigenpairs of ``A``; ``route="direct"`` applies the map to explicitly
-    multiplied matrix powers. The two agree to rounding and their agreement
-    is one of the package's standing cross-checks.
+    ``route="spectral"`` contracts the power matrix ``lambda_j^k`` with the
+    stacked images ``Phi(v_j v_j*)`` of the eigenprojections of ``A``;
+    ``route="direct"`` applies the map to explicitly multiplied matrix
+    powers. The two agree to rounding and their agreement is one of the
+    package's standing cross-checks.
 
     ``k_min`` may be -1 only for positive definite ``A``. Passing ``m``
     and/or ``M`` widens the spectrum interval; values inside the spectrum are
@@ -135,35 +149,39 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
             f"(min eigenvalue {spectrum.min:.3e})"
         )
     m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
-    powers = range(k_min, k_max + 1)
+    powers = np.arange(k_min, k_max + 1)
     if route == "spectral":
-        images = [pulm.apply(np.outer(v, v.conj()))
-                  for v in spectrum.eigenvectors.T]
-        blocks = [
-            hermitian_part(sum((l ** k) * w for l, w in zip(lam, images)))
-            for k in powers
-        ]
+        images = spectral_images(pulm, spectrum)
+        n, k = images.shape[:2]
+        lam_powers = lam[np.newaxis, :] ** powers[:, np.newaxis]
+        blocks = (lam_powers @ images.reshape(n, k * k)).reshape(-1, k, k)
     elif route == "direct":
-        k = pulm.codomain_dim
-        blocks = []
         acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
-        maxpow = max(k_max, 1)
-        for p in range(1, maxpow + 1):
+        for p in range(1, max(k_max, 1) + 1):
             acc[p] = acc[p - 1] @ h
         if k_min == -1:
             acc[-1] = np.linalg.inv(h)
-        for k_ in powers:
-            blocks.append(hermitian_part(pulm.apply(hermitian_part(acc[k_]))))
+        blocks = np.stack([pulm.apply(hermitian_part(acc[p])) for p in powers])
     else:
         raise ValueError(f"unknown route {route!r}; expected spectral or direct")
     return MomentTable(
         k_min=k_min,
         k_max=k_max,
-        blocks=tuple(blocks),
+        blocks=(blocks + blocks.conj().transpose(0, 2, 1)) / 2.0,
         m=m,
         M=M,
         block_dim=pulm.codomain_dim,
     )
+
+
+def spectral_images(pulm: PositiveUnitalMap, spectrum) -> np.ndarray:
+    """``Phi(v_j v_j*)`` for each eigenvector ``v_j``, as an ``(n, k, k)`` stack.
+
+    The map is applied to one rank-one projection at a time, so no
+    ``(n, n, n)`` stack of projections is ever held.
+    """
+    return np.stack([pulm.apply(np.outer(v, v.conj()))
+                     for v in spectrum.eigenvectors.T])
 
 
 @dataclass(frozen=True)
@@ -209,7 +227,10 @@ def build_block(kind: str, table: MomentTable, r: int, *,
     if r < 0:
         raise DomainError("block order r must be non-negative")
     m, M = table.m, table.M
-    T = table.power
+
+    def T(d: int) -> np.ndarray:
+        # Phi(A^{e+d}) for e = 0..2r: the table shifted by d
+        return table.powers(d, 2 * r + 1)
 
     if kind == "gap_product":
         if eigenvalues is None or gap_index is None:
@@ -224,31 +245,36 @@ def build_block(kind: str, table: MomentTable, r: int, *,
         if t - s <= GAP_RTOL * max(M - m, np.finfo(float).tiny):
             raise DomainError(f"eigenvalue gap ({s}, {t}) is too narrow")
 
-    def entry(i: int, j: int) -> np.ndarray:
-        e = i + j  # 0-based; the 1-based exponent i+j-2
-        if kind == "hankel":
-            return T(e)
-        if kind == "hankel_shift1":
-            return T(e + 1)
-        if kind == "lower_shift":
-            return T(e + 1) - m * T(e)
-        if kind == "upper_shift":
-            return M * T(e) - T(e + 1)
-        if kind == "lower_shift_inv":
-            return T(e) - m * T(e - 1)
-        if kind == "upper_shift_inv":
-            return M * T(e - 1) - T(e)
-        if kind == "range_product":
-            return (m + M) * T(e + 1) - T(e + 2) - m * M * T(e)
-        if kind == "range_product_inv":
-            return (m + M) * T(e) - T(e + 1) - m * M * T(e - 1)
-        # gap_product
-        return T(e + 2) - (s + t) * T(e + 1) + s * t * T(e)
+    # entry e of the sequence is block (i, j) for i + j = e; written as the
+    # catalog's expressions, term for term, so every bit matches the
+    # entrywise form
+    sequence = {
+        "hankel": lambda: T(0),
+        "hankel_shift1": lambda: T(1),
+        "lower_shift": lambda: T(1) - m * T(0),
+        "upper_shift": lambda: M * T(0) - T(1),
+        "lower_shift_inv": lambda: T(0) - m * T(-1),
+        "upper_shift_inv": lambda: M * T(-1) - T(0),
+        "range_product": lambda: (m + M) * T(1) - T(2) - m * M * T(0),
+        "range_product_inv": lambda: (m + M) * T(0) - T(1) - m * M * T(-1),
+        "gap_product": lambda: T(2) - (s + t) * T(1) + s * t * T(0),
+    }[kind]()
+    return BlockMatrixSpec(kind=kind, r=r, block_dim=table.block_dim,
+                           assembled=hankel_gather(sequence))
 
-    grid = [[entry(i, j) for j in range(r + 1)] for i in range(r + 1)]
-    return BlockMatrixSpec(
-        kind=kind, r=r, block_dim=table.block_dim, assembled=np.block(grid)
-    )
+
+def hankel_gather(sequence: np.ndarray) -> np.ndarray:
+    """The block Hankel matrix ``[sequence[i + j]]`` of a ``(2r + 1, k, k)`` stack.
+
+    One index gather puts block ``i + j`` at block position ``(i, j)``, and
+    one transpose and reshape lay the ``(r + 1) x (r + 1)`` grid of ``k x k``
+    blocks out as a ``(r + 1) k`` square matrix.
+    """
+    count, k = sequence.shape[:2]
+    size = (count + 1) // 2
+    index = np.add.outer(np.arange(size), np.arange(size))
+    grid = sequence[index]  # (i, j, row, col)
+    return grid.transpose(0, 2, 1, 3).reshape(size * k, size * k)
 
 
 def build_refinement_chain(table: MomentTable,
@@ -265,10 +291,9 @@ def build_refinement_chain(table: MomentTable,
     m, _ = _spectrum_interval(table.m, table.M, m, None)
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
-    T = table.power
-    outer = np.block([[T(2), T(3)], [T(3), T(4)]])
-    inner = 2.0 * m * np.block([[T(1), T(2)], [T(2), T(3)]]) \
-        - m * m * np.block([[T(0), T(1)], [T(1), T(2)]])
+    outer = hankel_gather(table.powers(2, 3))
+    inner = hankel_gather(2.0 * m * table.powers(1, 3)
+                          - m * m * table.powers(0, 3))
     return outer, inner
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from momenta import campaign, cli, linalg, maps, moments
+from momenta import campaign, cli, eigenbounds, linalg, maps, moments
 
 
 def test_corpus_is_deterministic():
@@ -230,3 +230,37 @@ def test_catalog_cites_each_check_once(tmp_path, capsys):
         assert len(cited) == 1, (check, cited)
         bare = check.removeprefix("psd_").removesuffix("_pd")
         assert cited.isdisjoint({check, bare}), check
+
+
+def _determinant_identity(matrix):
+    records = campaign.single_matrix_records(
+        matrix, maps.NormalizedTrace(matrix.shape[0]), seed=0)
+    (rec,) = [r for r in records if r.check == "determinant_identity"]
+    return rec
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_determinant_identity_holds_at_every_scale(c, n):
+    # each determinant term is degree 9 in the moments' scale; at c = 1e3,
+    # n = 2 the absolute floors of the old check failed by 5.6e13
+    assert _determinant_identity(c * linalg.random_hermitian(n, 2)).passed is True
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_determinant_identity_fails_on_perturbed_betas(c, n, monkeypatch):
+    # negative control: a cubic whose constant term is off by 1e-6 of the
+    # scale of a determinant term, s^9 with s = max_k |b_k|^(1/k)
+    beta_values = eigenbounds.beta_values
+
+    def perturbed(cm):
+        s = max(abs(b) ** (1.0 / k)
+                for k, b in enumerate((cm.b2, cm.b3, cm.b4, cm.b5), start=2))
+        beta1, beta2, beta3 = beta_values(cm)
+        return beta1, beta2, beta3 + 1e-6 * s ** 9
+
+    monkeypatch.setattr(eigenbounds, "beta_values", perturbed)
+    rec = _determinant_identity(c * linalg.random_hermitian(n, 2))
+    assert rec.passed is False
+    assert rec.margin < 0.0

@@ -262,3 +262,12 @@ class TestMapSpecs:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             cli.build_map("fourier", 4, seed=1)
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    parser = cli._parser()
+    assert cli._parser() is parser
+    first = parser.parse_args(["verify", "--random", "--seed", "5", "--r-max", "1"])
+    second = parser.parse_args(["verify", "m.json"])
+    assert (first.random, first.seed, first.r_max) == (True, 5, 1)
+    assert (second.random, second.seed, second.r_max) == (False, None, 3)

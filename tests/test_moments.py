@@ -40,6 +40,48 @@ def scalar_bracket_hankel(x, y, z, r):
     return (x - y) * (y - z) * np.outer(v, v)
 
 
+def entry_block(kind, table, r, eigenvalues=None, gap_index=None):
+    """Entrywise ``np.block`` form of :func:`moments.build_block`: an oracle
+    for the gathered assembly, with the same arithmetic per block."""
+    m, M = table.m, table.M
+    T = table.power
+    if kind == "gap_product":
+        s, t = float(eigenvalues[gap_index - 2]), float(eigenvalues[gap_index - 1])
+
+    def entry(i, j):
+        e = i + j  # 0-based; the 1-based exponent i+j-2
+        if kind == "hankel":
+            return T(e)
+        if kind == "hankel_shift1":
+            return T(e + 1)
+        if kind == "lower_shift":
+            return T(e + 1) - m * T(e)
+        if kind == "upper_shift":
+            return M * T(e) - T(e + 1)
+        if kind == "lower_shift_inv":
+            return T(e) - m * T(e - 1)
+        if kind == "upper_shift_inv":
+            return M * T(e - 1) - T(e)
+        if kind == "range_product":
+            return (m + M) * T(e + 1) - T(e + 2) - m * M * T(e)
+        if kind == "range_product_inv":
+            return (m + M) * T(e) - T(e + 1) - m * M * T(e - 1)
+        # gap_product
+        return T(e + 2) - (s + t) * T(e + 1) + s * t * T(e)
+
+    return np.block([[entry(i, j) for j in range(r + 1)] for i in range(r + 1)])
+
+
+def spectral_sum_table(pulm, a, k_min, k_max):
+    """Spectral-route powers as per-eigenpair sums ``sum_j lambda_j^k
+    Phi(v_j v_j*)``, one power at a time: an oracle for the contraction."""
+    spectrum = linalg.hermitian_eig(a)
+    images = [pulm.apply(np.outer(v, v.conj())) for v in spectrum.eigenvectors.T]
+    return [linalg.hermitian_part(sum((lam ** k) * w for lam, w in
+                                      zip(spectrum.eigenvalues, images)))
+            for k in range(k_min, k_max + 1)]
+
+
 class TestMomentTable:
     def test_example_3x3_trace_moments(self):
         t = moments.moment_table(TR3, EXAMPLE_3X3, 0, 5)
@@ -91,6 +133,48 @@ class TestMomentTable:
         with pytest.raises(ShapeError):
             t.power(-1)
 
+    @pytest.mark.parametrize("route", ["spectral", "direct"])
+    @pytest.mark.parametrize("k_min", [-1, 0])
+    def test_table_is_one_stacked_array(self, route, k_min):
+        pulm = maps.random_map("compression", 4, k=3, seed=2)
+        a = linalg.hermitian_with_spectrum([0.3, 0.8, 1.1, 2.0], 3)
+        t = moments.moment_table(pulm, a, k_min, 5, route)
+        assert isinstance(t.blocks, np.ndarray)
+        assert t.blocks.shape == (6 - k_min, 3, 3)
+        # every block exactly Hermitian, not only up to rounding
+        np.testing.assert_array_equal(t.blocks, t.blocks.conj().transpose(0, 2, 1))
+        for k in range(k_min, 6):
+            np.testing.assert_array_equal(t.power(k), t.blocks[k - k_min])
+        np.testing.assert_array_equal(t.powers(1, 3), t.blocks[1 - k_min:4 - k_min])
+        with pytest.raises(ShapeError):
+            t.powers(4, 3)
+        with pytest.raises(ShapeError):
+            t.powers(k_min - 1, 2)
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_spectral_contraction_matches_per_eigenpair_sums(self, kind):
+        # the contraction sums in another order than the per-power loop: equal
+        # up to a few roundings of the largest term, sum_j |lambda_j|^k
+        pulm = maps.random_map(kind, 5, k=3, seed=11)
+        a = linalg.hermitian_with_spectrum([0.2, 0.5, 1.0, 1.7, 2.4], 12)
+        t = moments.moment_table(pulm, a, -1, 8)
+        lam = linalg.hermitian_eig(a).eigenvalues
+        for k, expected in zip(range(-1, 9), spectral_sum_table(pulm, a, -1, 8)):
+            scale = np.sum(np.abs(lam) ** k)
+            assert np.max(np.abs(t.power(k) - expected)) <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_spectral_images(self, kind):
+        pulm = maps.random_map(kind, 4, k=2, seed=13)
+        spectrum = linalg.hermitian_eig(linalg.random_hermitian(4, 14))
+        images = moments.spectral_images(pulm, spectrum)
+        k = pulm.codomain_dim
+        assert images.shape == (4, k, k)
+        for v, image in zip(spectrum.eigenvectors.T, images):
+            np.testing.assert_array_equal(image, pulm.apply(np.outer(v, v.conj())))
+        # the eigenprojections sum to I, and the map is unital
+        np.testing.assert_allclose(images.sum(axis=0), np.eye(k), atol=1e-12)
+
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_route_equivalence(self, kind):
         pulm = maps.random_map(kind, 4, k=2, seed=3)
@@ -105,6 +189,26 @@ class TestMomentTable:
 
 
 class TestBuildBlock:
+    @pytest.mark.parametrize("codomain", [1, 3])
+    @pytest.mark.parametrize("k_min", [-1, 0])
+    @pytest.mark.parametrize("kind", moments.BLOCK_KINDS)
+    def test_gathered_block_equals_entrywise_oracle(self, kind, k_min, codomain):
+        lam = np.array([0.3, 0.7, 1.2, 1.9, 2.6])
+        a = linalg.hermitian_with_spectrum(lam, 41)
+        pulm = maps.random_map("compression", 5, k=codomain, seed=42)
+        t = moments.moment_table(pulm, a, k_min, 10)
+        extra = {"eigenvalues": lam, "gap_index": 3} if kind == "gap_product" else {}
+        for r in range(5):
+            if kind in moments.PD_BLOCK_KINDS and k_min == 0:
+                with pytest.raises(ShapeError):
+                    moments.build_block(kind, t, r, **extra)
+                continue
+            block = moments.build_block(kind, t, r, **extra)
+            assert (block.kind, block.r, block.block_dim) == (kind, r, codomain)
+            assert block.assembled.shape == ((r + 1) * codomain,) * 2
+            # bit for bit, signed zeros included
+            assert block.assembled.tobytes() == entry_block(kind, t, r, **extra).tobytes()
+
     def test_hankel_of_two_point_spectrum(self):
         block = moments.build_block("hankel", table12(), 1).assembled
         np.testing.assert_allclose(block.real, [[1.0, 1.5], [1.5, 2.5]],
@@ -208,6 +312,19 @@ class TestBuildBlock:
 
 
 class TestRefinementChain:
+    @pytest.mark.parametrize("codomain", [1, 3])
+    def test_gathered_chain_equals_block_form(self, codomain):
+        a = linalg.hermitian_with_spectrum([0.4, 0.9, 1.5, 2.2], 51)
+        pulm = maps.random_map("mixture", 4, k=codomain, seed=52)
+        t = moments.moment_table(pulm, a, 0, 4)
+        m = 0.35
+        T = t.power
+        outer, inner = moments.build_refinement_chain(t, m)
+        expected_inner = (2.0 * m * np.block([[T(1), T(2)], [T(2), T(3)]])
+                          - m * m * np.block([[T(0), T(1)], [T(1), T(2)]]))
+        assert outer.tobytes() == np.block([[T(2), T(3)], [T(3), T(4)]]).tobytes()
+        assert inner.tobytes() == expected_inner.tobytes()
+
     def test_single_atom_equality(self):
         c = 0.9
         t = moments.moment_table(maps.NormalizedTrace(1), [[c]], 0, 4)
