@@ -5,6 +5,10 @@ The running example is a 3x3 real symmetric matrix whose eigenvalues are
 outside +-sqrt(48) ~ 6.93; a published refinement using third moments
 reaches +-sqrt(96) ~ 9.80. The cubic built from central moments up to order
 five is exact here: its outer roots are -12 and 12.
+
+The cubic's roots are the three Gauss nodes of the spectral measure that
+the trace puts on the eigenvalues, so they are computed as the eigenvalues
+of that measure's 3x3 Jacobi matrix, with no closed-form cubic formula.
 """
 
 import numpy as np
@@ -25,7 +29,7 @@ report = spectral_bounds(NormalizedTrace(3), A)
 print("\ncentral-moment cubic: x^3 + (%.6g) x^2 + (%.6g) x + (%.6g) = 0"
       % report.cubic)
 print("gamma =", report.gamma)
-print("roots:", np.round(report.roots, 10))
+print("roots (Gauss nodes about the mean):", np.round(report.roots, 10))
 
 print("\nbounds on the spectrum:")
 print(f"  lambda_min <= {report.lambda_min_upper:.6f}")
@@ -40,7 +44,7 @@ print("a third-moment trace estimate reaches +-sqrt(96) =",
 
 lam = hermitian_eig(A).eigenvalues
 print("\nactual eigenvalues:", np.round(lam, 10))
-print("the cubic bounds are attained exactly: the spectrum has three atoms")
+print("the cubic bounds are attained to rounding: the spectrum has three atoms")
 
 # On a spread-out random matrix the bounds are strict but always valid.
 rng = np.random.default_rng(7)

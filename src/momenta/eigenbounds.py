@@ -1,10 +1,12 @@
-"""Extreme-eigenvalue bounds from central moments of the spectral measure.
+"""Extreme-eigenvalue bounds from the three-node Gauss rule of a spectral measure.
 
 Given a Hermitian matrix ``A`` and a positive unital linear functional
 ``phi``, the centered matrix ``B = A - phi(A) I`` has moments
-``b_k = phi(B^k)``. The shifted 3x3 Hankel matrix of ``B`` is positive
-semidefinite when the shift sits at an extreme centered eigenvalue, and
-expanding its determinant yields a monic cubic
+``b_k = phi(B^k)``: those of the spectral measure ``sum_j w_j delta(x_j)``
+with atoms ``x_j = lambda_j - phi(A)`` and weights ``w_j = phi(v_j v_j*)``.
+The shifted 3x3 Hankel matrix of ``B`` is positive semidefinite when the
+shift sits at an extreme centered eigenvalue, and its determinant is
+``gamma`` times a monic cubic
 
     x^3 + (beta_1/gamma) x^2 + (beta_2/gamma) x + beta_3/gamma = 0,
 
@@ -14,11 +16,25 @@ expanding its determinant yields a monic cubic
     beta_3 = 2 b2 b3 b4 - b2^2 b5 - b3^3
 
 whose smallest root bounds the smallest centered eigenvalue from above and
-whose largest root bounds the largest from below. ``gamma`` equals minus the
-determinant of the plain moment Hankel ``[1, 0, b2; 0, b2, b3; b2, b3, b4]``
-and is therefore never positive; it vanishes exactly when the spectral
-measure seen by the functional has at most two atoms, in which case no bound
-is produced (the trace-moment comparator below still is).
+whose largest root bounds the largest from below.
+
+The cubic is the measure's degree-3 orthogonal polynomial, so its roots are
+the nodes of the measure's three-node Gauss rule: the eigenvalues of its
+3x3 Jacobi matrix ``J``, tridiagonal with off-diagonal entries ``e1, e2``
+(Golub & Meurant, *Matrices, Moments and Quadrature*, 2010).
+:func:`spectral_bounds` builds ``J = Q^T diag(x) Q``, with ``Q`` the
+orthonormal factor of the Krylov block ``[sqrt(w), x sqrt(w), x^2 sqrt(w)]``;
+this is the matrix three Lanczos steps on the measure produce, and it never
+forms the moment combinations ``beta_i / gamma``, which cancel badly near a
+close eigenvalue pair. Everything is read off ``J``: the roots are its
+eigenvalues, the reported cubic is ``det(xI - J)`` and
+``gamma = -e1^4 e2^2``, minus the determinant of the moment Hankel
+``[1, 0, b2; 0, b2, b3; b2, b3, b4]`` and so never positive. ``e2`` vanishes
+exactly when the functional sees at most two spectral atoms; no bound is
+then produced (the trace-moment comparator below still is).
+
+The moment formulas above are kept as an independent oracle:
+:func:`gamma_value`, :func:`beta_values` and :func:`determinant_oracle`.
 """
 
 from __future__ import annotations
@@ -33,16 +49,13 @@ from .linalg import frobenius, hermitian_eig, symmetrize
 from .maps import PositiveUnitalMap
 from .moments import spectral_images
 
-#: |gamma| at or below this fraction of max(1, b2^3) counts as degenerate.
-GAMMA_DEGENERACY_RTOL = 1e-10
-
-
-class DegenerateMomentsError(DomainError):
-    """The functional sees at most two spectral atoms; the cubic collapses."""
+#: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
+#: ``|gamma| / b2^3 = (e2 / e1)^2``, this bounds that ratio by 1e-10.
+DEGENERACY_RTOL = 1e-5
 
 
 def _require_finite(what: str, values) -> None:
-    if not all(map(math.isfinite, values)):
+    if not np.all(np.isfinite(values)):
         raise DomainError(f"{what} overflow double precision; "
                           "rescale the matrix")
 
@@ -58,17 +71,23 @@ class CentralMoments:
     b5: float
 
 
+def _spectral_measure(functional: PositiveUnitalMap,
+                      a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``A`` and the functional's weights ``phi(v_j v_j*)``."""
+    if not functional.is_functional:
+        raise ShapeError("central moments need a functional (1x1 codomain)")
+    spectrum = hermitian_eig(a)
+    return (spectrum.eigenvalues,
+            spectral_images(functional, spectrum).real.ravel())
+
+
 def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
     """Central moments ``phi((A - phi(A) I)^k)``, k = 2..5, spectrally.
 
     The functional's weights on the eigenprojections of ``A`` are computed
     once and the centered powers are averaged against them.
     """
-    if not functional.is_functional:
-        raise ShapeError("central moments need a functional (1x1 codomain)")
-    spectrum = hermitian_eig(a)
-    lam = spectrum.eigenvalues
-    weights = spectral_images(functional, spectrum).real.ravel()
+    lam, weights = _spectral_measure(functional, a)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(weights @ lam)
         centered = lam - mean
@@ -94,24 +113,6 @@ def beta_values(cm: CentralMoments) -> tuple[float, float, float]:
     return beta1, beta2, beta3
 
 
-def is_degenerate(cm: CentralMoments) -> bool:
-    return abs(gamma_value(cm)) <= GAMMA_DEGENERACY_RTOL * max(1.0, cm.b2 ** 3)
-
-
-def cubic_coefficients(cm: CentralMoments) -> tuple[float, float, float, float]:
-    """Coefficients ``(c2, c1, c0)`` of the bounding cubic, plus gamma.
-
-    Raises :class:`DegenerateMomentsError` when gamma is numerically zero.
-    """
-    gamma = gamma_value(cm)
-    if is_degenerate(cm):
-        raise DegenerateMomentsError(
-            f"gamma = {gamma:.3e} is degenerate (at most two spectral atoms)"
-        )
-    beta1, beta2, beta3 = beta_values(cm)
-    return beta1 / gamma, beta2 / gamma, beta3 / gamma, gamma
-
-
 def determinant_oracle(cm: CentralMoments, a: float) -> float:
     """Shifted-Hankel determinant at shift ``a``, by direct cofactors.
 
@@ -125,60 +126,6 @@ def determinant_oracle(cm: CentralMoments, a: float) -> float:
     return (m11 * (m22 * m33 - m23 * m23)
             - m12 * (m12 * m33 - m23 * m13)
             + m13 * (m12 * m23 - m22 * m13))
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, ...]:
-    """Real roots of ``x^3 + c2 x^2 + c1 x + c0``, ascending.
-
-    Uses the depressed-cubic substitution: the trigonometric branch when all
-    three roots are real (returned with multiplicity), the single-real-root
-    Cardano branch otherwise (returned as a 1-tuple). Each root gets one
-    Newton polish step.
-    """
-    c2, c1, c0 = float(c2), float(c1), float(c0)
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    shift = -c2 / 3.0
-    half_q, third_p = q / 2.0, p / 3.0
-    disc = half_q * half_q + third_p ** 3
-    disc_scale = half_q * half_q + abs(third_p) ** 3
-
-    if disc_scale == 0.0:
-        ts = [0.0, 0.0, 0.0]
-    elif disc > 1e-12 * disc_scale:
-        s = math.sqrt(disc)
-        ts = [_cbrt(-half_q + s) + _cbrt(-half_q - s)]
-    else:
-        # Three real roots (a borderline discriminant is treated as zero,
-        # which the clamped arccos handles as a repeated root).
-        rho = 2.0 * math.sqrt(max(-third_p, 0.0))
-        if rho == 0.0:
-            ts = [_cbrt(-q)] * 3
-        else:
-            arg = min(1.0, max(-1.0, 3.0 * q / (p * rho)))
-            theta = math.acos(arg) / 3.0
-            ts = [rho * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-
-    def residual(x: float) -> float:
-        return ((x + c2) * x + c1) * x + c0
-
-    roots = []
-    for t in ts:
-        x = t + shift
-        fx = residual(x)
-        dfx = (3.0 * x + 2.0 * c2) * x + c1
-        # One Newton step, accepted only if it reduces the residual; near a
-        # multiple root f and f' vanish together and the raw step is garbage.
-        if dfx != 0.0:
-            candidate = x - fx / dfx
-            if abs(residual(candidate)) < abs(fx):
-                x = candidate
-        roots.append(x)
-    return tuple(sorted(roots))
 
 
 def wolkowicz_styan(a) -> tuple[float, float]:
@@ -222,34 +169,59 @@ class EigenBoundReport:
     ws_max_lower: float | None
 
 
+def _jacobi_matrix(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """3x3 Jacobi matrix of the measure ``sum_j w_j delta(x_j)``, n >= 3.
+
+    ``Q^T diag(x) Q`` with ``Q`` the orthonormal factor of the Krylov block
+    ``[sqrt(w), x sqrt(w), x^2 sqrt(w)]``: the matrix three Lanczos steps on
+    ``diag(x)`` from ``sqrt(w)`` produce, up to the signs of its
+    off-diagonal entries. ``x`` is first scaled into [-1, 1] by a power of
+    two, which is exact, so ``x^2`` neither overflows nor underflows.
+    """
+    exponent = np.frexp(np.max(np.abs(x)))[1]
+    u = np.ldexp(x, -exponent)
+    root_w = np.sqrt(np.clip(weights, 0.0, None))
+    q = np.linalg.qr(np.column_stack([root_w, u * root_w, u * u * root_w]))[0]
+    return np.ldexp(q.T @ (u[:, np.newaxis] * q), exponent)
+
+
 def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
     """Bound the extreme eigenvalues of ``A`` through a functional's moments.
 
-    The smallest root of the central-moment cubic, shifted back by the mean,
-    bounds the smallest eigenvalue from above; the largest root bounds the
-    largest eigenvalue from below. Degenerate moment data (at most two
-    atoms) is flagged, with the trace comparator still reported.
+    The smallest Gauss node of the centered spectral measure, shifted back
+    by the mean, bounds the smallest eigenvalue from above; the largest node
+    bounds the largest eigenvalue from below. A measure with at most two
+    atoms is flagged degenerate, with the trace comparator still reported:
+    always for ``n <= 2``, otherwise when ``e2`` is at most
+    :data:`DEGENERACY_RTOL` times ``e1`` or within the rounding of the
+    eigenvalues, ``n eps max|lambda|`` (a one-atom measure, whose ``e1``
+    and ``e2`` are both rounding).
     """
-    cm = central_moments(functional, a)
-    ws_min, ws_max = wolkowicz_styan(a) if len(a) >= 2 else (None, None)
-    try:
-        c2, c1, c0, gamma = cubic_coefficients(cm)
-        roots = solve_cubic(c2, c1, c0)
-    except DegenerateMomentsError:
+    lam, weights = _spectral_measure(functional, a)
+    n = lam.size
+    ws_min, ws_max = wolkowicz_styan(a) if n >= 2 else (None, None)
+    mean = float(weights @ lam)
+    gamma, degenerate = 0.0, True
+    if n >= 3:
+        jacobi = _jacobi_matrix(lam - mean, weights)
+        e1, e2 = abs(float(jacobi[1, 0])), abs(float(jacobi[2, 1]))
+        # (e1 e2)^2 first, so e2 = 0 gives 0, not 0 * inf; 0.0 - t keeps +0.0
+        gamma = 0.0 - (e1 * e2) * (e1 * e2) * (e1 * e1)
+        _require_finite("Gauss rule bounds", gamma)
+        rounding = n * np.finfo(float).eps * max(abs(lam[0]), abs(lam[-1]))
+        degenerate = e2 <= max(DEGENERACY_RTOL * e1, rounding)
+    if degenerate:
         return EigenBoundReport(
-            mean=cm.mean, gamma=gamma_value(cm), degenerate=True,
-            cubic=None, roots=(), lambda_min_upper=None,
-            lambda_max_lower=None, ws_min_upper=ws_min, ws_max_lower=ws_max,
+            mean=mean, gamma=gamma, degenerate=True, cubic=None, roots=(),
+            lambda_min_upper=None, lambda_max_lower=None,
+            ws_min_upper=ws_min, ws_max_lower=ws_max,
         )
-    except OverflowError:
-        # float ** raises where float * returns inf; report both alike
-        raise DomainError("cubic bounds overflow double precision; "
-                          "rescale the matrix") from None
-    _require_finite("cubic bounds", roots)
+    roots = tuple(float(r) for r in np.linalg.eigvalsh(jacobi))
+    cubic = tuple(float(c) for c in np.poly(roots)[1:])
+    _require_finite("Gauss rule bounds", cubic)
     return EigenBoundReport(
-        mean=cm.mean, gamma=gamma, degenerate=False,
-        cubic=(c2, c1, c0), roots=roots,
-        lambda_min_upper=cm.mean + roots[0],
-        lambda_max_lower=cm.mean + roots[-1],
+        mean=mean, gamma=gamma, degenerate=False, cubic=cubic, roots=roots,
+        lambda_min_upper=mean + roots[0],
+        lambda_max_lower=mean + roots[-1],
         ws_min_upper=ws_min, ws_max_lower=ws_max,
     )

@@ -134,43 +134,22 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
 
     The verdict reports the minimum eigenvalue so callers can see the margin,
     not just the boolean. Non-Hermitian input (beyond the symmetrization
-    tolerance) is rejected with :class:`DomainError`.
+    tolerance) is rejected with :class:`DomainError`, and so is a matrix
+    whose Frobenius norm overflows, against which any verdict would pass.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     spectrum = hermitian_eig(m)
     scale = max(1.0, frobenius(spectrum.matrix))
+    if not math.isfinite(scale):
+        raise DomainError("PSD test scale overflows double precision; "
+                          "rescale the matrix")
     return PsdVerdict(
         min_eigenvalue=spectrum.min,
         scale=scale,
         passed=spectrum.min >= -tol * scale,
         tolerance_used=tol,
     )
-
-
-def matrix_function(a, f, *, positive_only: bool = False) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    ``f`` maps an array of eigenvalues to an array of real values; the result
-    is ``V diag(f(lambda)) V*``. With ``positive_only`` the spectrum must be
-    strictly positive (for logarithms and inverse powers).
-    """
-    spec = hermitian_eig(a)
-    if positive_only and spec.min <= 0.0:
-        raise DomainError(
-            f"matrix must be positive definite (min eigenvalue {spec.min:.3e})"
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.asarray(f(spec.eigenvalues), dtype=np.float64)
-    if values.shape != spec.eigenvalues.shape or not np.all(np.isfinite(values)):
-        raise DomainError("scalar function produced non-finite or misshaped values")
-    v = spec.eigenvectors
-    return hermitian_part((v * values) @ v.conj().T)
-
-
-def matrix_log(a) -> np.ndarray:
-    """Principal logarithm of a positive definite Hermitian matrix."""
-    return matrix_function(a, np.log, positive_only=True)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -341,14 +341,12 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap, a,
     h2la = hermitian_part(h2 @ la)
     lm, lM = np.log(m), np.log(M)
     eye = np.eye(h.shape[0])
-    upper = np.block([
-        [pulm.apply(lM * eye - la), pulm.apply(lM * h - hla)],
-        [pulm.apply(lM * h - hla), pulm.apply(lM * h2 - h2la)],
-    ])
-    lower = np.block([
-        [pulm.apply(la - lm * eye), pulm.apply(hla - lm * h)],
-        [pulm.apply(hla - lm * h), pulm.apply(h2la - lm * h2)],
-    ])
+    upper = hankel_gather(np.stack([
+        pulm.apply(lM * eye - la), pulm.apply(lM * h - hla),
+        pulm.apply(lM * h2 - h2la)]))
+    lower = hankel_gather(np.stack([
+        pulm.apply(la - lm * eye), pulm.apply(hla - lm * h),
+        pulm.apply(h2la - lm * h2)]))
     return upper, lower
 
 

@@ -96,6 +96,32 @@ def test_oracle_identity_verdicts_are_scale_invariant(c):
         assert _identity_verdicts(scaled) == base, inst.seed
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_route_agreement_fails_on_a_skewed_direct_route(c, monkeypatch):
+    # negative control: a direct route run on 1.01 A fails at every scale;
+    # each power is compared at its own scale, so no floor of 1 lets the
+    # 1% error in Phi(A) pass below scale 1
+    inst = campaign.corpus(6, seed=3)[1]  # vector state, n = 3
+    scaled = dataclasses.replace(inst, matrix=c * inst.matrix,
+                                 matrix_pd=c * inst.matrix_pd)
+
+    def route_agreement(include_pd):
+        return next(r for r in campaign.oracle_suite(scaled, include_pd)
+                    if r.check == "route_agreement")
+
+    assert route_agreement(True).margin >= 1e-8 - 1e-13
+    table = moments.moment_table
+
+    def skewed(pulm, a, *args, route="spectral", **kwargs):
+        if route == "direct":
+            a = 1.01 * a
+        return table(pulm, a, *args, route=route, **kwargs)
+
+    monkeypatch.setattr(moments, "moment_table", skewed)
+    assert route_agreement(False).passed is False
+    assert route_agreement(True).passed is False
+
+
 def test_bounds_suite_skips_two_atom_instances():
     insts = campaign.corpus(12, seed=6, n_range=(2, 2))
     records = [r for inst in insts for r in campaign.bounds_suite(inst)]
@@ -104,19 +130,23 @@ def test_bounds_suite_skips_two_atom_instances():
 
 
 def test_bounds_suite_allows_rounding_of_a_close_eigenvalue_pair():
-    # n = 3 with top eigenvalues 2e-3 apart: the cubic's largest root carries
-    # ~7e-8 of rounding error, above the fixed 1e-8 tolerance
+    # n = 3 with top eigenvalues 2e-3 apart, where the cubic's moment
+    # coefficients cancel to ~7e-8 of error in a root, above the fixed 1e-8
+    # tolerance; the Gauss nodes of three atoms are the eigenvalues
     inst = campaign.corpus(6, seed=951503465)[1]
     lam = linalg.hermitian_eig(inst.matrix).eigenvalues
     assert inst.n == 3 and lam[2] - lam[1] < 3e-3
     records = campaign.bounds_suite(inst)
     assert all(r.passed for r in records), [(r.check, r.margin)
                                             for r in records]
+    for r in records:
+        if r.check.startswith("bound_"):
+            assert abs(r.margin) <= 1e-14, (r.check, r.margin)
 
 
 def test_bounds_suite_still_bites_on_separated_atoms():
-    # three atoms make the bounds exact; demanding 1e-9 of room must fail
-    # both bound checks, since the rounding allowance stays far below that
+    # three atoms make the bounds exact to rounding; demanding 1e-9 of room
+    # must fail both bound checks
     a = linalg.hermitian_with_spectrum([-1.0, 0.2, 1.3], 4)
     inst = _file_instance(a, maps.NormalizedTrace(3))
     verdicts = {r.check: r.passed

@@ -181,7 +181,7 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_1(self, tmp_path, capsys):
-        # the oracle cubic's degree-9 terms overflow float ** at this scale
+        # the high moment blocks' Frobenius norms overflow at this scale
         a = 1e35 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
         path = write(tmp_path, "big.json", cli.write_matrix_json(a))
         assert cli.main(["verify", path]) == 1
@@ -189,7 +189,7 @@ class TestVerifyCommand:
 
     def test_random_mode_close_eigenvalue_pair_passes(self, tmp_path, capsys):
         # instance 1 of this program seed has two eigenvalues 2e-3 apart,
-        # which leaves ~7e-8 of rounding error in its cubic bound
+        # where a root taken from the cubic's moment coefficients is ~7e-8 off
         assert cli.main(["verify", "--random", "--instances", "6", "--seed",
                          "951503465", "--out", str(tmp_path / "r.json")]) == 0
         assert "FAILED" not in capsys.readouterr().out

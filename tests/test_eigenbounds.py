@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,12 +68,55 @@ class TestCentralMoments:
             eigenbounds.central_moments(TR3, np.diag([1e200, -1e200, 3.0]))
 
 
+def gauss_bounds(functional, a):
+    """Report of ``spectral_bounds`` with its degeneracy flag asserted off."""
+    report = eigenbounds.spectral_bounds(functional, a)
+    assert not report.degenerate
+    return report
+
+
+def mp_gauss_nodes(atoms, weights, digits=50):
+    """Test-only oracle: extreme three-node Gauss nodes of a discrete measure.
+
+    Three Stieltjes steps in ``digits``-digit arithmetic give the Jacobi
+    matrix of the centered measure; its extreme eigenvalues, shifted back by
+    the mean, are returned as floats.
+    """
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(float(v)) for v in atoms]
+        w = [mpmath.mpf(float(v)) for v in weights]
+        total = sum(w)
+        w = [wi / total for wi in w]
+        mean = sum(wi * xi for wi, xi in zip(w, x))
+        x = [xi - mean for xi in x]
+        prev, cur = [mpmath.mpf(0)] * len(x), [mpmath.mpf(1)] * len(x)
+        diag, off, norm_prev = [], [], None
+        for k in range(3):
+            norm = sum(wi * p * p for wi, p in zip(w, cur))
+            alpha = sum(wi * xi * p * p for wi, xi, p in zip(w, x, cur)) / norm
+            beta = norm / norm_prev if k else mpmath.mpf(0)
+            diag.append(alpha)
+            if k:
+                off.append(mpmath.sqrt(beta))
+            prev, cur = cur, [(xi - alpha) * p - beta * q
+                              for xi, p, q in zip(x, cur, prev)]
+            norm_prev = norm
+        jac = mpmath.matrix([[diag[0], off[0], 0], [off[0], diag[1], off[1]],
+                             [0, off[1], diag[2]]])
+        nodes = sorted(mpmath.eigsy(jac, eigvals_only=True))
+        return float(nodes[0] + mean), float(nodes[-1] + mean)
+
+
 class TestCubicCoefficients:
+    """The reported cubic is ``det(xI - J)`` and gamma is ``-e1^4 e2^2``."""
+
     def test_example_3x3_moments(self):
+        report = gauss_bounds(TR3, np.diag([-12.0, 0.0, 12.0]))
         cm = brute_central_moments([-12.0, 0.0, 12.0])
-        c2, c1, c0, gamma = eigenbounds.cubic_coefficients(cm)
-        assert gamma == pytest.approx(-442368.0)
-        assert (c2, c1, c0) == pytest.approx((0.0, -144.0, 0.0), abs=1e-10)
+        assert report.gamma == pytest.approx(-442368.0, rel=1e-14)
+        assert report.gamma == pytest.approx(eigenbounds.gamma_value(cm),
+                                             rel=1e-14)
+        assert report.cubic == pytest.approx((0.0, -144.0, 0.0), abs=1e-12)
 
     def test_two_point_spectrum_is_degenerate(self):
         cm = brute_central_moments([0.0, 0.0, 1.0])
@@ -80,60 +124,83 @@ class TestCubicCoefficients:
             [cm.b2, cm.b3, cm.b4, cm.b5],
             [2.0 / 9.0, 2.0 / 27.0, 2.0 / 27.0, 10.0 / 243.0], atol=1e-15)
         assert eigenbounds.gamma_value(cm) == pytest.approx(0.0, abs=1e-16)
-        assert eigenbounds.is_degenerate(cm)
-        with pytest.raises(eigenbounds.DegenerateMomentsError):
-            eigenbounds.cubic_coefficients(cm)
+        report = eigenbounds.spectral_bounds(TR3, np.diag([0.0, 0.0, 1.0]))
+        assert report.degenerate and report.cubic is None
+        assert report.gamma == pytest.approx(0.0, abs=1e-16)
 
     def test_three_point_gamma_fraction(self):
-        cm = brute_central_moments([1.0, 2.0, 4.0])
-        *_, gamma = eigenbounds.cubic_coefficients(cm)
-        assert gamma == pytest.approx(-4.0 / 3.0, abs=1e-13)
+        report = gauss_bounds(TR3, np.diag([1.0, 2.0, 4.0]))
+        assert report.gamma == pytest.approx(-4.0 / 3.0, rel=1e-14)
 
     def test_gamma_never_positive(self):
-        # gamma is minus the determinant of a PSD moment Hankel
+        # gamma is minus the determinant of a PSD moment Hankel: -e1^4 e2^2
+        # by construction, matching the moment formula to its rounding
         for seed in range(40):
             rng = np.random.default_rng(seed)
             lam = rng.uniform(-2, 2, rng.integers(2, 7))
             cm = brute_central_moments(lam)
-            assert eigenbounds.gamma_value(cm) <= 1e-12 * max(1.0, cm.b2 ** 3)
+            report = eigenbounds.spectral_bounds(
+                maps.NormalizedTrace(lam.size), np.diag(lam))
+            assert report.gamma <= 0.0
+            assert eigenbounds.gamma_value(cm) <= 1e-12 * cm.b2 ** 3
+            assert abs(report.gamma - eigenbounds.gamma_value(cm)) <= (
+                1e-12 * cm.b2 ** 3)
 
 
 class TestSolveCubic:
+    """The cubic is solved as the 3x3 Jacobi matrix's eigenproblem: its
+    roots are the measure's three Gauss nodes, centered at the mean."""
+
     def test_example_cubic(self):
-        roots = eigenbounds.solve_cubic(0.0, -144.0, 0.0)
-        np.testing.assert_allclose(roots, [-12.0, 0.0, 12.0], atol=1e-12)
+        report = gauss_bounds(TR3, EXAMPLE_3X3)
+        np.testing.assert_allclose(report.roots, [-12.0, 0.0, 12.0],
+                                   atol=1e-14 * 12.0)
+        assert report.cubic == pytest.approx((0.0, -144.0, 0.0), abs=1e-12)
 
     def test_triple_root(self):
-        assert eigenbounds.solve_cubic(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+        # one atom: all three nodes coincide and the rule is degenerate, at
+        # every scale and also when rotation leaves rounding in the spectrum
+        for c in (1e-8, 1.0, 1e8):
+            for a in (c * np.eye(3),
+                      linalg.hermitian_with_spectrum([c] * 5, 3)):
+                report = eigenbounds.spectral_bounds(
+                    maps.NormalizedTrace(len(a)), a)
+                assert report.degenerate and report.roots == ()
+                assert report.gamma == pytest.approx(0.0, abs=1e-20 * c ** 6)
 
     def test_integer_factorization(self):
-        roots = eigenbounds.solve_cubic(-6.0, 11.0, -6.0)
-        np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_single_real_root_flagged_by_length(self):
-        roots = eigenbounds.solve_cubic(0.0, 1.0, 0.0)  # x(x^2 + 1)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.0, abs=1e-14)
+        # roots 1, 2, 3 of x^3 - 6x^2 + 11x - 6, about their mean 2
+        report = gauss_bounds(TR3, np.diag([1.0, 2.0, 3.0]))
+        assert report.mean == 2.0
+        np.testing.assert_allclose(report.roots, [-1.0, 0.0, 1.0], atol=1e-15)
+        assert report.cubic == pytest.approx((0.0, -1.0, 0.0), abs=1e-15)
 
     def test_double_root(self):
-        # (x - 1)^2 (x + 2)
-        roots = eigenbounds.solve_cubic(0.0, -3.0, 2.0)
-        np.testing.assert_allclose(roots, [-2.0, 1.0, 1.0], atol=1e-8)
+        # two atoms, one of them doubled: the rule collapses to two nodes
+        report = eigenbounds.spectral_bounds(TR3, np.diag([1.0, 1.0, -2.0]))
+        assert report.degenerate and report.roots == ()
 
     @settings(max_examples=120, deadline=None)
-    @given(r1=st.floats(-10, 10), r2=st.floats(-10, 10), r3=st.floats(-10, 10))
-    def test_roots_from_factored_form(self, r1, r2, r3):
-        c2 = -(r1 + r2 + r3)
-        c1 = r1 * r2 + r1 * r3 + r2 * r3
-        c0 = -r1 * r2 * r3
-        roots = eigenbounds.solve_cubic(c2, c1, c0)
-        scale = max(1.0, abs(c2), abs(c1), abs(c0))
-        for x in roots:
-            residual = ((x + c2) * x + c1) * x + c0
-            assert abs(residual) <= 1e-8 * scale
-        if len(roots) == 3:
-            np.testing.assert_allclose(sorted(roots), sorted([r1, r2, r3]),
-                                       atol=1e-4 * scale)
+    @given(atoms=st.lists(st.floats(-10, 10), min_size=3, max_size=3,
+                          unique=True))
+    def test_roots_from_factored_form(self, atoms):
+        # equal weights on three atoms: the nodes are the atoms themselves
+        atoms = np.sort(atoms)
+        report = eigenbounds.spectral_bounds(TR3, np.diag(atoms))
+        rho = max(abs(atoms[0]), abs(atoms[-1]))
+        if report.degenerate:
+            # only when two atoms sit at the rounding of the third's scale
+            assert np.min(np.diff(atoms)) <= 1e-4 * (atoms[-1] - atoms[0])
+            return
+        np.testing.assert_allclose(report.mean + np.array(report.roots),
+                                   atoms, rtol=0, atol=1e-14 * rho)
+        centered = atoms - report.mean
+        c2 = -centered.sum()
+        c1 = (centered[0] * centered[1] + centered[0] * centered[2]
+              + centered[1] * centered[2])
+        c0 = -np.prod(centered)
+        assert report.cubic == pytest.approx(
+            (c2, c1, c0), abs=1e-13 * max(rho, rho ** 2, rho ** 3))
 
 
 class TestDeterminantOracle:
@@ -147,6 +214,20 @@ class TestDeterminantOracle:
             det = eigenbounds.determinant_oracle(cm, a)
             assert abs(det) <= 1e-6 * max(1.0, abs(eigenbounds.gamma_value(cm)))
 
+    def test_vanishes_at_gauss_nodes_relative_to_its_scale(self):
+        # every term of the determinant has degree 9 in the spread s
+        for seed in range(40):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(3, 9))
+            c = 10.0 ** rng.uniform(-6, 6)
+            lam = c * rng.uniform(-1.5, 1.5, n)
+            report = gauss_bounds(maps.NormalizedTrace(n), np.diag(lam))
+            cm = brute_central_moments(lam)
+            s = max(abs(lam - cm.mean))
+            for root in report.roots:
+                det = eigenbounds.determinant_oracle(cm, root)
+                assert abs(det) <= 1e-12 * s ** 9, (seed, root, det)
+
     def test_nonnegative_at_smallest_centered_eigenvalue(self):
         cm = brute_central_moments([-12.0, 0.0, 12.0])
         assert eigenbounds.determinant_oracle(cm, -12.0) >= -1e-6
@@ -156,12 +237,11 @@ class TestDeterminantOracle:
             rng = np.random.default_rng(100 + seed)
             lam = rng.uniform(-2, 2, rng.integers(3, 8))
             cm = brute_central_moments(lam)
-            if eigenbounds.is_degenerate(cm):
-                continue
-            c2, c1, c0, gamma = eigenbounds.cubic_coefficients(cm)
+            report = gauss_bounds(maps.NormalizedTrace(lam.size), np.diag(lam))
+            c2, c1, c0 = report.cubic
             for a in rng.uniform(-3, 3, 5):
                 det = eigenbounds.determinant_oracle(cm, a)
-                poly = gamma * (((a + c2) * a + c1) * a + c0)
+                poly = report.gamma * (((a + c2) * a + c1) * a + c0)
                 assert abs(det - poly) <= 1e-8 * max(1.0, abs(det))
 
 
@@ -199,11 +279,56 @@ class TestWolkowiczStyan:
 
 
 class TestSpectralBounds:
-    @pytest.mark.parametrize("big", [1e40, 1e60])
+    @pytest.mark.parametrize("big", [1e60])
     def test_cubic_overflow_is_a_domain_error(self, big):
-        # the central moments are finite but the cubic's coefficients are not
+        # the spectral measure is finite but gamma ~ big^6 is not
         with pytest.raises(DomainError, match="overflow"):
             eigenbounds.spectral_bounds(TR3, np.diag([big, -big, 3.0]))
+
+    def test_bounds_at_1e40_are_exact(self):
+        # gamma ~ 1e240 and the cubic's coefficients stay finite here
+        report = gauss_bounds(TR3, np.diag([1e40, -1e40, 3.0]))
+        assert report.lambda_min_upper == pytest.approx(-1e40, rel=1e-14)
+        assert report.lambda_max_lower == pytest.approx(1e40, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e-2, 1.0, 1e4, 1e8])
+    def test_three_atoms_exact_at_every_scale(self, c):
+        report = gauss_bounds(TR3, c * np.diag([1.0, 2.0, 4.0]))
+        assert abs(report.lambda_min_upper - c) <= 1e-14 * 4.0 * c
+        assert abs(report.lambda_max_lower - 4.0 * c) <= 1e-14 * 4.0 * c
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_two_atoms_flagged_at_every_scale(self, c):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+            n = int(rng.integers(3, 8))
+            n_lo = int(rng.integers(1, n))
+            spectrum = c * np.array([lo] * n_lo + [hi] * (n - n_lo))
+            a = linalg.hermitian_with_spectrum(spectrum, seed)
+            for functional in (maps.NormalizedTrace(n),
+                               maps.random_map("vector_state", n, seed=seed)):
+                report = eigenbounds.spectral_bounds(functional, a)
+                assert report.degenerate, (seed, functional)
+
+    def test_matches_mpmath_gauss_nodes_on_close_pairs(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            n = int(rng.integers(3, 9))
+            lam = rng.uniform(-1.5, 1.5, n)
+            j = int(rng.integers(0, n - 1))
+            lam[j + 1] = lam[j] + 10.0 ** rng.uniform(-6, -2)
+            x = maps.random_map("vector_state", n, seed=trial)
+            functional = maps.NormalizedTrace(n) if trial % 2 else x
+            weights = (np.full(n, 1.0 / n) if trial % 2
+                       else np.abs(x.vector) ** 2)
+            report = eigenbounds.spectral_bounds(functional, np.diag(lam))
+            if report.degenerate:
+                continue
+            lo, hi = mp_gauss_nodes(lam, weights)
+            rho = np.max(np.abs(lam))
+            assert abs(report.lambda_min_upper - lo) <= 1e-14 * rho, trial
+            assert abs(report.lambda_max_lower - hi) <= 1e-14 * rho, trial
 
     def test_example_3x3(self):
         report = eigenbounds.spectral_bounds(TR3, EXAMPLE_3X3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momenta import linalg
+from momenta import linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
 
@@ -142,6 +142,12 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             linalg.is_psd(np.eye(2), tol=0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scale_is_a_domain_error(self):
+        # an infinite scale would accept any minimum eigenvalue
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.is_psd(np.diag([1e160, -1e160]))
+
 
 class TestKron:
     def test_psd_factors_give_psd(self):
@@ -160,56 +166,52 @@ class TestHadamard:
 
 
 class TestMatrixFunctions:
+    """Matrix functions the package computes from a spectrum: the logarithm
+    behind the log blocks, and the powers ``A^k`` that ``moment_table``'s
+    spectral route yields under the identity map."""
+
+    @staticmethod
+    def log(a):
+        return moments._log(linalg.hermitian_eig(a))
+
+    @staticmethod
+    def powers(a, k_min, k_max):
+        return moments.moment_table(maps.Identity(len(a)), a, k_min, k_max)
+
     def test_log_identity_is_zero(self):
-        np.testing.assert_allclose(linalg.matrix_log(np.eye(3)),
-                                   np.zeros((3, 3)), atol=1e-14)
+        np.testing.assert_allclose(self.log(np.eye(3)), np.zeros((3, 3)),
+                                   atol=1e-14)
 
     def test_log_diagonal(self):
-        out = linalg.matrix_log(np.diag([1.0, np.e]))
+        out = self.log(np.diag([1.0, np.e]))
         np.testing.assert_allclose(np.diag(out).real, [0.0, 1.0], atol=1e-14)
 
     def test_square_trace_of_example(self, example_3x3):
         # trace of A^2 equals the squared Frobenius norm: 144 + 0 + 144
-        sq = linalg.matrix_function(example_3x3, np.square)
+        sq = self.powers(example_3x3, 0, 2).power(2)
         assert np.trace(sq).real == pytest.approx(288.0, rel=1e-12)
 
     def test_power_addition(self):
-        def power(m, p):
-            return linalg.matrix_function(m, lambda x: x ** p,
-                                          positive_only=p < 0)
-
         a = linalg.random_hermitian(4, 11)
         pd = a + (abs(linalg.hermitian_eig(a).min) + 0.3) * np.eye(4)
-        for p, q in [(0, 3), (2, 2), (1, 4)]:
-            left = power(a, p) @ power(a, q)
-            right = power(a, p + q)
-            assert linalg.frobenius(left - right) <= 1e-9 * max(
-                1.0, linalg.frobenius(right))
-        for p, q in [(-1, 2), (-2, -1), (3, -2)]:
-            left = power(pd, p) @ power(pd, q)
-            right = power(pd, p + q)
-            assert linalg.frobenius(left - right) <= 1e-9 * max(
-                1.0, linalg.frobenius(right))
+        for m, k_min, pairs in ((a, 0, [(0, 3), (2, 2), (1, 4)]),
+                                (pd, -1, [(-1, 2), (-1, 1), (3, -1)])):
+            table = self.powers(m, k_min, 5)
+            for p, q in pairs:
+                left = table.power(p) @ table.power(q)
+                right = table.power(p + q)
+                assert linalg.frobenius(left - right) <= 1e-9 * max(
+                    1.0, linalg.frobenius(right))
 
     def test_log_requires_positive_definite(self):
         with pytest.raises(DomainError):
-            linalg.matrix_log(np.diag([1.0, -1.0]))
+            self.log(np.diag([1.0, -1.0]))
         with pytest.raises(DomainError):
-            linalg.matrix_log(np.diag([1.0, 0.0]))
+            self.log(np.diag([1.0, 0.0]))
 
     def test_negative_power_requires_positive_definite(self):
         with pytest.raises(DomainError):
-            linalg.matrix_function(np.diag([1.0, -2.0]), np.reciprocal,
-                                   positive_only=True)
-
-    def test_matrix_function_with_callable(self):
-        a = np.diag([1.0, 4.0])
-        out = linalg.matrix_function(a, np.sqrt)
-        np.testing.assert_allclose(np.diag(out).real, [1.0, 2.0], atol=1e-14)
-
-    def test_matrix_function_rejects_bad_values(self):
-        with pytest.raises(DomainError):
-            linalg.matrix_function(np.diag([-1.0, 1.0]), np.log)
+            self.powers(np.diag([1.0, -2.0]), -1, 1)
 
 
 class TestRandomGenerators:

@@ -412,6 +412,34 @@ class TestLogBlocks:
         with pytest.raises(DomainError):
             moments.build_log_endpoint_blocks(TR2, DIAG12, m=0.5, M=1.5)
 
+    def test_endpoint_blocks_apply_the_map_once_per_image(self, monkeypatch):
+        # three images per block, the off-diagonal one shared, and every bit
+        # as in the entrywise np.block form
+        a = linalg.hermitian_with_spectrum([0.3, 1.1, 2.0, 2.7], 5)
+        pulm = maps.random_map("compression", 4, k=2, seed=8)
+        spectrum = linalg.hermitian_eig(a)
+        h, la = spectrum.matrix, moments._log(spectrum)
+        h2 = linalg.hermitian_part(h @ h)
+        hla = linalg.hermitian_part(h @ la)
+        h2la = linalg.hermitian_part(h2 @ la)
+        lm, lM, eye = np.log(0.3), np.log(2.7), np.eye(4)
+        phi = pulm.apply
+        expected_upper = np.block([
+            [phi(lM * eye - la), phi(lM * h - hla)],
+            [phi(lM * h - hla), phi(lM * h2 - h2la)]])
+        expected_lower = np.block([
+            [phi(la - lm * eye), phi(hla - lm * h)],
+            [phi(hla - lm * h), phi(h2la - lm * h2)]])
+
+        calls = []
+        apply = maps.Compression.apply
+        monkeypatch.setattr(maps.Compression, "apply",
+                            lambda self, x: calls.append(x) or apply(self, x))
+        upper, lower = moments.build_log_endpoint_blocks(pulm, a, m=0.3, M=2.7)
+        assert len(calls) == 6
+        assert np.array_equal(upper, expected_upper)
+        assert np.array_equal(lower, expected_lower)
+
 
 class TestNormalBlock:
     def test_hermitian_input_reduces_to_hankel_pattern(self):
