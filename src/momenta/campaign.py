@@ -21,10 +21,12 @@ import numpy as np
 from . import eigenbounds, moments
 from .errors import DomainError
 from .linalg import (
+    frobenius,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
     is_hermitian,
+    passes,
     random_normal_matrix,
 )
 from .maps import MAP_KINDS, NormalizedTrace, PositiveUnitalMap, random_map
@@ -113,8 +115,8 @@ def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
     records = []
     for kind in _ALWAYS_KINDS:
         block = moments.build_block(kind, table, r)
-        records.append(record(f"psd_{kind}", seed,
-                              *psd_outcome(block.assembled, tol)))
+        records.append(record(f"psd_{kind}", seed, *psd_outcome(
+            block.assembled, block.scale, tol)))
     distinct = moments.distinct_eigenvalues(hermitian_eig(matrix).eigenvalues)
     for g in range(2, distinct.size + 1):
         try:
@@ -123,8 +125,8 @@ def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
         except DomainError:
             records.append(skip_record("psd_gap_product", seed))
             continue
-        records.append(record("psd_gap_product", seed,
-                              *psd_outcome(block.assembled, tol)))
+        records.append(record("psd_gap_product", seed, *psd_outcome(
+            block.assembled, block.scale, tol)))
     return records
 
 
@@ -133,8 +135,8 @@ def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
     records = []
     for kind in _PD_KINDS:
         block = moments.build_block(kind, table_pd, r)
-        records.append(record(f"psd_{kind}", seed,
-                              *psd_outcome(block.assembled, tol)))
+        records.append(record(f"psd_{kind}", seed, *psd_outcome(
+            block.assembled, block.scale, tol)))
     return records
 
 
@@ -144,8 +146,20 @@ def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
     deficit = moments.build_log_deficit_block(pulm, matrix_pd)
     upper, lower = moments.build_log_endpoint_blocks(pulm, matrix_pd)
     blocks = (outer - inner, inner, deficit, upper, lower)
-    return [record(check, seed, *psd_outcome(block, tol))
-            for check, block in zip(_PD_EXTRA_CHECKS, blocks)]
+    # operand sizes: Phi(A^k) by table.size(k), log A by the larger of
+    # |log m| and |log M| (m > 0 is the smallest eigenvalue, M the largest)
+    m, log_m, log_M = table.m, math.log(table.m), math.log(table.M)
+    log_size = max(abs(log_m), abs(log_M))
+    scales = (
+        table.operand_scale({2: 1.0, 1: 2.0 * m, 0: m * m}, 1),
+        table.operand_scale({1: 2.0 * m, 0: m * m}, 1),
+        max(table.size(2), table.size(1) + log_size),
+        # Phi(A^e ((log M) I - log A)) and Phi(A^e (log A - (log m) I))
+        table.operand_scale({0: abs(log_M) + log_size}, 1),
+        table.operand_scale({0: log_size + abs(log_m)}, 1),
+    )
+    return [record(check, seed, *psd_outcome(block, scale, tol))
+            for check, block, scale in zip(_PD_EXTRA_CHECKS, blocks, scales)]
 
 
 def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
@@ -160,7 +174,8 @@ def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
     for kind, name in (("lower_shift", "centered_lower_shift"),
                        ("upper_shift", "centered_upper_shift")):
         block = moments.build_block(kind, ctable, r)
-        records.append(record(name, seed, *psd_outcome(block.assembled, tol)))
+        records.append(record(name, seed, *psd_outcome(
+            block.assembled, block.scale, tol)))
     return records
 
 
@@ -199,9 +214,7 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
                                     route="spectral")
     direct = moments.moment_table(pulm, matrix, k_min, k_max,
                                   route="direct").blocks
-    rho = max(abs(spectral.m), abs(spectral.M))
-    scales = np.array([1.0 / spectral.m if k < 0 else rho ** k
-                       for k in range(k_min, k_max + 1)])
+    scales = np.array([spectral.size(k) for k in range(k_min, k_max + 1)])
     diff = np.linalg.norm(spectral.blocks - direct, axis=(1, 2))
     return float(np.max(diff / np.where(scales > 0.0, scales, 1.0)))
 
@@ -247,7 +260,7 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
         err = max(err, _route_error(inst.pulm, inst.matrix_pd, -1,
                                     max(2 * r + 2, 4)))
     records.append(record("route_agreement", inst.seed,
-                          err <= 1e-8, 1e-8 - err))
+                          passes(-err, 1.0, 1e-8), 1e-8 - err))
 
     table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * r + 2)
     low = moments.build_block("lower_shift", table, r).assembled
@@ -256,15 +269,14 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
     err = float(np.max(np.abs(low + high - (table.M - table.m) * hank)))
     # low and high are differences T(e+1) - m T(e), M T(e) - T(e+1): their
     # rounding scales with the terms before subtraction
-    threshold = 1e-10 * _max_entry(low, high,
-                                   max(abs(table.m), abs(table.M)) * hank)
+    scale = _max_entry(low, high, max(abs(table.m), abs(table.M)) * hank)
     records.append(record("shift_sum_identity", inst.seed,
-                          err <= threshold, threshold - err))
+                          passes(-err, scale, 1e-10), 1e-10 * scale - err))
 
     cm = eigenbounds.central_moments(NormalizedTrace(inst.n), inst.matrix)
     worst = _determinant_identity_error(cm)
     records.append(record("determinant_identity", inst.seed,
-                          worst <= 1e-8, 1e-8 - worst))
+                          passes(-worst, 1.0, 1e-8), 1e-8 - worst))
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
@@ -274,16 +286,18 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
             v = np.array([lam_j ** k for k in range(r + 1)])
             acc += w * np.outer(v, v)
         err = float(np.max(np.abs(acc - hank.real)))
-        threshold = 1e-9 * _max_entry(acc, hank.real)
+        scale = _max_entry(acc, hank.real)
         records.append(record("tensor_reconstruction", inst.seed,
-                              err <= threshold, threshold - err))
+                              passes(-err, scale, 1e-9), 1e-9 * scale - err))
     return records
 
 
 def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
     """Validity of the cubic eigenvalue bounds under the normalized trace.
 
-    A bound fails when it misses its eigenvalue by more than ``tol``.
+    A bound fails when it misses its eigenvalue by more than ``tol`` times
+    the spectral radius, and a cubic sign when it is wrong by more than
+    ``tol`` times the sum of its Horner terms.
     """
     functional = NormalizedTrace(inst.n)
     report = eigenbounds.spectral_bounds(functional, inst.matrix)
@@ -292,32 +306,34 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
         return [skip_record(check, inst.seed)
                 for check in ("bound_min_upper", "bound_max_lower",
                               "cubic_sign_min", "cubic_sign_max")]
-    mu_min = lam[0] - report.mean
-    mu_max = lam[-1] - report.mean
-    records = [
-        record("bound_min_upper", inst.seed,
-               lam[0] <= report.lambda_min_upper + tol,
-               report.lambda_min_upper - lam[0]),
-        record("bound_max_lower", inst.seed,
-               lam[-1] >= report.lambda_max_lower - tol,
-               lam[-1] - report.lambda_max_lower),
-    ]
+    rho = max(abs(lam[0]), abs(lam[-1]))
+    records = []
+    for check, slack in (("bound_min_upper", report.lambda_min_upper - lam[0]),
+                         ("bound_max_lower", lam[-1] - report.lambda_max_lower)):
+        records.append(record(check, inst.seed, passes(slack, rho, tol), slack))
     c2, c1, c0 = report.cubic
-    scale = max(1.0, abs(c2), abs(c1), abs(c0))
-    p_min = ((mu_min + c2) * mu_min + c1) * mu_min + c0
-    p_max = ((mu_max + c2) * mu_max + c1) * mu_max + c0
-    records.append(record("cubic_sign_min", inst.seed,
-                          p_min <= tol * scale, -p_min))
-    records.append(record("cubic_sign_max", inst.seed,
-                          p_max >= -tol * scale, p_max))
+    # the cubic is <= 0 at the smallest centered eigenvalue, >= 0 at the largest
+    for check, mu, sign in (("cubic_sign_min", lam[0] - report.mean, -1.0),
+                            ("cubic_sign_max", lam[-1] - report.mean, 1.0)):
+        slack = sign * (((mu + c2) * mu + c1) * mu + c0)
+        horner = abs(mu) ** 3 + abs(c2) * mu * mu + abs(c1 * mu) + abs(c0)
+        records.append(record(check, inst.seed, passes(slack, horner, tol),
+                              slack))
     return records
+
+
+def _normal_block_record(pulm, matrix, seed, tol) -> CheckRecord:
+    # every entry is one map image, with no cancellation: the block's own
+    # norm is the size of its operands
+    block = moments.build_normal_block(pulm, matrix)
+    return record("normal_block", seed,
+                  *psd_outcome(block, frobenius(block), tol))
 
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = 1e-9) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
-    records = [record("normal_block", seed, *psd_outcome(
-        moments.build_normal_block(pulm, matrix), tol))]
+    records = [_normal_block_record(pulm, matrix, seed, tol)]
     if pulm.is_functional:
         records.append(record("centered_fourth_moment", seed,
                               *moments.centered_fourth_moment_outcome(
@@ -377,6 +393,5 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
                               "centered_fourth_moment")]
     records += _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
     # scalar_checks covers the centered fourth moment
-    records.append(record("normal_block", seed, *psd_outcome(
-        moments.build_normal_block(pulm, m), tol)))
+    records.append(_normal_block_record(pulm, m, seed, tol))
     return records

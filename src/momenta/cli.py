@@ -308,7 +308,7 @@ def cmd_moments(args) -> int:
             print(np.array_str(block, precision=10, suppress_small=True))
     for r in range(config.r_max + 1):
         block = moments.build_block("hankel", table, r)
-        verdict = is_psd(block.assembled, config.tolerance)
+        verdict = is_psd(block.assembled, config.tolerance, block.scale)
         status = "PASS" if verdict.passed else "FAIL"
         print(f"hankel r={r}: {status} (min eigenvalue {verdict.min_eigenvalue:.6g})")
         records.append(moments.record("psd_hankel", config.seed,
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("matrix", nargs=nargs,
                            help="matrix file (JSON or CSV)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="PSD tolerance (default 1e-9)")
+                       help="relative tolerance of every PSD and scalar "
+                            "verdict, at its operands' scale (default 1e-9)")
         p.add_argument("--r-max", type=int, default=3, dest="r_max",
                        help="largest block order (default 3)")
         p.add_argument("--map", default="trace", help=MAP_SPEC_HELP)

@@ -133,7 +133,9 @@ def wolkowicz_styan(a) -> tuple[float, float]:
 
     From the spectral mean ``mu = tr(A)/n`` and standard deviation ``s``:
     the smallest eigenvalue is at most ``mu - s/sqrt(n-1)`` and the largest
-    at least ``mu + s/sqrt(n-1)``.
+    at least ``mu + s/sqrt(n-1)``. The variance is the centered sum
+    ``||A - mu I||_F^2 / n``, which does not cancel as
+    ``||A||_F^2 / n - mu^2`` does.
     """
     h = symmetrize(a)
     n = h.shape[0]
@@ -142,7 +144,8 @@ def wolkowicz_styan(a) -> tuple[float, float]:
     # numpy scalars, so overflow yields inf (checked below) instead of raising
     mu = np.trace(h).real / n
     with np.errstate(over="ignore", invalid="ignore"):
-        s2 = max(np.float64(frobenius(h)) ** 2 / n - mu * mu, 0.0)
+        h[np.diag_indices(n)] -= mu  # symmetrize's own copy, centered
+        s2 = np.float64(frobenius(h)) ** 2 / n
     d = math.sqrt(s2) / math.sqrt(n - 1.0)
     bounds = float(mu - d), float(mu + d)
     _require_finite("comparator bounds", bounds)

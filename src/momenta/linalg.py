@@ -58,9 +58,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def is_hermitian(a: np.ndarray) -> bool:
     """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``.
 
-    The ``tiny`` floor lets the zero matrix pass.
+    The ``tiny`` floor lets the zero matrix pass. A matrix whose Frobenius
+    norm overflows is rejected with :class:`DomainError`: against an
+    infinite scale any asymmetry, and any later verdict, would pass.
     """
     scale = max(frobenius(a), np.finfo(float).tiny)
+    if not math.isfinite(scale):
+        raise DomainError("matrix norm overflows double precision; "
+                          "rescale the matrix")
     return frobenius(a - a.conj().T) <= SYMMETRY_RTOL * scale
 
 
@@ -115,41 +120,52 @@ def hermitian_eig(a) -> HermitianSpectrum:
     return HermitianSpectrum(*np.linalg.eigh(h), matrix=h)
 
 
+def passes(slack: float, scale: float, rtol: float) -> bool:
+    """The one verdict rule of every check: ``slack >= -rtol * scale``.
+
+    ``slack`` is how far the checked inequality holds (negative when it is
+    violated) and ``scale`` the size of the operands it was computed from,
+    before they cancel, so the verdict does not change when the input is
+    scaled. A non-finite scale would accept any slack and is an error.
+    """
+    if not math.isfinite(scale):
+        raise DomainError("verdict scale overflows double precision; "
+                          "rescale the matrix")
+    return slack >= -rtol * scale
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness test with its margin.
 
-    ``passed`` is equivalent to ``min_eigenvalue >= -tolerance_used * scale``
-    where ``scale`` is the Frobenius norm of the tested matrix floored at 1.
+    ``passed`` is :func:`passes` of ``min_eigenvalue`` at ``scale``, the
+    size of the operands the tested matrix was assembled from.
     """
 
     min_eigenvalue: float
     scale: float
     passed: bool
-    tolerance_used: float
 
 
-def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
+def is_psd(m, tol: float = DEFAULT_PSD_TOL,
+           scale: float | None = None) -> PsdVerdict:
     """Test a Hermitian matrix for positive semidefiniteness.
 
     The verdict reports the minimum eigenvalue so callers can see the margin,
-    not just the boolean. Non-Hermitian input (beyond the symmetrization
-    tolerance) is rejected with :class:`DomainError`, and so is a matrix
-    whose Frobenius norm overflows, against which any verdict would pass.
+    not just the boolean. ``scale`` is the size of the operands the matrix
+    was computed from, the scale :func:`passes` judges it at; by default
+    the matrix's own Frobenius norm, right for a matrix that is not a
+    cancelling difference. Non-Hermitian input (beyond the symmetrization
+    tolerance) and a matrix whose Frobenius norm overflows are rejected
+    with :class:`DomainError`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     spectrum = hermitian_eig(m)
-    scale = max(1.0, frobenius(spectrum.matrix))
-    if not math.isfinite(scale):
-        raise DomainError("PSD test scale overflows double precision; "
-                          "rescale the matrix")
-    return PsdVerdict(
-        min_eigenvalue=spectrum.min,
-        scale=scale,
-        passed=spectrum.min >= -tol * scale,
-        tolerance_used=tol,
-    )
+    if scale is None:
+        scale = frobenius(spectrum.matrix)
+    return PsdVerdict(min_eigenvalue=spectrum.min, scale=scale,
+                      passed=passes(spectrum.min, scale, tol))
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -290,10 +290,6 @@ def _payload_issues(pulm: PositiveUnitalMap) -> list:
         res = abs(float(np.linalg.norm(pulm.vector)) - 1.0)
         if res > UNIT_NORM_TOL:
             issues.append(f"state vector is not normalized: | ||x|| - 1 | = {res:.3e}")
-    elif isinstance(pulm, Mixture):
-        for i, (w, v) in enumerate(pulm.terms):
-            if not w > 0.0:
-                issues.append(f"mixture weight {i} is not positive")
     return issues
 
 

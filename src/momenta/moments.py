@@ -34,6 +34,7 @@ type, :class:`CheckRecord`, that every suite and the command line emit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     is_psd,
+    passes,
 )
 from .maps import PositiveUnitalMap
 
@@ -88,7 +90,6 @@ class MomentTable:
     blocks: np.ndarray
     m: float
     M: float
-    block_dim: int
 
     def powers(self, lo: int, count: int) -> np.ndarray:
         """``Phi(A^k)`` for ``k = lo..lo+count-1`` as one slice of the stack.
@@ -106,6 +107,31 @@ class MomentTable:
     def power(self, k: int) -> np.ndarray:
         """The block ``Phi(A^k)``; raises if ``k`` is outside the table."""
         return self.powers(k, 1)[0]
+
+    def size(self, k: int) -> float:
+        """Bound on the norm of ``Phi(A^k)`` from the interval.
+
+        ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``: a positive unital
+        map does not increase the norm. ``inf`` past double precision.
+        """
+        if k < 0:
+            return 1.0 / self.m
+        try:
+            return max(abs(self.m), abs(self.M)) ** k
+        except OverflowError:
+            return math.inf
+
+    def operand_scale(self, weights: dict[int, float], r: int) -> float:
+        """Size of the operands of the order-``r`` Hankel block of
+        ``sum_d c_d Phi(A^{e+d})``, ``e = 0..2r``, before they cancel.
+
+        ``weights`` maps each power shift ``d`` to ``c_d``. The scale is
+        ``sum_d |c_d| size(e + d)``, the larger of its values at ``e = 0``
+        and ``e = 2r``: :meth:`size` is log-convex in ``k``, so no degree
+        in between gives more.
+        """
+        return max(sum(abs(c) * self.size(e + d) for d, c in weights.items())
+                   for e in (0, 2 * r))
 
 
 def _spectrum_interval(lo: float, hi: float, m: float | None,
@@ -149,6 +175,9 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
             f"(min eigenvalue {spectrum.min:.3e})"
         )
     m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
+    if k_min == -1 and m <= 0.0:
+        # the size of Phi(A^-1) is bounded through 1/m
+        raise DomainError(f"inverse moments need m > 0, got {m}")
     powers = np.arange(k_min, k_max + 1)
     if route == "spectral":
         images = spectral_images(pulm, spectrum)
@@ -170,7 +199,6 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
         blocks=(blocks + blocks.conj().transpose(0, 2, 1)) / 2.0,
         m=m,
         M=M,
-        block_dim=pulm.codomain_dim,
     )
 
 
@@ -186,12 +214,11 @@ def spectral_images(pulm: PositiveUnitalMap, spectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockMatrixSpec:
-    """An assembled block matrix together with its construction tag."""
+    """An assembled block matrix and the size of the operands it was
+    assembled from, the scale its PSD verdict is judged at."""
 
-    kind: str
-    r: int
-    block_dim: int
     assembled: np.ndarray
+    scale: float
 
 
 def distinct_eigenvalues(values) -> np.ndarray:
@@ -247,20 +274,23 @@ def build_block(kind: str, table: MomentTable, r: int, *,
 
     # entry e of the sequence is block (i, j) for i + j = e; written as the
     # catalog's expressions, term for term, so every bit matches the
-    # entrywise form
-    sequence = {
-        "hankel": lambda: T(0),
-        "hankel_shift1": lambda: T(1),
-        "lower_shift": lambda: T(1) - m * T(0),
-        "upper_shift": lambda: M * T(0) - T(1),
-        "lower_shift_inv": lambda: T(0) - m * T(-1),
-        "upper_shift_inv": lambda: M * T(-1) - T(0),
-        "range_product": lambda: (m + M) * T(1) - T(2) - m * M * T(0),
-        "range_product_inv": lambda: (m + M) * T(0) - T(1) - m * M * T(-1),
-        "gap_product": lambda: T(2) - (s + t) * T(1) + s * t * T(0),
+    # entrywise form. Each comes with its coefficients c_d by power shift d.
+    sequence, weights = {
+        "hankel": lambda: (T(0), {0: 1.0}),
+        "hankel_shift1": lambda: (T(1), {1: 1.0}),
+        "lower_shift": lambda: (T(1) - m * T(0), {1: 1.0, 0: m}),
+        "upper_shift": lambda: (M * T(0) - T(1), {0: M, 1: 1.0}),
+        "lower_shift_inv": lambda: (T(0) - m * T(-1), {0: 1.0, -1: m}),
+        "upper_shift_inv": lambda: (M * T(-1) - T(0), {-1: M, 0: 1.0}),
+        "range_product": lambda: ((m + M) * T(1) - T(2) - m * M * T(0),
+                                  {1: m + M, 2: 1.0, 0: m * M}),
+        "range_product_inv": lambda: ((m + M) * T(0) - T(1) - m * M * T(-1),
+                                      {0: m + M, 1: 1.0, -1: m * M}),
+        "gap_product": lambda: (T(2) - (s + t) * T(1) + s * t * T(0),
+                                {2: 1.0, 1: s + t, 0: s * t}),
     }[kind]()
-    return BlockMatrixSpec(kind=kind, r=r, block_dim=table.block_dim,
-                           assembled=hankel_gather(sequence))
+    return BlockMatrixSpec(assembled=hankel_gather(sequence),
+                           scale=table.operand_scale(weights, r))
 
 
 def hankel_gather(sequence: np.ndarray) -> np.ndarray:
@@ -388,9 +418,12 @@ class CheckRecord:
 
     ``passed`` is None when the check's hypotheses do not hold for the input
     ("skipped"), which is never counted as a failure. ``margin`` is the
-    minimum eigenvalue of the tested difference, or the scalar slack, so
-    slightly negative values within tolerance still pass. ``seed`` is the
-    seed of the instance the check ran on (0 outside a seeded campaign).
+    minimum eigenvalue of the tested difference, or the scalar slack.
+    ``passed`` is :func:`~momenta.linalg.passes` of the slack against the
+    check's tolerance at the size of the operands it was computed from, so
+    slightly negative margins within that tolerance still pass, and scaling
+    the input does not change the verdict. ``seed`` is the seed of the
+    instance the check ran on (0 outside a seeded campaign).
     """
 
     check: str
@@ -470,20 +503,23 @@ def skip_record(check: str, seed: int) -> CheckRecord:
     return record(check, seed, None, 0.0)
 
 
-def psd_outcome(difference: np.ndarray, tol: float) -> tuple[bool, float]:
+def psd_outcome(difference: np.ndarray, scale: float,
+                tol: float) -> tuple[bool, float]:
     """PSD verdict and minimum eigenvalue of a Hermitian-by-construction matrix.
 
+    ``scale`` is the size of the operands the matrix was computed from.
     Rounding asymmetry is dropped before the test.
     """
-    verdict = is_psd(hermitian_part(difference), tol)
+    verdict = is_psd(hermitian_part(difference), tol, scale)
     return verdict.passed, verdict.min_eigenvalue
 
 
 def centered_fourth_moment_outcome(functional: PositiveUnitalMap, a,
                                    tol: float) -> tuple[bool, float]:
-    """Verdict and slack: the bound holds if slack >= -tol max(1, ||A||_F^4)."""
+    """Verdict and slack, judged at ``||A||_F^4``, the size of the fourth
+    moments the slack is computed from."""
     slack = centered_fourth_moment_slack(functional, a)
-    return slack >= -tol * max(1.0, frobenius(a) ** 4), slack
+    return passes(slack, frobenius(a) ** 4, tol), slack
 
 
 def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
@@ -503,7 +539,7 @@ def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
     second = float(functional.apply(bsq)[0, 0].real)
     fourth = float(functional.apply(bsq @ bsq)[0, 0].real)
     mixed = complex(functional.apply(b @ bsq)[0, 0])
-    if second <= 1e-15 * max(1.0, frobenius(b) ** 2):
+    if second <= 1e-15 * frobenius(b) ** 2:
         ratio = 0.0
     else:
         ratio = abs(mixed) ** 2 / second
@@ -523,6 +559,11 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
     centered fourth-moment bound, which also covers normal non-Hermitian
     input; all other checks are then reported as skipped. The records carry
     seed 0; a seeded campaign restamps them with its instance seed.
+
+    Each verdict is judged at the size of the operands its slack is
+    computed from: ``rho = max(|m|, |M|)`` bounds ``||Phi(A^k)||`` by
+    ``rho^k``, and a check that inverts a gap adds the norm of the inverse
+    or Schur term it forms.
     """
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
@@ -539,38 +580,44 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
         p3 = hermitian_part(pulm.apply(hermitian_part(h @ h @ h)))
         variance = p2 - p1 @ p1
 
-        results.append(record("kadison", 0, *psd_outcome(variance, tol)))
+        rho = max(abs(m), abs(M))
+        sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
+        results.append(record("kadison", 0, *psd_outcome(
+            variance, 2.0 * sq, tol)))
         half = (M - m) / 2.0
         results.append(record("variance_range", 0, *psd_outcome(
-            half * half * eye - variance, tol)))
+            half * half * eye - variance, half * half + 2.0 * sq, tol)))
         results.append(record("variance_endpoints", 0, *psd_outcome(
-            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance, tol)))
+            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance,
+            (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq, tol)))
 
         if spectrum.min > 0.0:
             pinv = hermitian_part(pulm.apply(np.linalg.inv(h)))
+            p1_inv = np.linalg.inv(p1)
             results.append(record("inverse_moment", 0, *psd_outcome(
-                pinv - np.linalg.inv(p1), tol)))
+                pinv - p1_inv, 1.0 / spectrum.min + frobenius(p1_inv), tol)))
         else:
             results.append(skip_record("inverse_moment", 0))
 
         # a gap is inverted only if it stands clear of its own norm and of
         # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
-        scale = max(abs(m), abs(M))
         low_gap = p1 - m * eye
-        if hermitian_eig(low_gap).min > 1e-6 * max(frobenius(low_gap), scale):
+        if hermitian_eig(low_gap).min > 1e-6 * max(frobenius(low_gap), rho):
             x = p2 - m * p1
-            bound = m * p2 + hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            results.append(record("third_moment_lower", 0,
-                                  *psd_outcome(p3 - bound, tol)))
+            schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
+            results.append(record("third_moment_lower", 0, *psd_outcome(
+                p3 - (m * p2 + schur),
+                (rho + abs(m)) * sq + frobenius(schur), tol)))
         else:
             results.append(skip_record("third_moment_lower", 0))
 
         high_gap = M * eye - p1
-        if hermitian_eig(high_gap).min > 1e-6 * max(frobenius(high_gap), scale):
+        if hermitian_eig(high_gap).min > 1e-6 * max(frobenius(high_gap), rho):
             y = M * p1 - p2
-            bound = M * p2 - hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            results.append(record("third_moment_upper", 0,
-                                  *psd_outcome(bound - p3, tol)))
+            schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
+            results.append(record("third_moment_upper", 0, *psd_outcome(
+                M * p2 - schur - p3,
+                (rho + abs(M)) * sq + frobenius(schur), tol)))
         else:
             results.append(skip_record("third_moment_upper", 0))
     else:

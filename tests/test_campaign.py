@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -81,8 +82,34 @@ def test_oracle_identities_pass_on_near_identity(shift, spread, spec):
     assert verdicts and all(verdicts.values()), verdicts
 
 
-@pytest.mark.parametrize("c", [1e-3, 1e3])
+#: (matrix, map) pairs of the scale sweep: four map kinds at n = 2 and 5,
+#: and 1e3 * random_hermitian(2, 2) under the trace, whose range and third
+#: moment checks once failed at scale through a floor of 1 in the PSD test
+_SCALE_PAIRS = [(linalg.random_hermitian(n, s), cli.build_map(spec, n, s))
+                for spec in ("trace", "vector-state", "compression", "pinching")
+                for n in (2, 5) for s in range(3)]
+_SCALE_PAIRS.append((1e3 * linalg.random_hermitian(2, 2),
+                     maps.NormalizedTrace(2)))
+
+
+def _file_verdicts(matrix, pulm):
+    return [(r.check, r.passed)
+            for r in campaign.single_matrix_records(matrix, pulm, 0)]
+
+
+@functools.cache
+def _unscaled_verdicts(index):
+    return _file_verdicts(*_SCALE_PAIRS[index])
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
 def test_oracle_identity_verdicts_are_scale_invariant(c):
+    # every check of file mode, each judged at its own operands' scale:
+    # A -> cA changes no verdict and no skip
+    for index, (a, pulm) in enumerate(_SCALE_PAIRS):
+        base = _unscaled_verdicts(index)
+        assert all(passed is not False for _, passed in base), (index, base)
+        assert _file_verdicts(c * a, pulm) == base, index
     insts = campaign.corpus(12, seed=5)
     insts.append(_file_instance(linalg.random_hermitian(64, 1),
                                 maps.NormalizedTrace(64)))
@@ -94,6 +121,74 @@ def test_oracle_identity_verdicts_are_scale_invariant(c):
         base = _identity_verdicts(inst)
         assert all(base.values()), (inst.seed, base)
         assert _identity_verdicts(scaled) == base, inst.seed
+
+
+def test_bound_verdicts_hold_at_1e9():
+    # a bound is judged relative to the spectral radius; an absolute 1e-8
+    # failed 5 of these 30 instances on rounding alone
+    for s in range(30):
+        n = 3 + s % 5
+        inst = _file_instance(1e9 * linalg.random_hermitian(n, 500 + s),
+                              maps.NormalizedTrace(n))
+        for rec in campaign.bounds_suite(inst):
+            assert rec.passed is not False, (s, rec.check, rec.margin)
+
+
+class _ReflectedTrace(maps.PositiveUnitalMap):
+    """``A -> 2 tr(A)/n I - A``: unital, but not positive. A negative control."""
+
+    def __init__(self, n):
+        self.n = n
+
+    domain_dim = codomain_dim = property(lambda self: self.n)
+
+    def apply(self, a):
+        m = self._check_input(a)
+        return 2.0 * np.trace(m) / self.n * np.eye(self.n) - m
+
+
+@pytest.mark.parametrize("check,n,seed", [
+    ("kadison", 3, 1),
+    ("variance_range", 3, 1),
+    ("variance_endpoints", 3, 1),
+    ("third_moment_upper", 3, 1),
+    ("psd_range_product", 3, 1),
+    ("psd_gap_product", 3, 1),
+    # Phi(A) - mI is invertible only when tr(A)/n lies above the midrange
+    ("third_moment_lower", 4, 2),
+])
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_checks_fail_under_a_map_that_is_not_positive(check, n, seed, c):
+    # a floor of 1 in the PSD test let every one of these pass at 1e-6
+    records = campaign.single_matrix_records(
+        c * linalg.random_hermitian(n, seed), _ReflectedTrace(n), 0)
+    verdicts = [r.passed for r in records if r.check == check]
+    assert verdicts and all(v is False for v in verdicts), verdicts
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_bound_checks_fail_on_roots_moved_outward(c, monkeypatch):
+    # negative control: the Gauss nodes of three atoms are the atoms, so
+    # outer roots moved 1e-6 rho past them break both bounds and both signs
+    exact = eigenbounds.spectral_bounds
+
+    def moved(functional, a):
+        report = exact(functional, a)
+        shift = 1e-6 * 4.0 * c
+        roots = (report.roots[0] - shift, report.roots[1],
+                 report.roots[2] + shift)
+        return dataclasses.replace(
+            report, roots=roots, cubic=tuple(np.poly(roots)[1:]),
+            lambda_min_upper=report.mean + roots[0],
+            lambda_max_lower=report.mean + roots[2])
+
+    inst = _file_instance(c * np.diag([1.0, 2.0, 4.0]), maps.NormalizedTrace(3))
+    assert all(r.passed for r in campaign.bounds_suite(inst))
+    monkeypatch.setattr(eigenbounds, "spectral_bounds", moved)
+    verdicts = {r.check: r.passed for r in campaign.bounds_suite(inst)}
+    assert verdicts == dict.fromkeys(("bound_min_upper", "bound_max_lower",
+                                      "cubic_sign_min", "cubic_sign_max"),
+                                     False)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])

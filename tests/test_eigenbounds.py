@@ -341,12 +341,13 @@ class TestSpectralBounds:
         assert report.lambda_max_lower > report.ws_max_lower
 
     def test_constant_matrix_degenerate_with_exact_comparator(self):
-        c = 1.25
-        report = eigenbounds.spectral_bounds(TR3, c * np.eye(3))
-        assert report.degenerate
-        assert report.cubic is None and report.roots == ()
-        assert report.ws_min_upper == pytest.approx(c)
-        assert report.ws_max_lower == pytest.approx(c)
+        # the variance is a centered sum, so it does not cancel to ~1e-8
+        for c in (1.25e-6, 1.25, 1.25e6):
+            report = eigenbounds.spectral_bounds(TR3, c * np.eye(3))
+            assert report.degenerate
+            assert report.cubic is None and report.roots == ()
+            assert abs(report.ws_min_upper - c) <= 4 * np.spacing(c)
+            assert abs(report.ws_max_lower - c) <= 4 * np.spacing(c)
 
     def test_three_atom_exactness(self):
         report = eigenbounds.spectral_bounds(TR3, np.diag([1.0, 2.0, 4.0]))

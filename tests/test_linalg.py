@@ -100,6 +100,12 @@ class TestSymmetrize:
         np.testing.assert_array_equal(linalg.symmetrize(np.zeros((3, 3))),
                                       np.zeros((3, 3)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_an_overflowing_norm(self):
+        # against an infinite norm any asymmetry would pass as round-off
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.symmetrize([[1e160, 1e160], [0.0, 1e160]])
+
 
 class TestIsPsd:
     def test_identity(self):
@@ -129,10 +135,18 @@ class TestIsPsd:
             v = linalg.is_psd(linalg.random_psd(5, seed))
             assert v.passed
 
-    def test_scale_floor(self):
+    def test_zero_matrix_passes_at_scale_zero(self):
+        # the scale is the matrix's own norm, with no floor of 1
         verdict = linalg.is_psd(np.zeros((2, 2)))
         assert verdict.passed
-        assert verdict.scale == 1.0
+        assert verdict.scale == 0.0
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_verdict_is_relative_to_the_given_scale(self, c):
+        # min eigenvalue -2e-9 c against operands of size c
+        block = c * np.diag([1.0, -2e-9])
+        assert not linalg.is_psd(block, 1e-9, c).passed
+        assert linalg.is_psd(block, 1e-9, 3.0 * c).passed
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
@@ -141,6 +155,11 @@ class TestIsPsd:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             linalg.is_psd(np.eye(2), tol=0.0)
+
+    def test_an_infinite_scale_is_a_domain_error(self):
+        # it would accept any slack
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.passes(-1.0, np.inf, 1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_scale_is_a_domain_error(self):

@@ -72,6 +72,27 @@ def entry_block(kind, table, r, eigenvalues=None, gap_index=None):
     return np.block([[entry(i, j) for j in range(r + 1)] for i in range(r + 1)])
 
 
+def operand_scale_oracle(kind, table, r, eigenvalues=None, gap_index=None):
+    """``sum_d |c_d| max(|m|, |M|)^(e + d)`` (``1/m`` for power -1),
+    maximised over every degree ``e = 0..2r``: an oracle for the block
+    scale, which evaluates the two extreme degrees only."""
+    m, M = table.m, table.M
+    s = t = 0.0
+    if kind == "gap_product":
+        s, t = float(eigenvalues[gap_index - 2]), float(eigenvalues[gap_index - 1])
+    weights = {
+        "hankel": {0: 1.0}, "hankel_shift1": {1: 1.0},
+        "lower_shift": {1: 1.0, 0: m}, "upper_shift": {0: M, 1: 1.0},
+        "lower_shift_inv": {0: 1.0, -1: m}, "upper_shift_inv": {-1: M, 0: 1.0},
+        "range_product": {0: m * M, 1: m + M, 2: 1.0},
+        "range_product_inv": {-1: m * M, 0: m + M, 1: 1.0},
+        "gap_product": {0: s * t, 1: s + t, 2: 1.0},
+    }[kind]
+    rho = max(abs(m), abs(M))
+    return max(sum(abs(c) * (1.0 / m if e + d < 0 else rho ** (e + d))
+                   for d, c in weights.items()) for e in range(2 * r + 1))
+
+
 def spectral_sum_table(pulm, a, k_min, k_max):
     """Spectral-route powers as per-eigenpair sums ``sum_j lambda_j^k
     Phi(v_j v_j*)``, one power at a time: an oracle for the contraction."""
@@ -125,6 +146,12 @@ class TestMomentTable:
     def test_inverse_moments_need_positive_definite(self):
         with pytest.raises(DomainError):
             moments.moment_table(TR2, np.diag([1.0, -1.0]), -1, 2)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_inverse_moments_need_a_positive_interval(self, m):
+        # the size of Phi(A^-1), the scale of the inverse blocks, is 1/m
+        with pytest.raises(DomainError, match="m > 0"):
+            moments.moment_table(TR2, DIAG12, -1, 2, m=m)
 
     def test_power_outside_range(self):
         t = table12(0, 2)
@@ -204,7 +231,8 @@ class TestBuildBlock:
                     moments.build_block(kind, t, r, **extra)
                 continue
             block = moments.build_block(kind, t, r, **extra)
-            assert (block.kind, block.r, block.block_dim) == (kind, r, codomain)
+            assert block.scale == pytest.approx(
+                operand_scale_oracle(kind, t, r, **extra), rel=1e-14)
             assert block.assembled.shape == ((r + 1) * codomain,) * 2
             # bit for bit, signed zeros included
             assert block.assembled.tobytes() == entry_block(kind, t, r, **extra).tobytes()
