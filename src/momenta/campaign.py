@@ -166,8 +166,9 @@ def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
     mean = float(functional.apply(matrix)[0, 0].real)
     lam = hermitian_eig(matrix).eigenvalues
     centered = matrix - mean * np.eye(matrix.shape[0])
-    # [m, M] is the centered spectrum, rounded at the scale of ``matrix``
-    # rather than that of moment_table's containment test: set, not checked
+    # [m, M] is the centered spectrum taken from ``matrix``'s own
+    # eigenvalues, as the other checks on ``matrix`` see them, rather than
+    # from the eigensolve of ``centered``; the two differ by rounding
     ctable = replace(moments.moment_table(functional, centered, 0, 2 * r + 2),
                      m=float(lam[0] - mean), M=float(lam[-1] - mean))
     records = []

@@ -26,7 +26,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+    """Validated run parameters; a subcommand sets those it has flags for."""
 
     tolerance: float = 1e-9
     r_max: int = 3
@@ -70,6 +70,24 @@ class RunConfig:
             raise ValueError("n-range must satisfy 1 <= lo <= hi")
         if self.k_min not in (-1, 0):
             raise ValueError("k-min must be -1 or 0")
+
+
+#: Every option flag; each subcommand takes the ones it reads. A flag left
+#: at None keeps RunConfig's default, and shows it was not given.
+_FLAGS = {
+    "--tol": dict(type=float, default=RunConfig.tolerance, dest="tolerance",
+                  help="relative tolerance of every PSD and scalar verdict, "
+                       "at its operands' scale (default 1e-9)"),
+    "--r-max": dict(type=int, default=RunConfig.r_max,
+                    help="largest block order (default 3)"),
+    "--map": dict(dest="map_spec", help=f"{MAP_SPEC_HELP} (default trace)"),
+    "--seed": dict(type=int, help=f"seed (default: ${SEED_ENV_VAR} or 0)"),
+    "--instances": dict(type=int, help="random-mode instance count (default 200)"),
+    "--n-range": dict(help="random-mode dimension range lo:hi (default 2:6)"),
+    "--k-min": dict(type=int, default=RunConfig.k_min, choices=(-1, 0),
+                    help="lowest tabulated power"),
+    "--out": dict(help="write a JSON report here"),
+}
 
 
 def _fmt17(x: float) -> str:
@@ -102,18 +120,19 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
         raise ValueError(
             f"{path}: expected keys rows, cols, entries"
         ) from None
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: rows and cols must be at least 1")
     if rows != cols:
         raise ValueError(f"{path}: matrix is not square ({rows}x{cols})")
-    if len(entries) != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} entries, found {len(entries)}"
-        )
-    flat = []
-    for i, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"{path}: entry {i} is not a [re, im] pair")
-        flat.append(complex(float(pair[0]), float(pair[1])))
-    m = np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path}: entries must be [re, im] number pairs") from None
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(f"{path}: expected {rows * cols} [re, im] entries, "
+                         f"found an array of shape {pairs.shape}")
+    # (re, im) float pairs are the memory layout of complex128: exact
+    m = pairs.view(np.complex128).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: matrix contains non-finite entries")
     return m
@@ -240,17 +259,15 @@ def _resolve_seed(arg_seed: int | None) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    lo, _, hi = args.n_range.partition(":")
-    return RunConfig(
-        tolerance=args.tol,
-        r_max=args.r_max,
-        map_spec=args.map,
-        seed=_resolve_seed(args.seed),
-        instances=args.instances,
-        n_lo=int(lo),
-        n_hi=int(hi) if hi else int(lo),
-        k_min=args.k_min,
-    )
+    """The run's config from the flags given; defaults for the others."""
+    given = vars(args)
+    options = {f.name: given[f.name] for f in fields(RunConfig)
+               if given.get(f.name) is not None}
+    options["seed"] = _resolve_seed(args.seed)
+    if given.get("n_range") is not None:
+        lo, _, hi = given["n_range"].partition(":")
+        options["n_lo"], options["n_hi"] = int(lo), int(hi) if hi else int(lo)
+    return RunConfig(**options)
 
 
 def cmd_bounds(args) -> int:
@@ -318,6 +335,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random and (args.matrix or args.map_spec is not None):
+        raise ValueError("--random takes no matrix file and no --map")
+    if not args.random and (args.instances, args.n_range) != (None, None):
+        raise ValueError("--instances and --n-range apply to --random only")
     config = _config_from_args(args)
     if args.random:
         source = "random"
@@ -350,12 +371,12 @@ def cmd_verify(args) -> int:
             line += f"  FAILED (worst margin {worst:.3e}; seeds {seeds})"
         print(line)
 
-    applicable = [r for r in records if r.passed is not None]
-    n_passed = sum(1 for r in applicable if r.passed)
-    worst = min((r.margin for r in applicable), default=0.0)
-    print(f"{len(records)} checks, {n_passed} passed, worst margin {worst:.6g}")
-    _write_out(args.out, make_report(config, source, records))
-    return 0 if n_passed == len(applicable) else 1
+    report = make_report(config, source, records)
+    summary = report["summary"]
+    print(f"{summary['total']} checks, {summary['passed']} passed, "
+          f"worst margin {summary['worst_margin']:.6g}")
+    _write_out(args.out, report)
+    return 0 if summary["passed"] + summary["skipped"] == summary["total"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,42 +388,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_matrix=True, matrix_optional=False):
-        if needs_matrix:
-            nargs = "?" if matrix_optional else None
-            p.add_argument("matrix", nargs=nargs,
-                           help="matrix file (JSON or CSV)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="relative tolerance of every PSD and scalar "
-                            "verdict, at its operands' scale (default 1e-9)")
-        p.add_argument("--r-max", type=int, default=3, dest="r_max",
-                       help="largest block order (default 3)")
-        p.add_argument("--map", default="trace", help=MAP_SPEC_HELP)
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"seed (default: ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--instances", type=int, default=200,
-                       help="random-mode instance count (default 200)")
-        p.add_argument("--n-range", default="2:6", dest="n_range",
-                       help="random-mode dimension range lo:hi (default 2:6)")
-        p.add_argument("--k-min", type=int, default=0, dest="k_min",
-                       choices=(-1, 0), help="lowest tabulated power")
-        p.add_argument("--out", default=None, help="write a JSON report here")
+    def options(p, *names):
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
     p_bounds = sub.add_parser(
         "bounds", help="extreme-eigenvalue bounds from central moments")
-    common(p_bounds)
+    p_bounds.add_argument("matrix", help="matrix file (JSON or CSV)")
+    options(p_bounds, "--map", "--seed", "--out")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser(
         "verify", help="run the inequality catalog and report")
-    common(p_verify, matrix_optional=True)
+    p_verify.add_argument("matrix", nargs="?", help="matrix file (JSON or CSV)")
     p_verify.add_argument("--random", action="store_true",
                           help="verify a seeded random campaign instead of a file")
+    options(p_verify, "--tol", "--r-max", "--map", "--seed", "--instances",
+            "--n-range", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_moments = sub.add_parser(
         "moments", help="print moment blocks and Hankel verdicts")
-    common(p_moments)
+    p_moments.add_argument("matrix", help="matrix file (JSON or CSV)")
+    options(p_moments, "--tol", "--r-max", "--map", "--seed", "--k-min",
+            "--out")
     p_moments.set_defaults(func=cmd_moments)
     return parser
 

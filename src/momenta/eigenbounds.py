@@ -72,13 +72,13 @@ class CentralMoments:
 
 
 def _spectral_measure(functional: PositiveUnitalMap,
-                      a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of ``A`` and the functional's weights ``phi(v_j v_j*)``."""
+                      a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, weights ``phi(v_j v_j*)`` and validated matrix of ``A``."""
     if not functional.is_functional:
         raise ShapeError("central moments need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
     return (spectrum.eigenvalues,
-            spectral_images(functional, spectrum).real.ravel())
+            spectral_images(functional, spectrum).real.ravel(), spectrum.matrix)
 
 
 def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
@@ -87,7 +87,7 @@ def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
     The functional's weights on the eigenprojections of ``A`` are computed
     once and the centered powers are averaged against them.
     """
-    lam, weights = _spectral_measure(functional, a)
+    lam, weights, _ = _spectral_measure(functional, a)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(weights @ lam)
         centered = lam - mean
@@ -137,15 +137,18 @@ def wolkowicz_styan(a) -> tuple[float, float]:
     ``||A - mu I||_F^2 / n``, which does not cancel as
     ``||A||_F^2 / n - mu^2`` does.
     """
-    h = symmetrize(a)
+    return _comparator_bounds(symmetrize(a))
+
+
+def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
+    """:func:`wolkowicz_styan` of a validated Hermitian matrix ``h``."""
     n = h.shape[0]
     if n < 2:
         raise ShapeError("comparator bounds need a matrix of dimension >= 2")
     # numpy scalars, so overflow yields inf (checked below) instead of raising
     mu = np.trace(h).real / n
     with np.errstate(over="ignore", invalid="ignore"):
-        h[np.diag_indices(n)] -= mu  # symmetrize's own copy, centered
-        s2 = np.float64(frobenius(h)) ** 2 / n
+        s2 = np.float64(frobenius(h - mu * np.eye(n))) ** 2 / n
     d = math.sqrt(s2) / math.sqrt(n - 1.0)
     bounds = float(mu - d), float(mu + d)
     _require_finite("comparator bounds", bounds)
@@ -200,9 +203,9 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
     eigenvalues, ``n eps max|lambda|`` (a one-atom measure, whose ``e1``
     and ``e2`` are both rounding).
     """
-    lam, weights = _spectral_measure(functional, a)
+    lam, weights, h = _spectral_measure(functional, a)
     n = lam.size
-    ws_min, ws_max = wolkowicz_styan(a) if n >= 2 else (None, None)
+    ws_min, ws_max = _comparator_bounds(h) if n >= 2 else (None, None)
     mean = float(weights @ lam)
     gamma, degenerate = 0.0, True
     if n >= 3:

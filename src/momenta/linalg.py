@@ -55,6 +55,17 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _asymmetry(a: np.ndarray) -> tuple[float, float]:
+    """``||M - M*||_F`` and the threshold :func:`is_hermitian` holds it to."""
+    with np.errstate(over="ignore"):  # an infinite asymmetry fails the test
+        scale = max(frobenius(a), np.finfo(float).tiny)
+        asymmetry = frobenius(a - a.conj().T)
+    if not math.isfinite(scale):
+        raise DomainError("matrix norm overflows double precision; "
+                          "rescale the matrix")
+    return asymmetry, SYMMETRY_RTOL * scale
+
+
 def is_hermitian(a: np.ndarray) -> bool:
     """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``.
 
@@ -62,11 +73,8 @@ def is_hermitian(a: np.ndarray) -> bool:
     norm overflows is rejected with :class:`DomainError`: against an
     infinite scale any asymmetry, and any later verdict, would pass.
     """
-    scale = max(frobenius(a), np.finfo(float).tiny)
-    if not math.isfinite(scale):
-        raise DomainError("matrix norm overflows double precision; "
-                          "rescale the matrix")
-    return frobenius(a - a.conj().T) <= SYMMETRY_RTOL * scale
+    asymmetry, threshold = _asymmetry(a)
+    return asymmetry <= threshold
 
 
 def symmetrize(a) -> np.ndarray:
@@ -74,12 +82,11 @@ def symmetrize(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        scale = max(frobenius(m), np.finfo(float).tiny)
+    asymmetry, threshold = _asymmetry(m)
+    if not asymmetry <= threshold:
         raise DomainError(
-            f"matrix is not Hermitian: asymmetry "
-            f"{frobenius(m - m.conj().T):.3e} exceeds "
-            f"{SYMMETRY_RTOL:.1e} * ||M||_F = {SYMMETRY_RTOL * scale:.3e}"
+            f"matrix is not Hermitian: asymmetry {asymmetry:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e} * ||M||_F = {threshold:.3e}"
         )
     return hermitian_part(m)
 

@@ -3,7 +3,7 @@
 A :class:`MomentTable` holds the images ``Phi(A^k)`` of the powers of a
 Hermitian matrix over a contiguous range of exponents (possibly starting at
 -1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
-with an interval ``[m, M]`` containing the spectrum. From such a table,
+with the extreme eigenvalues ``m`` and ``M`` of ``A``. From such a table,
 :func:`build_block` assembles the family of block matrices whose positive
 semidefiniteness this package verifies:
 
@@ -80,9 +80,10 @@ class MomentTable:
     """Images ``Phi(A^k)`` for ``k = k_min..k_max`` plus spectrum interval.
 
     ``blocks`` is one ``(k_max - k_min + 1, k, k)`` array whose entry
-    ``blocks[k - k_min]`` is ``Phi(A^k)``. ``m`` and ``M`` bracket the
-    spectrum of ``A``; by default they are its exact extreme eigenvalues,
-    the tightest admissible choice.
+    ``blocks[k - k_min]`` is ``Phi(A^k)``. ``[m, M]`` is the spectrum of
+    ``A``: its extreme eigenvalues. Every block inequality on a wider
+    interval follows from the one on the spectrum, so no wider one is
+    taken.
     """
 
     k_min: int
@@ -134,23 +135,8 @@ class MomentTable:
                    for e in (0, 2 * r))
 
 
-def _spectrum_interval(lo: float, hi: float, m: float | None,
-                       M: float | None) -> tuple[float, float]:
-    """``[m, M]``, defaulting to ``[lo, hi]``, which it must contain up to
-    round-off relative to ``max(|lo|, |hi|)`` (no absolute floor)."""
-    m = lo if m is None else float(m)
-    M = hi if M is None else float(M)
-    grace = 1e-12 * max(abs(lo), abs(hi))
-    if m > lo + grace or M < hi - grace:
-        raise DomainError(
-            f"[m, M] = [{m}, {M}] does not contain the spectrum [{lo}, {hi}]"
-        )
-    return m, M
-
-
 def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
-                 route: str = "spectral", m: float | None = None,
-                 M: float | None = None) -> MomentTable:
+                 route: str = "spectral") -> MomentTable:
     """Tabulate ``Phi(A^k)`` for ``k = k_min..k_max``.
 
     ``route="spectral"`` contracts the power matrix ``lambda_j^k`` with the
@@ -159,9 +145,8 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
     powers. The two agree to rounding and their agreement is one of the
     package's standing cross-checks.
 
-    ``k_min`` may be -1 only for positive definite ``A``. Passing ``m``
-    and/or ``M`` widens the spectrum interval; values inside the spectrum are
-    rejected because every downstream inequality assumes containment.
+    ``k_min`` may be -1 only for positive definite ``A``. The table's
+    interval ``[m, M]`` is the spectrum of ``A``.
     """
     if k_min not in (-1, 0):
         raise DomainError(f"k_min must be -1 or 0, got {k_min}")
@@ -174,31 +159,30 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
             f"inverse moments need a positive definite matrix "
             f"(min eigenvalue {spectrum.min:.3e})"
         )
-    m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
-    if k_min == -1 and m <= 0.0:
-        # the size of Phi(A^-1) is bounded through 1/m
-        raise DomainError(f"inverse moments need m > 0, got {m}")
     powers = np.arange(k_min, k_max + 1)
-    if route == "spectral":
-        images = spectral_images(pulm, spectrum)
-        n, k = images.shape[:2]
-        lam_powers = lam[np.newaxis, :] ** powers[:, np.newaxis]
-        blocks = (lam_powers @ images.reshape(n, k * k)).reshape(-1, k, k)
-    elif route == "direct":
-        acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
-        for p in range(1, max(k_max, 1) + 1):
-            acc[p] = acc[p - 1] @ h
-        if k_min == -1:
-            acc[-1] = np.linalg.inv(h)
-        blocks = np.stack([pulm.apply(hermitian_part(acc[p])) for p in powers])
-    else:
+    if route not in ("spectral", "direct"):
         raise ValueError(f"unknown route {route!r}; expected spectral or direct")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        if route == "spectral":
+            images = spectral_images(pulm, spectrum)
+            n, k = images.shape[:2]
+            lam_powers = lam[np.newaxis, :] ** powers[:, np.newaxis]
+            blocks = (lam_powers @ images.reshape(n, k * k)).reshape(-1, k, k)
+        else:
+            acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
+            for p in range(1, max(k_max, 1) + 1):
+                acc[p] = acc[p - 1] @ h
+            if k_min == -1:
+                acc[-1] = np.linalg.inv(h)
+            blocks = np.stack([pulm.apply(hermitian_part(acc[p])) for p in powers])
+    if not np.all(np.isfinite(blocks)):
+        raise DomainError("moment powers overflow; rescale the matrix")
     return MomentTable(
         k_min=k_min,
         k_max=k_max,
         blocks=(blocks + blocks.conj().transpose(0, 2, 1)) / 2.0,
-        m=m,
-        M=M,
+        m=spectrum.min,
+        M=spectrum.max,
     )
 
 
@@ -307,8 +291,7 @@ def hankel_gather(sequence: np.ndarray) -> np.ndarray:
     return grid.transpose(0, 2, 1, 3).reshape(size * k, size * k)
 
 
-def build_refinement_chain(table: MomentTable,
-                           m: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_refinement_chain(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
     """Two-block refinement of the even-moment Hankel for ``A >= m > 0``.
 
     Returns ``(outer, inner)`` where
@@ -316,9 +299,10 @@ def build_refinement_chain(table: MomentTable,
     ``inner = 2m [[Phi(A), Phi(A^2)], [Phi(A^2), Phi(A^3)]]
     - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``; both ``outer - inner`` and
     ``inner`` are positive semidefinite whenever the spectrum lies in
-    ``[m, inf)`` with ``m > 0``.
+    ``[m, inf)`` with ``m > 0``: ``m`` is ``table.m``, the smallest
+    eigenvalue of ``A``.
     """
-    m, _ = _spectrum_interval(table.m, table.M, m, None)
+    m = table.m
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
     outer = hankel_gather(table.powers(2, 3))
@@ -350,26 +334,23 @@ def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
     return np.block([[two, one], [one, deficit]])
 
 
-def build_log_endpoint_blocks(pulm: PositiveUnitalMap, a,
-                              m: float | None = None,
-                              M: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Logarithmic endpoint blocks for ``0 < m <= spectrum(A) <= M``.
+def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
+                              a) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithmic endpoint blocks of a positive definite ``A``.
 
-    Returns ``(upper, lower)``:
+    ``m`` and ``M`` are the extreme eigenvalues of ``A``. Returns
+    ``(upper, lower)``:
 
     - upper: ``[[Phi((log M) I - log A), Phi((log M) A - A log A)],
       [..., Phi((log M) A^2 - A^2 log A)]]``
     - lower: the mirrored block with ``log m`` subtracted instead.
     """
     spectrum = hermitian_eig(a)
-    m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
-    if m <= 0.0:
-        raise DomainError(f"log endpoint blocks need m > 0, got {m}")
     h, la = spectrum.matrix, _log(spectrum)
     h2 = hermitian_part(h @ h)
     hla = hermitian_part(h @ la)
     h2la = hermitian_part(h2 @ la)
-    lm, lM = np.log(m), np.log(M)
+    lm, lM = np.log(spectrum.min), np.log(spectrum.max)
     eye = np.eye(h.shape[0])
     upper = hankel_gather(np.stack([
         pulm.apply(lM * eye - la), pulm.apply(lM * h - hla),
@@ -546,13 +527,12 @@ def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
     return fourth - ratio - second * second
 
 
-def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
-                  M: float | None = None,
+def scalar_checks(pulm: PositiveUnitalMap, a,
                   tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Run the non-block inequality checks on one matrix under one map.
 
     For Hermitian input this covers the square-moment bound, the two
-    variance bounds against the spectrum interval ``[m, M]``, the inverse
+    variance bounds against the spectrum ``[m, M]`` of ``A``, the inverse
     moment bound (positive definite input), and the two Schur-complement
     bounds on the third moment (which need ``Phi(A) - mI`` respectively
     ``MI - Phi(A)`` to be safely invertible). For a functional it adds the
@@ -572,8 +552,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a, m: float | None = None,
 
     if is_hermitian(mat):
         spectrum = hermitian_eig(mat)
-        h = spectrum.matrix
-        m, M = _spectrum_interval(spectrum.min, spectrum.max, m, M)
+        h, m, M = spectrum.matrix, spectrum.min, spectrum.max
         eye = np.eye(pulm.codomain_dim)
         p1 = hermitian_part(pulm.apply(h))
         p2 = hermitian_part(pulm.apply(hermitian_part(h @ h)))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import momenta
 from momenta import cli, linalg
 
 from conftest import EXAMPLE_3X3
@@ -48,6 +52,20 @@ class TestParseMatrix:
         path = write(tmp_path, "bad.json",
                      '{"rows":2,"cols":2,"entries":[[1,0]]}')
         with pytest.raises(ValueError, match="entries"):
+            cli.parse_matrix(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"rows":1,"cols":1,"entries":[[null,0]]}',
+        '{"rows":1,"cols":1,"entries":[[{},0]]}',
+        '{"rows":1,"cols":1,"entries":5}',
+        '{"rows":1,"cols":1,"entries":[[1,0,0]]}',
+        '{"rows":2,"cols":2,"entries":[[1,0],[0],[0,0],[1,0]]}',
+        '{"rows":-1,"cols":-1,"entries":[[1,0]]}',
+        '{"rows":0,"cols":0,"entries":[]}',
+    ])
+    def test_malformed_entries_are_value_errors(self, tmp_path, text):
+        path = write(tmp_path, "bad.json", text)
+        with pytest.raises(ValueError, match="bad.json"):
             cli.parse_matrix(path)
 
     def test_complex_json(self, tmp_path):
@@ -179,7 +197,6 @@ class TestVerifyCommand:
         assert cli.main(["verify", path, "--map", "trace"]) == 0
         assert "FAILED" not in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_1(self, tmp_path, capsys):
         # the high moment blocks' Frobenius norms overflow at this scale
         a = 1e35 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
@@ -262,6 +279,64 @@ class TestMapSpecs:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             cli.build_map("fourier", 4, seed=1)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "m.csv", "--tol", "1e-9"],
+        ["moments", "m.csv", "--instances", "3"],
+        ["verify", "m.csv", "--k-min", "-1"],
+    ])
+    def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [["--map", "pinching"], ["m.json"]])
+    def test_random_mode_rejects_map_and_file(self, capsys, argv):
+        assert cli.main(["verify", "--random", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: --random")
+
+    @pytest.mark.parametrize("flag, value", [("--instances", "3"),
+                                             ("--n-range", "2:4")])
+    def test_file_mode_rejects_random_mode_flags(self, tmp_path, capsys,
+                                                 flag, value):
+        path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
+        assert cli.main(["verify", path, flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: --instances")
+
+    def test_bounds_report_config_keeps_the_defaults(self, tmp_path, capsys):
+        # bounds has no --tol, --r-max, --instances, --n-range or --k-min
+        path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
+        out = str(tmp_path / "r.json")
+        assert cli.main(["bounds", path, "--out", out]) == 0
+        capsys.readouterr()
+        config = json.loads(open(out).read())["config"]
+        assert config == {"input": path, "tolerance": 1e-9, "r_max": 3,
+                          "map": "trace", "seed": 0, "instances": 200,
+                          "n_range": [2, 6], "k_min": 0}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("bounds", cli.write_matrix_json(1e200 * linalg.random_hermitian(4, 1))),
+    ("moments", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
+    ("verify", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
+    ("bounds", '{"rows":1,"cols":1,"entries":[[null,0]]}'),
+], ids=["norm-overflow", "moments-power-overflow", "verify-power-overflow",
+        "malformed"])
+def test_bad_input_is_one_error_line(tmp_path, command, text):
+    # a subprocess, so numpy warnings written straight to stderr are seen
+    path = write(tmp_path, "a.json", text)
+    src = os.path.dirname(os.path.dirname(momenta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "momenta.cli", command, path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.count("nan") == proc.stdout.count("inf") == 0
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_parser_is_built_once_and_parsing_leaves_it_unchanged():

@@ -349,6 +349,23 @@ class TestSpectralBounds:
             assert abs(report.ws_min_upper - c) <= 4 * np.spacing(c)
             assert abs(report.ws_max_lower - c) <= 4 * np.spacing(c)
 
+    def test_validates_the_matrix_once(self, monkeypatch):
+        # the comparator reads the matrix the spectrum already validated
+        calls = []
+        symmetrize = linalg.symmetrize
+
+        def counting(a):
+            calls.append(a)
+            return symmetrize(a)
+
+        monkeypatch.setattr(linalg, "symmetrize", counting)
+        monkeypatch.setattr(eigenbounds, "symmetrize", counting)
+        a = linalg.random_hermitian(6, 1)
+        report = eigenbounds.spectral_bounds(maps.NormalizedTrace(6), a)
+        assert len(calls) == 1
+        assert ((report.ws_min_upper, report.ws_max_lower)
+                == eigenbounds.wolkowicz_styan(a))
+
     def test_three_atom_exactness(self):
         report = eigenbounds.spectral_bounds(TR3, np.diag([1.0, 2.0, 4.0]))
         np.testing.assert_allclose(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,11 +102,19 @@ class TestSymmetrize:
         np.testing.assert_array_equal(linalg.symmetrize(np.zeros((3, 3))),
                                       np.zeros((3, 3)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_an_overflowing_norm(self):
         # against an infinite norm any asymmetry would pass as round-off
         with pytest.raises(DomainError, match="overflow"):
             linalg.symmetrize([[1e160, 1e160], [0.0, 1e160]])
+
+    def test_overflowing_asymmetry_is_not_hermitian(self):
+        # ||M||_F is finite, ||M - M*||_F = 2 ||M||_F is not
+        a = [[0.0, 9e153], [-9e153, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not linalg.is_hermitian(np.array(a))
+            with pytest.raises(DomainError, match="not Hermitian"):
+                linalg.symmetrize(a)
 
 
 class TestIsPsd:
@@ -161,7 +171,6 @@ class TestIsPsd:
         with pytest.raises(DomainError, match="overflow"):
             linalg.passes(-1.0, np.inf, 1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_scale_is_a_domain_error(self):
         # an infinite scale would accept any minimum eigenvalue
         with pytest.raises(DomainError, match="overflow"):
