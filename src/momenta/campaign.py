@@ -281,7 +281,7 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
-        weights = moments.spectral_images(inst.pulm, spectrum).real.ravel()
+        weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
         acc = np.zeros((r + 1, r + 1))
         for lam_j, w in zip(spectrum.eigenvalues, weights):
             v = np.array([lam_j ** k for k in range(r + 1)])

@@ -114,12 +114,14 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON ({exc})") from None
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        entries = payload["entries"]
-    except (KeyError, TypeError, ValueError):
+        rows, cols, entries = payload["rows"], payload["cols"], payload["entries"]
+    except (KeyError, TypeError):
         raise ValueError(
             f"{path}: expected keys rows, cols, entries"
         ) from None
+    # int() would truncate 1.5 and read "1" or true; bool subclasses int
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"{path}: rows and cols must be JSON integers")
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: rows and cols must be at least 1")
     if rows != cols:

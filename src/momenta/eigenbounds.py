@@ -47,7 +47,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .linalg import frobenius, hermitian_eig, symmetrize
 from .maps import PositiveUnitalMap
-from .moments import spectral_images
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
 #: ``|gamma| / b2^3 = (e2 / e1)^2``, this bounds that ratio by 1e-10.
@@ -78,7 +77,8 @@ def _spectral_measure(functional: PositiveUnitalMap,
         raise ShapeError("central moments need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
     return (spectrum.eigenvalues,
-            spectral_images(functional, spectrum).real.ravel(), spectrum.matrix)
+            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
+            spectrum.matrix)
 
 
 def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:

@@ -47,9 +47,13 @@ MAP_KINDS = (
 class PositiveUnitalMap:
     """Common interface of the map variants.
 
-    Subclasses expose ``domain_dim``, ``codomain_dim`` and a linear
-    ``apply``; ``apply`` accepts arbitrary complex square matrices (not just
-    Hermitian ones), which the normal-matrix constructions rely on.
+    Subclasses implement ``domain_dim``, ``codomain_dim``, a linear
+    ``apply`` and ``rank_one_images``. ``apply`` accepts arbitrary complex
+    square matrices (not just Hermitian ones), which the normal-matrix
+    constructions rely on. ``rank_one_images`` maps the rank-one matrices
+    ``v v*`` of many vectors at once, from the contraction ``W = K* V`` of
+    the map's factors with the vectors, and never forms ``v v*``: the
+    spectral route takes the images of all eigenprojections from it.
     """
 
     @property
@@ -61,6 +65,11 @@ class PositiveUnitalMap:
         raise NotImplementedError
 
     def apply(self, a) -> np.ndarray:
+        raise NotImplementedError
+
+    def rank_one_images(self, vectors) -> np.ndarray:
+        """``Phi(v v*)`` for each column ``v`` of an ``(n, m)`` array, as an
+        ``(m, k, k)`` stack."""
         raise NotImplementedError
 
     def __call__(self, a) -> np.ndarray:
@@ -77,6 +86,20 @@ class PositiveUnitalMap:
         if m.shape != (n, n):
             raise ShapeError(f"map expects a {n}x{n} matrix, got {m.shape}")
         return m
+
+    def _check_vectors(self, vectors) -> np.ndarray:
+        v = np.asarray(vectors, dtype=np.complex128)
+        n = self.domain_dim
+        if v.ndim != 2 or v.shape[0] != n:
+            raise ShapeError(
+                f"map expects vectors as the columns of an {n}-row array, "
+                f"got shape {v.shape}")
+        return v
+
+
+def _outer_stack(w: np.ndarray) -> np.ndarray:
+    """``w_j w_j*`` for each column ``w_j`` of ``w``, as an ``(m, k, k)`` stack."""
+    return w.T[:, :, np.newaxis] * w.T.conj()[:, np.newaxis, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +122,9 @@ class Identity(PositiveUnitalMap):
 
     def apply(self, a) -> np.ndarray:
         return self._check_input(a).copy()
+
+    def rank_one_images(self, vectors) -> np.ndarray:
+        return _outer_stack(self._check_vectors(vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +153,9 @@ class Compression(PositiveUnitalMap):
         m = self._check_input(a)
         v = self.isometry
         return v.conj().T @ m @ v
+
+    def rank_one_images(self, vectors) -> np.ndarray:
+        return _outer_stack(self.isometry.conj().T @ self._check_vectors(vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +200,10 @@ class Mixture(PositiveUnitalMap):
         m = self._check_input(a)
         return sum(w * (v.conj().T @ m @ v) for w, v in self.terms)
 
+    def rank_one_images(self, vectors) -> np.ndarray:
+        x = self._check_vectors(vectors)
+        return sum(w * _outer_stack(v.conj().T @ x) for w, v in self.terms)
+
 
 @dataclass(frozen=True, eq=False)
 class Pinching(PositiveUnitalMap):
@@ -209,6 +242,9 @@ class Pinching(PositiveUnitalMap):
         m = self._check_input(a)
         return np.where(self._mask, m, 0.0)
 
+    def rank_one_images(self, vectors) -> np.ndarray:
+        return np.where(self._mask, _outer_stack(self._check_vectors(vectors)), 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class VectorState(PositiveUnitalMap):
@@ -235,6 +271,10 @@ class VectorState(PositiveUnitalMap):
         x = self.vector
         return np.array([[np.vdot(x, m @ x)]], dtype=np.complex128)
 
+    def rank_one_images(self, vectors) -> np.ndarray:
+        w = self.vector.conj() @ self._check_vectors(vectors)
+        return (w.conj() * w).reshape(-1, 1, 1)
+
 
 @dataclass(frozen=True, eq=False)
 class NormalizedTrace(PositiveUnitalMap):
@@ -257,6 +297,10 @@ class NormalizedTrace(PositiveUnitalMap):
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
         return np.array([[np.trace(m) / self.n]], dtype=np.complex128)
+
+    def rank_one_images(self, vectors) -> np.ndarray:
+        v = self._check_vectors(vectors)
+        return (np.einsum("ij,ij->j", v.conj(), v) / self.n).reshape(-1, 1, 1)
 
 
 def apply(pulm: PositiveUnitalMap, a) -> np.ndarray:

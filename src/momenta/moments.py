@@ -140,7 +140,8 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
     """Tabulate ``Phi(A^k)`` for ``k = k_min..k_max``.
 
     ``route="spectral"`` contracts the power matrix ``lambda_j^k`` with the
-    stacked images ``Phi(v_j v_j*)`` of the eigenprojections of ``A``;
+    stacked images ``Phi(v_j v_j*)`` of the eigenprojections of ``A``, which
+    the map's ``rank_one_images`` gives for all eigenvectors at once;
     ``route="direct"`` applies the map to explicitly multiplied matrix
     powers. The two agree to rounding and their agreement is one of the
     package's standing cross-checks.
@@ -164,7 +165,7 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
         raise ValueError(f"unknown route {route!r}; expected spectral or direct")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         if route == "spectral":
-            images = spectral_images(pulm, spectrum)
+            images = pulm.rank_one_images(spectrum.eigenvectors)
             n, k = images.shape[:2]
             lam_powers = lam[np.newaxis, :] ** powers[:, np.newaxis]
             blocks = (lam_powers @ images.reshape(n, k * k)).reshape(-1, k, k)
@@ -184,16 +185,6 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
         m=spectrum.min,
         M=spectrum.max,
     )
-
-
-def spectral_images(pulm: PositiveUnitalMap, spectrum) -> np.ndarray:
-    """``Phi(v_j v_j*)`` for each eigenvector ``v_j``, as an ``(n, k, k)`` stack.
-
-    The map is applied to one rank-one projection at a time, so no
-    ``(n, n, n)`` stack of projections is ever held.
-    """
-    return np.stack([pulm.apply(np.outer(v, v.conj()))
-                     for v in spectrum.eigenvectors.T])
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,12 @@ class _ReflectedTrace(maps.PositiveUnitalMap):
         m = self._check_input(a)
         return 2.0 * np.trace(m) / self.n * np.eye(self.n) - m
 
+    def rank_one_images(self, vectors):
+        v = self._check_vectors(vectors)
+        squared_norms = np.einsum("ij,ij->j", v.conj(), v)
+        outer = v.T[:, :, np.newaxis] * v.T.conj()[:, np.newaxis, :]
+        return 2.0 * squared_norms[:, None, None] / self.n * np.eye(self.n) - outer
+
 
 @pytest.mark.parametrize("check,n,seed", [
     ("kadison", 3, 1),

@@ -22,6 +22,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+#: Sizes that int() used to truncate or coerce into a 1x1 matrix.
+NON_INTEGER_SIZES = [
+    '{"rows":1.5,"cols":1.5,"entries":[[2,0]]}',
+    '{"rows":"1","cols":true,"entries":[["2",0]]}',
+]
+
+
 class TestParseMatrix:
     def test_identity_json(self, tmp_path):
         path = write(tmp_path, "eye.json",
@@ -62,11 +69,20 @@ class TestParseMatrix:
         '{"rows":2,"cols":2,"entries":[[1,0],[0],[0,0],[1,0]]}',
         '{"rows":-1,"cols":-1,"entries":[[1,0]]}',
         '{"rows":0,"cols":0,"entries":[]}',
-    ])
+    ] + NON_INTEGER_SIZES)
     def test_malformed_entries_are_value_errors(self, tmp_path, text):
         path = write(tmp_path, "bad.json", text)
         with pytest.raises(ValueError, match="bad.json"):
             cli.parse_matrix(path)
+
+    @pytest.mark.parametrize("text", NON_INTEGER_SIZES)
+    @pytest.mark.parametrize("command", ["bounds", "verify", "moments"])
+    def test_non_integer_sizes_exit_1(self, tmp_path, capsys, command, text):
+        path = write(tmp_path, "bad.json", text)
+        assert cli.main([command, path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad.json" in err[0]
 
     def test_complex_json(self, tmp_path):
         path = write(tmp_path, "c.json",

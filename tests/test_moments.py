@@ -96,11 +96,17 @@ def operand_scale_oracle(kind, table, r, eigenvalues=None, gap_index=None):
                    for d, c in weights.items()) for e in range(2 * r + 1))
 
 
+def projection_images(pulm, vectors):
+    """``Phi(v v*)`` for each column ``v``, one ``apply`` on one explicit
+    rank-one matrix at a time: an oracle for ``rank_one_images``."""
+    return np.stack([pulm.apply(np.outer(v, v.conj())) for v in vectors.T])
+
+
 def spectral_sum_table(pulm, a, k_min, k_max):
     """Spectral-route powers as per-eigenpair sums ``sum_j lambda_j^k
     Phi(v_j v_j*)``, one power at a time: an oracle for the contraction."""
     spectrum = linalg.hermitian_eig(a)
-    images = [pulm.apply(np.outer(v, v.conj())) for v in spectrum.eigenvectors.T]
+    images = projection_images(pulm, spectrum.eigenvectors)
     return [linalg.hermitian_part(sum((lam ** k) * w for lam, w in
                                       zip(spectrum.eigenvalues, images)))
             for k in range(k_min, k_max + 1)]
@@ -188,14 +194,38 @@ class TestMomentTable:
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_spectral_images(self, kind):
         pulm = maps.random_map(kind, 4, k=2, seed=13)
-        spectrum = linalg.hermitian_eig(linalg.random_hermitian(4, 14))
-        images = moments.spectral_images(pulm, spectrum)
+        vectors = linalg.hermitian_eig(linalg.random_hermitian(4, 14)).eigenvectors
+        images = pulm.rank_one_images(vectors)
+        expected = projection_images(pulm, vectors)
         k = pulm.codomain_dim
         assert images.shape == (4, k, k)
-        for v, image in zip(spectrum.eigenvectors.T, images):
-            np.testing.assert_array_equal(image, pulm.apply(np.outer(v, v.conj())))
+        if kind in ("identity", "pinching"):
+            # the same products v_a conj(v_b), kept or zeroed
+            np.testing.assert_array_equal(images, expected)
+        else:
+            # W = K* V multiplies in another order; entries are at most 1
+            assert np.max(np.abs(images - expected)) <= 8 * 4 * np.finfo(float).eps
         # the eigenprojections sum to I, and the map is unital
         np.testing.assert_allclose(images.sum(axis=0), np.eye(k), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(maps.MAP_KINDS), n=st.integers(1, 12),
+           k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_images_of_an_orthonormal_basis(self, kind, n, k_frac, seed):
+        k = 1 + int(k_frac * (n - 1))
+        pulm = maps.random_map(kind, n, k=k, seed=seed)
+        images = pulm.rank_one_images(linalg.random_unitary(n, seed + 1))
+        k = pulm.codomain_dim
+        assert images.shape == (n, k, k)
+        np.testing.assert_allclose(images.sum(axis=0), np.eye(k), atol=1e-12)
+        for image in images:
+            assert np.linalg.eigvalsh(image)[0] >= -1e-12
+
+    def test_rank_one_images_check_the_shape(self):
+        with pytest.raises(ShapeError):
+            maps.Identity(3).rank_one_images(np.eye(4))
+        with pytest.raises(ShapeError):
+            maps.NormalizedTrace(3).rank_one_images(np.ones(3))
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_route_equivalence(self, kind):
