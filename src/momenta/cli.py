@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -243,8 +245,52 @@ def make_report(config: RunConfig, source: str,
     }
 
 
+#: One record as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out
+#: inside a report: keys sorted, at depth 2.
+_RECORD_TEMPLATE = """    {{
+      "check": {},
+      "citation": {},
+      "margin": {},
+      "passed": {},
+      "seed": {}
+    }}"""
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN and +-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _nested_json(value) -> str:
+    """``value`` as ``json.dumps`` lays it out one level down."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """A :func:`make_report` report as JSON, byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+
+    Each record is written from one template, since that encoder spends a
+    Python call per item; ``json.dumps`` lays out ``config`` and
+    ``summary``.
+    """
+    text = encode_basestring_ascii
+    records = ",\n".join(_RECORD_TEMPLATE.format(
+        text(r["check"]), text(r["citation"]), _json_float(r["margin"]),
+        _JSON_CONSTANTS[r["passed"]], int.__repr__(r["seed"]))
+        for r in report["records"])
+    records = f"[\n{records}\n  ]" if report["records"] else "[]"
+    return (f'{{\n  "config": {_nested_json(report["config"])},\n'
+            f'  "records": {records},\n'
+            f'  "summary": {_nested_json(report["summary"])}\n}}\n')
 
 
 def _write_out(out_path: str | None, report: dict) -> None:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import frobenius, hermitian_eig, symmetrize
+from .linalg import hermitian_eig, scaled_frobenius, symmetrize
 from .maps import PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
@@ -135,7 +135,9 @@ def wolkowicz_styan(a) -> tuple[float, float]:
     the smallest eigenvalue is at most ``mu - s/sqrt(n-1)`` and the largest
     at least ``mu + s/sqrt(n-1)``. The variance is the centered sum
     ``||A - mu I||_F^2 / n``, which does not cancel as
-    ``||A||_F^2 / n - mu^2`` does.
+    ``||A||_F^2 / n - mu^2`` does. It is taken with ``A - mu I`` scaled by
+    a power of two, so the squares do not underflow at small scale or
+    overflow at large scale.
     """
     return _comparator_bounds(symmetrize(a))
 
@@ -148,9 +150,10 @@ def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
     # numpy scalars, so overflow yields inf (checked below) instead of raising
     mu = np.trace(h).real / n
     with np.errstate(over="ignore", invalid="ignore"):
-        s2 = np.float64(frobenius(h - mu * np.eye(n))) ** 2 / n
-    d = math.sqrt(s2) / math.sqrt(n - 1.0)
-    bounds = float(mu - d), float(mu + d)
+        # s / sqrt(n - 1) at the scale 2**-e, then scaled back
+        t, e = scaled_frobenius(h - mu * np.eye(n))
+        d = np.ldexp(math.sqrt(t * t / n) / math.sqrt(n - 1.0), e)
+        bounds = float(mu - d), float(mu + d)
     _require_finite("comparator bounds", bounds)
     return bounds
 

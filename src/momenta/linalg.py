@@ -12,7 +12,11 @@ reached through ``numpy.linalg.eigh``. It returns the spectrum in ascending
 order with an orthonormal eigenvector basis, which the moment machinery needs
 explicitly, and is backward stable: the reconstruction error is a small
 multiple of machine precision times ``||A||_F`` at any dense size this
-package targets (n up to a few hundred).
+package targets (n up to a few hundred). A caller that reads eigenvalues
+only asks for no vectors (``vectors=False``): the same routine then runs
+with ``jobz='N'`` through ``numpy.linalg.eigvalsh``, which skips the
+eigenvector work. Every PSD verdict (:func:`is_psd`) is such a solve, since
+it needs the minimum eigenvalue alone.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ SYMMETRY_RTOL = 1e-8
 #: Default relative tolerance for positive semidefiniteness verdicts.
 DEFAULT_PSD_TOL = 1e-9
 
+_TINY = np.finfo(float).tiny
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
@@ -41,8 +47,34 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a) -> float:
+    """``||a||_F``, summed as ``numpy.linalg.norm`` sums it, bit for bit.
+
+    A complex matrix takes the direct path, the sum of the squares of its
+    real and imaginary parts, without the dispatch of ``numpy.linalg.norm``.
+    """
+    x = np.asarray(a)
+    if x.dtype != np.complex128:
+        return float(np.linalg.norm(x))
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def scaled_frobenius(a) -> tuple[float, int]:
+    """``(t, e)`` with ``||a||_F = t * 2**e``, for norms outside double range.
+
+    ``a`` is first scaled by ``2**-e``, ``e`` the binary exponent of its
+    largest real or imaginary part. That is exact and puts every part in
+    ``(-1, 1)``, so the sum of squares cannot overflow, and only squares
+    far below ``eps`` times the largest can underflow. ``t`` is
+    :func:`frobenius` of the scaled matrix; where the unscaled sum neither
+    overflows nor underflows, ``t * 2**e`` is :func:`frobenius` of ``a``
+    bit for bit.
+    """
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return frobenius(np.ldexp(parts, -e).view(np.complex128)), e
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -55,15 +87,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _asymmetry(a: np.ndarray) -> tuple[float, float]:
-    """``||M - M*||_F`` and the threshold :func:`is_hermitian` holds it to."""
-    with np.errstate(over="ignore"):  # an infinite asymmetry fails the test
-        scale = max(frobenius(a), np.finfo(float).tiny)
-        asymmetry = frobenius(a - a.conj().T)
+def _asymmetry(m: np.ndarray, adjoint: np.ndarray,
+               scale: float) -> tuple[float, float]:
+    """``||M - M*||_F`` and the threshold :func:`is_hermitian` holds it to,
+    from ``M*`` and ``scale = ||M||_F``; called under ``errstate(over=...)``.
+    """
     if not math.isfinite(scale):
         raise DomainError("matrix norm overflows double precision; "
                           "rescale the matrix")
-    return asymmetry, SYMMETRY_RTOL * scale
+    # an infinite asymmetry fails the test
+    return frobenius(m - adjoint), SYMMETRY_RTOL * max(scale, _TINY)
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -73,39 +106,60 @@ def is_hermitian(a: np.ndarray) -> bool:
     norm overflows is rejected with :class:`DomainError`: against an
     infinite scale any asymmetry, and any later verdict, would pass.
     """
-    asymmetry, threshold = _asymmetry(a)
+    with np.errstate(over="ignore"):
+        asymmetry, threshold = _asymmetry(a, a.conj().T, frobenius(a))
     return asymmetry <= threshold
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else raise."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    asymmetry, threshold = _asymmetry(m)
+    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else raise.
+
+    One pass over the input, which is neither copied nor changed: ``M*`` is
+    formed once, for the asymmetry and for the result. The finiteness check
+    rides on ``||M||_F``, which is finite when every entry is and its sum
+    of squares does not overflow; only a non-finite norm leads to a scan of
+    the entries, to tell a NaN or infinite entry from an overflow.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    with np.errstate(over="ignore", invalid="ignore"):  # norms checked below
+        scale = frobenius(m)
+        if not math.isfinite(scale) and not np.isfinite(m).all():
+            raise DomainError("matrix contains non-finite entries")
+        if m.shape[0] != m.shape[1]:
+            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+        adjoint = m.conj().T
+        asymmetry, threshold = _asymmetry(m, adjoint, scale)
     if not asymmetry <= threshold:
         raise DomainError(
             f"matrix is not Hermitian: asymmetry {asymmetry:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * ||M||_F = {threshold:.3e}"
         )
-    return hermitian_part(m)
+    return (m + adjoint) / 2.0
 
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Eigenvalues (ascending, real) and an orthonormal eigenvector basis.
+    """Eigenvalues (ascending, real) and, if asked for, an eigenvector basis.
 
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
-    ``matrix`` is the validated Hermitian matrix they decompose.
+    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``,
+    or ``eigenvectors`` is None for an eigenvalues-only solve
+    (``hermitian_eig(a, vectors=False)``); ``matrix`` is the validated
+    Hermitian matrix they decompose.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     matrix: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         """Assemble ``V diag(lambda) V*`` back into a matrix."""
         v = self.eigenvectors
+        if v is None:
+            raise ValueError("spectrum was solved for eigenvalues only "
+                             "(vectors=False); it has no eigenvectors to "
+                             "reconstruct from")
         return (v * self.eigenvalues) @ v.conj().T
 
     @property
@@ -117,14 +171,20 @@ class HermitianSpectrum:
         return float(self.eigenvalues[-1])
 
 
-def hermitian_eig(a) -> HermitianSpectrum:
-    """Full eigendecomposition of a Hermitian matrix, checked by :func:`symmetrize`.
+def hermitian_eig(a, vectors: bool = True) -> HermitianSpectrum:
+    """Eigendecomposition of a Hermitian matrix, checked by :func:`symmetrize`.
 
     Returns the spectrum sorted ascending with matching orthonormal
     eigenvector columns; reconstruction error is a few ulps of ``||A||_F``.
+    With ``vectors=False`` only the eigenvalues are solved for
+    (``numpy.linalg.eigvalsh``, cheaper than ``eigh``), and
+    ``eigenvectors`` is None. They agree with ``eigh``'s to rounding, a few
+    ulps of ``||A||_F``, but not always bit for bit.
     """
     h = symmetrize(a)
-    return HermitianSpectrum(*np.linalg.eigh(h), matrix=h)
+    if vectors:
+        return HermitianSpectrum(*np.linalg.eigh(h), matrix=h)
+    return HermitianSpectrum(np.linalg.eigvalsh(h), None, matrix=h)
 
 
 def passes(slack: float, scale: float, rtol: float) -> bool:
@@ -159,7 +219,8 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     """Test a Hermitian matrix for positive semidefiniteness.
 
     The verdict reports the minimum eigenvalue so callers can see the margin,
-    not just the boolean. ``scale`` is the size of the operands the matrix
+    not just the boolean. It is all the verdict reads, so the matrix is
+    solved for eigenvalues only (``hermitian_eig(m, vectors=False)``). ``scale`` is the size of the operands the matrix
     was computed from, the scale :func:`passes` judges it at; by default
     the matrix's own Frobenius norm, right for a matrix that is not a
     cancelling difference. Non-Hermitian input (beyond the symmetrization
@@ -168,7 +229,7 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    spectrum = hermitian_eig(m)
+    spectrum = hermitian_eig(m, vectors=False)
     if scale is None:
         scale = frobenius(spectrum.matrix)
     return PsdVerdict(min_eigenvalue=spectrum.min, scale=scale,

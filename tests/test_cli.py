@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momenta
-from momenta import cli, linalg
+from momenta import campaign, cli, linalg, moments
 
 from conftest import EXAMPLE_3X3
 
@@ -264,6 +266,43 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 1
 
 
+#: Margins that need care in JSON: NaN, the infinities, a signed zero and
+#: subnormals, besides any other float.
+MARGINS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                     5e-324, -2.5e-310]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+CHECK_RECORDS = st.builds(
+    moments.CheckRecord, check=st.text(max_size=12), citation=st.text(),
+    passed=st.sampled_from([True, False, None]), margin=MARGINS,
+    seed=st.integers(0, 2**31))
+
+
+class TestReportToJson:
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(CHECK_RECORDS, max_size=8),
+           source=st.text(), seed=st.integers(0, 2**31))
+    def test_bytes_equal_json_dumps(self, records, source, seed):
+        report = cli.make_report(cli.RunConfig(seed=seed), source, records)
+        assert (cli.report_to_json(report)
+                == json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("source", ["m.json", "matrices/\u00e9t\u00e9 \u2211.json"])
+    def test_empty_report_and_non_ascii_path(self, source):
+        report = cli.make_report(cli.RunConfig(), source, [])
+        text = cli.report_to_json(report)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert '"records": [],' in text and text.isascii()
+
+    def test_campaign_report(self):
+        records = campaign.run_campaign(count=6, seed=5)
+        report = cli.make_report(cli.RunConfig(instances=6, seed=5), "random",
+                                 records)
+        assert (cli.report_to_json(report)
+                == json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 class TestSeedResolution:
     def test_env_var_overrides_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
@@ -340,8 +379,10 @@ class TestFlags:
     ("moments", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
     ("verify", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
     ("bounds", '{"rows":1,"cols":1,"entries":[[null,0]]}'),
+    # the inverse moment's scale ||Phi(A)^-1||_F overflows, the matrix not
+    ("verify", cli.write_matrix_json(1e-200 * np.diag([1.0, 2.0, 4.0]))),
 ], ids=["norm-overflow", "moments-power-overflow", "verify-power-overflow",
-        "malformed"])
+        "malformed", "verify-inverse-scale-overflow"])
 def test_bad_input_is_one_error_line(tmp_path, command, text):
     # a subprocess, so numpy warnings written straight to stderr are seen
     path = write(tmp_path, "a.json", text)

@@ -269,6 +269,16 @@ class TestWolkowiczStyan:
         with pytest.raises(DomainError, match="overflow"):
             eigenbounds.wolkowicz_styan(np.diag([big, -big, 3.0]))
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1.0, 1e100])
+    def test_scales_with_the_matrix(self, c):
+        # ||A - mu I||_F^2 underflowed below c ~ 1e-154, which moved the
+        # bounds and, at 1e-200, collapsed both onto the mean 7c/3
+        atoms = np.diag([1.0, 2.0, 4.0])
+        unit = eigenbounds.wolkowicz_styan(atoms)
+        assert unit == (1.4514162296451367, 3.2152504370215302)
+        for got, want in zip(eigenbounds.wolkowicz_styan(c * atoms), unit):
+            assert abs(got - c * want) <= 4 * np.spacing(c * want)
+
     def test_always_valid_on_random_instances(self):
         for seed in range(20):
             a = linalg.random_hermitian(2 + seed % 5, seed)

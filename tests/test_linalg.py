@@ -1,10 +1,15 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momenta import linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
+
+EPS = np.finfo(float).eps
 
 
 def quad_eig2(a, b, c):
@@ -84,6 +89,24 @@ class TestHermitianEig:
         with pytest.raises(DomainError):
             linalg.hermitian_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_eigenvalues_only(self, n):
+        a = linalg.random_hermitian(n, 30 + n)
+        full = linalg.hermitian_eig(a)
+        only = linalg.hermitian_eig(a, vectors=False)
+        assert only.eigenvectors is None
+        np.testing.assert_array_equal(only.matrix, full.matrix)
+        np.testing.assert_allclose(only.eigenvalues, full.eigenvalues, rtol=0,
+                                   atol=8 * n * EPS * linalg.frobenius(a))
+        assert np.all(np.diff(only.eigenvalues) >= 0.0)
+        with pytest.raises(ValueError, match="eigenvalues only"):
+            only.reconstruct()
+
+
+#: The messages of the input errors :func:`linalg.symmetrize` raises.
+NON_FINITE = "matrix contains non-finite entries"
+OVERFLOW = "matrix norm overflows double precision; rescale the matrix"
+
 
 class TestSymmetrize:
     def test_absorbs_roundoff(self):
@@ -115,6 +138,46 @@ class TestSymmetrize:
             assert not linalg.is_hermitian(np.array(a))
             with pytest.raises(DomainError, match="not Hermitian"):
                 linalg.symmetrize(a)
+
+    @pytest.mark.parametrize("a, error, message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], DomainError, NON_FINITE),
+        ([[1.0, 0.0], [0.0, np.inf]], DomainError, NON_FINITE),
+        ([[1.0, complex(0.0, -np.inf)], [0.0, 1.0]], DomainError, NON_FINITE),
+        # a non-finite entry is reported before the shape, as before
+        ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]], DomainError, NON_FINITE),
+        ([[1e160, 0.0], [0.0, 1e160]], DomainError, OVERFLOW),
+        (np.ones((2, 3)), ShapeError,
+         "expected a square matrix, got shape (2, 3)"),
+        (np.ones(3), ShapeError, "expected a 2-D matrix, got ndim=1"),
+        (np.ones((2, 2, 2)), ShapeError, "expected a 2-D matrix, got ndim=3"),
+        ([[0.0, 1.0], [0.0, 0.0]], DomainError,
+         "matrix is not Hermitian: asymmetry 1.414e+00 exceeds "
+         "1.0e-08 * ||M||_F = 1.000e-08"),
+    ], ids=["nan", "inf", "complex-inf", "nan-non-square", "norm-overflow",
+            "non-square", "1-d", "3-d", "non-hermitian"])
+    def test_errors_and_messages(self, a, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                linalg.symmetrize(a)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_result_is_the_hermitian_part_and_input_is_untouched(self, n,
+                                                                 real):
+        rng = np.random.default_rng(n)
+        a = linalg.random_hermitian(n, n)
+        # round-off asymmetry, which symmetrize absorbs
+        a = (a.real if real else a) + 1e-12 * rng.standard_normal((n, n))
+        before = a.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = linalg.symmetrize(a)
+        np.testing.assert_array_equal(a, before)
+        assert not np.shares_memory(h, a)
+        assert h.dtype == np.complex128
+        expected = linalg.hermitian_part(a.astype(np.complex128))
+        assert h.tobytes() == expected.tobytes()
 
 
 class TestIsPsd:
@@ -175,6 +238,31 @@ class TestIsPsd:
         # an infinite scale would accept any minimum eigenvalue
         with pytest.raises(DomainError, match="overflow"):
             linalg.is_psd(np.diag([1e160, -1e160]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**31),
+           exponent=st.floats(-6.0, 6.0))
+    def test_min_eigenvalue_agrees_with_eigh(self, n, seed, exponent):
+        # the eigenvalues-only solve against the full one, within rounding
+        h = 10.0 ** exponent * linalg.random_hermitian(n, seed)
+        reference = np.linalg.eigh(h)[0][0]
+        verdict = linalg.is_psd(h)
+        assert (abs(verdict.min_eigenvalue - reference)
+                <= 8 * n * EPS * linalg.frobenius(h))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_verdict_at_the_threshold(self, n, c):
+        # lambda_min a thousandth inside and outside -tol * scale; the
+        # eigensolve's rounding, ~n eps c, is far below that thousandth
+        tol, scale = 1e-9, 3.0 * c
+        rest = c * np.linspace(0.5, 1.0, n - 1)
+        for factor, passed in ((0.999, True), (1.001, False)):
+            lam = np.concatenate([[-factor * tol * scale], rest])
+            h = linalg.hermitian_with_spectrum(lam, seed=n)
+            verdict = linalg.is_psd(h, tol, scale)
+            assert verdict.passed is passed
+            assert verdict.min_eigenvalue == pytest.approx(lam[0], rel=1e-4)
 
 
 class TestKron:
