@@ -17,10 +17,22 @@ only asks for no vectors (``vectors=False``): the same routine then runs
 with ``jobz='N'`` through ``numpy.linalg.eigvalsh``, which skips the
 eigenvector work. Every PSD verdict (:func:`is_psd`) is such a solve, since
 it needs the minimum eigenvalue alone.
+
+Every check of an instance reads the same spectrum of ``A``, so the full
+solve (``vectors=True``) is memoized: the last two distinct inputs, keyed on
+their exact bytes as ``complex128`` in C order, keep their spectrum, and a
+byte-identical input gets it back without a second check or solve. A matrix
+changed in any entry is a new key, never a stale answer. The memo holds about
+``2 * 3 * 16 n^2`` bytes, and its arrays (``eigenvalues``, ``eigenvectors``
+and ``matrix``) are read-only, since every caller of a hit shares them. The
+eigenvalues-only solve is not memoized: its inputs are transient PSD blocks
+that seldom repeat, and its eigenvalues may differ from ``eigh``'s in the
+last bits, so it must not read an ``eigh`` entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,19 +183,39 @@ class HermitianSpectrum:
         return float(self.eigenvalues[-1])
 
 
+@functools.lru_cache(maxsize=2)
+def _eigh(shape: tuple[int, ...], data: bytes) -> HermitianSpectrum:
+    """The full solve of :func:`hermitian_eig`, memoized on the input bytes.
+
+    An input that fails :func:`symmetrize` raises and leaves no entry.
+    """
+    h = symmetrize(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    w, v = np.linalg.eigh(h)
+    for x in (w, v, h):
+        x.flags.writeable = False
+    return HermitianSpectrum(w, v, matrix=h)
+
+
 def hermitian_eig(a, vectors: bool = True) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, checked by :func:`symmetrize`.
 
     Returns the spectrum sorted ascending with matching orthonormal
     eigenvector columns; reconstruction error is a few ulps of ``||A||_F``.
+    The full solve is memoized on the exact bytes of the input (as
+    ``complex128`` in C order) for the last two distinct inputs: a repeat
+    skips both the check and the solve, since it is an input that already
+    passed the check, and gets the same read-only arrays.
     With ``vectors=False`` only the eigenvalues are solved for
     (``numpy.linalg.eigvalsh``, cheaper than ``eigh``), and
     ``eigenvectors`` is None. They agree with ``eigh``'s to rounding, a few
-    ulps of ``||A||_F``, but not always bit for bit.
+    ulps of ``||A||_F``, but not always bit for bit, so this solve never
+    reads the memo; nor is it memoized, as its inputs are transient blocks
+    that seldom repeat.
     """
-    h = symmetrize(a)
     if vectors:
-        return HermitianSpectrum(*np.linalg.eigh(h), matrix=h)
+        m = np.asarray(a, dtype=np.complex128, order="C")
+        return _eigh(m.shape, m.tobytes())
+    h = symmetrize(a)
     return HermitianSpectrum(np.linalg.eigvalsh(h), None, matrix=h)
 
 
@@ -220,12 +252,12 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
 
     The verdict reports the minimum eigenvalue so callers can see the margin,
     not just the boolean. It is all the verdict reads, so the matrix is
-    solved for eigenvalues only (``hermitian_eig(m, vectors=False)``). ``scale`` is the size of the operands the matrix
-    was computed from, the scale :func:`passes` judges it at; by default
-    the matrix's own Frobenius norm, right for a matrix that is not a
-    cancelling difference. Non-Hermitian input (beyond the symmetrization
-    tolerance) and a matrix whose Frobenius norm overflows are rejected
-    with :class:`DomainError`.
+    solved for eigenvalues only (``hermitian_eig(m, vectors=False)``).
+    ``scale`` is the size of the operands the matrix was computed from, the
+    scale :func:`passes` judges it at; by default the matrix's own
+    Frobenius norm, right for a matrix that is not a cancelling difference.
+    Non-Hermitian input (beyond the symmetrization tolerance) and a matrix
+    whose Frobenius norm overflows are rejected with :class:`DomainError`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momenta import campaign
+from momenta import campaign, linalg
 
 ROOT2 = np.sqrt(2.0)
 
@@ -23,6 +23,22 @@ def example_3x3():
 def shared_corpus():
     """The 200-instance corpus shared by the block, scalar, and oracle suites."""
     return campaign.corpus(count=200, seed=42, n_range=(2, 6), r_max=3)
+
+
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """The bytes of every matrix ``numpy.linalg.eigh`` solves, in order,
+    starting from an empty eigensolve memo."""
+    linalg._eigh.cache_clear()
+    seen = []
+    solve = np.linalg.eigh
+
+    def counting(h):
+        seen.append(np.ascontiguousarray(h).tobytes())
+        return solve(h)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", counting)
+    return seen
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

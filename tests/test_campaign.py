@@ -302,6 +302,19 @@ def test_single_matrix_records_unstructured_input_all_skipped():
     assert records and all(r.passed is None for r in records)
 
 
+@pytest.mark.parametrize("spec, solved", [("trace", 2), ("compression:4", 1)])
+def test_single_matrix_records_solves_each_distinct_input_once(
+        eigh_inputs, spec, solved):
+    # every suite reads A's spectrum, and a functional's centered checks
+    # that of A - phi(A) I; the memo solves each of them once
+    a = linalg.hermitian_with_spectrum(np.linspace(0.5, 6.0, 12), 12)
+    pulm = cli.build_map(spec, 12, 4)
+    records = campaign.single_matrix_records(a, pulm, seed=4)
+    assert not any(r.passed is False for r in records)
+    assert collections.Counter(eigh_inputs).most_common(1)[0][1] == 1
+    assert len(eigh_inputs) == solved
+
+
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e7])
 def test_single_matrix_records_near_identity_runs_centered_checks(c):
     # the centered interval comes from the uncentered spectrum, whose

@@ -245,6 +245,33 @@ class TestVerifyCommand:
         rec = report["records"][0]
         assert set(rec) == {"check", "citation", "passed", "margin", "seed"}
 
+    @pytest.mark.parametrize("argv", [
+        ["--map", "trace"], ["--map", "pinching"], ["--map", "compression:3"],
+        ["--random", "--instances", "12"],
+    ])
+    def test_eigensolve_memo_cannot_change_a_report(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        if "--random" not in argv:
+            argv = [write(tmp_path, "a.json", cli.write_matrix_json(
+                linalg.random_hermitian(8, 5))), *argv]
+
+        def report(name):
+            out = str(tmp_path / name)
+            assert cli.main(["verify", *argv, "--seed", "3",
+                             "--out", out]) == 0
+            capsys.readouterr()
+            return open(out, "rb").read()
+
+        memo = report("memo.json")
+        solve = linalg._eigh
+
+        def fresh(shape, data):
+            solve.cache_clear()
+            return solve(shape, data)
+
+        monkeypatch.setattr(linalg, "_eigh", fresh)
+        assert report("fresh.json") == memo
+
     def test_report_records_sorted(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")
         assert cli.main(["verify", "--random", "--instances", "6",

@@ -103,6 +103,67 @@ class TestHermitianEig:
             only.reconstruct()
 
 
+class TestEigMemo:
+    """The full solve is memoized on the exact input bytes, two entries."""
+
+    def test_a_hit_returns_the_same_read_only_arrays(self, eigh_inputs):
+        a = linalg.random_hermitian(5, 1)
+        first = linalg.hermitian_eig(a)
+        again = linalg.hermitian_eig(a.copy())
+        assert len(eigh_inputs) == 1
+        for x, y in ((first.eigenvalues, again.eigenvalues),
+                     (first.eigenvectors, again.eigenvectors),
+                     (first.matrix, again.matrix)):
+            np.testing.assert_array_equal(x, y)
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = 0.0
+
+    def test_a_mutated_input_is_solved_again(self, eigh_inputs):
+        a = linalg.random_hermitian(4, 2)
+        before = a.copy()
+        first = linalg.hermitian_eig(a)
+        a[0, 0] += 1.0
+        second = linalg.hermitian_eig(a)
+        assert len(eigh_inputs) == 2
+        np.testing.assert_array_equal(first.matrix, before)
+        np.testing.assert_array_equal(second.matrix, a)
+        assert linalg.frobenius(second.reconstruct() - a) <= 1e-12
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([[0.0, 1.0], [0.0, 0.0]], DomainError, "not Hermitian"),
+        ([[np.nan, 0.0], [0.0, 1.0]], DomainError, "non-finite"),
+        (np.ones((2, 3)), ShapeError, r"square matrix, got shape \(2, 3\)"),
+        (np.float64(2.0), ShapeError, "2-D matrix, got ndim=0"),
+        (np.ones(3), ShapeError, "2-D matrix, got ndim=1"),
+    ])
+    def test_rejected_input_raises_alike_and_leaves_no_entry(
+            self, eigh_inputs, bad, error, message):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error, match=message) as exc:
+                linalg.hermitian_eig(bad)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+        assert linalg._eigh.cache_info().currsize == 0
+        assert eigh_inputs == []
+
+    def test_eigenvalues_only_never_read_the_memo(self, eigh_inputs):
+        for seed in range(20):
+            a = linalg.random_hermitian(9, seed)
+            linalg.hermitian_eig(a)
+            only = linalg.hermitian_eig(a, vectors=False)
+            assert only.eigenvalues.tobytes() == np.linalg.eigvalsh(
+                linalg.symmetrize(a)).tobytes()
+
+    def test_a_third_input_evicts_the_first(self, eigh_inputs):
+        a, b, c = (linalg.random_hermitian(3, seed) for seed in (1, 2, 3))
+        for m in (a, b, c, c, b):
+            linalg.hermitian_eig(m)
+        assert len(eigh_inputs) == 3
+        linalg.hermitian_eig(a)
+        assert len(eigh_inputs) == 4
+
+
 #: The messages of the input errors :func:`linalg.symmetrize` raises.
 NON_FINITE = "matrix contains non-finite entries"
 OVERFLOW = "matrix norm overflows double precision; rescale the matrix"
