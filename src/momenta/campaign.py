@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigenbounds, moments
-from .errors import DomainError
 from .linalg import (
     frobenius,
     hermitian_eig,
@@ -110,34 +109,26 @@ def normal_corpus(count: int = 200, seed: int = 42,
     return out
 
 
+def _block_records(blocks, seed, tol, prefix="psd_") -> list[CheckRecord]:
+    """One record per ``(kind, block)`` of :func:`moments.build_blocks`,
+    skipped where the block is None."""
+    return [skip_record(prefix + kind, seed) if block is None
+            else record(prefix + kind, seed,
+                        *psd_outcome(block.assembled, block.scale, tol))
+            for kind, block in blocks]
+
+
 def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
     table = moments.moment_table(pulm, matrix, 0, 2 * r + 2)
-    records = []
-    for kind in _ALWAYS_KINDS:
-        block = moments.build_block(kind, table, r)
-        records.append(record(f"psd_{kind}", seed, *psd_outcome(
-            block.assembled, block.scale, tol)))
     distinct = moments.distinct_eigenvalues(hermitian_eig(matrix).eigenvalues)
-    for g in range(2, distinct.size + 1):
-        try:
-            block = moments.build_block("gap_product", table, r,
-                                        eigenvalues=distinct, gap_index=g)
-        except DomainError:
-            records.append(skip_record("psd_gap_product", seed))
-            continue
-        records.append(record("psd_gap_product", seed, *psd_outcome(
-            block.assembled, block.scale, tol)))
-    return records
+    return _block_records(moments.build_blocks(table, r, _ALWAYS_KINDS,
+                                               eigenvalues=distinct), seed, tol)
 
 
 def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
     table_pd = moments.moment_table(pulm, matrix_pd, -1, 2 * r + 2)
-    records = []
-    for kind in _PD_KINDS:
-        block = moments.build_block(kind, table_pd, r)
-        records.append(record(f"psd_{kind}", seed, *psd_outcome(
-            block.assembled, block.scale, tol)))
-    return records
+    return _block_records(moments.build_blocks(table_pd, r, _PD_KINDS),
+                          seed, tol)
 
 
 def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
@@ -171,13 +162,8 @@ def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
     # from the eigensolve of ``centered``; the two differ by rounding
     ctable = replace(moments.moment_table(functional, centered, 0, 2 * r + 2),
                      m=float(lam[0] - mean), M=float(lam[-1] - mean))
-    records = []
-    for kind, name in (("lower_shift", "centered_lower_shift"),
-                       ("upper_shift", "centered_upper_shift")):
-        block = moments.build_block(kind, ctable, r)
-        records.append(record(name, seed, *psd_outcome(
-            block.assembled, block.scale, tol)))
-    return records
+    return _block_records(moments.build_blocks(
+        ctable, r, ("lower_shift", "upper_shift")), seed, tol, "centered_")
 
 
 def _restamp(results: list[CheckRecord], seed: int,
@@ -264,9 +250,8 @@ def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
                           passes(-err, 1.0, 1e-8), 1e-8 - err))
 
     table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * r + 2)
-    low = moments.build_block("lower_shift", table, r).assembled
-    high = moments.build_block("upper_shift", table, r).assembled
-    hank = moments.build_block("hankel", table, r).assembled
+    low, high, hank = (block.assembled for _, block in moments.build_blocks(
+        table, r, ("lower_shift", "upper_shift", "hankel")))
     err = float(np.max(np.abs(low + high - (table.M - table.m) * hank)))
     # low and high are differences T(e+1) - m T(e), M T(e) - T(e+1): their
     # rounding scales with the terms before subtraction

@@ -100,9 +100,10 @@ def parse_matrix(path: str) -> np.ndarray:
     """Load a complex matrix from a JSON or CSV file.
 
     The format is chosen by content: files whose first non-space character
-    is ``{`` are treated as JSON, everything else as CSV.
+    is ``{`` are treated as JSON, everything else as CSV. A UTF-8 byte order
+    mark at the start of the file is dropped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

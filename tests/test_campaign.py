@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,34 @@ def test_single_matrix_records_solves_each_distinct_input_once(
     assert not any(r.passed is False for r in records)
     assert collections.Counter(eigh_inputs).most_common(1)[0][1] == 1
     assert len(eigh_inputs) == solved
+
+
+#: tracemalloc peaks, in bytes, of ``single_matrix_records`` on
+#: ``random_hermitian(48, 1)`` at seed 1 (warm, eigensolve memo cleared) when
+#: every block was gathered by itself, one block per gather (numpy 2.4.6).
+ONE_BLOCK_PER_GATHER_PEAK = {"identity": 3_439_681, "pinching": 3_707_145}
+
+
+@pytest.mark.parametrize("spec", sorted(ONE_BLOCK_PER_GATHER_PEAK))
+def test_k_equals_n_block_families_stay_within_the_gather_budget(spec):
+    # 47 gap blocks of 192 rows: about 28 MB gathered at once, twice that
+    # with the grid of blocks, without the budget
+    a = linalg.random_hermitian(48, 1)
+    pulm = cli.build_map(spec, 48, 1)
+    campaign.single_matrix_records(a, pulm, 1)
+    linalg._eigh.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        campaign.single_matrix_records(a, pulm, 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= ONE_BLOCK_PER_GATHER_PEAK[spec] + 2 * moments.GATHER_BUDGET
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e7])

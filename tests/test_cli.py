@@ -93,6 +93,31 @@ class TestParseMatrix:
         np.testing.assert_array_equal(m, np.array([[0, 1j], [-1j, 0]]))
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark, which some editors write, is not content."""
+
+    FILES = {"m.json": cli.write_matrix_json(EXAMPLE_3X3),
+             "m.csv": cli.write_matrix_csv(EXAMPLE_3X3)}
+
+    def bom_file(self, tmp_path, name):
+        path = tmp_path / f"bom-{name}"
+        path.write_bytes(b"\xef\xbb\xbf" + self.FILES[name].encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_parses_as_the_plain_file(self, tmp_path, name):
+        plain = cli.parse_matrix(write(tmp_path, name, self.FILES[name]))
+        with_bom = cli.parse_matrix(self.bom_file(tmp_path, name))
+        assert with_bom.dtype == plain.dtype
+        assert with_bom.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_commands_exit_0(self, tmp_path, capsys, command, name):
+        assert cli.main([command, self.bom_file(tmp_path, name)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRoundTrip:
     def test_json_round_trip_is_value_exact(self):
         m = linalg.random_hermitian(4, seed=3)

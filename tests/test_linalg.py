@@ -241,6 +241,61 @@ class TestSymmetrize:
         assert h.tobytes() == expected.tobytes()
 
 
+class TestSymmetrizeExactInput:
+    """Input equal to its adjoint entry for entry skips the asymmetry norm
+    and still returns a fresh Hermitian part, bit for bit."""
+
+    @pytest.fixture
+    def asymmetry_calls(self, monkeypatch):
+        calls = []
+        measure = linalg._asymmetry
+
+        def counting(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(linalg, "_asymmetry", counting)
+        return calls
+
+    EXACT = {
+        "1x1": np.array([[2.5]]),
+        "zero": np.zeros((3, 3)),
+        # conj(-0.0j) is +0.0j, which compares equal
+        "negative-zero-diagonal": np.array([[complex(1.0, -0.0), 2.0 + 1.0j],
+                                            [2.0 - 1.0j, complex(-3.0, -0.0)]]),
+        "real-symmetric": linalg.random_hermitian(6, 2).real,
+        "complex": linalg.random_hermitian(7, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_exact_input_skips_the_norm(self, asymmetry_calls, name):
+        a = self.EXACT[name]
+        before = a.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = linalg.symmetrize(a)
+        assert asymmetry_calls == []
+        assert h.tobytes() == linalg.hermitian_part(
+            a.astype(np.complex128)).tobytes()
+        assert not np.shares_memory(h, a)
+        np.testing.assert_array_equal(a, before)
+
+    def test_rounding_asymmetry_is_measured_once(self, asymmetry_calls):
+        a = linalg.random_hermitian(5, 4)
+        a[0, 1] += 1e-14
+        h = linalg.symmetrize(a)
+        assert len(asymmetry_calls) == 1
+        assert h.tobytes() == linalg.hermitian_part(a).tobytes()
+
+    def test_an_overflowing_norm_still_raises(self, asymmetry_calls):
+        a = [[1e160, 0.0], [0.0, 1e160]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(OVERFLOW)}$"):
+                linalg.symmetrize(a)
+        assert len(asymmetry_calls) == 1
+
+
 class TestIsPsd:
     def test_identity(self):
         verdict = linalg.is_psd(np.eye(3))

@@ -364,6 +364,175 @@ class TestBuildBlock:
         np.testing.assert_allclose(low + high, (t.M - t.m) * hank, atol=1e-10)
 
 
+def random_table(k, real, seed, m=-0.7, M=1.3):
+    """A table of random Hermitian ``k x k`` powers -1..8 on ``[m, M]``.
+
+    Real tables store imaginary parts of ``+0.0`` and ``-0.0`` at random,
+    so the blocks carry signed zeros that a bitwise comparison must match.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((10, k, k))
+    if not real:
+        g = g + 1j * rng.standard_normal((10, k, k))
+    blocks = ((g + g.conj().transpose(0, 2, 1)) / 2.0).astype(np.complex128)
+    if real:
+        blocks.imag = np.copysign(0.0, rng.standard_normal(blocks.shape))
+    return moments.MomentTable(k_min=-1, k_max=8, blocks=blocks, m=m, M=M)
+
+
+#: Distinct eigenvalues in the interval of :func:`random_table`.
+TABLE_SPECTRUM = np.array([-0.7, -0.2, 0.1, 0.9, 1.3])
+
+#: Every kind but ``gap_product``, whose family comes from eigenvalues.
+PLAIN_KINDS = tuple(kind for kind in moments.BLOCK_KINDS
+                    if kind != "gap_product")
+
+
+def looped_distinct_eigenvalues(values):
+    """The per-value grouping loop that :func:`moments.distinct_eigenvalues`
+    replaced: an oracle for its bits."""
+    vals = np.sort(np.asarray(values, dtype=np.float64))
+    if vals.size == 0:
+        return vals
+    width = max(vals[-1] - vals[0], np.finfo(float).tiny)
+    groups = [[vals[0]]]
+    for v in vals[1:]:
+        if v - groups[-1][-1] <= moments.GAP_RTOL * width:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return np.array([np.mean(g) for g in groups])
+
+
+class TestBuildBlocks:
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_family_equals_entrywise_blocks(self, k, real):
+        t = random_table(k, real, seed=10 * k + real)
+        lam = TABLE_SPECTRUM
+        signed_zeros = 0
+        for r in range(4):
+            family = list(moments.build_blocks(t, r, PLAIN_KINDS,
+                                               eigenvalues=lam))
+            assert [kind for kind, _ in family] == (
+                list(PLAIN_KINDS) + ["gap_product"] * (lam.size - 1))
+            for i, (kind, block) in enumerate(family):
+                extra, weights = {}, None
+                if kind == "gap_product":
+                    g = i - len(PLAIN_KINDS) + 2
+                    extra = {"eigenvalues": lam, "gap_index": g}
+                    s, u = float(lam[g - 2]), float(lam[g - 1])
+                    weights = {2: 1.0, 1: s + u, 0: s * u}
+                single = moments.build_block(kind, t, r, **extra)
+                expected = entry_block(kind, t, r, **extra)
+                # bit for bit, signed zeros included
+                assert block.assembled.dtype == expected.dtype
+                assert block.assembled.tobytes() == expected.tobytes()
+                assert single.assembled.tobytes() == expected.tobytes()
+                assert block.scale == single.scale
+                assert block.scale == pytest.approx(
+                    operand_scale_oracle(kind, t, r, **extra), rel=1e-14)
+                if weights is not None:
+                    # the scalar scale of one pair, as a float expression
+                    assert block.scale == t.operand_scale(weights, r)
+                zeros = block.assembled.imag == 0.0
+                signed_zeros += np.signbit(block.assembled.imag[zeros]).sum()
+        assert signed_zeros > 0 or not real
+
+    def test_narrow_pairs_are_skipped_where_build_block_raises(self):
+        t = random_table(2, False, seed=7)
+        gap = moments.GAP_RTOL * (t.M - t.m)
+        lam = np.array([-0.7, -0.7 + 0.5 * gap, -0.2, -0.2 + 0.25 * gap,
+                        0.4, 1.3])
+        family = list(moments.build_blocks(t, 1, eigenvalues=lam))
+        assert [block is None for _, block in family] == [
+            True, False, True, False, False]
+        for g, (kind, block) in enumerate(family, start=2):
+            assert kind == "gap_product"
+            if block is None:
+                with pytest.raises(DomainError, match="too narrow"):
+                    moments.build_block(kind, t, 1, eigenvalues=lam,
+                                        gap_index=g)
+            else:
+                single = moments.build_block(kind, t, 1, eigenvalues=lam,
+                                             gap_index=g)
+                assert block.assembled.tobytes() == single.assembled.tobytes()
+                assert block.scale == single.scale
+
+    def test_one_gather_per_family_and_a_budget_of_one_block(self,
+                                                             monkeypatch):
+        t = random_table(3, False, seed=11)
+        kinds = ("hankel", "lower_shift", "range_product_inv")
+        gathers = []
+        gather = moments._gather
+
+        def counting(sequences):
+            gathers.append(sequences.shape[0])
+            return gather(sequences)
+
+        monkeypatch.setattr(moments, "_gather", counting)
+
+        def family():
+            return [(kind, block.assembled.copy(), block.scale) for kind, block
+                    in moments.build_blocks(t, 2, kinds,
+                                            eigenvalues=TABLE_SPECTRUM)]
+
+        whole = family()
+        assert gathers == [len(kinds) + TABLE_SPECTRUM.size - 1]
+        monkeypatch.setattr(moments, "GATHER_BUDGET", 1)
+        gathers.clear()
+        chunked = family()
+        assert gathers == [1] * len(whole)
+        for (kind, a, scale), (kind2, b, scale2) in zip(whole, chunked):
+            assert (kind, scale) == (kind2, scale2)
+            assert a.tobytes() == b.tobytes()
+
+    def test_the_hankel_index_is_cached_and_read_only(self):
+        index = moments._hankel_index(3)
+        assert moments._hankel_index(3) is index
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
+    def test_arguments_are_checked_when_called(self):
+        t = random_table(2, False, seed=3)
+        with pytest.raises(ValueError, match="unknown block kind"):
+            moments.build_blocks(t, 1, ("cauchy",))
+        with pytest.raises(DomainError, match="non-negative"):
+            moments.build_blocks(t, -1, ("hankel",))
+        with pytest.raises(DomainError, match="eigenvalues"):
+            moments.build_blocks(t, 1, ("gap_product",))
+
+
+#: Spectra with clusters narrower than ``GAP_RTOL`` times their width.
+CLUSTERED = {
+    "empty": [],
+    "one": [1.5],
+    "signed-zeros": [-0.0, 0.0, 0.0],
+    "all-equal": [2.0, 2.0, 2.0, 2.0],
+    "unsorted": [0.3, -1.0, 0.3 + 1e-12, 0.1],
+    "mixed": [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 3.0, 3.0 + 5e-9, 4.0],
+    "chain": [0.0, 1e-9, 2e-9, 3e-9, 1.0],
+}
+
+
+class TestDistinctEigenvalues:
+    @pytest.mark.parametrize("name", sorted(CLUSTERED))
+    def test_same_bits_as_the_grouping_loop(self, name):
+        values = CLUSTERED[name]
+        assert (moments.distinct_eigenvalues(values).tobytes()
+                == looped_distinct_eigenvalues(values).tobytes())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        atoms = np.sort(rng.uniform(-2.0, 2.0, rng.integers(1, 6)))
+        counts = rng.integers(1, 5, atoms.size)
+        jitter = rng.uniform(-1e-9, 1e-9, counts.sum()) * rng.integers(0, 2)
+        values = np.repeat(atoms, counts) + jitter
+        got = moments.distinct_eigenvalues(values)
+        assert got.tobytes() == looped_distinct_eigenvalues(values).tobytes()
+
+
 class TestRefinementChain:
     @pytest.mark.parametrize("codomain", [1, 3])
     def test_gathered_chain_equals_block_form(self, codomain):
