@@ -3,11 +3,7 @@
 Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
 validated once, where it enters: :func:`symmetrize` rejects non-finite,
 non-square and non-Hermitian input (asymmetry ``||M - M*||_F`` above
-``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). Input that
-equals its adjoint entry for entry, at a finite norm, has no asymmetry, so
-the norm of ``M - M*`` is not formed for it: one comparison replaces a
-subtraction and a norm on every PSD block, which is Hermitian by
-construction. Every eigensolve
+``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). Every eigensolve
 runs that check in :func:`hermitian_eig`, which returns the validated matrix
 with the spectrum, so callers never symmetrize twice.
 
@@ -134,10 +130,7 @@ def symmetrize(a) -> np.ndarray:
     formed once, for the asymmetry and for the result. The finiteness check
     rides on ``||M||_F``, which is finite when every entry is and its sum
     of squares does not overflow; only a non-finite norm leads to a scan of
-    the entries, to tell a NaN or infinite entry from an overflow. Input
-    equal to ``M*`` entry for entry (``-0.0 == 0.0``) at a finite norm, as
-    every block assembled from a moment table is, skips the asymmetry
-    norm; the result is still a fresh ``(M + M*)/2``, bit for bit.
+    the entries, to tell a NaN or infinite entry from an overflow.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -149,12 +142,8 @@ def symmetrize(a) -> np.ndarray:
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         adjoint = m.conj().T
-        # an exactly Hermitian matrix of finite norm has no asymmetry to
-        # measure; an infinite norm still goes to the overflow error
-        exact = math.isfinite(scale) and bool((m == adjoint).all())
-        if not exact:
-            asymmetry, threshold = _asymmetry(m, adjoint, scale)
-    if not exact and not asymmetry <= threshold:
+        asymmetry, threshold = _asymmetry(m, adjoint, scale)
+    if not asymmetry <= threshold:
         raise DomainError(
             f"matrix is not Hermitian: asymmetry {asymmetry:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * ||M||_F = {threshold:.3e}"

@@ -74,7 +74,8 @@ NORMALITY_RTOL = 1e-8
 #: ``Phi(A^{e+d})`` for ``e = 0..2r``) and the kind's two constants: ``(m, M)``,
 #: or the gap ``(s, t)`` of ``gap_product``, given as arrays over a family's
 #: pairs. Each is the catalog's expression term for term, so every bit
-#: matches the entrywise form.
+#: matches the entrywise form, and its coefficients list the shifts in the
+#: order the sequence reads them.
 _KINDS = {
     "hankel": (lambda T, m, M: T(0), lambda m, M: {0: 1.0}),
     "hankel_shift1": (lambda T, m, M: T(1), lambda m, M: {1: 1.0}),
@@ -167,14 +168,10 @@ class MomentTable:
         ``weights`` maps each power shift ``d`` to ``c_d``. The scale is
         ``sum_d |c_d| size(e + d)``, the larger of its values at ``e = 0``
         and ``e = 2r``: :meth:`size` is log-convex in ``k``, so no degree
-        in between gives more. Coefficient arrays, one entry per block of a
-        family, give an array of scales, each taken as the scalar one is.
+        in between gives more.
         """
-        first, last = (sum(abs(c) * self.size(e + d) for d, c in weights.items())
-                       for e in (0, 2 * r))
-        if np.isscalar(first):
-            return max(first, last)
-        return np.where(last > first, last, first)  # max(first, last)
+        return max(sum(abs(c) * self.size(e + d) for d, c in weights.items())
+                   for e in (0, 2 * r))
 
 
 def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
@@ -296,7 +293,8 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     :func:`build_block` raises). Every block equals :func:`build_block`'s
     bit for bit. The family is gathered at once, in chunks of at most
     ``GATHER_BUDGET`` bytes, and a chunk is assembled when its first block
-    is asked for.
+    is asked for. Every argument is checked here, a table too short for
+    the family included, with the error :func:`build_block` raises.
     """
     kinds = tuple(kinds)
     _check_kinds(kinds, r)
@@ -304,9 +302,11 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
         raise DomainError("gap_product blocks come from eigenvalues, "
                           "one per adjacent pair")
     if eigenvalues is None:
+        _check_powers(table, r, kinds)
         return zip(kinds, _assemble(table, r, kinds))
     lam = np.asarray(eigenvalues, dtype=np.float64)
     s, t = lam[:-1], lam[1:]
+    _check_powers(table, r, kinds + ("gap_product",) * min(s.size, 1))
     keep = [True] * len(kinds) + (~_narrow(table, s, t)).tolist()
     blocks = _assemble(table, r, kinds, s, t)
     return zip(kinds + ("gap_product",) * s.size,
@@ -320,6 +320,15 @@ def _check_kinds(kinds, r: int) -> None:
                              f"expected one of {BLOCK_KINDS}")
     if r < 0:
         raise DomainError("block order r must be non-negative")
+
+
+def _check_powers(table: MomentTable, r: int, kinds) -> None:
+    """Raise the :class:`ShapeError` that assembling ``kinds`` at order
+    ``r`` would: each kind's power shifts, in the order its sequence reads
+    them, must find ``2r + 1`` powers in the table."""
+    for kind in kinds:
+        for d in _KINDS[kind][1](table.m, table.M):  # shifts d of T(d)
+            table.powers(d, 2 * r + 1)
 
 
 def _narrow(table: MomentTable, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -358,7 +367,11 @@ def _assemble(table: MomentTable, r: int, kinds, s=None, t=None):
             st, tt = s[pairs], t[pairs]
             parts.append(gap_sequence(T, st.reshape(-1, 1, 1, 1),
                                       tt.reshape(-1, 1, 1, 1)))
-            scales += table.operand_scale(gap_weights(st, tt), r).tolist()
+            # operand_scale pair by pair; the np.where is max(first, last)
+            first, last = (sum(abs(c) * table.size(e + d)
+                               for d, c in gap_weights(st, tt).items())
+                           for e in (0, 2 * r))
+            scales += np.where(last > first, last, first).tolist()
         assembled = _gather(parts[0] if len(parts) == 1
                             else np.concatenate(parts))
         yield from map(BlockMatrixSpec, assembled, scales)

@@ -502,6 +502,33 @@ class TestBuildBlocks:
         with pytest.raises(DomainError, match="eigenvalues"):
             moments.build_blocks(t, 1, ("gap_product",))
 
+    @pytest.mark.parametrize("kind", moments.BLOCK_KINDS)
+    def test_a_short_table_is_rejected_when_called(self, kind):
+        # powers 0..4 hold no order-3 block: the family raises at the call,
+        # with build_block's error
+        t = random_table(2, False, seed=3)
+        short = replace(t, k_min=0, k_max=4, blocks=t.blocks[1:6])
+        gap = kind == "gap_product"
+        extra = {"eigenvalues": TABLE_SPECTRUM, "gap_index": 2} if gap else {}
+        with pytest.raises(ShapeError) as single:
+            moments.build_block(kind, short, 3, **extra)
+        with pytest.raises(ShapeError) as family:
+            moments.build_blocks(short, 3, () if gap else (kind,),
+                                 eigenvalues=extra.get("eigenvalues"))
+        assert str(family.value) == str(single.value)
+
+    def test_gap_blocks_past_the_table_are_rejected_when_called(self):
+        # powers 0..3 hold the order-1 hankel block (0..2) but not the gap
+        # blocks, whose T(2) reads 2..4
+        t = random_table(2, False, seed=3)
+        short = replace(t, k_min=0, k_max=3, blocks=t.blocks[1:5])
+        with pytest.raises(ShapeError, match=r"powers 2\.\.4 requested"):
+            moments.build_blocks(short, 1, ("hankel",),
+                                 eigenvalues=TABLE_SPECTRUM)
+        one = list(moments.build_blocks(short, 1, ("hankel",),
+                                        eigenvalues=TABLE_SPECTRUM[:1]))
+        assert [kind for kind, _ in one] == ["hankel"]
+
 
 #: Spectra with clusters narrower than ``GAP_RTOL`` times their width.
 CLUSTERED = {
