@@ -29,7 +29,8 @@ from .linalg import (
     random_normal_matrix,
 )
 from .maps import MAP_KINDS, NormalizedTrace, PositiveUnitalMap, random_map
-from .moments import CheckRecord, psd_outcome, record, skip_record
+from .moments import (BlockMatrixSpec, CheckRecord, psd_records, record,
+                      skip_record)
 
 #: Minimum eigenvalue of the shifted positive definite variant.
 PD_FLOOR = 0.1
@@ -45,7 +46,10 @@ _PD_EXTRA_CHECKS = ("refinement_chain_outer", "refinement_chain_inner",
 
 @dataclass(frozen=True)
 class Instance:
-    """One corpus element: matrices, map, and block order."""
+    """One corpus element: matrices, map, and block order.
+
+    ``matrix_pd`` is the positive definite variant, None where there is none.
+    """
 
     index: int
     seed: int
@@ -53,7 +57,7 @@ class Instance:
     r: int
     kind: str
     matrix: np.ndarray
-    matrix_pd: np.ndarray
+    matrix_pd: np.ndarray | None
     pulm: PositiveUnitalMap
 
 
@@ -109,26 +113,18 @@ def normal_corpus(count: int = 200, seed: int = 42,
     return out
 
 
-def _block_records(blocks, seed, tol, prefix="psd_") -> list[CheckRecord]:
-    """One record per ``(kind, block)`` of :func:`moments.build_blocks`,
-    skipped where the block is None."""
-    return [skip_record(prefix + kind, seed) if block is None
-            else record(prefix + kind, seed,
-                        *psd_outcome(block.assembled, block.scale, tol))
-            for kind, block in blocks]
-
-
 def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
     table = moments.moment_table(pulm, matrix, 0, 2 * r + 2)
     distinct = moments.distinct_eigenvalues(hermitian_eig(matrix).eigenvalues)
-    return _block_records(moments.build_blocks(table, r, _ALWAYS_KINDS,
-                                               eigenvalues=distinct), seed, tol)
+    return psd_records(moments.build_blocks(table, r, _ALWAYS_KINDS,
+                                            eigenvalues=distinct),
+                       seed, tol, "psd_")
 
 
 def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
     table_pd = moments.moment_table(pulm, matrix_pd, -1, 2 * r + 2)
-    return _block_records(moments.build_blocks(table_pd, r, _PD_KINDS),
-                          seed, tol)
+    return psd_records(moments.build_blocks(table_pd, r, _PD_KINDS),
+                       seed, tol, "psd_")
 
 
 def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
@@ -149,8 +145,8 @@ def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
         table.operand_scale({0: abs(log_M) + log_size}, 1),
         table.operand_scale({0: log_size + abs(log_m)}, 1),
     )
-    return [record(check, seed, *psd_outcome(block, scale, tol))
-            for check, block, scale in zip(_PD_EXTRA_CHECKS, blocks, scales)]
+    return psd_records(zip(_PD_EXTRA_CHECKS,
+                           map(BlockMatrixSpec, blocks, scales)), seed, tol)
 
 
 def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
@@ -162,7 +158,7 @@ def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
     # from the eigensolve of ``centered``; the two differ by rounding
     ctable = replace(moments.moment_table(functional, centered, 0, 2 * r + 2),
                      m=float(lam[0] - mean), M=float(lam[-1] - mean))
-    return _block_records(moments.build_blocks(
+    return psd_records(moments.build_blocks(
         ctable, r, ("lower_shift", "upper_shift")), seed, tol, "centered_")
 
 
@@ -238,12 +234,12 @@ def _max_entry(*operands: np.ndarray) -> float:
     return max(float(np.max(np.abs(x))) for x in operands)
 
 
-def oracle_suite(inst: Instance, include_pd: bool = True) -> list[CheckRecord]:
+def oracle_suite(inst: Instance) -> list[CheckRecord]:
     """Cross-checks between independent computation routes."""
     records = []
     r = inst.r
     err = _route_error(inst.pulm, inst.matrix, 0, 2 * r + 2)
-    if include_pd:
+    if inst.matrix_pd is not None:
         err = max(err, _route_error(inst.pulm, inst.matrix_pd, -1,
                                     max(2 * r + 2, 4)))
     records.append(record("route_agreement", inst.seed,
@@ -308,18 +304,17 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
     return records
 
 
-def _normal_block_record(pulm, matrix, seed, tol) -> CheckRecord:
+def _normal_block(pulm, matrix) -> tuple[str, BlockMatrixSpec]:
     # every entry is one map image, with no cancellation: the block's own
     # norm is the size of its operands
     block = moments.build_normal_block(pulm, matrix)
-    return record("normal_block", seed,
-                  *psd_outcome(block, frobenius(block), tol))
+    return "normal_block", BlockMatrixSpec(block, frobenius(block))
 
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = 1e-9) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
-    records = [_normal_block_record(pulm, matrix, seed, tol)]
+    records = psd_records([_normal_block(pulm, matrix)], seed, tol)
     if pulm.is_functional:
         records.append(record("centered_fourth_moment", seed,
                               *moments.centered_fourth_moment_outcome(
@@ -369,8 +364,9 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
         if pulm.is_functional:
             records.extend(_centered_records(pulm, m, r_max, seed, tol))
         inst = Instance(index=0, seed=seed, n=m.shape[0], r=r_max,
-                        kind="file", matrix=m, matrix_pd=m, pulm=pulm)
-        records.extend(oracle_suite(inst, include_pd=pd))
+                        kind="file", matrix=m, matrix_pd=m if pd else None,
+                        pulm=pulm)
+        records.extend(oracle_suite(inst))
         records.extend(bounds_suite(inst))
     elif not moments.is_normal(m):
         # Neither Hermitian nor normal: nothing in the catalog applies.
@@ -379,5 +375,5 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
                               "centered_fourth_moment")]
     records += _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
     # scalar_checks covers the centered fourth moment
-    records.append(_normal_block_record(pulm, m, seed, tol))
+    records += psd_records([_normal_block(pulm, m)], seed, tol)
     return records

@@ -33,8 +33,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
-from .errors import DomainError, ShapeError
-from .linalg import is_psd
 from .maps import (
     Identity,
     NormalizedTrace,
@@ -62,8 +60,8 @@ class RunConfig:
     k_min: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.r_max < 0:
             raise ValueError("r-max must be non-negative")
         if self.instances < 1:
@@ -364,7 +362,6 @@ def cmd_moments(args) -> int:
     pulm = build_map(config.map_spec, m.shape[0], config.seed)
     k_max = 2 * config.r_max + 1
     table = moments.moment_table(pulm, m, config.k_min, k_max)
-    records = []
     for k in range(config.k_min, k_max + 1):
         block = table.power(k)
         if pulm.is_functional:
@@ -372,13 +369,13 @@ def cmd_moments(args) -> int:
         else:
             print(f"Phi(A^{k}) =")
             print(np.array_str(block, precision=10, suppress_small=True))
-    for r in range(config.r_max + 1):
-        block = moments.build_block("hankel", table, r)
-        verdict = is_psd(block.assembled, config.tolerance, block.scale)
-        status = "PASS" if verdict.passed else "FAIL"
-        print(f"hankel r={r}: {status} (min eigenvalue {verdict.min_eigenvalue:.6g})")
-        records.append(moments.record("psd_hankel", config.seed,
-                                      verdict.passed, verdict.min_eigenvalue))
+    records = moments.psd_records(
+        [("hankel", moments.build_block("hankel", table, r))
+         for r in range(config.r_max + 1)],
+        config.seed, config.tolerance, "psd_")
+    for r, rec in enumerate(records):
+        status = "PASS" if rec.passed else "FAIL"
+        print(f"hankel r={r}: {status} (min eigenvalue {rec.margin:.6g})")
     _write_out(args.out, make_report(config, args.matrix, records))
     return 0 if all(r.passed for r in records) else 1
 
@@ -475,8 +472,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, DomainError, ShapeError,
-            OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

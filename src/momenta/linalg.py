@@ -257,10 +257,12 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     scale :func:`passes` judges it at; by default the matrix's own
     Frobenius norm, right for a matrix that is not a cancelling difference.
     Non-Hermitian input (beyond the symmetrization tolerance) and a matrix
-    whose Frobenius norm overflows are rejected with :class:`DomainError`.
+    whose Frobenius norm overflows are rejected with :class:`DomainError`,
+    and a ``tol`` that is not positive and finite with :class:`ValueError`:
+    an infinite one would pass every matrix.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     spectrum = hermitian_eig(m, vectors=False)
     if scale is None:
         scale = frobenius(spectrum.matrix)

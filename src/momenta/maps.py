@@ -72,9 +72,6 @@ class PositiveUnitalMap:
         ``(m, k, k)`` stack."""
         raise NotImplementedError
 
-    def __call__(self, a) -> np.ndarray:
-        return self.apply(a)
-
     @property
     def is_functional(self) -> bool:
         return self.codomain_dim == 1
@@ -301,11 +298,6 @@ class NormalizedTrace(PositiveUnitalMap):
     def rank_one_images(self, vectors) -> np.ndarray:
         v = self._check_vectors(vectors)
         return (np.einsum("ij,ij->j", v.conj(), v) / self.n).reshape(-1, 1, 1)
-
-
-def apply(pulm: PositiveUnitalMap, a) -> np.ndarray:
-    """Apply a positive unital linear map to a matrix."""
-    return pulm.apply(a)
 
 
 @dataclass(frozen=True)

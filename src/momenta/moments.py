@@ -39,6 +39,9 @@ once. :func:`build_block` is the one-block call of that path, and
 The module also holds the check catalog: :data:`CATALOG` says what every
 check name verifies, and :func:`record` turns an outcome into the one record
 type, :class:`CheckRecord`, that every suite and the command line emit.
+Every PSD verdict is recorded by one function, :func:`psd_records`: for each
+``(check, block)`` pair, the verdict of a :class:`BlockMatrixSpec` at its
+scale with its minimum eigenvalue as the margin, or a skip where it is None.
 """
 
 from __future__ import annotations
@@ -599,15 +602,25 @@ def skip_record(check: str, seed: int) -> CheckRecord:
     return record(check, seed, None, 0.0)
 
 
-def psd_outcome(difference: np.ndarray, scale: float,
-                tol: float) -> tuple[bool, float]:
-    """PSD verdict and minimum eigenvalue of a Hermitian-by-construction matrix.
+def psd_records(blocks, seed: int, tol: float,
+                prefix: str = "") -> list[CheckRecord]:
+    """The PSD records of ``(check, block)`` pairs, named ``prefix + check``.
 
-    ``scale`` is the size of the operands the matrix was computed from.
-    Rounding asymmetry is dropped before the test.
+    Each :class:`BlockMatrixSpec` is Hermitian by construction; its rounding
+    asymmetry is dropped, and its verdict is :func:`~momenta.linalg.is_psd`
+    at ``block.scale``, with the minimum eigenvalue as the margin. A block
+    that is None, whose hypotheses fail, gives a skip. Every PSD verdict of
+    the package is recorded here.
     """
-    verdict = is_psd(hermitian_part(difference), tol, scale)
-    return verdict.passed, verdict.min_eigenvalue
+    out = []
+    for check, block in blocks:
+        if block is None:
+            out.append(skip_record(prefix + check, seed))
+            continue
+        verdict = is_psd(hermitian_part(block.assembled), tol, block.scale)
+        out.append(record(prefix + check, seed, verdict.passed,
+                          verdict.min_eigenvalue))
+    return out
 
 
 def centered_fourth_moment_outcome(functional: PositiveUnitalMap, a,
@@ -673,7 +686,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got {mat.shape}")
-    results: list[CheckRecord] = []
+    blocks = dict.fromkeys(_HERMITIAN_SCALAR_CHECKS)
 
     if is_hermitian(mat):
         spectrum = hermitian_eig(mat)
@@ -686,23 +699,19 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
 
         rho = max(abs(m), abs(M))
         sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
-        results.append(record("kadison", 0, *psd_outcome(
-            variance, 2.0 * sq, tol)))
+        blocks["kadison"] = BlockMatrixSpec(variance, 2.0 * sq)
         half = (M - m) / 2.0
-        results.append(record("variance_range", 0, *psd_outcome(
-            half * half * eye - variance, half * half + 2.0 * sq, tol)))
-        results.append(record("variance_endpoints", 0, *psd_outcome(
+        blocks["variance_range"] = BlockMatrixSpec(
+            half * half * eye - variance, half * half + 2.0 * sq)
+        blocks["variance_endpoints"] = BlockMatrixSpec(
             hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance,
-            (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq, tol)))
+            (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
         if spectrum.min > 0.0:
             pinv = hermitian_part(pulm.apply(np.linalg.inv(h)))
             p1_inv = np.linalg.inv(p1)
-            results.append(record("inverse_moment", 0, *psd_outcome(
-                pinv - p1_inv, 1.0 / spectrum.min + _frobenius_or_inf(p1_inv),
-                tol)))
-        else:
-            results.append(skip_record("inverse_moment", 0))
+            blocks["inverse_moment"] = BlockMatrixSpec(
+                pinv - p1_inv, 1.0 / spectrum.min + _frobenius_or_inf(p1_inv))
 
         # a gap is inverted only if it stands clear of its own norm and of
         # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
@@ -711,25 +720,21 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
                 > 1e-6 * max(frobenius(low_gap), rho)):
             x = p2 - m * p1
             schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            results.append(record("third_moment_lower", 0, *psd_outcome(
-                p3 - (m * p2 + schur),
-                (rho + abs(m)) * sq + frobenius(schur), tol)))
-        else:
-            results.append(skip_record("third_moment_lower", 0))
+            with np.errstate(over="ignore"):  # inf, which passes rejects
+                size = frobenius(schur)
+            blocks["third_moment_lower"] = BlockMatrixSpec(
+                p3 - (m * p2 + schur), (rho + abs(m)) * sq + size)
 
         high_gap = M * eye - p1
         if (hermitian_eig(high_gap, vectors=False).min
                 > 1e-6 * max(frobenius(high_gap), rho)):
             y = M * p1 - p2
             schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            results.append(record("third_moment_upper", 0, *psd_outcome(
-                M * p2 - schur - p3,
-                (rho + abs(M)) * sq + frobenius(schur), tol)))
-        else:
-            results.append(skip_record("third_moment_upper", 0))
-    else:
-        results.extend(skip_record(check, 0)
-                       for check in _HERMITIAN_SCALAR_CHECKS)
+            with np.errstate(over="ignore"):  # inf, which passes rejects
+                size = frobenius(schur)
+            blocks["third_moment_upper"] = BlockMatrixSpec(
+                M * p2 - schur - p3, (rho + abs(M)) * sq + size)
+    results = psd_records(blocks.items(), 0, tol)
 
     if pulm.is_functional and is_normal(mat):
         results.append(record("centered_fourth_moment", 0,

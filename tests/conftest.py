@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momenta import campaign, linalg
+from momenta import campaign, linalg, maps
 
 ROOT2 = np.sqrt(2.0)
 
@@ -12,6 +12,25 @@ EXAMPLE_3X3 = np.array([
     [-3.0 * ROOT2, -6.0, -3.0 * ROOT2],
     [-9.0, -3.0 * ROOT2, 3.0],
 ], dtype=np.complex128)
+
+
+class ReflectedTrace(maps.PositiveUnitalMap):
+    """``A -> 2 tr(A)/n I - A``: unital, but not positive. A negative control."""
+
+    def __init__(self, n):
+        self.n = n
+
+    domain_dim = codomain_dim = property(lambda self: self.n)
+
+    def apply(self, a):
+        m = self._check_input(a)
+        return 2.0 * np.trace(m) / self.n * np.eye(self.n) - m
+
+    def rank_one_images(self, vectors):
+        v = self._check_vectors(vectors)
+        squared_norms = np.einsum("ij,ij->j", v.conj(), v)
+        outer = v.T[:, :, np.newaxis] * v.T.conj()[:, np.newaxis, :]
+        return 2.0 * squared_norms[:, None, None] / self.n * np.eye(self.n) - outer
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import pytest
 
 from momenta import campaign, cli, eigenbounds, linalg, maps, moments
 
+from conftest import ReflectedTrace
+
 
 def test_corpus_is_deterministic():
     a = campaign.corpus(10, seed=5)
@@ -52,12 +54,14 @@ def test_oracle_suite_has_no_failures():
 def _file_instance(matrix, pulm):
     n = matrix.shape[0]
     return campaign.Instance(index=0, seed=0, n=n, r=3, kind="file",
-                             matrix=matrix, matrix_pd=matrix, pulm=pulm)
+                             matrix=matrix, matrix_pd=None, pulm=pulm)
 
 
 def _identity_verdicts(inst):
+    # the two identities read A alone, so no positive definite variant
     return {r.check: r.passed
-            for r in campaign.oracle_suite(inst, include_pd=False)
+            for r in campaign.oracle_suite(
+                dataclasses.replace(inst, matrix_pd=None))
             if r.check in ("shift_sum_identity", "tensor_reconstruction")}
 
 
@@ -117,8 +121,7 @@ def test_oracle_identity_verdicts_are_scale_invariant(c):
     near_identity = np.eye(6) + 1e-8 * linalg.random_hermitian(6, 3)
     insts.append(_file_instance(near_identity, maps.NormalizedTrace(6)))
     for inst in insts:
-        scaled = dataclasses.replace(inst, matrix=c * inst.matrix,
-                                     matrix_pd=c * inst.matrix_pd)
+        scaled = dataclasses.replace(inst, matrix=c * inst.matrix)
         base = _identity_verdicts(inst)
         assert all(base.values()), (inst.seed, base)
         assert _identity_verdicts(scaled) == base, inst.seed
@@ -135,25 +138,6 @@ def test_bound_verdicts_hold_at_1e9():
             assert rec.passed is not False, (s, rec.check, rec.margin)
 
 
-class _ReflectedTrace(maps.PositiveUnitalMap):
-    """``A -> 2 tr(A)/n I - A``: unital, but not positive. A negative control."""
-
-    def __init__(self, n):
-        self.n = n
-
-    domain_dim = codomain_dim = property(lambda self: self.n)
-
-    def apply(self, a):
-        m = self._check_input(a)
-        return 2.0 * np.trace(m) / self.n * np.eye(self.n) - m
-
-    def rank_one_images(self, vectors):
-        v = self._check_vectors(vectors)
-        squared_norms = np.einsum("ij,ij->j", v.conj(), v)
-        outer = v.T[:, :, np.newaxis] * v.T.conj()[:, np.newaxis, :]
-        return 2.0 * squared_norms[:, None, None] / self.n * np.eye(self.n) - outer
-
-
 @pytest.mark.parametrize("check,n,seed", [
     ("kadison", 3, 1),
     ("variance_range", 3, 1),
@@ -168,7 +152,7 @@ class _ReflectedTrace(maps.PositiveUnitalMap):
 def test_checks_fail_under_a_map_that_is_not_positive(check, n, seed, c):
     # a floor of 1 in the PSD test let every one of these pass at 1e-6
     records = campaign.single_matrix_records(
-        c * linalg.random_hermitian(n, seed), _ReflectedTrace(n), 0)
+        c * linalg.random_hermitian(n, seed), ReflectedTrace(n), 0)
     verdicts = [r.passed for r in records if r.check == check]
     assert verdicts and all(v is False for v in verdicts), verdicts
 
@@ -207,8 +191,10 @@ def test_route_agreement_fails_on_a_skewed_direct_route(c, monkeypatch):
     scaled = dataclasses.replace(inst, matrix=c * inst.matrix,
                                  matrix_pd=c * inst.matrix_pd)
 
-    def route_agreement(include_pd):
-        return next(r for r in campaign.oracle_suite(scaled, include_pd)
+    def route_agreement(with_pd):
+        inst = scaled if with_pd else dataclasses.replace(scaled,
+                                                          matrix_pd=None)
+        return next(r for r in campaign.oracle_suite(inst)
                     if r.check == "route_agreement")
 
     assert route_agreement(True).margin >= 1e-8 - 1e-13
@@ -314,6 +300,24 @@ def test_single_matrix_records_solves_each_distinct_input_once(
     assert not any(r.passed is False for r in records)
     assert collections.Counter(eigh_inputs).most_common(1)[0][1] == 1
     assert len(eigh_inputs) == solved
+
+
+@pytest.mark.parametrize("shift, pd", [(0.0, False), (4.0, True)])
+def test_file_instance_has_a_pd_variant_only_for_pd_input(monkeypatch, shift,
+                                                          pd):
+    # file mode judges A itself; its pd variant is A when A > 0, else none
+    seen = []
+    suite = campaign.oracle_suite
+    monkeypatch.setattr(campaign, "oracle_suite",
+                        lambda inst: seen.append(inst) or suite(inst))
+    a = linalg.random_hermitian(4, 1) + shift * np.eye(4)
+    assert (linalg.hermitian_eig(a).min > 0.0) == pd
+    campaign.single_matrix_records(a, maps.NormalizedTrace(4), 0)
+    (inst,) = seen
+    if pd:
+        np.testing.assert_array_equal(inst.matrix_pd, inst.matrix)
+    else:
+        assert inst.matrix_pd is None
 
 
 #: tracemalloc peaks, in bytes, of ``single_matrix_records`` on

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import momenta
 from momenta import campaign, cli, linalg, moments
 
-from conftest import EXAMPLE_3X3
+from conftest import EXAMPLE_3X3, ReflectedTrace
 
 PAPERLIKE_CSV = ("3,-4.242640687,-9\n"
                  "-4.242640687,-6,-4.242640687\n"
@@ -22,6 +22,16 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def not_positive(tmp_path, monkeypatch):
+    """A 3x3 matrix file, and every map the CLI builds the negative control
+    :class:`ReflectedTrace`, which is unital but not positive."""
+    monkeypatch.setattr(cli, "build_map",
+                        lambda spec, n, seed: ReflectedTrace(n))
+    return write(tmp_path, "a.json",
+                 cli.write_matrix_json(linalg.random_hermitian(3, 1)))
 
 
 #: Sizes that int() used to truncate or coerce into a 1x1 matrix.
@@ -223,6 +233,14 @@ class TestMomentsCommand:
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
         assert cli.main(["moments", path, "--k-min", "-1"]) == 1
 
+    def test_a_map_that_is_not_positive_fails(self, not_positive, capsys):
+        assert cli.main(["moments", not_positive]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        status = [line.split(" (")[0] for line in lines
+                  if line.startswith("hankel r=")]
+        assert status == ["hankel r=0: PASS", "hankel r=1: FAIL",
+                          "hankel r=2: FAIL", "hankel r=3: FAIL"]
+
 
 class TestVerifyCommand:
     def test_file_mode_example(self, tmp_path, capsys):
@@ -316,6 +334,24 @@ class TestVerifyCommand:
 
     def test_verify_needs_input(self, capsys):
         assert cli.main(["verify"]) == 1
+
+    def test_a_map_that_is_not_positive_fails(self, not_positive, tmp_path,
+                                              capsys):
+        out = str(tmp_path / "r.json")
+        assert cli.main(["verify", not_positive, "--out", out]) == 1
+        failed = [line.split(":")[0]
+                  for line in capsys.readouterr().out.splitlines()
+                  if "  FAILED (worst margin -" in line]
+        assert len(failed) == 10
+        assert {"psd_hankel", "kadison", "normal_block"} <= set(failed)
+        report = json.loads(open(out).read())
+        margins = [r["margin"] for r in report["records"]
+                   if r["passed"] is False]
+        summary = report["summary"]
+        assert len(margins) > len(failed)  # two failing gap_product blocks
+        assert (summary["total"] - summary["passed"] - summary["skipped"]
+                == len(margins))
+        assert summary["worst_margin"] == min(margins) < 0.0
 
 
 #: Margins that need care in JSON: NaN, the infinities, a signed zero and
@@ -433,14 +469,19 @@ class TestFlags:
     ("bounds", '{"rows":1,"cols":1,"entries":[[null,0]]}'),
     # the inverse moment's scale ||Phi(A)^-1||_F overflows, the matrix not
     ("verify", cli.write_matrix_json(1e-200 * np.diag([1.0, 2.0, 4.0]))),
+    # an infinite tolerance would pass every check
+    ("verify --tol inf", cli.write_matrix_json(np.eye(2))),
+    ("moments --tol inf", cli.write_matrix_json(np.eye(2))),
 ], ids=["norm-overflow", "moments-power-overflow", "verify-power-overflow",
-        "malformed", "verify-inverse-scale-overflow"])
+        "malformed", "verify-inverse-scale-overflow", "verify-tol-inf",
+        "moments-tol-inf"])
 def test_bad_input_is_one_error_line(tmp_path, command, text):
     # a subprocess, so numpy warnings written straight to stderr are seen
     path = write(tmp_path, "a.json", text)
     src = os.path.dirname(os.path.dirname(momenta.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "momenta.cli", command, path],
+    proc = subprocess.run([sys.executable, "-m", "momenta.cli",
+                           *command.split(), path],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout.count("nan") == proc.stdout.count("inf") == 0

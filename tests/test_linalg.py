@@ -344,6 +344,11 @@ class TestIsPsd:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             linalg.is_psd(np.eye(2), tol=0.0)
+        # an infinite tol would pass every matrix; a NaN one fail every one
+        with pytest.raises(ValueError):
+            linalg.is_psd(np.diag([-1.0, 1.0]), tol=float("inf"))
+        with pytest.raises(ValueError):
+            linalg.is_psd(np.eye(2), tol=float("nan"))
 
     def test_an_infinite_scale_is_a_domain_error(self):
         # it would accept any slack

@@ -14,17 +14,17 @@ def all_variants(n=4, seed=7):
 class TestApply:
     def test_identity_map(self):
         a = linalg.random_hermitian(3, 1)
-        np.testing.assert_array_equal(maps.apply(maps.Identity(3), a), a)
+        np.testing.assert_array_equal(maps.Identity(3).apply(a), a)
 
     def test_vector_state_picks_corner_entry(self):
         e1 = np.zeros(3)
         e1[0] = 1.0
-        out = maps.apply(maps.VectorState(e1), EXAMPLE_3X3)
+        out = maps.VectorState(e1).apply(EXAMPLE_3X3)
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(3.0)
 
     def test_normalized_trace_of_example(self):
-        out = maps.apply(maps.NormalizedTrace(3), EXAMPLE_3X3)
+        out = maps.NormalizedTrace(3).apply(EXAMPLE_3X3)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-14)  # (3 - 6 + 3)/3
 
     def test_compression(self):

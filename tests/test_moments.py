@@ -752,6 +752,15 @@ class TestScalarChecks:
         assert results["third_moment_lower"].passed is True
         assert results["third_moment_upper"].passed is True
 
+    @pytest.mark.parametrize("c", [1e60, 1e90])
+    def test_an_overflowing_scale_is_a_domain_error(self, c):
+        # the Schur term's norm overflows at 1e60, and the variance block's
+        # too at 1e90: an error either way, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                moments.scalar_checks(TR3, c * np.diag([-1.0, 0.5, 2.0]))
+
     @pytest.mark.parametrize("kind, n, c", [("compression", 2, 1e3),
                                             ("vector_state", 3, 1e7)])
     def test_third_moment_skips_a_rounding_level_gap(self, kind, n, c):
