@@ -27,6 +27,7 @@ from .linalg import (
     is_hermitian,
     passes,
     random_normal_matrix,
+    require_finite,
 )
 from .maps import MAP_KINDS, NormalizedTrace, PositiveUnitalMap, random_map
 from .moments import (BlockMatrixSpec, CheckRecord, psd_records, record,
@@ -150,8 +151,10 @@ def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
 
 
 def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
-    mean = float(functional.apply(matrix)[0, 0].real)
-    lam = hermitian_eig(matrix).eigenvalues
+    spectrum = hermitian_eig(matrix)
+    lam = spectrum.eigenvalues
+    mean = float(moments.spectral_images(functional, spectrum,
+                                         lam[np.newaxis])[0, 0, 0].real)
     centered = matrix - mean * np.eye(matrix.shape[0])
     # [m, M] is the centered spectrum taken from ``matrix``'s own
     # eigenvalues, as the other checks on ``matrix`` see them, rather than
@@ -189,16 +192,25 @@ def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
 
 
 def _route_error(pulm, matrix, k_min, k_max) -> float:
-    """Worst disagreement of the spectral and direct routes, each power
-    ``k`` relative to its own scale: ``max(|m|, |M|)^k``, and ``1/m`` for
-    ``k = -1``. A zero scale (the zero matrix) leaves the raw difference.
-    """
-    spectral = moments.moment_table(pulm, matrix, k_min, k_max,
-                                    route="spectral")
-    direct = moments.moment_table(pulm, matrix, k_min, k_max,
-                                  route="direct").blocks
+    """Worst disagreement of the moment table with the direct route (the
+    map applied to multiplied powers), each power ``k`` relative to its own
+    scale: ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``. A zero scale
+    (the zero matrix) leaves the raw difference."""
+    spectral = moments.moment_table(pulm, matrix, k_min, k_max)
+    h = hermitian_eig(matrix).matrix
+    acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        for p in range(1, max(k_max, 1) + 1):
+            acc[p] = acc[p - 1] @ h
+        if k_min == -1:
+            acc[-1] = np.linalg.inv(h)
+        direct = np.stack([pulm.apply(hermitian_part(acc[p]))
+                           for p in range(k_min, k_max + 1)])
+        require_finite("moment powers", direct)
+        direct = (direct + direct.conj().transpose(0, 2, 1)) / 2.0
+        diff = np.linalg.norm(spectral.blocks - direct, axis=(1, 2))
+    require_finite("moment route differences", diff)
     scales = np.array([spectral.size(k) for k in range(k_min, k_max + 1)])
-    diff = np.linalg.norm(spectral.blocks - direct, axis=(1, 2))
     return float(np.max(diff / np.where(scales > 0.0, scales, 1.0)))
 
 
@@ -306,9 +318,10 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
 
 def _normal_block(pulm, matrix) -> tuple[str, BlockMatrixSpec]:
     # every entry is one map image, with no cancellation: the block's own
-    # norm is the size of its operands
+    # norm is the size of its operands (inf, which psd_records rejects)
     block = moments.build_normal_block(pulm, matrix)
-    return "normal_block", BlockMatrixSpec(block, frobenius(block))
+    with np.errstate(over="ignore"):
+        return "normal_block", BlockMatrixSpec(block, frobenius(block))
 
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,

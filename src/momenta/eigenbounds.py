@@ -44,19 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .linalg import hermitian_eig, scaled_frobenius, symmetrize
+from .errors import ShapeError
+from .linalg import hermitian_eig, require_finite, scaled_frobenius, symmetrize
 from .maps import PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
 #: ``|gamma| / b2^3 = (e2 / e1)^2``, this bounds that ratio by 1e-10.
 DEGENERACY_RTOL = 1e-5
-
-
-def _require_finite(what: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} overflow double precision; "
-                          "rescale the matrix")
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
         mean = float(weights @ lam)
         centered = lam - mean
         b = [float(weights @ centered ** k) for k in range(2, 6)]
-    _require_finite("central moments", [mean, *b])
+    require_finite("central moments", [mean, *b])
     return CentralMoments(mean=mean, b2=b[0], b3=b[1], b4=b[2], b5=b[3])
 
 
@@ -154,7 +148,7 @@ def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
         t, e = scaled_frobenius(h - mu * np.eye(n))
         d = np.ldexp(math.sqrt(t * t / n) / math.sqrt(n - 1.0), e)
         bounds = float(mu - d), float(mu + d)
-    _require_finite("comparator bounds", bounds)
+    require_finite("comparator bounds", bounds)
     return bounds
 
 
@@ -216,7 +210,7 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
         e1, e2 = abs(float(jacobi[1, 0])), abs(float(jacobi[2, 1]))
         # (e1 e2)^2 first, so e2 = 0 gives 0, not 0 * inf; 0.0 - t keeps +0.0
         gamma = 0.0 - (e1 * e2) * (e1 * e2) * (e1 * e1)
-        _require_finite("Gauss rule bounds", gamma)
+        require_finite("Gauss rule bounds", gamma)
         rounding = n * np.finfo(float).eps * max(abs(lam[0]), abs(lam[-1]))
         degenerate = e2 <= max(DEGENERACY_RTOL * e1, rounding)
     if degenerate:
@@ -227,7 +221,7 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
         )
     roots = tuple(float(r) for r in np.linalg.eigvalsh(jacobi))
     cubic = tuple(float(c) for c in np.poly(roots)[1:])
-    _require_finite("Gauss rule bounds", cubic)
+    require_finite("Gauss rule bounds", cubic)
     return EigenBoundReport(
         mean=mean, gamma=gamma, degenerate=False, cubic=cubic, roots=roots,
         lambda_min_upper=mean + roots[0],

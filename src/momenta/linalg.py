@@ -89,6 +89,13 @@ def scaled_frobenius(a) -> tuple[float, int]:
     return frobenius(np.ldexp(parts, -e).view(np.complex128)), e
 
 
+def require_finite(what: str, values) -> None:
+    """Raise :class:`DomainError`, naming ``what``, if a value is not finite."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} overflow double precision; "
+                          "rescale the matrix")
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """``(M + M*)/2`` with no asymmetry check.
 
@@ -225,8 +232,12 @@ def passes(slack: float, scale: float, rtol: float) -> bool:
     ``slack`` is how far the checked inequality holds (negative when it is
     violated) and ``scale`` the size of the operands it was computed from,
     before they cancel, so the verdict does not change when the input is
-    scaled. A non-finite scale would accept any slack and is an error.
+    scaled. A non-finite scale would accept any slack and is a
+    :class:`DomainError`; so would an infinite ``rtol``, and an ``rtol``
+    that is not positive and finite is a :class:`ValueError`.
     """
+    if not 0.0 < rtol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if not math.isfinite(scale):
         raise DomainError("verdict scale overflows double precision; "
                           "rescale the matrix")
@@ -258,11 +269,8 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     Frobenius norm, right for a matrix that is not a cancelling difference.
     Non-Hermitian input (beyond the symmetrization tolerance) and a matrix
     whose Frobenius norm overflows are rejected with :class:`DomainError`,
-    and a ``tol`` that is not positive and finite with :class:`ValueError`:
-    an infinite one would pass every matrix.
+    and :func:`passes` rejects a ``tol`` that is not positive and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     spectrum = hermitian_eig(m, vectors=False)
     if scale is None:
         scale = frobenius(spectrum.matrix)

@@ -52,8 +52,9 @@ class PositiveUnitalMap:
     square matrices (not just Hermitian ones), which the normal-matrix
     constructions rely on. ``rank_one_images`` maps the rank-one matrices
     ``v v*`` of many vectors at once, from the contraction ``W = K* V`` of
-    the map's factors with the vectors, and never forms ``v v*``: the
-    spectral route takes the images of all eigenprojections from it.
+    the map's factors with the vectors, and never forms ``v v*``: every
+    image of a Hermitian matrix is contracted from those of its
+    eigenprojections (``moments.spectral_images``).
     """
 
     @property

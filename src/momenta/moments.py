@@ -3,7 +3,10 @@
 A :class:`MomentTable` holds the images ``Phi(A^k)`` of the powers of a
 Hermitian matrix over a contiguous range of exponents (possibly starting at
 -1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
-with the extreme eigenvalues ``m`` and ``M`` of ``A``. From such a table,
+with the extreme eigenvalues ``m`` and ``M`` of ``A``. Every image
+``Phi(f(A))`` of a Hermitian ``A``, the table's, the scalar checks' and the
+log blocks', is one contraction of ``f(lambda_j)`` with the images of the
+eigenprojections: :func:`spectral_images`. From such a table,
 :func:`build_blocks` assembles the family of block matrices whose positive
 semidefiniteness this package verifies:
 
@@ -33,8 +36,8 @@ block of every adjacent pair of distinct eigenvalues, and lays them all out
 with one index gather. The gap sequences and their scales are each one
 expression over the pairs. The gather runs in chunks of at most
 ``GATHER_BUDGET`` bytes, so a family of ``k = n`` blocks is never held all at
-once. :func:`build_block` is the one-block call of that path, and
-:func:`hankel_gather` its one-sequence gather.
+once. :func:`build_block` is the one-block call of that path, and the
+refinement chain and the log endpoint blocks are pairs of the same gather.
 
 The module also holds the check catalog: :data:`CATALOG` says what every
 check name verifies, and :func:`record` turns an outcome into the one record
@@ -62,7 +65,7 @@ from .linalg import (
     is_hermitian,
     is_psd,
     passes,
-    scaled_frobenius,
+    require_finite,
 )
 from .maps import PositiveUnitalMap
 
@@ -164,69 +167,66 @@ class MomentTable:
         except OverflowError:
             return math.inf
 
-    def operand_scale(self, weights: dict[int, float], r: int) -> float:
+    def operand_scale(self, weights: dict, r: int) -> float | np.ndarray:
         """Size of the operands of the order-``r`` Hankel block of
         ``sum_d c_d Phi(A^{e+d})``, ``e = 0..2r``, before they cancel.
 
-        ``weights`` maps each power shift ``d`` to ``c_d``. The scale is
+        ``weights`` maps each power shift ``d`` to ``c_d``, a number, or an
+        array over a family's blocks for an array of scales. The scale is
         ``sum_d |c_d| size(e + d)``, the larger of its values at ``e = 0``
-        and ``e = 2r``: :meth:`size` is log-convex in ``k``, so no degree
-        in between gives more.
+        and ``e = 2r``: :meth:`size` is log-convex in ``k``, so no degree in
+        between gives more.
         """
-        return max(sum(abs(c) * self.size(e + d) for d, c in weights.items())
-                   for e in (0, 2 * r))
+        first, last = (sum(abs(c) * self.size(e + d) for d, c in weights.items())
+                       for e in (0, 2 * r))
+        scale = np.where(last > first, last, first)  # max(first, last)
+        return float(scale) if scale.ndim == 0 else scale
 
 
-def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0, k_max: int = 4,
-                 route: str = "spectral") -> MomentTable:
+def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
+                 k_max: int = 4) -> MomentTable:
     """Tabulate ``Phi(A^k)`` for ``k = k_min..k_max``.
 
-    ``route="spectral"`` contracts the power matrix ``lambda_j^k`` with the
-    stacked images ``Phi(v_j v_j*)`` of the eigenprojections of ``A``, which
-    the map's ``rank_one_images`` gives for all eigenvectors at once;
-    ``route="direct"`` applies the map to explicitly multiplied matrix
-    powers. The two agree to rounding and their agreement is one of the
-    package's standing cross-checks.
-
-    ``k_min`` may be -1 only for positive definite ``A``. The table's
-    interval ``[m, M]`` is the spectrum of ``A``.
+    The powers are the spectral images (:func:`spectral_images`) of
+    ``lambda_j^k``. ``k_min`` may be -1 only for positive definite ``A``.
+    The table's interval ``[m, M]`` is the spectrum of ``A``.
     """
     if k_min not in (-1, 0):
         raise DomainError(f"k_min must be -1 or 0, got {k_min}")
     if k_max < k_min:
         raise DomainError(f"k_max {k_max} below k_min {k_min}")
-    spectrum = hermitian_eig(a)
-    h, lam = spectrum.matrix, spectrum.eigenvalues
+    return _table(pulm, hermitian_eig(a), k_min, k_max)
+
+
+def _table(pulm: PositiveUnitalMap, spectrum, k_min: int,
+           k_max: int) -> MomentTable:
+    """The moment table of :func:`moment_table` from the spectrum of ``A``."""
     if k_min == -1 and spectrum.min <= 0.0:
-        raise DomainError(
-            f"inverse moments need a positive definite matrix "
-            f"(min eigenvalue {spectrum.min:.3e})"
-        )
+        raise DomainError(f"inverse moments need a positive definite matrix "
+                          f"(min eigenvalue {spectrum.min:.3e})")
     powers = np.arange(k_min, k_max + 1)
-    if route not in ("spectral", "direct"):
-        raise ValueError(f"unknown route {route!r}; expected spectral or direct")
+    with np.errstate(over="ignore"):  # spectral_images rejects the overflow
+        values = spectrum.eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
+    return MomentTable(k_min=k_min, k_max=k_max,
+                       blocks=spectral_images(pulm, spectrum, values),
+                       m=spectrum.min, M=spectrum.max)
+
+
+def spectral_images(pulm: PositiveUnitalMap, spectrum,
+                    values: np.ndarray) -> np.ndarray:
+    """The ``(K, k, k)`` stack of ``Phi(f_i(A))``, ``values[i, j]`` being
+    ``f_i(lambda_j)`` on the eigenvalues of ``spectrum``, a full solve.
+
+    Each image is the contraction ``sum_j f_i(lambda_j) Phi(v_j v_j*)`` with
+    the map's ``rank_one_images``, Hermitian part taken; a non-finite one
+    (an overflow) is a :class:`DomainError`.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        if route == "spectral":
-            images = pulm.rank_one_images(spectrum.eigenvectors)
-            n, k = images.shape[:2]
-            lam_powers = lam[np.newaxis, :] ** powers[:, np.newaxis]
-            blocks = (lam_powers @ images.reshape(n, k * k)).reshape(-1, k, k)
-        else:
-            acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
-            for p in range(1, max(k_max, 1) + 1):
-                acc[p] = acc[p - 1] @ h
-            if k_min == -1:
-                acc[-1] = np.linalg.inv(h)
-            blocks = np.stack([pulm.apply(hermitian_part(acc[p])) for p in powers])
-    if not np.all(np.isfinite(blocks)):
-        raise DomainError("moment powers overflow; rescale the matrix")
-    return MomentTable(
-        k_min=k_min,
-        k_max=k_max,
-        blocks=(blocks + blocks.conj().transpose(0, 2, 1)) / 2.0,
-        m=spectrum.min,
-        M=spectrum.max,
-    )
+        images = pulm.rank_one_images(spectrum.eigenvectors)
+        n, k = images.shape[:2]
+        blocks = (values @ images.reshape(n, k * k)).reshape(-1, k, k)
+    require_finite("moment powers", blocks)
+    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -268,22 +268,19 @@ def build_block(kind: str, table: MomentTable, r: int, *,
     selecting the open interval between eigenvalues g-1 and g. The block is
     the one-block family of :func:`build_blocks`, bit for bit.
     """
-    _check_kinds((kind,), r)
     if kind != "gap_product":
-        return next(_assemble(table, r, (kind,)))
+        return next(build_blocks(table, r, (kind,)))[1]
     if eigenvalues is None or gap_index is None:
         raise DomainError("gap_product needs eigenvalues and gap_index")
     lam = np.asarray(eigenvalues, dtype=np.float64)
     g = int(gap_index)
     if not 2 <= g <= lam.size:
-        raise DomainError(
-            f"gap index must lie in 2..{lam.size}, got {g}"
-        )
-    s, t = lam[g - 2:g - 1], lam[g - 1:g]
-    if _narrow(table, s, t)[0]:
-        raise DomainError(f"eigenvalue gap ({float(s[0])}, {float(t[0])}) "
+        raise DomainError(f"gap index must lie in 2..{lam.size}, got {g}")
+    block = next(build_blocks(table, r, eigenvalues=lam[g - 2:g]))[1]
+    if block is None:
+        raise DomainError(f"eigenvalue gap ({lam[g - 2]}, {lam[g - 1]}) "
                           f"is too narrow")
-    return next(_assemble(table, r, (), s, t))
+    return block
 
 
 def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
@@ -300,7 +297,12 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     the family included, with the error :func:`build_block` raises.
     """
     kinds = tuple(kinds)
-    _check_kinds(kinds, r)
+    for kind in kinds:
+        if kind not in BLOCK_KINDS:
+            raise ValueError(f"unknown block kind {kind!r}; "
+                             f"expected one of {BLOCK_KINDS}")
+    if r < 0:
+        raise DomainError("block order r must be non-negative")
     if "gap_product" in kinds:
         raise DomainError("gap_product blocks come from eigenvalues, "
                           "one per adjacent pair")
@@ -310,19 +312,12 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     lam = np.asarray(eigenvalues, dtype=np.float64)
     s, t = lam[:-1], lam[1:]
     _check_powers(table, r, kinds + ("gap_product",) * min(s.size, 1))
-    keep = [True] * len(kinds) + (~_narrow(table, s, t)).tolist()
+    # a pair too close to be an eigenvalue gap gives None
+    narrow = t - s <= GAP_RTOL * max(table.M - table.m, np.finfo(float).tiny)
+    keep = [True] * len(kinds) + (~narrow).tolist()
     blocks = _assemble(table, r, kinds, s, t)
     return zip(kinds + ("gap_product",) * s.size,
                (block if ok else None for block, ok in zip(blocks, keep)))
-
-
-def _check_kinds(kinds, r: int) -> None:
-    for kind in kinds:
-        if kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {kind!r}; "
-                             f"expected one of {BLOCK_KINDS}")
-    if r < 0:
-        raise DomainError("block order r must be non-negative")
 
 
 def _check_powers(table: MomentTable, r: int, kinds) -> None:
@@ -332,11 +327,6 @@ def _check_powers(table: MomentTable, r: int, kinds) -> None:
     for kind in kinds:
         for d in _KINDS[kind][1](table.m, table.M):  # shifts d of T(d)
             table.powers(d, 2 * r + 1)
-
-
-def _narrow(table: MomentTable, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Whether each pair ``(s, t)`` is too close to be an eigenvalue gap."""
-    return t - s <= GAP_RTOL * max(table.M - table.m, np.finfo(float).tiny)
 
 
 def _assemble(table: MomentTable, r: int, kinds, s=None, t=None):
@@ -370,11 +360,7 @@ def _assemble(table: MomentTable, r: int, kinds, s=None, t=None):
             st, tt = s[pairs], t[pairs]
             parts.append(gap_sequence(T, st.reshape(-1, 1, 1, 1),
                                       tt.reshape(-1, 1, 1, 1)))
-            # operand_scale pair by pair; the np.where is max(first, last)
-            first, last = (sum(abs(c) * table.size(e + d)
-                               for d, c in gap_weights(st, tt).items())
-                           for e in (0, 2 * r))
-            scales += np.where(last > first, last, first).tolist()
+            scales += table.operand_scale(gap_weights(st, tt), r).tolist()
         assembled = _gather(parts[0] if len(parts) == 1
                             else np.concatenate(parts))
         yield from map(BlockMatrixSpec, assembled, scales)
@@ -403,12 +389,6 @@ def _gather(sequences: np.ndarray) -> np.ndarray:
     return grid.transpose(0, 1, 3, 2, 4).reshape(count, size * k, size * k)
 
 
-def hankel_gather(sequence: np.ndarray) -> np.ndarray:
-    """The block Hankel matrix ``[sequence[i + j]]`` of a ``(2r + 1, k, k)``
-    stack: the one-sequence case of the family gather."""
-    return _gather(sequence[np.newaxis])[0]
-
-
 def build_refinement_chain(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
     """Two-block refinement of the even-moment Hankel for ``A >= m > 0``.
 
@@ -423,20 +403,20 @@ def build_refinement_chain(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
     m = table.m
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
-    outer = hankel_gather(table.powers(2, 3))
-    inner = hankel_gather(2.0 * m * table.powers(1, 3)
-                          - m * m * table.powers(0, 3))
+    outer, inner = _gather(np.stack([
+        table.powers(2, 3),
+        2.0 * m * table.powers(1, 3) - m * m * table.powers(0, 3)]))
     return outer, inner
 
 
-def _log(spectrum) -> np.ndarray:
-    """``log A`` from the spectrum of a positive definite ``A``."""
+def _log_spectrum(a):
+    """The spectrum of a positive definite ``A`` and the logarithms of its
+    eigenvalues."""
+    spectrum = hermitian_eig(a)
     if spectrum.min <= 0.0:
-        raise DomainError(
-            f"matrix must be positive definite (min eigenvalue {spectrum.min:.3e})"
-        )
-    v = spectrum.eigenvectors
-    return hermitian_part((v * np.log(spectrum.eigenvalues)) @ v.conj().T)
+        raise DomainError(f"matrix must be positive definite "
+                          f"(min eigenvalue {spectrum.min:.3e})")
+    return spectrum, np.log(spectrum.eigenvalues)
 
 
 def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
@@ -444,11 +424,11 @@ def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
 
     Positive semidefinite because ``x - log x >= 1`` on the positive axis.
     """
-    spectrum = hermitian_eig(a)
-    h, la = spectrum.matrix, _log(spectrum)
-    one = pulm.apply(h)
-    two = pulm.apply(hermitian_part(h @ h))
-    deficit = pulm.apply(h - la)
+    spectrum, log_lam = _log_spectrum(a)
+    lam = spectrum.eigenvalues
+    with np.errstate(over="ignore"):  # spectral_images rejects the overflow
+        values = np.stack([lam * lam, lam, lam - log_lam])
+    two, one, deficit = spectral_images(pulm, spectrum, values)
     return np.block([[two, one], [one, deficit]])
 
 
@@ -463,19 +443,15 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
       [..., Phi((log M) A^2 - A^2 log A)]]``
     - lower: the mirrored block with ``log m`` subtracted instead.
     """
-    spectrum = hermitian_eig(a)
-    h, la = spectrum.matrix, _log(spectrum)
-    h2 = hermitian_part(h @ h)
-    hla = hermitian_part(h @ la)
-    h2la = hermitian_part(h2 @ la)
+    spectrum, log_lam = _log_spectrum(a)
+    lam = spectrum.eigenvalues
     lm, lM = np.log(spectrum.min), np.log(spectrum.max)
-    eye = np.eye(h.shape[0])
-    upper = hankel_gather(np.stack([
-        pulm.apply(lM * eye - la), pulm.apply(lM * h - hla),
-        pulm.apply(lM * h2 - h2la)]))
-    lower = hankel_gather(np.stack([
-        pulm.apply(la - lm * eye), pulm.apply(hla - lm * h),
-        pulm.apply(h2la - lm * h2)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        powers = lam[np.newaxis, :] ** np.arange(3)[:, np.newaxis]
+        values = np.concatenate([(lM - log_lam) * powers,
+                                 (log_lam - lm) * powers])
+    images = spectral_images(pulm, spectrum, values)
+    upper, lower = _gather(images.reshape(2, 3, *images.shape[1:]))
     return upper, lower
 
 
@@ -504,11 +480,15 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
             f"exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2"
         )
     eye = np.eye(pulm.codomain_dim)
-    return np.block([
-        [eye, pulm.apply(m), pulm.apply(ms @ m)],
-        [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
-        [pulm.apply(ms @ m), pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        block = np.block([
+            [eye, pulm.apply(m), pulm.apply(ms @ m)],
+            [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
+            [pulm.apply(ms @ m), pulm.apply(ms @ m @ m),
+             pulm.apply(ms @ ms @ m @ m)],
+        ])
+    require_finite("normal-matrix moments", block)
+    return block
 
 
 @dataclass(frozen=True)
@@ -609,14 +589,18 @@ def psd_records(blocks, seed: int, tol: float,
     Each :class:`BlockMatrixSpec` is Hermitian by construction; its rounding
     asymmetry is dropped, and its verdict is :func:`~momenta.linalg.is_psd`
     at ``block.scale``, with the minimum eigenvalue as the margin. A block
-    that is None, whose hypotheses fail, gives a skip. Every PSD verdict of
-    the package is recorded here.
+    that is None, whose hypotheses fail, gives a skip, and one whose scale
+    overflowed a :class:`DomainError` before its eigensolve. Every PSD
+    verdict of the package is recorded here.
     """
     out = []
     for check, block in blocks:
         if block is None:
             out.append(skip_record(prefix + check, seed))
             continue
+        if not math.isfinite(block.scale):
+            raise DomainError(f"{prefix + check} operands overflow double "
+                              f"precision; rescale the matrix")
         verdict = is_psd(hermitian_part(block.assembled), tol, block.scale)
         out.append(record(prefix + check, seed, verdict.passed,
                           verdict.min_eigenvalue))
@@ -628,7 +612,9 @@ def centered_fourth_moment_outcome(functional: PositiveUnitalMap, a,
     """Verdict and slack, judged at ``||A||_F^4``, the size of the fourth
     moments the slack is computed from."""
     slack = centered_fourth_moment_slack(functional, a)
-    return passes(slack, frobenius(a) ** 4, tol), slack
+    with np.errstate(over="ignore"):  # inf, which passes rejects
+        scale = np.float64(frobenius(a)) ** 4
+    return passes(slack, scale, tol), slack
 
 
 def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
@@ -642,27 +628,19 @@ def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
     if not functional.is_functional:
         raise ShapeError("centered fourth moment needs a functional (1x1 codomain)")
     m = as_matrix(a)
-    mean = complex(functional.apply(m)[0, 0])
-    b = m - mean * np.eye(m.shape[0])
-    bsq = b.conj().T @ b
-    second = float(functional.apply(bsq)[0, 0].real)
-    fourth = float(functional.apply(bsq @ bsq)[0, 0].real)
-    mixed = complex(functional.apply(b @ bsq)[0, 0])
-    if second <= 1e-15 * frobenius(b) ** 2:
-        ratio = 0.0
-    else:
-        ratio = abs(mixed) ** 2 / second
-    return fourth - ratio - second * second
-
-
-def _frobenius_or_inf(a: np.ndarray) -> float:
-    """``||a||_F``, ``inf`` past double precision, with no numpy warning:
-    :func:`~momenta.linalg.passes` then rejects the scale."""
-    t, e = scaled_frobenius(a)
-    try:
-        return math.ldexp(t, e)
-    except OverflowError:
-        return math.inf
+    # numpy scalars, so an overflow gives inf or nan, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = functional.apply(m)[0, 0]
+        b = m - mean * np.eye(m.shape[0])
+        bsq = b.conj().T @ b
+        second = functional.apply(bsq)[0, 0].real
+        fourth = functional.apply(bsq @ bsq)[0, 0].real
+        mixed = functional.apply(b @ bsq)[0, 0]
+        vanishes = second <= 1e-15 * frobenius(b) ** 2
+        ratio = 0.0 if vanishes else abs(mixed) ** 2 / second
+        slack = fourth - ratio - second * second
+    require_finite("centered fourth moments", slack)
+    return slack
 
 
 def scalar_checks(pulm: PositiveUnitalMap, a,
@@ -690,11 +668,10 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
 
     if is_hermitian(mat):
         spectrum = hermitian_eig(mat)
-        h, m, M = spectrum.matrix, spectrum.min, spectrum.max
+        m, M = spectrum.min, spectrum.max
         eye = np.eye(pulm.codomain_dim)
-        p1 = hermitian_part(pulm.apply(h))
-        p2 = hermitian_part(pulm.apply(hermitian_part(h @ h)))
-        p3 = hermitian_part(pulm.apply(hermitian_part(h @ h @ h)))
+        table = _table(pulm, spectrum, -1 if m > 0.0 else 0, 3)
+        p1, p2, p3 = table.powers(1, 3)
         variance = p2 - p1 @ p1
 
         rho = max(abs(m), abs(M))
@@ -707,11 +684,14 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
             hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance,
             (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
-        if spectrum.min > 0.0:
-            pinv = hermitian_part(pulm.apply(np.linalg.inv(h)))
-            p1_inv = np.linalg.inv(p1)
+        # an overflow in an inverse gives a non-finite scale, which
+        # psd_records rejects
+        if m > 0.0:
+            with np.errstate(over="ignore"):
+                p1_inv = np.linalg.inv(p1)
+                size = frobenius(p1_inv)
             blocks["inverse_moment"] = BlockMatrixSpec(
-                pinv - p1_inv, 1.0 / spectrum.min + _frobenius_or_inf(p1_inv))
+                table.power(-1) - p1_inv, 1.0 / m + size)
 
         # a gap is inverted only if it stands clear of its own norm and of
         # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
@@ -719,8 +699,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
         if (hermitian_eig(low_gap, vectors=False).min
                 > 1e-6 * max(frobenius(low_gap), rho)):
             x = p2 - m * p1
-            schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            with np.errstate(over="ignore"):  # inf, which passes rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
                 size = frobenius(schur)
             blocks["third_moment_lower"] = BlockMatrixSpec(
                 p3 - (m * p2 + schur), (rho + abs(m)) * sq + size)
@@ -729,8 +709,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
         if (hermitian_eig(high_gap, vectors=False).min
                 > 1e-6 * max(frobenius(high_gap), rho)):
             y = M * p1 - p2
-            schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            with np.errstate(over="ignore"):  # inf, which passes rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
                 size = frobenius(schur)
             blocks["third_moment_upper"] = BlockMatrixSpec(
                 M * p2 - schur - p3, (rho + abs(M)) * sq + size)

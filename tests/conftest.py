@@ -14,6 +14,43 @@ EXAMPLE_3X3 = np.array([
 ], dtype=np.complex128)
 
 
+def direct_powers(pulm, a, k_min, k_max):
+    """``Phi(A^k)`` for ``k = k_min..k_max`` by the direct route: the map
+    applied to the explicitly multiplied powers of ``A`` (and its inverse
+    for ``k = -1``), Hermitian parts taken, as one ``(K, k, k)`` stack. An
+    oracle for the spectral contraction of moment tables and scalar checks.
+    """
+    h = linalg.hermitian_eig(a).matrix
+    acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
+    for p in range(1, max(k_max, 1) + 1):
+        acc[p] = acc[p - 1] @ h
+    if k_min == -1:
+        acc[-1] = np.linalg.inv(h)
+    blocks = np.stack([pulm.apply(linalg.hermitian_part(acc[p]))
+                       for p in range(k_min, k_max + 1)])
+    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+
+
+def direct_log_blocks(pulm, a):
+    """``(deficit, upper, lower)`` of a positive definite ``A``, each image
+    one ``apply`` on an explicitly multiplied matrix, with ``log A`` formed
+    from the eigendecomposition: an oracle for the log blocks' spectral
+    images."""
+    spectrum = linalg.hermitian_eig(a)
+    h, v, part = spectrum.matrix, spectrum.eigenvectors, linalg.hermitian_part
+    la = part((v * np.log(spectrum.eigenvalues)) @ v.conj().T)
+    h2, hla = part(h @ h), part(h @ la)
+    h2la = part(h2 @ la)
+    lm, lM = np.log(spectrum.min), np.log(spectrum.max)
+    eye, phi = np.eye(h.shape[0]), pulm.apply
+    deficit = np.block([[phi(h2), phi(h)], [phi(h), phi(h - la)]])
+    upper = np.block([[phi(lM * eye - la), phi(lM * h - hla)],
+                      [phi(lM * h - hla), phi(lM * h2 - h2la)]])
+    lower = np.block([[phi(la - lm * eye), phi(hla - lm * h)],
+                      [phi(hla - lm * h), phi(h2la - lm * h2)]])
+    return deficit, upper, lower
+
+
 class ReflectedTrace(maps.PositiveUnitalMap):
     """``A -> 2 tr(A)/n I - A``: unital, but not positive. A negative control."""
 

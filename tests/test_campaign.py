@@ -198,14 +198,15 @@ def test_route_agreement_fails_on_a_skewed_direct_route(c, monkeypatch):
                     if r.check == "route_agreement")
 
     assert route_agreement(True).margin >= 1e-8 - 1e-13
-    table = moments.moment_table
+    eig = campaign.hermitian_eig
 
-    def skewed(pulm, a, *args, route="spectral", **kwargs):
-        if route == "direct":
-            a = 1.01 * a
-        return table(pulm, a, *args, route=route, **kwargs)
+    def skewed(a, *args, **kwargs):
+        # the direct route multiplies the validated matrix, here 1.01 A;
+        # the moment table solves A itself, in moments
+        spectrum = eig(a, *args, **kwargs)
+        return dataclasses.replace(spectrum, matrix=1.01 * spectrum.matrix)
 
-    monkeypatch.setattr(moments, "moment_table", skewed)
+    monkeypatch.setattr(campaign, "hermitian_eig", skewed)
     assert route_agreement(False).passed is False
     assert route_agreement(True).passed is False
 
@@ -233,15 +234,19 @@ def test_bounds_suite_allows_rounding_of_a_close_eigenvalue_pair():
 
 
 def test_bounds_suite_still_bites_on_separated_atoms():
-    # three atoms make the bounds exact to rounding; demanding 1e-9 of room
-    # must fail both bound checks
+    # three atoms make the bounds exact to rounding: both hold with less
+    # than 1e-9 of the spectral radius to spare, so demanding that much
+    # room would fail them
     a = linalg.hermitian_with_spectrum([-1.0, 0.2, 1.3], 4)
     inst = _file_instance(a, maps.NormalizedTrace(3))
-    verdicts = {r.check: r.passed
-                for r in campaign.bounds_suite(inst, tol=-1e-9)}
-    assert verdicts["bound_min_upper"] is False
-    assert verdicts["bound_max_lower"] is False
-    assert all(r.passed for r in campaign.bounds_suite(inst))
+    records = {r.check: r for r in campaign.bounds_suite(inst)}
+    rho = max(abs(linalg.hermitian_eig(a).eigenvalues[[0, -1]]))
+    for check in ("bound_min_upper", "bound_max_lower"):
+        assert records[check].margin < 1e-9 * rho
+    assert all(r.passed for r in records.values())
+    # a tolerance that demands room is not one the verdict rule takes
+    with pytest.raises(ValueError, match="tolerance"):
+        campaign.bounds_suite(inst, tol=-1e-9)
 
 
 def test_normal_suite_has_no_failures():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -487,6 +488,35 @@ def test_bad_input_is_one_error_line(tmp_path, command, text):
     assert proc.stdout.count("nan") == proc.stdout.count("inf") == 0
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+#: Overflows in the normal-matrix path and in inverted blocks, each once a
+#: numpy warning, a bare errno text or a misleading message: the matrix,
+#: the map and the block order.
+OVERFLOWS = {
+    "inverted-gap": (1e-310 * np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
+    "normal-block-norm": (1e40 * np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
+    "fourth-moment-power": (1e52 * np.diag([1j, -1j]), "vector-state", "3"),
+    "fourth-moment-products": (1e80 * np.diag([1j, -1j]), "trace", "3"),
+    "normal-block-products": (1e82 * np.diag([1j, -1j]), "compression:2",
+                              "0"),
+    "route-difference": (1e-250 * (linalg.random_psd(8, 2) + np.eye(8)),
+                         "trace", "3"),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_an_overflow_is_one_error_line_naming_it(tmp_path, capsys, name):
+    matrix, spec, r_max = OVERFLOWS[name]
+    path = write(tmp_path, "a.json", cli.write_matrix_json(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify", path, "--map", spec, "--r-max", r_max,
+                         "--seed", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "overflow" in err
 
 
 def test_parser_is_built_once_and_parsing_leaves_it_unchanged():

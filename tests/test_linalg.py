@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -350,6 +351,12 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             linalg.is_psd(np.eye(2), tol=float("nan"))
 
+    @pytest.mark.parametrize("rtol", [math.inf, math.nan, 0.0, -1e-9])
+    def test_passes_owns_its_tolerance_rule(self, rtol):
+        # an infinite tolerance would accept any slack
+        with pytest.raises(ValueError, match="tolerance"):
+            linalg.passes(-1e300, 1.0, rtol)
+
     def test_an_infinite_scale_is_a_domain_error(self):
         # it would accept any slack
         with pytest.raises(DomainError, match="overflow"):
@@ -403,13 +410,15 @@ class TestHadamard:
 
 
 class TestMatrixFunctions:
-    """Matrix functions the package computes from a spectrum: the logarithm
-    behind the log blocks, and the powers ``A^k`` that ``moment_table``'s
-    spectral route yields under the identity map."""
+    """Matrix functions the package computes from a spectrum, as spectral
+    images under the identity map: the logarithm behind the log blocks, and
+    the powers ``A^k`` of ``moment_table``."""
 
     @staticmethod
     def log(a):
-        return moments._log(linalg.hermitian_eig(a))
+        spectrum, log_lam = moments._log_spectrum(a)
+        return moments.spectral_images(maps.Identity(len(a)), spectrum,
+                                       log_lam[np.newaxis])[0]
 
     @staticmethod
     def powers(a, k_min, k_max):

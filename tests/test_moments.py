@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta import linalg, maps, moments
+from momenta import campaign, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
-from conftest import EXAMPLE_3X3
+from conftest import EXAMPLE_3X3, direct_log_blocks, direct_powers
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -148,11 +149,14 @@ class TestMomentTable:
 
     @pytest.mark.parametrize("route", ["spectral", "direct"])
     def test_overflowing_powers_are_a_domain_error(self, route):
+        # the direct route is route_agreement's, which builds a table too
         a = 1e100 * linalg.random_hermitian(4, 1)
+        tabulate = {"spectral": moments.moment_table,
+                    "direct": campaign._route_error}[route]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
-                moments.moment_table(maps.NormalizedTrace(4), a, 0, 7, route)
+                tabulate(maps.NormalizedTrace(4), a, 0, 7)
 
     def test_power_outside_range(self):
         t = table12(0, 2)
@@ -166,7 +170,10 @@ class TestMomentTable:
     def test_table_is_one_stacked_array(self, route, k_min):
         pulm = maps.random_map("compression", 4, k=3, seed=2)
         a = linalg.hermitian_with_spectrum([0.3, 0.8, 1.1, 2.0], 3)
-        t = moments.moment_table(pulm, a, k_min, 5, route)
+        t = moments.moment_table(pulm, a, k_min, 5)
+        if route == "direct":
+            # the direct route's stack, in the same table
+            t = replace(t, blocks=direct_powers(pulm, a, k_min, 5))
         assert isinstance(t.blocks, np.ndarray)
         assert t.blocks.shape == (6 - k_min, 3, 3)
         # every block exactly Hermitian, not only up to rounding
@@ -233,10 +240,10 @@ class TestMomentTable:
         a = linalg.random_hermitian(4, 5)
         pd = a + (abs(linalg.hermitian_eig(a).min) + 0.3) * np.eye(4)
         for matrix, k_min in ((a, 0), (pd, -1)):
-            spectral = moments.moment_table(pulm, matrix, k_min, 6, "spectral")
-            direct = moments.moment_table(pulm, matrix, k_min, 6, "direct")
+            spectral = moments.moment_table(pulm, matrix, k_min, 6)
+            direct = direct_powers(pulm, matrix, k_min, 6)
             for k in range(k_min, 7):
-                s, d = spectral.power(k), direct.power(k)
+                s, d = spectral.power(k), direct[k - k_min]
                 assert linalg.frobenius(s - d) <= 1e-8 * max(1.0, linalg.frobenius(s))
 
 
@@ -364,6 +371,23 @@ class TestBuildBlock:
         np.testing.assert_allclose(low + high, (t.M - t.m) * hank, atol=1e-10)
 
 
+def _no_apply(self, a):
+    raise AssertionError("a map was applied outside the route oracle")
+
+
+def log_scales(a):
+    """The operand scales of the log blocks ``(deficit, upper, lower)`` of a
+    positive definite ``A``, as the scalar suite judges them: ``rho^e``
+    bounds ``Phi(A^e)``, and ``max(|log m|, |log M|)`` bounds ``log A``."""
+    lam = linalg.hermitian_eig(a).eigenvalues
+    rho = max(abs(lam[0]), abs(lam[-1]))
+    log_m, log_M = np.log(lam[0]), np.log(lam[-1])
+    log_size = max(abs(log_m), abs(log_M))
+    powers = max(1.0, rho * rho)
+    return (max(rho * rho, rho + log_size), (abs(log_M) + log_size) * powers,
+            (log_size + abs(log_m)) * powers)
+
+
 def random_table(k, real, seed, m=-0.7, M=1.3):
     """A table of random Hermitian ``k x k`` powers -1..8 on ``[m, M]``.
 
@@ -438,6 +462,18 @@ class TestBuildBlocks:
                 zeros = block.assembled.imag == 0.0
                 signed_zeros += np.signbit(block.assembled.imag[zeros]).sum()
         assert signed_zeros > 0 or not real
+
+    def test_operand_scale_takes_arrays_of_coefficients(self):
+        # a family's gap scales are one expression over its pairs, each the
+        # scalar scale of its pair
+        t = random_table(2, False, seed=3)
+        s, u = TABLE_SPECTRUM[:-1], TABLE_SPECTRUM[1:]
+        for r in range(4):
+            scales = t.operand_scale({2: 1.0, 1: s + u, 0: s * u}, r)
+            assert scales.shape == s.shape
+            for i in range(s.size):
+                one = t.operand_scale({2: 1.0, 1: s[i] + u[i], 0: s[i] * u[i]}, r)
+                assert type(one) is float and scales[i] == one
 
     def test_narrow_pairs_are_skipped_where_build_block_raises(self):
         t = random_table(2, False, seed=7)
@@ -652,32 +688,91 @@ class TestLogBlocks:
             moments.build_log_endpoint_blocks(TR2, np.diag([0.0, 3.0]))
 
     def test_endpoint_blocks_apply_the_map_once_per_image(self, monkeypatch):
-        # three images per block, the off-diagonal one shared, and every bit
-        # as in the entrywise np.block form
+        # the six images are rows of one contraction of the eigenprojections'
+        # images, with no apply; the off-diagonal image is shared, and the
+        # blocks are the direct route's to rounding
         a = linalg.hermitian_with_spectrum([0.3, 1.1, 2.0, 2.7], 5)
         pulm = maps.random_map("compression", 4, k=2, seed=8)
-        spectrum = linalg.hermitian_eig(a)
-        h, la = spectrum.matrix, moments._log(spectrum)
-        h2 = linalg.hermitian_part(h @ h)
-        hla = linalg.hermitian_part(h @ la)
-        h2la = linalg.hermitian_part(h2 @ la)
-        lm, lM, eye = np.log(spectrum.min), np.log(spectrum.max), np.eye(4)
-        phi = pulm.apply
-        expected_upper = np.block([
-            [phi(lM * eye - la), phi(lM * h - hla)],
-            [phi(lM * h - hla), phi(lM * h2 - h2la)]])
-        expected_lower = np.block([
-            [phi(la - lm * eye), phi(hla - lm * h)],
-            [phi(hla - lm * h), phi(h2la - lm * h2)]])
+        _, expected_upper, expected_lower = direct_log_blocks(pulm, a)
 
         calls = []
-        apply = maps.Compression.apply
-        monkeypatch.setattr(maps.Compression, "apply",
-                            lambda self, x: calls.append(x) or apply(self, x))
+        images = maps.Compression.rank_one_images
+        monkeypatch.setattr(maps.Compression, "rank_one_images",
+                            lambda self, v: calls.append(v) or images(self, v))
+        monkeypatch.setattr(maps.Compression, "apply", _no_apply)
         upper, lower = moments.build_log_endpoint_blocks(pulm, a)
-        assert len(calls) == 6
-        assert np.array_equal(upper, expected_upper)
-        assert np.array_equal(lower, expected_lower)
+        assert len(calls) == 1
+        for block, expected, scale in zip((upper, lower),
+                                          (expected_upper, expected_lower),
+                                          log_scales(a)[1:]):
+            assert np.array_equal(block[:2, 2:], block[2:, :2])
+            assert np.max(np.abs(block - expected)) <= 1e-12 * scale
+
+
+class TestOneRoute:
+    """Every image of a Hermitian matrix comes from the spectral contraction;
+    the direct route, the map applied to multiplied matrices, is
+    route_agreement's alone."""
+
+    @pytest.fixture
+    def no_apply(self, monkeypatch):
+        for kind in maps.MAP_KINDS:
+            cls = type(maps.random_map(kind, 3, seed=0))
+            monkeypatch.setattr(cls, "apply", _no_apply)
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_no_map_is_applied_outside_route_agreement(self, kind, no_apply,
+                                                       monkeypatch):
+        pulm = maps.random_map(kind, 4, k=2, seed=21)
+        a = linalg.random_hermitian(4, 22)
+        pd = linalg.random_psd(4, 23) + np.eye(4)
+        # the centered fourth moment is the normal-matrix path, which
+        # multiplies non-Hermitian matrices
+        monkeypatch.setattr(moments, "centered_fourth_moment_slack",
+                            lambda functional, matrix: 0.0)
+        for matrix in (a, pd):
+            records = moments.scalar_checks(pulm, matrix)
+            assert [r.passed for r in records[:3]] == [True] * 3
+        moments.build_log_deficit_block(pulm, pd)
+        moments.build_log_endpoint_blocks(pulm, pd)
+        if pulm.is_functional:
+            assert campaign._centered_records(pulm, a, 2, 0, 1e-9)
+        with pytest.raises(AssertionError, match="route oracle"):
+            campaign._route_error(pulm, a, 0, 4)
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_scalar_powers_match_the_direct_route(self, kind):
+        # Phi(A^k), k = -1..3, as scalar_checks reads them
+        for seed in range(3):
+            pulm = maps.random_map(kind, 6, k=3, seed=seed + 31)
+            a = linalg.random_psd(6, seed + 32) + 0.5 * np.eye(6)
+            table = moments._table(pulm, linalg.hermitian_eig(a), -1, 3)
+            direct = direct_powers(pulm, a, -1, 3)
+            for k in range(-1, 4):
+                assert (np.max(np.abs(table.power(k) - direct[k + 1]))
+                        <= 1e-12 * table.size(k))
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_log_blocks_match_the_direct_route(self, kind):
+        for seed in range(3):
+            pulm = maps.random_map(kind, 5, k=2, seed=seed + 40)
+            a = linalg.random_psd(5, seed + 50) + 0.2 * np.eye(5)
+            blocks = (moments.build_log_deficit_block(pulm, a),
+                      *moments.build_log_endpoint_blocks(pulm, a))
+            for block, expected, scale in zip(
+                    blocks, direct_log_blocks(pulm, a), log_scales(a)):
+                assert np.max(np.abs(block - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
+    def test_centered_mean_matches_the_functional(self, kind):
+        a = linalg.random_hermitian(5, 61)
+        functional = maps.random_map(kind, 5, seed=62)
+        spectrum = linalg.hermitian_eig(a)
+        mean = moments.spectral_images(functional, spectrum,
+                                       spectrum.eigenvalues[np.newaxis])
+        assert mean.shape == (1, 1, 1)
+        assert abs(mean[0, 0, 0] - functional.apply(a)[0, 0]) <= 1e-14 * max(
+            abs(spectrum.min), abs(spectrum.max))
 
 
 class TestNormalBlock:
@@ -715,6 +810,29 @@ class TestNormalBlock:
 
 
 class TestScalarChecks:
+    def test_an_infinite_tolerance_is_rejected(self):
+        # it would pass any slack, the centered fourth moment's included
+        with pytest.raises(ValueError, match="tolerance"):
+            moments.scalar_checks(TR3, linalg.random_normal_matrix(3, 1),
+                                  tol=math.inf)
+
+    @pytest.mark.parametrize("c", [1e100, 1e150])
+    def test_overflowing_normal_moments_are_a_domain_error(self, c):
+        a = c * np.diag([1j, -1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                moments.centered_fourth_moment_slack(TR2, a)
+            with pytest.raises(DomainError, match="overflow"):
+                moments.build_normal_block(TR2, a)
+
+    def test_a_block_with_an_infinite_scale_is_a_domain_error(self):
+        # an infinite scale would pass any block; it is rejected before the
+        # eigensolve, whatever the block holds
+        block = moments.BlockMatrixSpec(np.full((2, 2), np.inf), math.inf)
+        with pytest.raises(DomainError, match="kadison operands overflow"):
+            moments.psd_records([("kadison", block)], 0, 1e-9)
+
     def test_variance_equality_on_symmetric_two_point_spectrum(self):
         results = {r.check: r for r in moments.scalar_checks(TR2, np.diag([0.0, 1.0]))}
         assert results["kadison"].passed
