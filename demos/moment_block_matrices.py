@@ -13,6 +13,7 @@ import numpy as np
 from momenta import (
     BLOCK_KINDS,
     build_block,
+    build_blocks,
     build_refinement_chain,
     distinct_eigenvalues,
     hermitian_eig,
@@ -32,10 +33,12 @@ print(f"moment table over powers {table.k_min}..{table.k_max}, "
       f"spectrum interval [{table.m:.3f}, {table.M:.3f}]")
 
 r = 3
+# one block per kind; the gap_product block is the first of the family of
+# adjacent distinct eigenvalue pairs
 lam = distinct_eigenvalues(hermitian_eig(A).eigenvalues)
 for kind in BLOCK_KINDS:
     if kind == "gap_product":
-        block = build_block(kind, table, r, eigenvalues=lam, gap_index=2)
+        _, block = next(build_blocks(table, r, eigenvalues=lam))
     else:
         block = build_block(kind, table, r)
     verdict = is_psd(block.assembled)

@@ -52,7 +52,6 @@ class Instance:
     ``matrix_pd`` is the positive definite variant, None where there is none.
     """
 
-    index: int
     seed: int
     n: int
     r: int
@@ -87,7 +86,7 @@ def corpus(count: int = 200, seed: int = 42, n_range: tuple[int, int] = (2, 6),
         k = int(rng.integers(1, n + 1))
         pulm = random_map(kind, n, k, inst_seed + 2)
         out.append(Instance(
-            index=i, seed=inst_seed, n=n, r=r, kind=kind,
+            seed=inst_seed, n=n, r=r, kind=kind,
             matrix=a, matrix_pd=a_pd, pulm=pulm,
         ))
     return out
@@ -123,12 +122,16 @@ def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
 
 
 def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
+    if matrix_pd is None:
+        return [skip_record(f"psd_{kind}", seed) for kind in _PD_KINDS]
     table_pd = moments.moment_table(pulm, matrix_pd, -1, 2 * r + 2)
     return psd_records(moments.build_blocks(table_pd, r, _PD_KINDS),
                        seed, tol, "psd_")
 
 
 def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
+    if matrix_pd is None:
+        return [skip_record(check, seed) for check in _PD_EXTRA_CHECKS]
     table = moments.moment_table(pulm, matrix_pd, 0, 4)
     outer, inner = moments.build_refinement_chain(table)
     deficit = moments.build_log_deficit_block(pulm, matrix_pd)
@@ -173,21 +176,26 @@ def _restamp(results: list[CheckRecord], seed: int,
 
 
 def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
-    """PSD verdicts for every block construction on one instance."""
-    return (_psd_base_records(inst.pulm, inst.matrix, inst.r, inst.seed, tol)
-            + _psd_pd_records(inst.pulm, inst.matrix_pd, inst.r, inst.seed, tol))
-
-
-def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
-    """Scalar-form and two-block inequality checks on one instance."""
-    records = _restamp(moments.scalar_checks(inst.pulm, inst.matrix, tol=tol),
-                       inst.seed, "")
-    records += _restamp(moments.scalar_checks(inst.pulm, inst.matrix_pd,
-                                              tol=tol), inst.seed, "_pd")
-    records.extend(_pd_extra_records(inst.pulm, inst.matrix_pd, inst.seed, tol))
+    """PSD verdicts for every block construction on one instance; those of
+    the positive definite variant are skipped where it is None."""
+    records = (_psd_base_records(inst.pulm, inst.matrix, inst.r, inst.seed, tol)
+               + _psd_pd_records(inst.pulm, inst.matrix_pd, inst.r, inst.seed,
+                                 tol)
+               + _pd_extra_records(inst.pulm, inst.matrix_pd, inst.seed, tol))
     if inst.pulm.is_functional:
         records.extend(_centered_records(inst.pulm, inst.matrix, inst.r,
                                          inst.seed, tol))
+    return records
+
+
+def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
+    """Scalar-form inequality checks on one instance, and under a ``_pd``
+    suffix on a positive definite variant other than the matrix itself."""
+    records = _restamp(moments.scalar_checks(inst.pulm, inst.matrix, tol=tol),
+                       inst.seed, "")
+    if inst.matrix_pd is not None and inst.matrix_pd is not inst.matrix:
+        records += _restamp(moments.scalar_checks(inst.pulm, inst.matrix_pd,
+                                                  tol=tol), inst.seed, "_pd")
     return records
 
 
@@ -195,7 +203,9 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
     """Worst disagreement of the moment table with the direct route (the
     map applied to multiplied powers), each power ``k`` relative to its own
     scale: ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``. A zero scale
-    (the zero matrix) leaves the raw difference."""
+    (an underflowed power) leaves the raw difference. Each difference is
+    divided by its scale before its norm is taken, so the norm of a finite
+    relative difference cannot overflow."""
     spectral = moments.moment_table(pulm, matrix, k_min, k_max)
     h = hermitian_eig(matrix).matrix
     acc = {0: np.eye(h.shape[0], dtype=np.complex128)}
@@ -208,10 +218,14 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
                            for p in range(k_min, k_max + 1)])
         require_finite("moment powers", direct)
         direct = (direct + direct.conj().transpose(0, 2, 1)) / 2.0
-        diff = np.linalg.norm(spectral.blocks - direct, axis=(1, 2))
+        scales = np.array([spectral.size(k) for k in range(k_min, k_max + 1)])
+        # divide the real and imaginary parts: a complex division by a
+        # subnormal scale can give nan
+        rel = ((spectral.blocks - direct).view(np.float64)
+               / np.where(scales > 0.0, scales, 1.0)[:, None, None])
+        diff = np.linalg.norm(rel, axis=(1, 2))
     require_finite("moment route differences", diff)
-    scales = np.array([spectral.size(k) for k in range(k_min, k_max + 1)])
-    return float(np.max(diff / np.where(scales > 0.0, scales, 1.0)))
+    return float(np.max(diff))
 
 
 def _determinant_identity_error(cm: eigenbounds.CentralMoments) -> float:
@@ -335,16 +349,20 @@ def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
     return records
 
 
+def instance_records(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
+    """Every suite on one instance, in the order psd, oracle, bounds,
+    scalar; file mode's first error is the first suite's."""
+    return (psd_suite(inst, tol) + oracle_suite(inst) + bounds_suite(inst)
+            + scalar_suite(inst, tol))
+
+
 def run_campaign(count: int = 200, seed: int = 42,
                  n_range: tuple[int, int] = (2, 6), r_max: int = 3,
                  tol: float = 1e-9) -> list[CheckRecord]:
     """Full random campaign: every suite over both corpora."""
     records = []
     for inst in corpus(count, seed, n_range, r_max):
-        records.extend(psd_suite(inst, tol))
-        records.extend(scalar_suite(inst, tol))
-        records.extend(oracle_suite(inst))
-        records.extend(bounds_suite(inst))
+        records.extend(instance_records(inst, tol))
     for nseed, matrix, pulm in normal_corpus(count, seed, n_range):
         records.extend(normal_suite(nseed, matrix, pulm, tol))
     return records
@@ -355,38 +373,25 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
                           tol: float = 1e-9) -> list[CheckRecord]:
     """File-mode verification: run every applicable check on one matrix.
 
-    Non-Hermitian but normal input gets the normal-matrix checks; checks
-    whose hypotheses fail for the given matrix are recorded as skipped,
-    never as failures. Each check is recorded once (``psd_gap_product`` once
-    per eigenvalue gap).
+    Hermitian input is one instance of :func:`instance_records`, its own
+    positive definite variant when it is positive definite; normal input
+    gets the scalar checks; both get the normal-matrix block. Checks whose
+    hypotheses fail for the given matrix are recorded as skipped, never as
+    failures.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    records: list[CheckRecord] = []
     if is_hermitian(m):
         m = hermitian_part(m)
         pd = hermitian_eig(m).min > 0.0
-        records.extend(_psd_base_records(pulm, m, r_max, seed, tol))
-        if pd:
-            records.extend(_psd_pd_records(pulm, m, r_max, seed, tol))
-            records.extend(_pd_extra_records(pulm, m, seed, tol))
-        else:
-            for kind in _PD_KINDS:
-                records.append(skip_record(f"psd_{kind}", seed))
-            for check in _PD_EXTRA_CHECKS:
-                records.append(skip_record(check, seed))
-        if pulm.is_functional:
-            records.extend(_centered_records(pulm, m, r_max, seed, tol))
-        inst = Instance(index=0, seed=seed, n=m.shape[0], r=r_max,
-                        kind="file", matrix=m, matrix_pd=m if pd else None,
-                        pulm=pulm)
-        records.extend(oracle_suite(inst))
-        records.extend(bounds_suite(inst))
-    elif not moments.is_normal(m):
+        records = instance_records(Instance(
+            seed=seed, n=m.shape[0], r=r_max, kind="file", matrix=m,
+            matrix_pd=m if pd else None, pulm=pulm), tol)
+    elif moments.is_normal(m):
+        # scalar_checks covers the centered fourth moment
+        records = _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
+    else:
         # Neither Hermitian nor normal: nothing in the catalog applies.
         return [skip_record(check, seed)
                 for check in ("psd_hankel", "normal_block", "kadison",
                               "centered_fourth_moment")]
-    records += _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
-    # scalar_checks covers the centered fourth moment
-    records += psd_records([_normal_block(pulm, m)], seed, tol)
-    return records
+    return records + psd_records([_normal_block(pulm, m)], seed, tol)

@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -39,9 +38,6 @@ from .maps import (
     PositiveUnitalMap,
     random_map,
 )
-
-#: Environment variable that overrides the default seed.
-SEED_ENV_VAR = "MOMENTA_SEED"
 
 MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 
@@ -81,7 +77,7 @@ _FLAGS = {
     "--r-max": dict(type=int, default=RunConfig.r_max,
                     help="largest block order (default 3)"),
     "--map": dict(dest="map_spec", help=f"{MAP_SPEC_HELP} (default trace)"),
-    "--seed": dict(type=int, help=f"seed (default: ${SEED_ENV_VAR} or 0)"),
+    "--seed": dict(type=int, help="seed (default 0)"),
     "--instances": dict(type=int, help="random-mode instance count (default 200)"),
     "--n-range": dict(help="random-mode dimension range lo:hi (default 2:6)"),
     "--k-min": dict(type=int, default=RunConfig.k_min, choices=(-1, 0),
@@ -298,19 +294,11 @@ def _write_out(out_path: str | None, report: dict) -> None:
             fh.write(report_to_json(report))
 
 
-def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
-
-
 def _config_from_args(args) -> RunConfig:
     """The run's config from the flags given; defaults for the others."""
     given = vars(args)
     options = {f.name: given[f.name] for f in fields(RunConfig)
                if given.get(f.name) is not None}
-    options["seed"] = _resolve_seed(args.seed)
     if given.get("n_range") is not None:
         lo, _, hi = given["n_range"].partition(":")
         options["n_lo"], options["n_hi"] = int(lo), int(hi) if hi else int(lo)

@@ -102,7 +102,8 @@ _KINDS = {
 }
 
 
-#: Kinds accepted by :func:`build_block`, in assembly order.
+#: Block kinds in assembly order; :func:`build_block` takes every one but
+#: ``gap_product``, whose blocks come from eigenvalues.
 BLOCK_KINDS = tuple(_KINDS)
 
 #: Bytes one gather of :func:`build_blocks` may allocate, for its grid of
@@ -258,29 +259,14 @@ def distinct_eigenvalues(values) -> np.ndarray:
     return atoms
 
 
-def build_block(kind: str, table: MomentTable, r: int, *,
-                eigenvalues=None, gap_index: int | None = None) -> BlockMatrixSpec:
+def build_block(kind: str, table: MomentTable, r: int) -> BlockMatrixSpec:
     """Assemble one of the PSD block matrices from a moment table.
 
     ``r`` is the block order: the result has ``r + 1`` block rows and
-    columns. ``gap_product`` additionally needs the (distinct, ascending)
-    ``eigenvalues`` of the underlying matrix and a 1-based ``gap_index`` g
-    selecting the open interval between eigenvalues g-1 and g. The block is
-    the one-block family of :func:`build_blocks`, bit for bit.
+    columns. The block is the one-block family of :func:`build_blocks`, bit
+    for bit; ``gap_product`` blocks come from that family's eigenvalues.
     """
-    if kind != "gap_product":
-        return next(build_blocks(table, r, (kind,)))[1]
-    if eigenvalues is None or gap_index is None:
-        raise DomainError("gap_product needs eigenvalues and gap_index")
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    g = int(gap_index)
-    if not 2 <= g <= lam.size:
-        raise DomainError(f"gap index must lie in 2..{lam.size}, got {g}")
-    block = next(build_blocks(table, r, eigenvalues=lam[g - 2:g]))[1]
-    if block is None:
-        raise DomainError(f"eigenvalue gap ({lam[g - 2]}, {lam[g - 1]}) "
-                          f"is too narrow")
-    return block
+    return next(build_blocks(table, r, (kind,)))[1]
 
 
 def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
@@ -289,12 +275,10 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     Returns an iterator of ``(kind, block)``: one for each of ``kinds``,
     then, given the distinct ascending ``eigenvalues``, one
     ``("gap_product", block)`` for each adjacent pair in order, with
-    ``block`` None where the pair is too narrow to be a gap (where
-    :func:`build_block` raises). Every block equals :func:`build_block`'s
-    bit for bit. The family is gathered at once, in chunks of at most
-    ``GATHER_BUDGET`` bytes, and a chunk is assembled when its first block
-    is asked for. Every argument is checked here, a table too short for
-    the family included, with the error :func:`build_block` raises.
+    ``block`` None where the pair is too narrow to be a gap. The family is
+    gathered at once, in chunks of at most ``GATHER_BUDGET`` bytes, and a
+    chunk is assembled when its first block is asked for. Every argument is
+    checked here, a table too short for the family included.
     """
     kinds = tuple(kinds)
     for kind in kinds:

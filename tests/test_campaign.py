@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_oracle_suite_has_no_failures():
 
 def _file_instance(matrix, pulm):
     n = matrix.shape[0]
-    return campaign.Instance(index=0, seed=0, n=n, r=3, kind="file",
+    return campaign.Instance(seed=0, n=n, r=3, kind="file",
                              matrix=matrix, matrix_pd=None, pulm=pulm)
 
 
@@ -211,6 +212,36 @@ def test_route_agreement_fails_on_a_skewed_direct_route(c, monkeypatch):
     assert route_agreement(True).passed is False
 
 
+@pytest.mark.parametrize("c", [1e-170, 1e-250, 1e-300])
+@pytest.mark.parametrize("case", ["trace", "compression"])
+def test_route_error_is_relative_before_its_norm(case, c):
+    # the inverse powers of a tiny positive definite matrix are huge and
+    # finite; their difference is divided by its scale 1/m before its norm
+    # is taken, so the norm does not square past double precision
+    pulm, a = {
+        "trace": (maps.NormalizedTrace(3), linalg.random_psd(3, 2)),
+        "compression": (cli.build_map("compression:2", 8, 3),
+                        linalg.random_psd(8, 2) + np.eye(8)),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = campaign._route_error(pulm, c * a, -1, 4)
+    assert np.isfinite(err) and err < 1e-8
+
+
+@pytest.mark.parametrize("a", [np.diag([-1.0, 0.5, 2.0]),
+                               linalg.random_hermitian(8, 1)],
+                         ids=["diag", "random"])
+def test_route_error_divides_by_a_subnormal_scale(a):
+    # at 1e-310 the scale of Phi(A) is subnormal: a complex division by it
+    # can give nan, the division of the real and imaginary parts does not
+    pulm = maps.Identity(a.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = campaign._route_error(pulm, 1e-310 * a, 0, 8)
+    assert np.isfinite(err) and err < 1e-8
+
+
 def test_bounds_suite_skips_two_atom_instances():
     insts = campaign.corpus(12, seed=6, n_range=(2, 2))
     records = [r for inst in insts for r in campaign.bounds_suite(inst)]
@@ -323,6 +354,19 @@ def test_file_instance_has_a_pd_variant_only_for_pd_input(monkeypatch, shift,
         np.testing.assert_array_equal(inst.matrix_pd, inst.matrix)
     else:
         assert inst.matrix_pd is None
+
+
+@pytest.mark.parametrize("kind", maps.MAP_KINDS)
+def test_file_mode_runs_the_campaign_checks(kind):
+    # a positive definite file is the instance whose pd variant is itself:
+    # the campaign's checks but the _pd scalar twins, then the normal block
+    inst = next(i for i in campaign.corpus(12, seed=7) if i.kind == kind)
+    names = [r.check for r in campaign.instance_records(inst)
+             if not r.check.endswith("_pd")]
+    records = campaign.single_matrix_records(inst.matrix_pd, inst.pulm,
+                                             inst.seed, inst.r)
+    assert [r.check for r in records if r.check != "normal_block"] == names
+    assert [r.check for r in records].count("normal_block") == 1
 
 
 #: tracemalloc peaks, in bytes, of ``single_matrix_records`` on

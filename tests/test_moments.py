@@ -44,13 +44,14 @@ def scalar_bracket_hankel(x, y, z, r):
     return (x - y) * (y - z) * np.outer(v, v)
 
 
-def entry_block(kind, table, r, eigenvalues=None, gap_index=None):
-    """Entrywise ``np.block`` form of :func:`moments.build_block`: an oracle
-    for the gathered assembly, with the same arithmetic per block."""
+def entry_block(kind, table, r, pair=None):
+    """Entrywise ``np.block`` form of :func:`moments.build_blocks`' blocks,
+    ``gap_product`` on the eigenvalue ``pair`` ``(s, t)``: an oracle for the
+    gathered assembly, with the same arithmetic per block."""
     m, M = table.m, table.M
     T = table.power
     if kind == "gap_product":
-        s, t = float(eigenvalues[gap_index - 2]), float(eigenvalues[gap_index - 1])
+        s, t = float(pair[0]), float(pair[1])
 
     def entry(i, j):
         e = i + j  # 0-based; the 1-based exponent i+j-2
@@ -76,14 +77,14 @@ def entry_block(kind, table, r, eigenvalues=None, gap_index=None):
     return np.block([[entry(i, j) for j in range(r + 1)] for i in range(r + 1)])
 
 
-def operand_scale_oracle(kind, table, r, eigenvalues=None, gap_index=None):
+def operand_scale_oracle(kind, table, r, pair=None):
     """``sum_d |c_d| max(|m|, |M|)^(e + d)`` (``1/m`` for power -1),
     maximised over every degree ``e = 0..2r``: an oracle for the block
     scale, which evaluates the two extreme degrees only."""
     m, M = table.m, table.M
     s = t = 0.0
     if kind == "gap_product":
-        s, t = float(eigenvalues[gap_index - 2]), float(eigenvalues[gap_index - 1])
+        s, t = float(pair[0]), float(pair[1])
     weights = {
         "hankel": {0: 1.0}, "hankel_shift1": {1: 1.0},
         "lower_shift": {1: 1.0, 0: m}, "upper_shift": {0: M, 1: 1.0},
@@ -101,6 +102,21 @@ def projection_images(pulm, vectors):
     """``Phi(v v*)`` for each column ``v``, one ``apply`` on one explicit
     rank-one matrix at a time: an oracle for ``rank_one_images``."""
     return np.stack([pulm.apply(np.outer(v, v.conj())) for v in vectors.T])
+
+
+def gap_block(table, r, pair):
+    """The ``gap_product`` block of one eigenvalue pair: the one-pair family
+    of :func:`moments.build_blocks`, None where the pair is too narrow."""
+    ((kind, block),) = moments.build_blocks(table, r, eigenvalues=pair)
+    assert kind == "gap_product"
+    return block
+
+
+def one_block(kind, table, r, pair=None):
+    """The block of ``kind`` alone, ``gap_product`` on ``pair``."""
+    if kind == "gap_product":
+        return gap_block(table, r, pair)
+    return moments.build_block(kind, table, r)
 
 
 def spectral_sum_table(pulm, a, k_min, k_max):
@@ -256,18 +272,18 @@ class TestBuildBlock:
         a = linalg.hermitian_with_spectrum(lam, 41)
         pulm = maps.random_map("compression", 5, k=codomain, seed=42)
         t = moments.moment_table(pulm, a, k_min, 10)
-        extra = {"eigenvalues": lam, "gap_index": 3} if kind == "gap_product" else {}
+        pair = lam[1:3]  # read by gap_product alone
         for r in range(5):
             if kind in moments.PD_BLOCK_KINDS and k_min == 0:
                 with pytest.raises(ShapeError):
-                    moments.build_block(kind, t, r, **extra)
+                    moments.build_block(kind, t, r)
                 continue
-            block = moments.build_block(kind, t, r, **extra)
+            block = one_block(kind, t, r, pair)
             assert block.scale == pytest.approx(
-                operand_scale_oracle(kind, t, r, **extra), rel=1e-14)
+                operand_scale_oracle(kind, t, r, pair), rel=1e-14)
             assert block.assembled.shape == ((r + 1) * codomain,) * 2
             # bit for bit, signed zeros included
-            assert block.assembled.tobytes() == entry_block(kind, t, r, **extra).tobytes()
+            assert block.assembled.tobytes() == entry_block(kind, t, r, pair).tobytes()
 
     def test_hankel_of_two_point_spectrum(self):
         block = moments.build_block("hankel", table12(), 1).assembled
@@ -304,8 +320,7 @@ class TestBuildBlock:
     def test_gap_product_three_point_spectrum(self):
         a = np.diag([0.0, 1.0, 3.0]).astype(np.complex128)
         t = moments.moment_table(TR3, a, 0, 2)
-        block = moments.build_block("gap_product", t, 0, eigenvalues=[0.0, 1.0, 3.0],
-                                    gap_index=2).assembled
+        block = gap_block(t, 0, [0.0, 1.0]).assembled
         # mean of (x - 0)(x - 1) over {0, 1, 3} is 6/3
         np.testing.assert_allclose(block.real, [[2.0]], atol=1e-13)
 
@@ -314,21 +329,21 @@ class TestBuildBlock:
         a = linalg.hermitian_with_spectrum(lam, 8)
         pulm = maps.random_map("compression", 4, k=2, seed=9)
         t = moments.moment_table(pulm, a, 0, 6)
-        for g in range(2, 5):
-            block = moments.build_block("gap_product", t, 2, eigenvalues=lam,
-                                        gap_index=g)
+        family = list(moments.build_blocks(t, 2, eigenvalues=lam))
+        assert [kind for kind, _ in family] == ["gap_product"] * 3
+        for _, block in family:
             assert linalg.is_psd(block.assembled).passed
 
     def test_gap_product_argument_validation(self):
+        # gap blocks come from eigenvalues alone, and a pair narrower than
+        # an eigenvalue gap gives no block
         t = table12(0, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="eigenvalues"):
             moments.build_block("gap_product", t, 1)
-        with pytest.raises(DomainError):
-            moments.build_block("gap_product", t, 1, eigenvalues=[1.0, 2.0],
-                                gap_index=3)
-        with pytest.raises(DomainError):
-            moments.build_block("gap_product", t, 1,
-                                eigenvalues=[1.0, 1.0 + 1e-12], gap_index=2)
+        with pytest.raises(DomainError, match="eigenvalues"):
+            moments.build_blocks(t, 1, ("gap_product",), eigenvalues=[1.0, 2.0])
+        assert gap_block(t, 1, [1.0, 1.0 + 1e-12]) is None
+        assert gap_block(t, 1, [1.0, 2.0]) is not None
 
     def test_insufficient_range(self):
         t = table12(0, 2)
@@ -441,21 +456,21 @@ class TestBuildBlocks:
             assert [kind for kind, _ in family] == (
                 list(PLAIN_KINDS) + ["gap_product"] * (lam.size - 1))
             for i, (kind, block) in enumerate(family):
-                extra, weights = {}, None
+                pair, weights = None, None
                 if kind == "gap_product":
-                    g = i - len(PLAIN_KINDS) + 2
-                    extra = {"eigenvalues": lam, "gap_index": g}
-                    s, u = float(lam[g - 2]), float(lam[g - 1])
+                    g = i - len(PLAIN_KINDS)
+                    pair = lam[g:g + 2]
+                    s, u = float(pair[0]), float(pair[1])
                     weights = {2: 1.0, 1: s + u, 0: s * u}
-                single = moments.build_block(kind, t, r, **extra)
-                expected = entry_block(kind, t, r, **extra)
+                single = one_block(kind, t, r, pair)
+                expected = entry_block(kind, t, r, pair)
                 # bit for bit, signed zeros included
                 assert block.assembled.dtype == expected.dtype
                 assert block.assembled.tobytes() == expected.tobytes()
                 assert single.assembled.tobytes() == expected.tobytes()
                 assert block.scale == single.scale
                 assert block.scale == pytest.approx(
-                    operand_scale_oracle(kind, t, r, **extra), rel=1e-14)
+                    operand_scale_oracle(kind, t, r, pair), rel=1e-14)
                 if weights is not None:
                     # the scalar scale of one pair, as a float expression
                     assert block.scale == t.operand_scale(weights, r)
@@ -475,7 +490,7 @@ class TestBuildBlocks:
                 one = t.operand_scale({2: 1.0, 1: s[i] + u[i], 0: s[i] * u[i]}, r)
                 assert type(one) is float and scales[i] == one
 
-    def test_narrow_pairs_are_skipped_where_build_block_raises(self):
+    def test_narrow_pairs_are_skipped_alone_and_in_a_family(self):
         t = random_table(2, False, seed=7)
         gap = moments.GAP_RTOL * (t.M - t.m)
         lam = np.array([-0.7, -0.7 + 0.5 * gap, -0.2, -0.2 + 0.25 * gap,
@@ -483,15 +498,12 @@ class TestBuildBlocks:
         family = list(moments.build_blocks(t, 1, eigenvalues=lam))
         assert [block is None for _, block in family] == [
             True, False, True, False, False]
-        for g, (kind, block) in enumerate(family, start=2):
+        for g, (kind, block) in enumerate(family):
             assert kind == "gap_product"
+            single = gap_block(t, 1, lam[g:g + 2])
             if block is None:
-                with pytest.raises(DomainError, match="too narrow"):
-                    moments.build_block(kind, t, 1, eigenvalues=lam,
-                                        gap_index=g)
+                assert single is None
             else:
-                single = moments.build_block(kind, t, 1, eigenvalues=lam,
-                                             gap_index=g)
                 assert block.assembled.tobytes() == single.assembled.tobytes()
                 assert block.scale == single.scale
 
@@ -541,16 +553,15 @@ class TestBuildBlocks:
     @pytest.mark.parametrize("kind", moments.BLOCK_KINDS)
     def test_a_short_table_is_rejected_when_called(self, kind):
         # powers 0..4 hold no order-3 block: the family raises at the call,
-        # with build_block's error
+        # with the error of the kind's block alone
         t = random_table(2, False, seed=3)
         short = replace(t, k_min=0, k_max=4, blocks=t.blocks[1:6])
         gap = kind == "gap_product"
-        extra = {"eigenvalues": TABLE_SPECTRUM, "gap_index": 2} if gap else {}
         with pytest.raises(ShapeError) as single:
-            moments.build_block(kind, short, 3, **extra)
+            one_block(kind, short, 3, TABLE_SPECTRUM[:2])
         with pytest.raises(ShapeError) as family:
             moments.build_blocks(short, 3, () if gap else (kind,),
-                                 eigenvalues=extra.get("eigenvalues"))
+                                 eigenvalues=TABLE_SPECTRUM if gap else None)
         assert str(family.value) == str(single.value)
 
     def test_gap_blocks_past_the_table_are_rejected_when_called(self):
