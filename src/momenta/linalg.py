@@ -3,9 +3,12 @@
 Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
 validated once, where it enters: :func:`symmetrize` rejects non-finite,
 non-square and non-Hermitian input (asymmetry ``||M - M*||_F`` above
-``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). Every eigensolve
-runs that check in :func:`hermitian_eig`, which returns the validated matrix
-with the spectrum, so callers never symmetrize twice.
+``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). The full solve
+:func:`hermitian_eig` runs that check and returns the validated matrix with
+the spectrum, so callers never symmetrize twice. The eigenvalues-only solve
+does not: it is for a matrix that its caller holds as Hermitian, a block the
+package assembled or a matrix already symmetrized, and reads one triangle of
+it. It rejects only a shape that is not square and a non-finite entry.
 
 The eigensolver is LAPACK's Hermitian divide-and-conquer routine (``zheevd``)
 reached through ``numpy.linalg.eigh``. It returns the spectrum in ascending
@@ -15,8 +18,9 @@ multiple of machine precision times ``||A||_F`` at any dense size this
 package targets (n up to a few hundred). A caller that reads eigenvalues
 only asks for no vectors (``vectors=False``): the same routine then runs
 with ``jobz='N'`` through ``numpy.linalg.eigvalsh``, which skips the
-eigenvector work. Every PSD verdict (:func:`is_psd`) is such a solve, since
-it needs the minimum eigenvalue alone.
+eigenvector work. Every PSD verdict is such a solve, since it needs the
+minimum eigenvalue alone: :func:`is_psd` symmetrizes its input first, and
+``moments.psd_records`` solves the Hermitian part of each assembled block.
 
 Every check of an instance reads the same spectrum of ``A``, so the full
 solve (``vectors=True``) is memoized: the last two distinct inputs, keyed on
@@ -164,8 +168,9 @@ class HermitianSpectrum:
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``,
     or ``eigenvectors`` is None for an eigenvalues-only solve
-    (``hermitian_eig(a, vectors=False)``); ``matrix`` is the validated
-    Hermitian matrix they decompose.
+    (``hermitian_eig(a, vectors=False)``). ``matrix`` is the matrix they
+    decompose: the validated Hermitian matrix of a full solve, and the input
+    as given, as ``complex128``, of an eigenvalues-only solve.
     """
 
     eigenvalues: np.ndarray
@@ -204,26 +209,37 @@ def _eigh(shape: tuple[int, ...], data: bytes) -> HermitianSpectrum:
 
 
 def hermitian_eig(a, vectors: bool = True) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, checked by :func:`symmetrize`.
+    """Eigendecomposition of a Hermitian matrix.
 
-    Returns the spectrum sorted ascending with matching orthonormal
-    eigenvector columns; reconstruction error is a few ulps of ``||A||_F``.
-    The full solve is memoized on the exact bytes of the input (as
-    ``complex128`` in C order) for the last two distinct inputs: a repeat
-    skips both the check and the solve, since it is an input that already
-    passed the check, and gets the same read-only arrays.
+    The full solve checks ``a`` with :func:`symmetrize` and returns the
+    spectrum sorted ascending with matching orthonormal eigenvector columns;
+    reconstruction error is a few ulps of ``||A||_F``. It is memoized on the
+    exact bytes of the input (as ``complex128`` in C order) for the last two
+    distinct inputs: a repeat skips both the check and the solve, since it
+    is an input that already passed the check, and gets the same read-only
+    arrays.
+
     With ``vectors=False`` only the eigenvalues are solved for
-    (``numpy.linalg.eigvalsh``, cheaper than ``eigh``), and
-    ``eigenvectors`` is None. They agree with ``eigh``'s to rounding, a few
-    ulps of ``||A||_F``, but not always bit for bit, so this solve never
-    reads the memo; nor is it memoized, as its inputs are transient blocks
-    that seldom repeat.
+    (``numpy.linalg.eigvalsh``, cheaper than ``eigh``), and ``eigenvectors``
+    is None. This solve trusts its caller that ``a`` is Hermitian: it does
+    not symmetrize, and it reads one triangle, as ``eigvalsh`` does. It
+    raises :class:`ShapeError` on a shape that is not square and
+    :class:`DomainError` on a non-finite entry in either triangle, which
+    ``eigvalsh`` could otherwise turn into finite eigenvalues. Its
+    eigenvalues agree with ``eigh``'s to rounding, a few ulps of
+    ``||A||_F``, but not always bit for bit, so it never reads the memo;
+    nor is it memoized, as its inputs are transient blocks that seldom
+    repeat.
     """
     if vectors:
         m = np.asarray(a, dtype=np.complex128, order="C")
         return _eigh(m.shape, m.tobytes())
-    h = symmetrize(a)
-    return HermitianSpectrum(np.linalg.eigvalsh(h), None, matrix=h)
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("matrix contains non-finite entries")
+    return HermitianSpectrum(np.linalg.eigvalsh(m), None, matrix=m)
 
 
 def passes(slack: float, scale: float, rtol: float) -> bool:
@@ -262,18 +278,21 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     """Test a Hermitian matrix for positive semidefiniteness.
 
     The verdict reports the minimum eigenvalue so callers can see the margin,
-    not just the boolean. It is all the verdict reads, so the matrix is
-    solved for eigenvalues only (``hermitian_eig(m, vectors=False)``).
-    ``scale`` is the size of the operands the matrix was computed from, the
-    scale :func:`passes` judges it at; by default the matrix's own
-    Frobenius norm, right for a matrix that is not a cancelling difference.
-    Non-Hermitian input (beyond the symmetrization tolerance) and a matrix
-    whose Frobenius norm overflows are rejected with :class:`DomainError`,
-    and :func:`passes` rejects a ``tol`` that is not positive and finite.
+    not just the boolean. ``m`` is checked by :func:`symmetrize`, so
+    non-Hermitian input (beyond the symmetrization tolerance) and a matrix
+    whose Frobenius norm overflows are rejected with :class:`DomainError`;
+    the minimum eigenvalue is all the verdict reads, so the symmetrized
+    matrix is then solved for eigenvalues only
+    (``hermitian_eig(h, vectors=False)``). ``scale`` is the size of the
+    operands the matrix was computed from, the scale :func:`passes` judges
+    it at; by default the matrix's own Frobenius norm, right for a matrix
+    that is not a cancelling difference. :func:`passes` rejects a ``tol``
+    that is not positive and finite.
     """
-    spectrum = hermitian_eig(m, vectors=False)
+    h = symmetrize(m)
+    spectrum = hermitian_eig(h, vectors=False)
     if scale is None:
-        scale = frobenius(spectrum.matrix)
+        scale = frobenius(h)
     return PsdVerdict(min_eigenvalue=spectrum.min, scale=scale,
                       passed=passes(spectrum.min, scale, tol))
 

@@ -63,7 +63,6 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     is_hermitian,
-    is_psd,
     passes,
     require_finite,
 )
@@ -570,12 +569,14 @@ def psd_records(blocks, seed: int, tol: float,
                 prefix: str = "") -> list[CheckRecord]:
     """The PSD records of ``(check, block)`` pairs, named ``prefix + check``.
 
-    Each :class:`BlockMatrixSpec` is Hermitian by construction; its rounding
-    asymmetry is dropped, and its verdict is :func:`~momenta.linalg.is_psd`
-    at ``block.scale``, with the minimum eigenvalue as the margin. A block
-    that is None, whose hypotheses fail, gives a skip, and one whose scale
-    overflowed a :class:`DomainError` before its eigensolve. Every PSD
-    verdict of the package is recorded here.
+    Each :class:`BlockMatrixSpec` is Hermitian by construction, so it is
+    not checked again: its rounding asymmetry is dropped by
+    :func:`~momenta.linalg.hermitian_part`, and the minimum eigenvalue of
+    that exactly Hermitian matrix (``hermitian_eig(..., vectors=False)``) is
+    the margin, judged by :func:`~momenta.linalg.passes` at
+    ``block.scale``. A block that is None, whose hypotheses fail, gives a
+    skip, and one whose scale overflowed a :class:`DomainError` before its
+    eigensolve. Every PSD verdict of the package is recorded here.
     """
     out = []
     for check, block in blocks:
@@ -585,9 +586,9 @@ def psd_records(blocks, seed: int, tol: float,
         if not math.isfinite(block.scale):
             raise DomainError(f"{prefix + check} operands overflow double "
                               f"precision; rescale the matrix")
-        verdict = is_psd(hermitian_part(block.assembled), tol, block.scale)
-        out.append(record(prefix + check, seed, verdict.passed,
-                          verdict.min_eigenvalue))
+        lam = hermitian_eig(hermitian_part(block.assembled), vectors=False).min
+        out.append(record(prefix + check, seed,
+                          passes(lam, block.scale, tol), lam))
     return out
 
 

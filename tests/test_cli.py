@@ -243,6 +243,14 @@ class TestMomentsCommand:
                           "hankel r=2: FAIL", "hankel r=3: FAIL"]
 
 
+#: Matrices for the scale tests of ``verify``.
+SCALED_INPUTS = {
+    "spectrum4": linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3),
+    "hermitian8": linalg.random_hermitian(8, 1),
+    "pd8": linalg.random_psd(8, 2) + np.eye(8),
+}
+
+
 class TestVerifyCommand:
     def test_file_mode_example(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
@@ -260,11 +268,36 @@ class TestVerifyCommand:
         assert "FAILED" not in capsys.readouterr().out
 
     def test_overflow_exits_1(self, tmp_path, capsys):
-        # the high moment blocks' Frobenius norms overflow at this scale
-        a = 1e35 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
+        # the moment powers up to A^7 overflow at this scale
+        a = 1e60 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
         path = write(tmp_path, "big.json", cli.write_matrix_json(a))
         assert cli.main(["verify", path]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec", ["trace", "vector-state",
+                                      "compression:2", "pinching",
+                                      "identity"])
+    @pytest.mark.parametrize("name", SCALED_INPUTS)
+    def test_verdicts_hold_where_block_norms_overflow(self, tmp_path, capsys,
+                                                      name, spec):
+        # every entry of every block is finite at these scales, though the
+        # Frobenius norms of the high moment blocks overflow
+        a = SCALED_INPUTS[name]
+
+        def verdicts(c):
+            path = write(tmp_path, "a.json", cli.write_matrix_json(c * a))
+            out = tmp_path / "r.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["verify", path, "--map", spec, "--seed", "3",
+                                 "--out", str(out)]) == 0
+            return [(r["check"], r["passed"])
+                    for r in json.loads(out.read_text())["records"]]
+
+        expected = verdicts(1.0)
+        assert verdicts(1e20) == expected
+        assert verdicts(1e35) == expected
+        capsys.readouterr()
 
     def test_random_mode_close_eigenvalue_pair_passes(self, tmp_path, capsys):
         # instance 1 of this program seed has two eigenvalues 2e-3 apart,

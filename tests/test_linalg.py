@@ -104,6 +104,64 @@ class TestHermitianEig:
             only.reconstruct()
 
 
+class TestEigenvaluesOnly:
+    """``hermitian_eig(a, vectors=False)`` solves a matrix its caller holds
+    as Hermitian: no symmetrize, one triangle read, and only the shape and
+    the finiteness of the entries checked."""
+
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [complex(0.0, -np.inf), 1.0]],
+    ], ids=["nan-diagonal", "nan-upper", "nan-lower", "inf", "imag-inf"])
+    def test_a_non_finite_entry_is_a_domain_error(self, a):
+        # eigvalsh gives [0, -0] and [1, 1] for the first two, a silent PASS
+        with pytest.raises(DomainError,
+                           match="^matrix contains non-finite entries$"):
+            linalg.hermitian_eig(a, vectors=False)
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)),
+                                   np.ones((2, 2, 2))],
+                             ids=["1-d", "non-square", "3-d"])
+    def test_a_shape_that_is_not_square_is_a_shape_error(self, a):
+        with pytest.raises(ShapeError):
+            linalg.hermitian_eig(a, vectors=False)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 24, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exactly_hermitian_input_solves_as_symmetrized(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = linalg.hermitian_part(1e3 ** rng.integers(-3, 4) * g)
+        only = linalg.hermitian_eig(a, vectors=False)
+        np.testing.assert_array_equal(
+            only.eigenvalues, np.linalg.eigvalsh(linalg.symmetrize(a)))
+
+    def test_the_matrix_is_the_input_as_given(self):
+        # it is not symmetrized: the lower triangle is read, as eigvalsh does
+        a = np.array([[1.0, 5.0], [0.0, 2.0]])
+        only = linalg.hermitian_eig(a, vectors=False)
+        np.testing.assert_array_equal(only.matrix, a)
+        assert only.matrix.dtype == np.complex128
+        np.testing.assert_array_equal(only.eigenvalues, [1.0, 2.0])
+
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_finite_entries_past_the_norm_range_are_solved(self, c):
+        # the Frobenius norm overflows, which symmetrize rejects; the
+        # entries are finite and LAPACK scales them
+        lam = np.array([-1.0, 0.2, 0.9, 1.3])
+        a = c * linalg.hermitian_with_spectrum(lam, 3)
+        with pytest.raises(DomainError, match="norm overflows"):
+            linalg.symmetrize(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            only = linalg.hermitian_eig(a, vectors=False)
+        np.testing.assert_allclose(only.eigenvalues / c, lam, rtol=0,
+                                   atol=1e-14)
+
+
 class TestEigMemo:
     """The full solve is memoized on the exact input bytes, two entries."""
 

@@ -820,6 +820,33 @@ class TestNormalBlock:
             moments.build_normal_block(TR2, shear)
 
 
+class TestPsdRecords:
+    def test_verdicts_equal_is_psd_of_the_hermitian_part(self, monkeypatch):
+        # psd_records judges an assembled block without symmetrize; on every
+        # block of the psd suite its margin and verdict are is_psd's, bit
+        # for bit
+        judged = []
+
+        def spy(blocks, seed, tol, prefix=""):
+            pairs = list(blocks)
+            out = moments.psd_records(pairs, seed, tol, prefix)
+            judged.extend((block, tol, rec) for (_, block), rec
+                          in zip(pairs, out))
+            return out
+
+        monkeypatch.setattr(campaign, "psd_records", spy)
+        for inst in campaign.corpus(24, seed=7):
+            campaign.psd_suite(inst)
+        blocks = [(b, tol, rec) for b, tol, rec in judged if b is not None]
+        assert len(blocks) > 400
+        for block, tol, rec in blocks:
+            verdict = linalg.is_psd(linalg.hermitian_part(block.assembled),
+                                    tol, block.scale)
+            assert rec.passed is verdict.passed
+            assert (np.float64(rec.margin).tobytes()
+                    == np.float64(verdict.min_eigenvalue).tobytes())
+
+
 class TestScalarChecks:
     def test_an_infinite_tolerance_is_rejected(self):
         # it would pass any slack, the centered fourth moment's included
