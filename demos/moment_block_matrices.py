@@ -54,11 +54,14 @@ gap = np.max(np.abs(low + high - (table.M - table.m) * hank))
 print(f"\nlower + upper shifts vs (M - m) * Hankel: max entry gap {gap:.2e}")
 
 # For A >= m > 0 the even-moment Hankel dominates a two-term refinement
-# which is itself PSD.
-outer, inner = build_refinement_chain(table)
+# which is itself PSD. The chain gives both checked blocks, each with the
+# size of its operands as the scale to judge it at.
 print("refinement chain:")
-print(f"  outer - inner: min eigenvalue {is_psd(outer - inner).min_eigenvalue:+.3e}")
-print(f"  inner:         min eigenvalue {is_psd(inner).min_eigenvalue:+.3e}")
+for name, block in zip(("outer - inner", "inner"),
+                       build_refinement_chain(table)):
+    verdict = is_psd(block.assembled, scale=block.scale)
+    print(f"  {name + ':':14s} min eigenvalue {verdict.min_eigenvalue:+.3e}"
+          f"  {'PSD' if verdict.passed else 'NOT PSD'}")
 
 # Each power in the table is one spectral contraction, the sum over the
 # eigenpairs of lambda_j^k Phi(v_j v_j*). Applying the map to explicitly

@@ -21,7 +21,7 @@ from momenta import (
 
 # A rotation-like spectrum: conjugate pair on the imaginary axis.
 A = np.diag([1j, -1j])
-block = build_normal_block(NormalizedTrace(2), A)
+block = build_normal_block(NormalizedTrace(2), A).assembled
 print("conjugate-pair spectrum {i, -i} under the normalized trace:")
 print(block.real)
 print("min eigenvalue:", is_psd(block).min_eigenvalue)
@@ -33,7 +33,8 @@ for seed in range(5):
     A = random_normal_matrix(n, seed=seed)
     compression = random_map("compression", n, k=2, seed=seed + 10)
     state = random_map("vector_state", n, seed=seed + 20)
-    v = is_psd(build_normal_block(compression, A))
+    block = build_normal_block(compression, A)
+    v = is_psd(block.assembled, scale=block.scale)
     slack = centered_fourth_moment_slack(state, A)
     print(f"  n={n} seed={seed}: block margin {v.min_eigenvalue:+.3e} "
           f"({'PSD' if v.passed else 'NOT PSD'}), "

@@ -14,13 +14,12 @@ in isolation. A record whose hypotheses fail reports ``passed=None``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigenbounds, moments
 from .linalg import (
-    frobenius,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
@@ -30,8 +29,7 @@ from .linalg import (
     require_finite,
 )
 from .maps import MAP_KINDS, NormalizedTrace, PositiveUnitalMap, random_map
-from .moments import (BlockMatrixSpec, CheckRecord, psd_records, record,
-                      skip_record)
+from .moments import CheckRecord, psd_records, record, skip_record
 
 #: Minimum eigenvalue of the shifted positive definite variant.
 PD_FLOOR = 0.1
@@ -43,6 +41,8 @@ _ALWAYS_KINDS = ("hankel", "lower_shift", "upper_shift", "range_product")
 _PD_KINDS = ("hankel_shift1",) + moments.PD_BLOCK_KINDS
 _PD_EXTRA_CHECKS = ("refinement_chain_outer", "refinement_chain_inner",
                     "log_deficit", "log_endpoint_upper", "log_endpoint_lower")
+#: Every check of the positive definite variant, skipped where it is None.
+_PD_CHECKS = tuple(f"psd_{kind}" for kind in _PD_KINDS) + _PD_EXTRA_CHECKS
 
 
 @dataclass(frozen=True)
@@ -113,61 +113,6 @@ def normal_corpus(count: int = 200, seed: int = 42,
     return out
 
 
-def _psd_base_records(pulm, matrix, r, seed, tol) -> list[CheckRecord]:
-    table = moments.moment_table(pulm, matrix, 0, 2 * r + 2)
-    distinct = moments.distinct_eigenvalues(hermitian_eig(matrix).eigenvalues)
-    return psd_records(moments.build_blocks(table, r, _ALWAYS_KINDS,
-                                            eigenvalues=distinct),
-                       seed, tol, "psd_")
-
-
-def _psd_pd_records(pulm, matrix_pd, r, seed, tol) -> list[CheckRecord]:
-    if matrix_pd is None:
-        return [skip_record(f"psd_{kind}", seed) for kind in _PD_KINDS]
-    table_pd = moments.moment_table(pulm, matrix_pd, -1, 2 * r + 2)
-    return psd_records(moments.build_blocks(table_pd, r, _PD_KINDS),
-                       seed, tol, "psd_")
-
-
-def _pd_extra_records(pulm, matrix_pd, seed, tol) -> list[CheckRecord]:
-    if matrix_pd is None:
-        return [skip_record(check, seed) for check in _PD_EXTRA_CHECKS]
-    table = moments.moment_table(pulm, matrix_pd, 0, 4)
-    outer, inner = moments.build_refinement_chain(table)
-    deficit = moments.build_log_deficit_block(pulm, matrix_pd)
-    upper, lower = moments.build_log_endpoint_blocks(pulm, matrix_pd)
-    blocks = (outer - inner, inner, deficit, upper, lower)
-    # operand sizes: Phi(A^k) by table.size(k), log A by the larger of
-    # |log m| and |log M| (m > 0 is the smallest eigenvalue, M the largest)
-    m, log_m, log_M = table.m, math.log(table.m), math.log(table.M)
-    log_size = max(abs(log_m), abs(log_M))
-    scales = (
-        table.operand_scale({2: 1.0, 1: 2.0 * m, 0: m * m}, 1),
-        table.operand_scale({1: 2.0 * m, 0: m * m}, 1),
-        max(table.size(2), table.size(1) + log_size),
-        # Phi(A^e ((log M) I - log A)) and Phi(A^e (log A - (log m) I))
-        table.operand_scale({0: abs(log_M) + log_size}, 1),
-        table.operand_scale({0: log_size + abs(log_m)}, 1),
-    )
-    return psd_records(zip(_PD_EXTRA_CHECKS,
-                           map(BlockMatrixSpec, blocks, scales)), seed, tol)
-
-
-def _centered_records(functional, matrix, r, seed, tol) -> list[CheckRecord]:
-    spectrum = hermitian_eig(matrix)
-    lam = spectrum.eigenvalues
-    mean = float(moments.spectral_images(functional, spectrum,
-                                         lam[np.newaxis])[0, 0, 0].real)
-    centered = matrix - mean * np.eye(matrix.shape[0])
-    # [m, M] is the centered spectrum taken from ``matrix``'s own
-    # eigenvalues, as the other checks on ``matrix`` see them, rather than
-    # from the eigensolve of ``centered``; the two differ by rounding
-    ctable = replace(moments.moment_table(functional, centered, 0, 2 * r + 2),
-                     m=float(lam[0] - mean), M=float(lam[-1] - mean))
-    return psd_records(moments.build_blocks(
-        ctable, r, ("lower_shift", "upper_shift")), seed, tol, "centered_")
-
-
 def _restamp(results: list[CheckRecord], seed: int,
              suffix: str) -> list[CheckRecord]:
     """Scalar-check records under the instance seed and a name suffix."""
@@ -178,13 +123,26 @@ def _restamp(results: list[CheckRecord], seed: int,
 def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
     """PSD verdicts for every block construction on one instance; those of
     the positive definite variant are skipped where it is None."""
-    records = (_psd_base_records(inst.pulm, inst.matrix, inst.r, inst.seed, tol)
-               + _psd_pd_records(inst.pulm, inst.matrix_pd, inst.r, inst.seed,
-                                 tol)
-               + _pd_extra_records(inst.pulm, inst.matrix_pd, inst.seed, tol))
-    if inst.pulm.is_functional:
-        records.extend(_centered_records(inst.pulm, inst.matrix, inst.r,
-                                         inst.seed, tol))
+    pulm, a, pd, r, seed = (inst.pulm, inst.matrix, inst.matrix_pd, inst.r,
+                            inst.seed)
+    table = moments.moment_table(pulm, a, 0, 2 * r + 2)
+    distinct = moments.distinct_eigenvalues(hermitian_eig(a).eigenvalues)
+    records = psd_records(moments.build_blocks(
+        table, r, _ALWAYS_KINDS, eigenvalues=distinct), seed, tol, "psd_")
+    if pd is None:
+        records += [skip_record(check, seed) for check in _PD_CHECKS]
+    else:
+        records += psd_records(moments.build_blocks(
+            moments.moment_table(pulm, pd, -1, 2 * r + 2), r, _PD_KINDS),
+            seed, tol, "psd_")
+        blocks = (*moments.build_refinement_chain(
+                      moments.moment_table(pulm, pd, 0, 4)),
+                  moments.build_log_deficit_block(pulm, pd),
+                  *moments.build_log_endpoint_blocks(pulm, pd))
+        records += psd_records(zip(_PD_EXTRA_CHECKS, blocks), seed, tol)
+    if pulm.is_functional:
+        records += psd_records(moments.build_centered_blocks(pulm, a, r),
+                               seed, tol, "centered_")
     return records
 
 
@@ -330,18 +288,11 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
     return records
 
 
-def _normal_block(pulm, matrix) -> tuple[str, BlockMatrixSpec]:
-    # every entry is one map image, with no cancellation: the block's own
-    # norm is the size of its operands (inf, which psd_records rejects)
-    block = moments.build_normal_block(pulm, matrix)
-    with np.errstate(over="ignore"):
-        return "normal_block", BlockMatrixSpec(block, frobenius(block))
-
-
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = 1e-9) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
-    records = psd_records([_normal_block(pulm, matrix)], seed, tol)
+    records = psd_records(
+        [("normal_block", moments.build_normal_block(pulm, matrix))], seed, tol)
     if pulm.is_functional:
         records.append(record("centered_fourth_moment", seed,
                               *moments.centered_fourth_moment_outcome(
@@ -394,4 +345,5 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
         return [skip_record(check, seed)
                 for check in ("psd_hankel", "normal_block", "kadison",
                               "centered_fourth_moment")]
-    return records + psd_records([_normal_block(pulm, m)], seed, tol)
+    return records + psd_records(
+        [("normal_block", moments.build_normal_block(pulm, m))], seed, tol)

@@ -110,38 +110,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _asymmetry(m: np.ndarray, adjoint: np.ndarray,
-               scale: float) -> tuple[float, float]:
-    """``||M - M*||_F`` and the threshold :func:`is_hermitian` holds it to,
-    from ``M*`` and ``scale = ||M||_F``; called under ``errstate(over=...)``.
-    """
-    if not math.isfinite(scale):
-        raise DomainError("matrix norm overflows double precision; "
-                          "rescale the matrix")
-    # an infinite asymmetry fails the test
-    return frobenius(m - adjoint), SYMMETRY_RTOL * max(scale, _TINY)
+def _asymmetry(a) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``M`` as ``complex128``, ``M*``, ``||M - M*||_F`` and the threshold
+    :func:`is_hermitian` holds it to, for a square ``M`` of finite entries
+    and norm; else a :class:`ShapeError` or :class:`DomainError`.
 
-
-def is_hermitian(a: np.ndarray) -> bool:
-    """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``.
-
-    The ``tiny`` floor lets the zero matrix pass. A matrix whose Frobenius
-    norm overflows is rejected with :class:`DomainError`: against an
-    infinite scale any asymmetry, and any later verdict, would pass.
-    """
-    with np.errstate(over="ignore"):
-        asymmetry, threshold = _asymmetry(a, a.conj().T, frobenius(a))
-    return asymmetry <= threshold
-
-
-def symmetrize(a) -> np.ndarray:
-    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else raise.
-
-    One pass over the input, which is neither copied nor changed: ``M*`` is
-    formed once, for the asymmetry and for the result. The finiteness check
-    rides on ``||M||_F``, which is finite when every entry is and its sum
-    of squares does not overflow; only a non-finite norm leads to a scan of
-    the entries, to tell a NaN or infinite entry from an overflow.
+    One pass over the input, which is neither copied nor changed. The
+    finiteness check rides on ``||M||_F``: only a non-finite norm leads to
+    a scan of the entries, to tell a NaN or infinite entry from an
+    overflow. An overflowing norm is rejected too: against an infinite
+    scale any asymmetry, and any later verdict, would pass.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -152,8 +130,27 @@ def symmetrize(a) -> np.ndarray:
             raise DomainError("matrix contains non-finite entries")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+        if not math.isfinite(scale):
+            raise DomainError("matrix norm overflows double precision; "
+                              "rescale the matrix")
         adjoint = m.conj().T
-        asymmetry, threshold = _asymmetry(m, adjoint, scale)
+        # an infinite asymmetry fails the test
+        return (m, adjoint, frobenius(m - adjoint),
+                SYMMETRY_RTOL * max(scale, _TINY))
+
+
+def is_hermitian(a) -> bool:
+    """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``; the
+    ``tiny`` floor lets the zero matrix pass. Input that :func:`symmetrize`
+    rejects for its shape or a non-finite entry or norm raises its error."""
+    asymmetry, threshold = _asymmetry(a)[2:]
+    return asymmetry <= threshold
+
+
+def symmetrize(a) -> np.ndarray:
+    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else
+    raise; ``M*`` is formed once, for the asymmetry and for the result."""
+    m, adjoint, asymmetry, threshold = _asymmetry(a)
     if not asymmetry <= threshold:
         raise DomainError(
             f"matrix is not Hermitian: asymmetry {asymmetry:.3e} exceeds "

@@ -36,8 +36,11 @@ block of every adjacent pair of distinct eigenvalues, and lays them all out
 with one index gather. The gap sequences and their scales are each one
 expression over the pairs. The gather runs in chunks of at most
 ``GATHER_BUDGET`` bytes, so a family of ``k = n`` blocks is never held all at
-once. :func:`build_block` is the one-block call of that path, and the
-refinement chain and the log endpoint blocks are pairs of the same gather.
+once. :func:`build_block` is the one-block call of that path, the centered
+blocks are a family of it, and the refinement chain and the log blocks are
+laid out by the same gather. Every block builder returns each block as a
+:class:`BlockMatrixSpec` with the size of its operands: block scales are
+decided in this module alone.
 
 The module also holds the check catalog: :data:`CATALOG` says what every
 check name verifies, and :func:`record` turns an outcome into the one record
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,17 +158,8 @@ class MomentTable:
         return self.powers(k, 1)[0]
 
     def size(self, k: int) -> float:
-        """Bound on the norm of ``Phi(A^k)`` from the interval.
-
-        ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``: a positive unital
-        map does not increase the norm. ``inf`` past double precision.
-        """
-        if k < 0:
-            return 1.0 / self.m
-        try:
-            return max(abs(self.m), abs(self.M)) ** k
-        except OverflowError:
-            return math.inf
+        """:func:`_power_size` of ``Phi(A^k)`` on the table's interval."""
+        return _power_size(self.m, self.M, k)
 
     def operand_scale(self, weights: dict, r: int) -> float | np.ndarray:
         """Size of the operands of the order-``r`` Hankel block of
@@ -181,6 +175,18 @@ class MomentTable:
                        for e in (0, 2 * r))
         scale = np.where(last > first, last, first)  # max(first, last)
         return float(scale) if scale.ndim == 0 else scale
+
+
+def _power_size(m: float, M: float, k: int) -> float:
+    """Bound on the norm of ``Phi(A^k)`` for a spectrum in ``[m, M]``:
+    ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``, since a positive unital
+    map does not increase the norm; ``inf`` past double precision."""
+    if k < 0:
+        return 1.0 / m
+    try:
+        return max(abs(m), abs(M)) ** k
+    except OverflowError:
+        return math.inf
 
 
 def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
@@ -372,16 +378,17 @@ def _gather(sequences: np.ndarray) -> np.ndarray:
     return grid.transpose(0, 1, 3, 2, 4).reshape(count, size * k, size * k)
 
 
-def build_refinement_chain(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
+def build_refinement_chain(table: MomentTable) -> tuple[BlockMatrixSpec,
+                                                        BlockMatrixSpec]:
     """Two-block refinement of the even-moment Hankel for ``A >= m > 0``.
 
-    Returns ``(outer, inner)`` where
-    ``outer = [[Phi(A^2), Phi(A^3)], [Phi(A^3), Phi(A^4)]]`` and
+    With ``outer = [[Phi(A^2), Phi(A^3)], [Phi(A^3), Phi(A^4)]]`` and
     ``inner = 2m [[Phi(A), Phi(A^2)], [Phi(A^2), Phi(A^3)]]
-    - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``; both ``outer - inner`` and
-    ``inner`` are positive semidefinite whenever the spectrum lies in
-    ``[m, inf)`` with ``m > 0``: ``m`` is ``table.m``, the smallest
-    eigenvalue of ``A``.
+    - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``, both gathered at once,
+    returns the two checked blocks ``(outer - inner, inner)``. Both are
+    positive semidefinite whenever the spectrum lies in ``[m, inf)`` with
+    ``m > 0``: ``m`` is ``table.m``, the smallest eigenvalue of ``A``. Each
+    is judged at the :meth:`MomentTable.operand_scale` of its terms.
     """
     m = table.m
     if m <= 0.0:
@@ -389,7 +396,31 @@ def build_refinement_chain(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
     outer, inner = _gather(np.stack([
         table.powers(2, 3),
         2.0 * m * table.powers(1, 3) - m * m * table.powers(0, 3)]))
-    return outer, inner
+    return (BlockMatrixSpec(outer - inner, table.operand_scale(
+                {2: 1.0, 1: 2.0 * m, 0: m * m}, 1)),
+            BlockMatrixSpec(inner, table.operand_scale(
+                {1: 2.0 * m, 0: m * m}, 1)))
+
+
+def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
+    """The :func:`build_blocks` pairs of the order-``r`` ``lower_shift`` and
+    ``upper_shift`` blocks of ``A - phi(A) I`` under a functional ``phi``.
+
+    The table's ``[m, M]``, which sizes both blocks, is the centered
+    spectrum taken from ``A``'s own eigenvalues, as the other checks on
+    ``A`` see them, rather than from the eigensolve of the centered matrix;
+    the two differ by rounding.
+    """
+    if not functional.is_functional:
+        raise ShapeError("centered blocks need a functional (1x1 codomain)")
+    spectrum = hermitian_eig(a)
+    lam = spectrum.eigenvalues
+    mean = float(spectral_images(functional, spectrum,
+                                 lam[np.newaxis])[0, 0, 0].real)
+    centered = np.asarray(a) - mean * np.eye(lam.size)
+    table = replace(moment_table(functional, centered, 0, 2 * r + 2),
+                    m=float(lam[0] - mean), M=float(lam[-1] - mean))
+    return build_blocks(table, r, ("lower_shift", "upper_shift"))
 
 
 def _log_spectrum(a):
@@ -402,40 +433,53 @@ def _log_spectrum(a):
     return spectrum, np.log(spectrum.eigenvalues)
 
 
-def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
+def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     """``[[Phi(A^2), Phi(A)], [Phi(A), Phi(A - log A)]]`` for ``A > 0``.
 
     Positive semidefinite because ``x - log x >= 1`` on the positive axis.
+    The three images are one Hankel sequence, laid out by one gather, and
+    the scale is the larger of the sizes of ``Phi(A^2)`` and of
+    ``Phi(A) - Phi(log A)``.
     """
     spectrum, log_lam = _log_spectrum(a)
-    lam = spectrum.eigenvalues
+    lam, m, M = spectrum.eigenvalues, spectrum.min, spectrum.max
+    log_size = max(abs(math.log(m)), abs(math.log(M)))  # the size of log A
     with np.errstate(over="ignore"):  # spectral_images rejects the overflow
         values = np.stack([lam * lam, lam, lam - log_lam])
-    two, one, deficit = spectral_images(pulm, spectrum, values)
-    return np.block([[two, one], [one, deficit]])
+    images = spectral_images(pulm, spectrum, values)
+    return BlockMatrixSpec(_gather(images[np.newaxis])[0],
+                           max(_power_size(m, M, 2),
+                               _power_size(m, M, 1) + log_size))
 
 
 def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
-                              a) -> tuple[np.ndarray, np.ndarray]:
+                              a) -> tuple[BlockMatrixSpec, BlockMatrixSpec]:
     """Logarithmic endpoint blocks of a positive definite ``A``.
 
     ``m`` and ``M`` are the extreme eigenvalues of ``A``. Returns
-    ``(upper, lower)``:
+    ``(upper, lower)``, one gather:
 
     - upper: ``[[Phi((log M) I - log A), Phi((log M) A - A log A)],
       [..., Phi((log M) A^2 - A^2 log A)]]``
     - lower: the mirrored block with ``log m`` subtracted instead.
+
+    Block ``e = 0..2`` of a sequence is of the size of ``A^e`` times
+    ``|log M|`` (or ``|log m|``) plus that of ``log A``; the scale is the
+    larger of the sizes at ``e = 0`` and ``e = 2``.
     """
     spectrum, log_lam = _log_spectrum(a)
-    lam = spectrum.eigenvalues
-    lm, lM = np.log(spectrum.min), np.log(spectrum.max)
+    lam, m, M = spectrum.eigenvalues, spectrum.min, spectrum.max
+    lm, lM = np.log(m), np.log(M)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         powers = lam[np.newaxis, :] ** np.arange(3)[:, np.newaxis]
         values = np.concatenate([(lM - log_lam) * powers,
                                  (log_lam - lm) * powers])
     images = spectral_images(pulm, spectrum, values)
-    upper, lower = _gather(images.reshape(2, 3, *images.shape[1:]))
-    return upper, lower
+    blocks = _gather(images.reshape(2, 3, *images.shape[1:]))
+    low, high = abs(math.log(m)), abs(math.log(M))  # max: the size of log A
+    size, square = max(low, high), _power_size(m, M, 2)
+    return tuple(BlockMatrixSpec(block, max(c, c * square)) for block, c
+                 in zip(blocks, (high + size, size + low)))
 
 
 def is_normal(a: np.ndarray) -> bool:
@@ -445,12 +489,14 @@ def is_normal(a: np.ndarray) -> bool:
     return comm <= NORMALITY_RTOL * max(frobenius(a) ** 2, np.finfo(float).tiny)
 
 
-def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
+def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     """Three-by-three moment block of a normal (possibly non-Hermitian) matrix.
 
     ``[[I, Phi(A), Phi(A*A)], [Phi(A*), Phi(AA*), Phi(A*^2 A)],
     [Phi(A*A), Phi(A* A^2), Phi(A*^2 A^2)]]``, assembled from direct matrix
-    products; no eigendecomposition is involved.
+    products; no eigendecomposition is involved. Every entry is one map
+    image, with no cancellation, so the block's scale is its own Frobenius
+    norm (``inf`` where that overflows, which :func:`psd_records` rejects).
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -471,7 +517,8 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> np.ndarray:
              pulm.apply(ms @ ms @ m @ m)],
         ])
     require_finite("normal-matrix moments", block)
-    return block
+    with np.errstate(over="ignore"):  # inf, which psd_records rejects
+        return BlockMatrixSpec(block, frobenius(block))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,27 @@ class ReflectedTrace(maps.PositiveUnitalMap):
         return 2.0 * squared_norms[:, None, None] / self.n * np.eye(self.n) - outer
 
 
+class ReflectedState(maps.PositiveUnitalMap):
+    """``X -> 2 tr(X)/n - X_00``: a unital functional that is not positive.
+    A negative control for the checks that need a functional."""
+
+    def __init__(self, n):
+        self.n = n
+
+    domain_dim = property(lambda self: self.n)
+    codomain_dim = property(lambda self: 1)
+
+    def apply(self, a):
+        m = self._check_input(a)
+        return np.array([[2.0 * np.trace(m) / self.n - m[0, 0]]])
+
+    def rank_one_images(self, vectors):
+        v = self._check_vectors(vectors)
+        squared_norms = np.einsum("ij,ij->j", v.conj(), v)
+        return (2.0 * squared_norms / self.n
+                - np.abs(v[0]) ** 2)[:, np.newaxis, np.newaxis]
+
+
 @pytest.fixture
 def example_3x3():
     return EXAMPLE_3X3.copy()

@@ -1,0 +1,119 @@
+"""Digest of 215 ``momenta`` runs, for checking that a change alters no output.
+
+Runs ``momenta.cli.main`` in process, in a temporary directory, on
+
+- every op of the three benchmark workloads (``bench/workloads.py``) at
+  workload seeds 1 and 2: 164 runs;
+- ``verify --random --instances 200 --seed 42``;
+- ``verify`` and ``moments`` at ``--seed 3`` on ``random_hermitian(n, 1)``
+  and ``random_psd(n, 2) + I`` at n = 8 and 24, under each of the five
+  ``--map`` values: 40 runs;
+- ``verify`` on the normal ``random_normal_matrix(6, 5)`` and the non-normal
+  ``triu(random_hermitian(4, 7))`` under trace, ``compression:2`` and
+  vector-state: 6 runs;
+- ``moments --k-min -1`` on the four files of the second item: 4 runs.
+
+It prints one tab-separated line per run: the argv, the exit code, and the
+sha256 of stdout, of stderr and of the JSON report. Every path is relative
+to the temporary directory, so two checkouts print the same lines exactly
+when their runs give the same bytes; diff the two outputs to check a change
+that should alter none. It exits 1 if a run raises a numpy warning. pytest
+does not collect it; run it from the repository root as
+
+    PYTHONPATH=src python tests/equivalence_runs.py > runs.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from momenta import cli, linalg
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+MAPS = ["trace", "vector-state", "compression:4", "pinching", "identity"]
+NORMAL_MAPS = ["trace", "compression:2", "vector-state"]
+REPORT = "report.json"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], report: str) -> tuple[str, int]:
+    """One in-process run: its digest line and its numpy warning count."""
+    if os.path.exists(report):
+        os.remove(report)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    data = Path(report).read_bytes() if os.path.exists(report) else b""
+    line = "\t".join([" ".join(argv), str(code),
+                      _digest(out.getvalue().encode()),
+                      _digest(err.getvalue().encode()), _digest(data)])
+    return line, len(caught)
+
+
+def runs():
+    """``(argv, report path)`` of every run, writing its inputs first."""
+    for seed in (1, 2):
+        for name in workloads.WORKLOADS:
+            for op in workloads.build(name, seed, "."):
+                yield op.argv, op.report
+    yield ["verify", "--random", "--instances", "200", "--seed", "42",
+           "--out", REPORT], REPORT
+    files = []
+    for n in (8, 24):
+        for name, matrix in ((f"h{n}.json", linalg.random_hermitian(n, 1)),
+                             (f"pd{n}.json",
+                              linalg.random_psd(n, 2) + np.eye(n))):
+            Path(name).write_text(cli.write_matrix_json(matrix))
+            files.append(name)
+            for command in ("verify", "moments"):
+                for spec in MAPS:
+                    yield [command, name, "--map", spec, "--seed", "3",
+                           "--out", REPORT], REPORT
+    Path("normal6.json").write_text(
+        cli.write_matrix_json(linalg.random_normal_matrix(6, 5)))
+    Path("triu4.json").write_text(
+        cli.write_matrix_json(np.triu(linalg.random_hermitian(4, 7))))
+    for name in ("normal6.json", "triu4.json"):
+        for spec in NORMAL_MAPS:
+            yield ["verify", name, "--map", spec, "--out", REPORT], REPORT
+    for name in files:
+        yield ["moments", name, "--k-min", "-1", "--out", REPORT], REPORT
+
+
+def main() -> int:
+    count = warned = 0
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            # a generator: each workload's inputs are written just before
+            # its ops run, so seed 2's files replace seed 1's after use
+            for argv, report in runs():
+                line, warns = run(argv, report)
+                print(line)
+                count += 1
+                warned += warns > 0
+        finally:
+            os.chdir(cwd)
+    print(f"{count} runs, {warned} with numpy warnings", file=sys.stderr)
+    return 1 if warned else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from momenta import campaign, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
-from conftest import EXAMPLE_3X3, direct_log_blocks, direct_powers
+from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
+                      direct_log_blocks, direct_powers)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -615,33 +616,38 @@ class TestRefinementChain:
         m = 0.35
         t = replace(moments.moment_table(pulm, a, 0, 4), m=m)
         T = t.power
-        outer, inner = moments.build_refinement_chain(t)
+        diff, inner = moments.build_refinement_chain(t)
+        expected_outer = np.block([[T(2), T(3)], [T(3), T(4)]])
         expected_inner = (2.0 * m * np.block([[T(1), T(2)], [T(2), T(3)]])
                           - m * m * np.block([[T(0), T(1)], [T(1), T(2)]]))
-        assert outer.tobytes() == np.block([[T(2), T(3)], [T(3), T(4)]]).tobytes()
-        assert inner.tobytes() == expected_inner.tobytes()
+        assert (diff.assembled.tobytes()
+                == (expected_outer - expected_inner).tobytes())
+        assert inner.assembled.tobytes() == expected_inner.tobytes()
+        # each block at the size of its terms, at degree 0 or 2
+        assert diff.scale == t.operand_scale({2: 1.0, 1: 2 * m, 0: m * m}, 1)
+        assert inner.scale == t.operand_scale({1: 2 * m, 0: m * m}, 1)
 
     def test_single_atom_equality(self):
         c = 0.9
         t = moments.moment_table(maps.NormalizedTrace(1), [[c]], 0, 4)
-        outer, inner = moments.build_refinement_chain(t)
-        np.testing.assert_allclose(outer, inner, atol=1e-13)
+        diff, _ = moments.build_refinement_chain(t)
+        np.testing.assert_allclose(diff.assembled, 0.0, atol=1e-13)
 
     def test_two_point_spectrum_values(self):
-        outer, inner = moments.build_refinement_chain(table12(0, 4))
-        np.testing.assert_allclose((outer - inner).real, [[0.5, 1.0], [1.0, 2.0]],
-                                   atol=1e-13)
-        np.testing.assert_allclose(inner.real, [[2.0, 3.5], [3.5, 6.5]],
-                                   atol=1e-13)
-        assert np.linalg.det(inner).real == pytest.approx(0.75)
-        assert linalg.is_psd(outer - inner).passed
-        assert linalg.is_psd(inner).passed
+        diff, inner = moments.build_refinement_chain(table12(0, 4))
+        np.testing.assert_allclose(diff.assembled.real,
+                                   [[0.5, 1.0], [1.0, 2.0]], atol=1e-13)
+        np.testing.assert_allclose(inner.assembled.real,
+                                   [[2.0, 3.5], [3.5, 6.5]], atol=1e-13)
+        assert np.linalg.det(inner.assembled).real == pytest.approx(0.75)
+        assert linalg.is_psd(diff.assembled).passed
+        assert linalg.is_psd(inner.assembled).passed
 
     def test_vanishing_endpoint_limit(self):
         t = replace(table12(0, 4), m=1e-9)
-        outer, inner = moments.build_refinement_chain(t)
-        assert linalg.frobenius(inner) <= 1e-7
-        assert linalg.is_psd(outer).passed
+        diff, inner = moments.build_refinement_chain(t)
+        assert linalg.frobenius(inner.assembled) <= 1e-7
+        assert linalg.is_psd(diff.assembled).passed
 
     def test_requires_positive_m(self):
         t = moments.moment_table(TR2, np.diag([0.0, 2.0]), 0, 4)
@@ -653,24 +659,26 @@ class TestLogBlocks:
     def test_deficit_single_atom_at_one(self):
         t1 = maps.NormalizedTrace(1)
         block = moments.build_log_deficit_block(t1, [[1.0]])
-        np.testing.assert_allclose(block.real, [[1.0, 1.0], [1.0, 1.0]],
-                                   atol=1e-13)
-        assert linalg.is_psd(block).passed
+        np.testing.assert_allclose(block.assembled.real,
+                                   [[1.0, 1.0], [1.0, 1.0]], atol=1e-13)
+        assert linalg.is_psd(block.assembled).passed
 
     def test_deficit_two_point_spectrum(self):
         e = np.e
         block = moments.build_log_deficit_block(TR2, np.diag([1.0, e]))
         expected = [[(1 + e * e) / 2, (1 + e) / 2], [(1 + e) / 2, e / 2]]
-        np.testing.assert_allclose(block.real, expected, atol=1e-12)
-        assert np.linalg.det(block).real == pytest.approx(2.2445497489494923,
-                                                          abs=1e-10)
+        np.testing.assert_allclose(block.assembled.real, expected, atol=1e-12)
+        assert np.linalg.det(block.assembled).real == pytest.approx(
+            2.2445497489494923, abs=1e-10)
+        # Phi(A^2) is of size e^2, Phi(A) - Phi(log A) of size e + 1
+        assert block.scale == max(e ** 2, e + 1.0)
 
     def test_deficit_is_psd_on_random_instances(self):
         for seed in range(5):
             a = linalg.hermitian_with_spectrum(
                 np.random.default_rng(seed).uniform(0.2, 3.0, 4), seed)
             block = moments.build_log_deficit_block(maps.Identity(4), a)
-            assert linalg.is_psd(block).passed
+            assert linalg.is_psd(block.assembled).passed
 
     def test_deficit_requires_positive_definite(self):
         with pytest.raises(DomainError):
@@ -678,19 +686,24 @@ class TestLogBlocks:
 
     def test_endpoint_blocks_vanish_at_matching_endpoint(self):
         upper, lower = moments.build_log_endpoint_blocks(TR3, 2.5 * np.eye(3))
-        np.testing.assert_allclose(upper, np.zeros((2, 2)), atol=1e-12)
-        np.testing.assert_allclose(lower, np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(upper.assembled, np.zeros((2, 2)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(lower.assembled, np.zeros((2, 2)),
+                                   atol=1e-12)
 
     def test_endpoint_blocks_two_point_spectrum(self):
         upper, lower = moments.build_log_endpoint_blocks(TR2, DIAG12)
         l2 = np.log(2.0)
-        np.testing.assert_allclose(upper.real, (l2 / 2) * np.ones((2, 2)),
-                                   atol=1e-12)
+        np.testing.assert_allclose(upper.assembled.real,
+                                   (l2 / 2) * np.ones((2, 2)), atol=1e-12)
         np.testing.assert_allclose(
-            lower.real, (l2 / 2) * np.array([[1.0, 2.0], [2.0, 4.0]]),
-            atol=1e-12)
-        assert linalg.is_psd(upper).passed
-        assert linalg.is_psd(lower).passed
+            lower.assembled.real,
+            (l2 / 2) * np.array([[1.0, 2.0], [2.0, 4.0]]), atol=1e-12)
+        assert linalg.is_psd(upper.assembled).passed
+        assert linalg.is_psd(lower.assembled).passed
+        # (|log M| + log 2) rho^2 and (log 2 + |log m|) rho^2, rho = 2
+        assert upper.scale == pytest.approx(8 * l2, rel=1e-15)
+        assert lower.scale == pytest.approx(4 * l2, rel=1e-15)
 
     def test_endpoint_blocks_domain_errors(self):
         with pytest.raises(DomainError):
@@ -716,6 +729,7 @@ class TestLogBlocks:
         for block, expected, scale in zip((upper, lower),
                                           (expected_upper, expected_lower),
                                           log_scales(a)[1:]):
+            block = block.assembled
             assert np.array_equal(block[:2, 2:], block[2:, :2])
             assert np.max(np.abs(block - expected)) <= 1e-12 * scale
 
@@ -747,7 +761,8 @@ class TestOneRoute:
         moments.build_log_deficit_block(pulm, pd)
         moments.build_log_endpoint_blocks(pulm, pd)
         if pulm.is_functional:
-            assert campaign._centered_records(pulm, a, 2, 0, 1e-9)
+            assert moments.psd_records(
+                moments.build_centered_blocks(pulm, a, 2), 0, 1e-9)
         with pytest.raises(AssertionError, match="route oracle"):
             campaign._route_error(pulm, a, 0, 4)
 
@@ -772,7 +787,9 @@ class TestOneRoute:
                       *moments.build_log_endpoint_blocks(pulm, a))
             for block, expected, scale in zip(
                     blocks, direct_log_blocks(pulm, a), log_scales(a)):
-                assert np.max(np.abs(block - expected)) <= 1e-12 * scale
+                assert block.scale == pytest.approx(scale, rel=1e-15)
+                assert (np.max(np.abs(block.assembled - expected))
+                        <= 1e-12 * scale)
 
     @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
     def test_centered_mean_matches_the_functional(self, kind):
@@ -791,6 +808,8 @@ class TestNormalBlock:
         a = linalg.random_hermitian(3, 4)
         pulm = maps.random_map("compression", 3, k=2, seed=6)
         block = moments.build_normal_block(pulm, a)
+        assert block.scale == linalg.frobenius(block.assembled)
+        block = block.assembled
         t = moments.moment_table(pulm, a, 0, 4)
         expected = np.block([
             [t.power(0), t.power(1), t.power(2)],
@@ -802,7 +821,7 @@ class TestNormalBlock:
         assert linalg.is_psd(block).passed
 
     def test_conjugate_pair_spectrum(self):
-        block = moments.build_normal_block(TR2, np.diag([1j, -1j]))
+        block = moments.build_normal_block(TR2, np.diag([1j, -1j])).assembled
         expected = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=float)
         np.testing.assert_allclose(block.real, expected, atol=1e-14)
         np.testing.assert_allclose(block.imag, np.zeros((3, 3)), atol=1e-14)
@@ -812,12 +831,114 @@ class TestNormalBlock:
         for seed in range(8):
             a = linalg.random_normal_matrix(4, seed)
             pulm = maps.random_map("vector_state", 4, seed=seed + 1)
-            assert linalg.is_psd(moments.build_normal_block(pulm, a)).passed
+            block = moments.build_normal_block(pulm, a).assembled
+            assert linalg.is_psd(block).passed
 
     def test_rejects_non_normal(self):
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DomainError):
             moments.build_normal_block(TR2, shear)
+
+
+#: Scales at which the blocks whose sizing moved into ``moments`` are shown
+#: able to fail and to be tight.
+SCALES = (1e-6, 1.0, 1e6)
+
+_PD_CHECKS = ("refinement_chain_outer", "refinement_chain_inner",
+              "log_deficit", "log_endpoint_upper", "log_endpoint_lower",
+              "normal_block")
+
+#: At c = 1e-6 no input of the grid fails the log deficit or the normal
+#: block: each mixes degrees whose sizes differ by c^2 or more, and a scale
+#: set by the largest degree swamps a violation in the smallest. The same
+#: holds for centered_lower_shift. These are the gaps of the mixed-degree
+#: scale, not of the witnesses.
+_NO_WITNESS = {("log_deficit", 1e-6), ("normal_block", 1e-6),
+               ("centered_lower_shift", 1e-6)}
+
+
+def reflected_pd_records(c, n, seed):
+    """Records of the positive definite blocks and the normal block of
+    ``c (random_psd(n, seed) + 0.1 I)`` under :class:`ReflectedTrace`."""
+    a = c * (linalg.random_psd(n, seed) + 0.1 * np.eye(n))
+    pulm = ReflectedTrace(n)
+    blocks = (*moments.build_refinement_chain(moments.moment_table(pulm, a,
+                                                                   0, 4)),
+              moments.build_log_deficit_block(pulm, a),
+              *moments.build_log_endpoint_blocks(pulm, a),
+              moments.build_normal_block(pulm, a))
+    return moments.psd_records(zip(_PD_CHECKS, blocks), 0, 1e-9)
+
+
+def reflected_centered_records(c, n, seed, r):
+    """Records of the centered blocks of ``c random_hermitian(n, seed)``
+    under :class:`ReflectedState`."""
+    return moments.psd_records(moments.build_centered_blocks(
+        ReflectedState(n), c * linalg.random_hermitian(n, seed), r), 0, 1e-9,
+        "centered_")
+
+
+class TestMovedBlockWitnesses:
+    """Every block that a builder sizes can fail under a unital map that is
+    not positive, and is tight where its inequality is an equality, at
+    every scale where an input shows it."""
+
+    @pytest.mark.parametrize("check,c", [
+        (check, c) for check in _PD_CHECKS for c in SCALES
+        if (check, c) not in _NO_WITNESS])
+    def test_pd_block_fails_under_the_reflected_trace(self, check, c):
+        # n = 2..5 and seeds 1..29: 116 inputs
+        assert any(rec.check == check and rec.passed is False
+                   for n in range(2, 6) for seed in range(1, 30)
+                   for rec in reflected_pd_records(c, n, seed))
+
+    @pytest.mark.parametrize("check,c", [
+        (check, c) for check in ("centered_lower_shift", "centered_upper_shift")
+        for c in SCALES if (check, c) not in _NO_WITNESS])
+    def test_centered_block_fails_under_a_reflected_state(self, check, c):
+        # n = 3..6, seeds 1..39 and r = 1, 2: 312 inputs
+        assert any(rec.check == check and rec.passed is False
+                   for n in range(3, 7) for seed in range(1, 40)
+                   for r in (1, 2)
+                   for rec in reflected_centered_records(c, n, seed, r))
+
+    @pytest.mark.parametrize("kind", ["normalized_trace", "identity",
+                                      "compression"])
+    @pytest.mark.parametrize("c", SCALES)
+    def test_chain_and_endpoints_are_tight_on_a_multiple_of_identity(
+            self, kind, c):
+        pulm = maps.random_map(kind, 3, k=2, seed=3)
+        a = c * np.eye(3)
+        chain = moments.build_refinement_chain(moments.moment_table(pulm, a,
+                                                                    0, 4))
+        records = moments.psd_records(
+            zip(("refinement_chain_outer", "refinement_chain_inner"), chain),
+            0, 1e-9)
+        for rec, block in zip(records, chain):
+            assert rec.passed and abs(rec.margin) <= 1e-15 * block.scale
+        # log M - log A and log A - log m vanish exactly
+        records = moments.psd_records(
+            zip(("log_endpoint_upper", "log_endpoint_lower"),
+                moments.build_log_endpoint_blocks(pulm, a)), 0, 1e-9)
+        assert [(rec.passed, rec.margin) for rec in records] == [(True, 0.0)] * 2
+
+    def test_centered_blocks_need_a_functional(self):
+        # the mean phi(A) is the 1x1 image; a matrix image has none
+        with pytest.raises(ShapeError, match="functional"):
+            moments.build_centered_blocks(maps.Identity(3), np.eye(3), 1)
+
+    @pytest.mark.parametrize("kind", ["normalized_trace", "identity",
+                                      "compression"])
+    def test_log_deficit_is_tight_at_the_identity(self, kind):
+        pulm = maps.random_map(kind, 3, k=2, seed=3)
+        block = moments.build_log_deficit_block(pulm, np.eye(3))
+        (rec,) = moments.psd_records([("log_deficit", block)], 0, 1e-9)
+        assert rec.passed and block.scale == 1.0
+        # [[I, I], [I, I]]; a compression's V* V is I only to rounding
+        if kind == "compression":
+            assert abs(rec.margin) <= 1e-15
+        else:
+            assert rec.margin == 0.0
 
 
 class TestPsdRecords:

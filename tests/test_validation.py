@@ -8,7 +8,7 @@ application checks only the shape and never aliases its input.
 import numpy as np
 import pytest
 
-from momenta import eigenbounds, linalg, maps, moments
+from momenta import campaign, eigenbounds, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
 TR2 = maps.NormalizedTrace(2)
@@ -48,6 +48,31 @@ def test_entry_point_rejects_bad_input_like_symmetrize(entry, bad):
     got = _error_of(HERMITIAN_ENTRY_POINTS[entry], a)
     assert type(got) is error is type(expected)
     assert str(got) == str(expected)
+
+
+#: Input that ``is_hermitian`` once misjudged: numpy's broadcast error, a
+#: norm overflow named for a NaN, and True for a vector.
+NOT_A_MATRIX = {
+    "non_square": np.ones((2, 3)),
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "one_dimensional": np.ones(3),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_A_MATRIX))
+def test_is_hermitian_rejects_bad_input_like_symmetrize(bad):
+    a = NOT_A_MATRIX[bad]
+    expected = _error_of(linalg.symmetrize, a)
+    got = _error_of(linalg.is_hermitian, a)
+    assert type(got) is type(expected)
+    assert str(got) == str(expected)
+
+
+def test_file_mode_rejects_a_non_square_matrix_like_symmetrize():
+    a = np.ones((2, 3))
+    got = _error_of(lambda a: campaign.single_matrix_records(a, TR2, 0), a)
+    assert type(got) is ShapeError
+    assert str(got) == str(_error_of(linalg.symmetrize, a))
 
 
 @pytest.mark.parametrize("kind", maps.MAP_KINDS)
