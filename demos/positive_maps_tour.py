@@ -1,7 +1,7 @@
 """Tour of the positive unital linear map variants and their basic bounds.
 
-Each variant is built from a seed, validated (unitality, payload soundness,
-and a positivity spot check on random PSD inputs), and then run through the
+Each variant is built from a seed, which checks its unitality
+(``Phi(I) = I``; a payload that misses it raises), and then run through the
 square-moment and variance inequalities: Phi(A^2) >= Phi(A)^2 always, and
 the variance Phi(A^2) - Phi(A)^2 is capped both by the squared half-width
 of the spectrum interval and by the product of distances of Phi(A) to the
@@ -15,8 +15,8 @@ from momenta import (
     NormalizedTrace,
     random_hermitian,
     random_map,
+    frobenius,
     scalar_checks,
-    validate,
 )
 
 n = 4
@@ -24,11 +24,9 @@ A = random_hermitian(n, seed=5)
 
 for kind in MAP_KINDS:
     phi = random_map(kind, n, k=2, seed=91)
-    report = validate(phi, seed=3)
-    image = phi.apply(A)
-    print(f"{kind:17s} codomain {phi.codomain_dim}x{phi.codomain_dim}, "
-          f"unitality residual {report.unitality_residual:.1e}, "
-          f"positivity probes failed: {report.positivity_failures}")
+    k = phi.codomain_dim
+    residual = frobenius(phi.apply(np.eye(n)) - np.eye(k))
+    print(f"{kind:17s} codomain {k}x{k}, unitality residual {residual:.1e}")
     for res in scalar_checks(phi, A):
         if res.passed is not None and res.check in (
                 "kadison", "variance_range", "variance_endpoints"):

@@ -28,14 +28,12 @@ from .maps import (
     MAP_KINDS,
     Compression,
     Identity,
-    MapValidation,
     Mixture,
     NormalizedTrace,
     Pinching,
     PositiveUnitalMap,
     VectorState,
     random_map,
-    validate,
 )
 from .moments import (
     BLOCK_KINDS,
@@ -77,7 +75,6 @@ __all__ = [
     "HermitianSpectrum",
     "Identity",
     "MAP_KINDS",
-    "MapValidation",
     "Mixture",
     "MomentTable",
     "NormalizedTrace",
@@ -111,6 +108,5 @@ __all__ = [
     "scalar_checks",
     "spectral_bounds",
     "symmetrize",
-    "validate",
     "wolkowicz_styan",
 ]

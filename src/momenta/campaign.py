@@ -20,6 +20,7 @@ import numpy as np
 
 from . import eigenbounds, moments
 from .linalg import (
+    DEFAULT_PSD_TOL,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
@@ -33,6 +34,9 @@ from .moments import CheckRecord, psd_records, record, skip_record
 
 #: Minimum eigenvalue of the shifted positive definite variant.
 PD_FLOOR = 0.1
+
+#: Relative tolerance of the cubic bounds and signs in :func:`bounds_suite`.
+BOUNDS_RTOL = 1e-8
 
 #: Map kinds cycled by the normal-matrix suite (block and functional cases).
 NORMAL_MAP_KINDS = ("compression", "vector_state")
@@ -120,7 +124,7 @@ def _restamp(results: list[CheckRecord], seed: int,
             for res in results]
 
 
-def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
+def psd_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """PSD verdicts for every block construction on one instance; those of
     the positive definite variant are skipped where it is None."""
     pulm, a, pd, r, seed = (inst.pulm, inst.matrix, inst.matrix_pd, inst.r,
@@ -146,7 +150,7 @@ def psd_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
     return records
 
 
-def scalar_suite(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
+def scalar_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Scalar-form inequality checks on one instance, and under a ``_pd``
     suffix on a positive definite variant other than the matrix itself."""
     records = _restamp(moments.scalar_checks(inst.pulm, inst.matrix, tol=tol),
@@ -258,12 +262,12 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
     return records
 
 
-def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
+def bounds_suite(inst: Instance) -> list[CheckRecord]:
     """Validity of the cubic eigenvalue bounds under the normalized trace.
 
-    A bound fails when it misses its eigenvalue by more than ``tol`` times
-    the spectral radius, and a cubic sign when it is wrong by more than
-    ``tol`` times the sum of its Horner terms.
+    A bound fails when it misses its eigenvalue by more than ``BOUNDS_RTOL``
+    times the spectral radius, and a cubic sign when it is wrong by more
+    than ``BOUNDS_RTOL`` times the sum of its Horner terms.
     """
     functional = NormalizedTrace(inst.n)
     report = eigenbounds.spectral_bounds(functional, inst.matrix)
@@ -276,20 +280,20 @@ def bounds_suite(inst: Instance, tol: float = 1e-8) -> list[CheckRecord]:
     records = []
     for check, slack in (("bound_min_upper", report.lambda_min_upper - lam[0]),
                          ("bound_max_lower", lam[-1] - report.lambda_max_lower)):
-        records.append(record(check, inst.seed, passes(slack, rho, tol), slack))
+        records.append(record(check, inst.seed, passes(slack, rho, BOUNDS_RTOL), slack))
     c2, c1, c0 = report.cubic
     # the cubic is <= 0 at the smallest centered eigenvalue, >= 0 at the largest
     for check, mu, sign in (("cubic_sign_min", lam[0] - report.mean, -1.0),
                             ("cubic_sign_max", lam[-1] - report.mean, 1.0)):
         slack = sign * (((mu + c2) * mu + c1) * mu + c0)
         horner = abs(mu) ** 3 + abs(c2) * mu * mu + abs(c1 * mu) + abs(c0)
-        records.append(record(check, inst.seed, passes(slack, horner, tol),
+        records.append(record(check, inst.seed, passes(slack, horner, BOUNDS_RTOL),
                               slack))
     return records
 
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
-                 tol: float = 1e-9) -> list[CheckRecord]:
+                 tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
     records = psd_records(
         [("normal_block", moments.build_normal_block(pulm, matrix))], seed, tol)
@@ -300,7 +304,7 @@ def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
     return records
 
 
-def instance_records(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
+def instance_records(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Every suite on one instance, in the order psd, oracle, bounds,
     scalar; file mode's first error is the first suite's."""
     return (psd_suite(inst, tol) + oracle_suite(inst) + bounds_suite(inst)
@@ -309,7 +313,7 @@ def instance_records(inst: Instance, tol: float = 1e-9) -> list[CheckRecord]:
 
 def run_campaign(count: int = 200, seed: int = 42,
                  n_range: tuple[int, int] = (2, 6), r_max: int = 3,
-                 tol: float = 1e-9) -> list[CheckRecord]:
+                 tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Full random campaign: every suite over both corpora."""
     records = []
     for inst in corpus(count, seed, n_range, r_max):
@@ -321,7 +325,7 @@ def run_campaign(count: int = 200, seed: int = 42,
 
 def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
                           seed: int, r_max: int = 3,
-                          tol: float = 1e-9) -> list[CheckRecord]:
+                          tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """File-mode verification: run every applicable check on one matrix.
 
     Hermitian input is one instance of :func:`instance_records`, its own

@@ -32,6 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
+from .linalg import DEFAULT_PSD_TOL
 from .maps import (
     Identity,
     NormalizedTrace,
@@ -46,7 +47,7 @@ MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 class RunConfig:
     """Validated run parameters; a subcommand sets those it has flags for."""
 
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_PSD_TOL
     r_max: int = 3
     map_spec: str = "trace"
     seed: int = 0

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import hermitian_eig, require_finite, scaled_frobenius, symmetrize
+from .linalg import (binary_scaled, frobenius, hermitian_eig, require_finite,
+                     symmetrize)
 from .maps import PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
@@ -145,7 +146,8 @@ def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
     mu = np.trace(h).real / n
     with np.errstate(over="ignore", invalid="ignore"):
         # s / sqrt(n - 1) at the scale 2**-e, then scaled back
-        t, e = scaled_frobenius(h - mu * np.eye(n))
+        b, e = binary_scaled(h - mu * np.eye(n))
+        t = frobenius(b)
         d = np.ldexp(math.sqrt(t * t / n) / math.sqrt(n - 1.0), e)
         bounds = float(mu - d), float(mu + d)
     require_finite("comparator bounds", bounds)

@@ -77,20 +77,19 @@ def frobenius(a) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def scaled_frobenius(a) -> tuple[float, int]:
-    """``(t, e)`` with ``||a||_F = t * 2**e``, for norms outside double range.
+def binary_scaled(a) -> tuple[np.ndarray, int]:
+    """``(2**-e a, e)``, ``e`` the binary exponent of ``a``'s largest real
+    or imaginary part.
 
-    ``a`` is first scaled by ``2**-e``, ``e`` the binary exponent of its
-    largest real or imaginary part. That is exact and puts every part in
-    ``(-1, 1)``, so the sum of squares cannot overflow, and only squares
-    far below ``eps`` times the largest can underflow. ``t`` is
-    :func:`frobenius` of the scaled matrix; where the unscaled sum neither
-    overflows nor underflows, ``t * 2**e`` is :func:`frobenius` of ``a``
-    bit for bit.
+    The scaling is exact, except for parts far below ``eps`` times the
+    largest, which can underflow, and it puts every part in ``(-1, 1)``. So
+    sums of squares and products of a few factors of the result cannot
+    overflow, and wherever those of ``a`` neither overflow nor underflow
+    they are ``a``'s times a power of two, bit for bit.
     """
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
-    return frobenius(np.ldexp(parts, -e).view(np.complex128)), e
+    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 def require_finite(what: str, values) -> None:
@@ -173,15 +172,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     matrix: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Assemble ``V diag(lambda) V*`` back into a matrix."""
-        v = self.eigenvectors
-        if v is None:
-            raise ValueError("spectrum was solved for eigenvalues only "
-                             "(vectors=False); it has no eigenvectors to "
-                             "reconstruct from")
-        return (v * self.eigenvalues) @ v.conj().T
 
     @property
     def min(self) -> float:

@@ -7,12 +7,13 @@ and the normalized trace. The first four have matrix codomain; the last two
 are functionals, represented as maps into the 1x1 matrices so that every
 variant shares one interface.
 
-Construction enforces structure (shapes, a genuine partition, positive
-mixture weights, and the mixture unitality sum, which is a joint property of
-the weights and factors). Numeric soundness of a payload -- isometry
-residual, unit norm, unitality of the assembled map -- is checked by
-:func:`validate`, which reports findings instead of raising so that broken
-payloads can be inspected.
+Every model is completely positive in Kraus form, so a map is positive by
+construction, and unitality is the one payload condition left. Construction
+enforces it with the structure (shapes, a genuine partition, positive
+mixture weights): the factor maps -- compressions, mixtures and vector
+states -- raise :class:`DomainError` unless ``sum_i w_i V_i* V_i = I``
+within ``UNITALITY_TOL``, and the identity, pinchings and the normalized
+trace are unital by their structure.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, frobenius, is_psd, random_psd, random_unitary
+from .linalg import as_matrix, frobenius, random_unitary
 
-#: Frobenius tolerance for unitality and isometry residuals.
+#: Frobenius tolerance on ``sum_i w_i V_i* V_i - I`` of a factor map.
 UNITALITY_TOL = 1e-10
-
-#: Tolerance on | ||x|| - 1 | for vector states.
-UNIT_NORM_TOL = 1e-12
-
-#: Number of seeded PSD probes used by the positivity spot check.
-POSITIVITY_PROBES = 20
 
 #: All map kinds, in the order verification campaigns cycle through them.
 MAP_KINDS = (
@@ -100,6 +95,17 @@ def _outer_stack(w: np.ndarray) -> np.ndarray:
     return w.T[:, :, np.newaxis] * w.T.conj()[:, np.newaxis, :]
 
 
+def _require_unital(what: str, terms) -> None:
+    """Raise :class:`DomainError` unless the weighted factors ``(w_i, V_i)``
+    of ``A -> sum_i w_i V_i* A V_i`` satisfy ``sum_i w_i V_i* V_i = I``
+    within ``UNITALITY_TOL`` in the Frobenius norm."""
+    total = sum(w * (v.conj().T @ v) for w, v in terms)
+    residual = frobenius(total - np.eye(total.shape[0]))
+    if residual > UNITALITY_TOL:
+        raise DomainError(f"{what} is not unital: "
+                          f"||sum w V*V - I||_F = {residual:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class Identity(PositiveUnitalMap):
     """The identity map on M(n)."""
@@ -137,6 +143,7 @@ class Compression(PositiveUnitalMap):
             raise ShapeError(
                 f"isometry must be tall or square, got shape {v.shape}"
             )
+        _require_unital("compression", ((1.0, v),))
         object.__setattr__(self, "isometry", v)
 
     @property
@@ -174,16 +181,9 @@ class Mixture(PositiveUnitalMap):
             if not (float(w) > 0.0):
                 raise DomainError(f"mixture weights must be positive, got {w}")
             cooked.append((float(w), as_matrix(v)))
-        n, k = cooked[0][1].shape
-        for _, v in cooked:
-            if v.shape != (n, k):
-                raise ShapeError("mixture factors must share one shape")
-        total = sum(w * (v.conj().T @ v) for w, v in cooked)
-        residual = frobenius(total - np.eye(k))
-        if residual > UNITALITY_TOL:
-            raise DomainError(
-                f"mixture is not unital: ||sum w V*V - I||_F = {residual:.3e}"
-            )
+        if len({v.shape for _, v in cooked}) > 1:
+            raise ShapeError("mixture factors must share one shape")
+        _require_unital("mixture", cooked)
         object.__setattr__(self, "terms", tuple(cooked))
 
     @property
@@ -254,6 +254,7 @@ class VectorState(PositiveUnitalMap):
         x = np.array(self.vector, dtype=np.complex128, copy=True).reshape(-1)
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise DomainError("state vector must be non-empty and finite")
+        _require_unital("vector state", ((1.0, x[:, np.newaxis]),))
         object.__setattr__(self, "vector", x)
 
     @property
@@ -299,65 +300,6 @@ class NormalizedTrace(PositiveUnitalMap):
     def rank_one_images(self, vectors) -> np.ndarray:
         v = self._check_vectors(vectors)
         return (np.einsum("ij,ij->j", v.conj(), v) / self.n).reshape(-1, 1, 1)
-
-
-@dataclass(frozen=True)
-class MapValidation:
-    """Findings of :func:`validate`; ``ok`` means no issue was detected."""
-
-    unital: bool
-    unitality_residual: float
-    payload_ok: bool
-    positivity_failures: int
-    issues: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.unital and self.payload_ok and self.positivity_failures == 0
-
-
-def _payload_issues(pulm: PositiveUnitalMap) -> list:
-    issues = []
-    if isinstance(pulm, Compression):
-        v = pulm.isometry
-        res = frobenius(v.conj().T @ v - np.eye(v.shape[1]))
-        if res > UNITALITY_TOL:
-            issues.append(f"compression factor is not an isometry: ||V*V - I||_F = {res:.3e}")
-    elif isinstance(pulm, VectorState):
-        res = abs(float(np.linalg.norm(pulm.vector)) - 1.0)
-        if res > UNIT_NORM_TOL:
-            issues.append(f"state vector is not normalized: | ||x|| - 1 | = {res:.3e}")
-    return issues
-
-
-def validate(pulm: PositiveUnitalMap, seed: int = 0) -> MapValidation:
-    """Check unitality, payload soundness, and spot-check positivity.
-
-    Positivity is probed by applying the map to ``POSITIVITY_PROBES`` seeded
-    random PSD matrices ``C* C``; failures are reported, never raised.
-    """
-    n, k = pulm.domain_dim, pulm.codomain_dim
-    residual = frobenius(pulm.apply(np.eye(n)) - np.eye(k))
-    unital = residual <= UNITALITY_TOL
-    payload_issues = _payload_issues(pulm)
-    failures = 0
-    for t in range(POSITIVITY_PROBES):
-        image = pulm.apply(random_psd(n, seed + t))
-        if not is_psd(image).passed:
-            failures += 1
-    issues = []
-    if not unital:
-        issues.append(f"map is not unital: ||Phi(I) - I||_F = {residual:.3e}")
-    issues.extend(payload_issues)
-    if failures:
-        issues.append(f"positivity spot check failed on {failures}/{POSITIVITY_PROBES} probes")
-    return MapValidation(
-        unital=unital,
-        unitality_residual=residual,
-        payload_ok=not payload_issues,
-        positivity_failures=failures,
-        issues=tuple(issues),
-    )
 
 
 def random_map(kind: str, n: int, k: int | None = None,

@@ -62,6 +62,7 @@ from .errors import DomainError, ShapeError
 from .linalg import (
     DEFAULT_PSD_TOL,
     as_matrix,
+    binary_scaled,
     frobenius,
     hermitian_eig,
     hermitian_part,
@@ -482,11 +483,22 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
                  in zip(blocks, (high + size, size + low)))
 
 
+def _normality(a: np.ndarray) -> tuple[float, float]:
+    """``(||B*B - BB*||_F, ||B||_F^2)`` of ``B = 2^-e A``
+    (:func:`~momenta.linalg.binary_scaled`). Neither can overflow, and
+    wherever ``A``'s own products neither overflow nor underflow, their
+    comparison is ``A``'s bit for bit."""
+    b = binary_scaled(a)[0]
+    bs = b.conj().T
+    return (frobenius(bs @ b - b @ bs),
+            max(frobenius(b) ** 2, np.finfo(float).tiny))
+
+
 def is_normal(a: np.ndarray) -> bool:
-    """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``."""
-    ms = a.conj().T
-    comm = frobenius(ms @ a - a @ ms)
-    return comm <= NORMALITY_RTOL * max(frobenius(a) ** 2, np.finfo(float).tiny)
+    """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, decided on
+    ``A`` scaled by a power of two, so that no norm overflows."""
+    commutator, size = _normality(a)
+    return commutator <= NORMALITY_RTOL * size
 
 
 def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
@@ -501,13 +513,14 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got {m.shape}")
-    ms = m.conj().T
-    if not is_normal(m):
+    commutator, size = _normality(m)
+    if not commutator <= NORMALITY_RTOL * size:
         raise DomainError(
             f"matrix is not normal: ||A*A - AA*||_F = "
-            f"{frobenius(ms @ m - m @ ms):.3e} "
+            f"{commutator / size:.3e} * ||A||_F^2 "
             f"exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2"
         )
+    ms = m.conj().T
     eye = np.eye(pulm.codomain_dim)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         block = np.block([

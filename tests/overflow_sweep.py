@@ -1,8 +1,8 @@
 """Overflow sweep of ``momenta verify`` across scales, maps and block orders.
 
-Runs ``verify`` in process at ``--seed 3`` on ``c * M`` for five matrices M,
+Runs ``verify`` in process at ``--seed 3`` on ``c * M`` for six matrices M,
 at c = 10^k for k = -330..-30 step 20 and k = 10..154 step 6, under four maps
-at ``--r-max`` 0 and 3: 1,640 runs. It prints one tab-separated line per
+at ``--r-max`` 0 and 3: 1,968 runs. It prints one tab-separated line per
 run: matrix, c, map, r-max, exit code, first stderr line and the number of
 numpy warnings. Then it checks that
 
@@ -36,6 +36,7 @@ MATRICES = {
     "normal2": np.diag([1j, -1j]),
     "herm8": linalg.random_hermitian(8, 1),
     "pd8": linalg.random_psd(8, 2) + np.eye(8),
+    "normal6": linalg.random_normal_matrix(6, 5),
 }
 EXPONENTS = [*range(-330, -29, 20), *range(10, 155, 6)]
 MAPS = ["trace", "compression:2", "identity", "vector-state"]

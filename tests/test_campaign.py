@@ -275,9 +275,6 @@ def test_bounds_suite_still_bites_on_separated_atoms():
     for check in ("bound_min_upper", "bound_max_lower"):
         assert records[check].margin < 1e-9 * rho
     assert all(r.passed for r in records.values())
-    # a tolerance that demands room is not one the verdict rule takes
-    with pytest.raises(ValueError, match="tolerance"):
-        campaign.bounds_suite(inst, tol=-1e-9)
 
 
 def test_normal_suite_has_no_failures():

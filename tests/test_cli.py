@@ -527,6 +527,12 @@ OVERFLOWS = {
                               "0"),
     "route-difference": (1e-250 * (linalg.random_psd(8, 2) + np.eye(8)),
                          "trace", "3"),
+    # the commutator's Frobenius norm overflowed and read as "not normal",
+    # which skipped every check with exit 0
+    "normal-commutator-1e100": (1e100 * linalg.random_normal_matrix(6, 5),
+                                "trace", "3"),
+    "normal-commutator-1e140": (1e140 * linalg.random_normal_matrix(6, 5),
+                                "trace", "3"),
 }
 
 

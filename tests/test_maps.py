@@ -4,7 +4,8 @@ import pytest
 from momenta import linalg, maps
 from momenta.errors import DomainError, ShapeError
 
-from conftest import EXAMPLE_3X3
+from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
+                      rank_one_positivity_failures)
 
 
 def all_variants(n=4, seed=7):
@@ -103,34 +104,62 @@ class TestConstruction:
             maps.Compression(np.ones((2, 3)))
 
 
-class TestValidate:
-    def test_pinching_is_unital(self):
-        report = maps.validate(maps.Pinching(((0,), (1, 2))))
-        assert report.unital and report.ok
-        assert report.unitality_residual <= 1e-14
+class TestUnitalityAtConstruction:
+    """The factor maps raise where they are built unless
+    ``sum_i w_i V_i* V_i = I``; there is no after-the-fact validator."""
 
-    def test_scaled_identity_compression_fails(self):
-        report = maps.validate(maps.Compression(2.0 * np.eye(3)))
-        assert not report.unital
-        assert not report.ok
-        assert any("unital" in msg for msg in report.issues)
+    def test_scaled_identity_compression_is_rejected(self):
+        with pytest.raises(DomainError, match="compression is not unital"):
+            maps.Compression(2.0 * np.eye(3))
 
-    def test_complementary_mixture_passes(self):
+    def test_non_orthogonal_compression_is_rejected(self):
+        # unit columns that are not orthogonal: V*V has off-diagonal 1/2
+        v = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="compression is not unital"):
+            maps.Compression(v)
+
+    def test_unnormalized_vector_state_is_rejected(self):
+        with pytest.raises(DomainError, match="vector state is not unital"):
+            maps.VectorState(np.array([1.0, 1.0]))
+
+    def test_unitality_is_checked_within_its_tolerance(self):
+        # a residual below UNITALITY_TOL is rounding; one above it is not
+        x = np.array([1.0, 0.0]) * (1.0 + 0.4 * maps.UNITALITY_TOL)
+        assert maps.VectorState(x).domain_dim == 2
+        with pytest.raises(DomainError):
+            maps.VectorState(np.array([1.0, 0.0]) * (1.0 + maps.UNITALITY_TOL))
+
+    def test_complementary_mixture_is_unital(self):
         # two isometries onto complementary column spans, equal weights
         u = linalg.random_unitary(4, 17)
         mix = maps.Mixture(((0.5, u[:, :2]), (0.5, u[:, 2:])))
-        assert maps.validate(mix).ok
+        np.testing.assert_allclose(mix.apply(np.eye(4)), np.eye(2),
+                                   atol=1e-14)
 
-    def test_unnormalized_vector_state_reported(self):
-        report = maps.validate(maps.VectorState(np.array([1.0, 1.0])))
-        assert not report.payload_ok
-        assert not report.ok
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_every_kind_maps_the_identity_to_the_identity(self, kind, n):
+        pulm = maps.random_map(kind, n, k=min(n, 3), seed=77)
+        k = pulm.codomain_dim
+        residual = linalg.frobenius(pulm.apply(np.eye(n)) - np.eye(k))
+        assert residual <= maps.UNITALITY_TOL
 
-    def test_positivity_probes_pass_for_valid_maps(self):
-        for pulm in all_variants():
-            report = maps.validate(pulm, seed=3)
-            assert report.positivity_failures == 0
-            assert report.ok
+
+class TestRankOnePositivity:
+    """The positivity spot check of the tests: every image ``Phi(v v*)`` of
+    the standard basis and of seeded random unit vectors is PSD."""
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_kind_passes(self, kind, n):
+        pulm = maps.random_map(kind, n, k=max(1, n // 2), seed=5 + n)
+        assert rank_one_positivity_failures(pulm, seed=n) == 0
+
+    @pytest.mark.parametrize("control", [ReflectedTrace, ReflectedState])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_negative_controls_fail(self, control, n):
+        # the image of e_0 e_0* has the eigenvalue 2/n - 1 < 0
+        assert rank_one_positivity_failures(control(n), seed=n) >= 1
 
 
 class TestRandomMap:
@@ -143,15 +172,6 @@ class TestRandomMap:
     def test_vector_state_is_normalized(self):
         pulm = maps.random_map("vector_state", 3, seed=7)
         assert abs(np.linalg.norm(pulm.vector) - 1.0) <= 1e-12
-
-    def test_random_compression_validates(self):
-        pulm = maps.random_map("compression", 4, k=2, seed=1)
-        assert maps.validate(pulm).ok
-
-    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
-    def test_every_kind_validates(self, kind):
-        pulm = maps.random_map(kind, 5, k=3, seed=77)
-        assert maps.validate(pulm, seed=5).ok
 
     def test_deterministic(self):
         a = maps.random_map("pinching", 6, seed=9)

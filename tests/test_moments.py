@@ -839,6 +839,21 @@ class TestNormalBlock:
         with pytest.raises(DomainError):
             moments.build_normal_block(TR2, shear)
 
+    @pytest.mark.parametrize("c", [1e-150, 2.0 ** -40, 1.0, 1e100, 1e140])
+    def test_normality_is_decided_at_every_scale(self, c):
+        # decided on A scaled by a power of two: the commutator's norm can
+        # neither overflow (read as "not normal" at 1e100 and 1e140) nor
+        # underflow (read as "normal" at 1e-150)
+        shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moments.is_normal(c * linalg.random_normal_matrix(6, 5))
+            assert not moments.is_normal(c * shear)
+            with pytest.raises(DomainError,
+                               match=r"not normal: \|\|A\*A - AA\*\|\|_F "
+                                     r"= 1\.414e\+00 \* \|\|A\|\|_F\^2"):
+                moments.build_normal_block(TR2, c * shear)
+
 
 #: Scales at which the blocks whose sizing moved into ``moments`` are shown
 #: able to fail and to be tight.

@@ -11,6 +11,8 @@ import pytest
 from momenta import campaign, eigenbounds, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
+from conftest import reconstruct
+
 TR2 = maps.NormalizedTrace(2)
 
 #: Public functions taking a Hermitian matrix, each as a one-argument call.
@@ -107,5 +109,5 @@ def test_hermitian_eig_returns_the_validated_matrix():
     noisy[0, 1] += 1e-12
     spectrum = linalg.hermitian_eig(noisy)
     np.testing.assert_array_equal(spectrum.matrix, linalg.symmetrize(noisy))
-    np.testing.assert_allclose(spectrum.reconstruct(), spectrum.matrix,
+    np.testing.assert_allclose(reconstruct(spectrum), spectrum.matrix,
                                atol=1e-13)
