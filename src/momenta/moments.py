@@ -483,22 +483,21 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
                  in zip(blocks, (high + size, size + low)))
 
 
-def _normality(a: np.ndarray) -> tuple[float, float]:
-    """``(||B*B - BB*||_F, ||B||_F^2)`` of ``B = 2^-e A``
-    (:func:`~momenta.linalg.binary_scaled`). Neither can overflow, and
-    wherever ``A``'s own products neither overflow nor underflow, their
-    comparison is ``A``'s bit for bit."""
+def _normality_defect(a: np.ndarray) -> float:
+    """``||B*B - BB*||_F / ||B||_F^2`` of ``B = 2^-e A``
+    (:func:`~momenta.linalg.binary_scaled`). No norm can overflow, and
+    wherever ``A``'s own products neither overflow nor underflow, the ratio
+    is ``A``'s."""
     b = binary_scaled(a)[0]
     bs = b.conj().T
-    return (frobenius(bs @ b - b @ bs),
-            max(frobenius(b) ** 2, np.finfo(float).tiny))
+    return (frobenius(bs @ b - b @ bs)
+            / max(frobenius(b) ** 2, np.finfo(float).tiny))
 
 
 def is_normal(a: np.ndarray) -> bool:
     """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, decided on
     ``A`` scaled by a power of two, so that no norm overflows."""
-    commutator, size = _normality(a)
-    return commutator <= NORMALITY_RTOL * size
+    return _normality_defect(a) <= NORMALITY_RTOL
 
 
 def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
@@ -513,11 +512,11 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got {m.shape}")
-    commutator, size = _normality(m)
-    if not commutator <= NORMALITY_RTOL * size:
+    defect = _normality_defect(m)
+    if not defect <= NORMALITY_RTOL:
         raise DomainError(
             f"matrix is not normal: ||A*A - AA*||_F = "
-            f"{commutator / size:.3e} * ||A||_F^2 "
+            f"{defect:.3e} * ||A||_F^2 "
             f"exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2"
         )
     ms = m.conj().T

@@ -21,17 +21,16 @@ def reconstruct(spectrum):
     return (v * spectrum.eigenvalues) @ v.conj().T
 
 
-def rank_one_positivity_failures(pulm, random_probes=20, seed=0):
+def rank_one_positivity_failures(pulm, seed=0):
     """How many images ``Phi(v v*)`` are not PSD (``linalg.is_psd``), over
-    the standard basis and ``random_probes`` seeded random unit vectors.
+    the standard basis and 20 seeded random unit vectors.
 
     Every PSD matrix is a sum of rank-one ones, so a map is positive exactly
     when every rank-one image is PSD: these are where positivity first
     fails. A positivity spot check for maps built in tests."""
     n = pulm.domain_dim
     rng = np.random.default_rng(seed)
-    x = (rng.standard_normal((n, random_probes))
-         + 1j * rng.standard_normal((n, random_probes)))
+    x = rng.standard_normal((n, 20)) + 1j * rng.standard_normal((n, 20))
     probes = np.hstack([np.eye(n), x / np.linalg.norm(x, axis=0)])
     return sum(not linalg.is_psd(image).passed
                for image in pulm.rank_one_images(probes))

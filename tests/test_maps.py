@@ -129,6 +129,11 @@ class TestUnitalityAtConstruction:
         with pytest.raises(DomainError):
             maps.VectorState(np.array([1.0, 0.0]) * (1.0 + maps.UNITALITY_TOL))
 
+    def test_pinching_is_unital(self):
+        pinching = maps.Pinching(((0,), (1, 2)))
+        residual = linalg.frobenius(pinching.apply(np.eye(3)) - np.eye(3))
+        assert residual <= 1e-14
+
     def test_complementary_mixture_is_unital(self):
         # two isometries onto complementary column spans, equal weights
         u = linalg.random_unitary(4, 17)
@@ -139,10 +144,11 @@ class TestUnitalityAtConstruction:
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_every_kind_maps_the_identity_to_the_identity(self, kind, n):
+        # far inside UNITALITY_TOL: the random maps are unital to rounding
         pulm = maps.random_map(kind, n, k=min(n, 3), seed=77)
         k = pulm.codomain_dim
         residual = linalg.frobenius(pulm.apply(np.eye(n)) - np.eye(k))
-        assert residual <= maps.UNITALITY_TOL
+        assert residual <= 1e-14
 
 
 class TestRankOnePositivity:
