@@ -15,7 +15,6 @@ from momenta import (
     build_block,
     build_blocks,
     build_refinement_chain,
-    distinct_eigenvalues,
     hermitian_eig,
     hermitian_with_spectrum,
     is_psd,
@@ -34,8 +33,9 @@ print(f"moment table over powers {table.k_min}..{table.k_max}, "
 
 r = 3
 # one block per kind; the gap_product block is the first of the family of
-# adjacent distinct eigenvalue pairs
-lam = distinct_eigenvalues(hermitian_eig(A).eigenvalues)
+# adjacent distinct eigenvalue pairs, which build_blocks forms from A's
+# eigenvalues
+lam = hermitian_eig(A).eigenvalues
 for kind in BLOCK_KINDS:
     if kind == "gap_product":
         _, block = next(build_blocks(table, r, eigenvalues=lam))

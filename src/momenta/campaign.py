@@ -130,9 +130,9 @@ def psd_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]
     pulm, a, pd, r, seed = (inst.pulm, inst.matrix, inst.matrix_pd, inst.r,
                             inst.seed)
     table = moments.moment_table(pulm, a, 0, 2 * r + 2)
-    distinct = moments.distinct_eigenvalues(hermitian_eig(a).eigenvalues)
     records = psd_records(moments.build_blocks(
-        table, r, _ALWAYS_KINDS, eigenvalues=distinct), seed, tol, "psd_")
+        table, r, _ALWAYS_KINDS, eigenvalues=hermitian_eig(a).eigenvalues),
+        seed, tol, "psd_")
     if pd is None:
         records += [skip_record(check, seed) for check in _PD_CHECKS]
     else:

@@ -33,12 +33,7 @@ import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
 from .linalg import DEFAULT_PSD_TOL
-from .maps import (
-    Identity,
-    NormalizedTrace,
-    PositiveUnitalMap,
-    random_map,
-)
+from .maps import PositiveUnitalMap, random_map
 
 MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 
@@ -185,20 +180,19 @@ def write_matrix_csv(m: np.ndarray) -> str:
     ) + "\n"
 
 
+#: The ``MAP_KINDS`` name of each ``--map`` name but ``compression:k``.
+_MAP_NAMES = {"trace": "normalized_trace", "identity": "identity",
+              "vector-state": "vector_state", "pinching": "pinching"}
+
+
 def build_map(spec: str, n: int, seed: int) -> PositiveUnitalMap:
     """Instantiate the map named by a CLI descriptor for dimension ``n``."""
-    if spec == "trace":
-        return NormalizedTrace(n)
-    if spec == "identity":
-        return Identity(n)
-    if spec == "vector-state":
-        return random_map("vector_state", n, seed=seed)
-    if spec == "pinching":
-        return random_map("pinching", n, seed=seed)
+    if spec in _MAP_NAMES:
+        return random_map(_MAP_NAMES[spec], n, seed=seed)
     if spec.startswith("compression"):
         _, _, arg = spec.partition(":")
-        k = int(arg) if arg else max(1, n // 2)
-        return random_map("compression", n, k, seed=seed)
+        return random_map("compression", n, int(arg) if arg else max(1, n // 2),
+                          seed=seed)
     raise ValueError(f"unknown map descriptor {spec!r}; expected {MAP_SPEC_HELP}")
 
 

@@ -28,16 +28,17 @@ an order-r block is a fixed combination of shifted slices of the stacked
 table, a sequence of 2r + 1 blocks, gathered into place at index i + j.
 Product kinds are assembled from the expanded moment combination (linearity
 makes this equal to applying the map to the product matrix; the equality is
-itself tested).
+itself tested). Each block is written once, as a list of signed terms
+``(sign, d, c)``, and that list gives both its sequence and the size of its
+operands.
 
 There is one assembly path. :func:`build_blocks` stacks the sequences of a
 whole family of one table, the kinds asked for and then the ``gap_product``
 block of every adjacent pair of distinct eigenvalues, and lays them all out
-with one index gather. The gap sequences and their scales are each one
-expression over the pairs. The gather runs in chunks of at most
+with one index gather. The gather runs in chunks of at most
 ``GATHER_BUDGET`` bytes, so a family of ``k = n`` blocks is never held all at
 once. :func:`build_block` is the one-block call of that path, the centered
-blocks are a family of it, and the refinement chain and the log blocks are
+blocks and the refinement chain are families of it, and the log blocks are
 laid out by the same gather. Every block builder returns each block as a
 :class:`BlockMatrixSpec` with the size of its operands: block scales are
 decided in this module alone.
@@ -53,6 +54,7 @@ scale with its minimum eigenvalue as the margin, or a skip where it is None.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -78,30 +80,25 @@ GAP_RTOL = 1e-8
 #: Relative asymmetry tolerance of the normality test ||A*A - AA*||.
 NORMALITY_RTOL = 1e-8
 
-#: Each kind's Hankel sequence, entry e the block (i, j) with i + j = e, and
-#: its coefficients c_d by power shift d, as functions of ``T`` (``T(d)`` is
-#: ``Phi(A^{e+d})`` for ``e = 0..2r``) and the kind's two constants: ``(m, M)``,
-#: or the gap ``(s, t)`` of ``gap_product``, given as arrays over a family's
-#: pairs. Each is the catalog's expression term for term, so every bit
-#: matches the entrywise form, and its coefficients list the shifts in the
-#: order the sequence reads them.
+#: Each kind's signed terms ``(sign, d, c)`` from its two constants, ``(m,
+#: M)`` or the gap ``(s, t)``: entry e of its Hankel sequence, the block
+#: (i, j) with i + j = e, is the sum in order of ``sign * c * Phi(A^{e+d})``,
+#: the first term added and a unit ``c`` None. Both :func:`_sequence` and
+#: :meth:`MomentTable.operand_scale` read them. Each is the catalog's
+#: expression term for term, the signs and units structural (as factors
+#: they could flip a signed zero), so every bit matches the entrywise form.
 _KINDS = {
-    "hankel": (lambda T, m, M: T(0), lambda m, M: {0: 1.0}),
-    "hankel_shift1": (lambda T, m, M: T(1), lambda m, M: {1: 1.0}),
-    "lower_shift": (lambda T, m, M: T(1) - m * T(0),
-                    lambda m, M: {1: 1.0, 0: m}),
-    "upper_shift": (lambda T, m, M: M * T(0) - T(1),
-                    lambda m, M: {0: M, 1: 1.0}),
-    "lower_shift_inv": (lambda T, m, M: T(0) - m * T(-1),
-                        lambda m, M: {0: 1.0, -1: m}),
-    "upper_shift_inv": (lambda T, m, M: M * T(-1) - T(0),
-                        lambda m, M: {-1: M, 0: 1.0}),
-    "range_product": (lambda T, m, M: (m + M) * T(1) - T(2) - m * M * T(0),
-                      lambda m, M: {1: m + M, 2: 1.0, 0: m * M}),
-    "gap_product": (lambda T, s, t: T(2) - (s + t) * T(1) + s * t * T(0),
-                    lambda s, t: {2: 1.0, 1: s + t, 0: s * t}),
-    "range_product_inv": (lambda T, m, M: (m + M) * T(0) - T(1) - m * M * T(-1),
-                          lambda m, M: {0: m + M, 1: 1.0, -1: m * M}),
+    "hankel": lambda m, M: ((1, 0, None),),
+    "hankel_shift1": lambda m, M: ((1, 1, None),),
+    "lower_shift": lambda m, M: ((1, 1, None), (-1, 0, m)),
+    "upper_shift": lambda m, M: ((1, 0, M), (-1, 1, None)),
+    "lower_shift_inv": lambda m, M: ((1, 0, None), (-1, -1, m)),
+    "upper_shift_inv": lambda m, M: ((1, -1, M), (-1, 0, None)),
+    "range_product": lambda m, M: ((1, 1, m + M), (-1, 2, None),
+                                   (-1, 0, m * M)),
+    "gap_product": lambda s, t: ((1, 2, None), (-1, 1, s + t), (1, 0, s * t)),
+    "range_product_inv": lambda m, M: ((1, 0, m + M), (-1, 1, None),
+                                       (-1, -1, m * M)),
 }
 
 
@@ -162,20 +159,20 @@ class MomentTable:
         """:func:`_power_size` of ``Phi(A^k)`` on the table's interval."""
         return _power_size(self.m, self.M, k)
 
-    def operand_scale(self, weights: dict, r: int) -> float | np.ndarray:
-        """Size of the operands of the order-``r`` Hankel block of
-        ``sum_d c_d Phi(A^{e+d})``, ``e = 0..2r``, before they cancel.
+    def operand_scale(self, terms, r: int) -> float:
+        """Size of the operands of the order-``r`` Hankel block of the
+        signed ``terms`` ``(sign, d, c)`` (see ``_KINDS``) before they
+        cancel.
 
-        ``weights`` maps each power shift ``d`` to ``c_d``, a number, or an
-        array over a family's blocks for an array of scales. The scale is
-        ``sum_d |c_d| size(e + d)``, the larger of its values at ``e = 0``
-        and ``e = 2r``: :meth:`size` is log-convex in ``k``, so no degree in
-        between gives more.
+        The scale is ``sum_d |c| size(e + d)``, a unit ``c`` (None) counting
+        1, the larger of its values at ``e = 0`` and ``e = 2r``: :meth:`size`
+        is log-convex in ``k``, so no degree in between gives more. Signs do
+        not enter it.
         """
-        first, last = (sum(abs(c) * self.size(e + d) for d, c in weights.items())
+        first, last = (sum(self.size(e + d) if c is None
+                           else abs(c) * self.size(e + d) for _, d, c in terms)
                        for e in (0, 2 * r))
-        scale = np.where(last > first, last, first)  # max(first, last)
-        return float(scale) if scale.ndim == 0 else scale
+        return float(max(first, last))
 
 
 def _power_size(m: float, M: float, k: int) -> float:
@@ -279,12 +276,12 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     """Assemble a family of PSD block matrices of one table at order ``r``.
 
     Returns an iterator of ``(kind, block)``: one for each of ``kinds``,
-    then, given the distinct ascending ``eigenvalues``, one
-    ``("gap_product", block)`` for each adjacent pair in order, with
-    ``block`` None where the pair is too narrow to be a gap. The family is
-    gathered at once, in chunks of at most ``GATHER_BUDGET`` bytes, and a
-    chunk is assembled when its first block is asked for. Every argument is
-    checked here, a table too short for the family included.
+    then, given ``A``'s ``eigenvalues``, one ``("gap_product", block)`` for
+    each adjacent pair of their :func:`distinct_eigenvalues`, in order. Every
+    block is one term list of ``_KINDS``, which gives both its sequence and
+    its scale. The family is gathered in chunks of at most ``GATHER_BUDGET``
+    bytes, and a chunk is assembled when its first block is asked for. Every
+    argument is checked here, a table too short for the family included.
     """
     kinds = tuple(kinds)
     for kind in kinds:
@@ -296,65 +293,47 @@ def build_blocks(table: MomentTable, r: int, kinds=(), *, eigenvalues=None):
     if "gap_product" in kinds:
         raise DomainError("gap_product blocks come from eigenvalues, "
                           "one per adjacent pair")
-    if eigenvalues is None:
-        _check_powers(table, r, kinds)
-        return zip(kinds, _assemble(table, r, kinds))
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    s, t = lam[:-1], lam[1:]
-    _check_powers(table, r, kinds + ("gap_product",) * min(s.size, 1))
-    # a pair too close to be an eigenvalue gap gives None
-    narrow = t - s <= GAP_RTOL * max(table.M - table.m, np.finfo(float).tiny)
-    keep = [True] * len(kinds) + (~narrow).tolist()
-    blocks = _assemble(table, r, kinds, s, t)
-    return zip(kinds + ("gap_product",) * s.size,
-               (block if ok else None for block, ok in zip(blocks, keep)))
+    family = [_KINDS[kind](table.m, table.M) for kind in kinds]
+    if eigenvalues is not None:
+        atoms = distinct_eigenvalues(eigenvalues).tolist()
+        family += [_KINDS["gap_product"](s, t)
+                   for s, t in zip(atoms, atoms[1:])]
+    names = kinds + ("gap_product",) * (len(family) - len(kinds))
+    return zip(names, _assemble(table, r, family))
 
 
-def _check_powers(table: MomentTable, r: int, kinds) -> None:
-    """Raise the :class:`ShapeError` that assembling ``kinds`` at order
-    ``r`` would: each kind's power shifts, in the order its sequence reads
-    them, must find ``2r + 1`` powers in the table."""
-    for kind in kinds:
-        for d in _KINDS[kind][1](table.m, table.M):  # shifts d of T(d)
-            table.powers(d, 2 * r + 1)
+def _sequence(T: dict, terms) -> np.ndarray:
+    """The Hankel sequence of ``terms`` (see ``_KINDS``), ``T[d]`` being
+    ``Phi(A^{e+d})`` for ``e = 0..2r``."""
+    total = None
+    for sign, d, c in terms:
+        term = T[d] if c is None else c * T[d]
+        total = (term if total is None
+                 else total + term if sign > 0 else total - term)
+    return total
 
 
-def _assemble(table: MomentTable, r: int, kinds, s=None, t=None):
-    """Yield the blocks of ``kinds``, then a ``gap_product`` block for each
-    pair ``(s[i], t[i])``, gathered ``GATHER_BUDGET`` bytes at a time.
-
-    Each chunk's Hankel sequences are stacked and gathered by
-    :func:`_gather`; the gap sequences and scales of a chunk are each one
-    expression over its pairs.
+def _assemble(table: MomentTable, r: int, family):
+    """An iterator of the order-``r`` blocks of ``family``, one term list
+    each, laid out by one :func:`_gather` per ``GATHER_BUDGET`` bytes. The
+    first term whose ``2r + 1`` powers the table lacks raises at the call.
     """
-    m, M = table.m, table.M
-
-    def T(d: int) -> np.ndarray:
-        # Phi(A^{e+d}) for e = 0..2r: the table shifted by d
-        return table.powers(d, 2 * r + 1)
-
-    gap_sequence, gap_weights = _KINDS["gap_product"]
-    count = len(kinds) + (0 if s is None else s.size)
+    T = {d: table.powers(d, 2 * r + 1)
+         for d in dict.fromkeys(d for terms in family for _, d, _ in terms)}
     # a gather allocates the grid of blocks and the laid-out matrices
     k = table.blocks.shape[1]
     per_gather = max(1, GATHER_BUDGET
                      // (2 * table.blocks.itemsize * ((r + 1) * k) ** 2))
-    for lo in range(0, count, per_gather):
-        hi = min(lo + per_gather, count)
-        chunk = kinds[lo:hi]
-        parts = [_KINDS[kind][0](T, m, M)[np.newaxis] for kind in chunk]
-        scales = [table.operand_scale(_KINDS[kind][1](m, M), r)
-                  for kind in chunk]
-        if hi > len(kinds):
-            pairs = slice(max(lo - len(kinds), 0), hi - len(kinds))
-            st, tt = s[pairs], t[pairs]
-            parts.append(gap_sequence(T, st.reshape(-1, 1, 1, 1),
-                                      tt.reshape(-1, 1, 1, 1)))
-            scales += table.operand_scale(gap_weights(st, tt), r).tolist()
-        assembled = _gather(parts[0] if len(parts) == 1
-                            else np.concatenate(parts))
-        yield from map(BlockMatrixSpec, assembled, scales)
-        del assembled, parts  # freed before the next chunk is assembled
+
+    def chunk(part):
+        assembled = _gather(np.stack([_sequence(T, terms) for terms in part]))
+        return map(BlockMatrixSpec, assembled,
+                   [table.operand_scale(terms, r) for terms in part])
+
+    # a chunk is freed before the next one is assembled
+    return itertools.chain.from_iterable(
+        chunk(family[lo:lo + per_gather])
+        for lo in range(0, len(family), per_gather))
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,22 +364,22 @@ def build_refinement_chain(table: MomentTable) -> tuple[BlockMatrixSpec,
 
     With ``outer = [[Phi(A^2), Phi(A^3)], [Phi(A^3), Phi(A^4)]]`` and
     ``inner = 2m [[Phi(A), Phi(A^2)], [Phi(A^2), Phi(A^3)]]
-    - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``, both gathered at once,
-    returns the two checked blocks ``(outer - inner, inner)``. Both are
-    positive semidefinite whenever the spectrum lies in ``[m, inf)`` with
-    ``m > 0``: ``m`` is ``table.m``, the smallest eigenvalue of ``A``. Each
-    is judged at the :meth:`MomentTable.operand_scale` of its terms.
+    - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``, a two-block family of the
+    :func:`build_blocks` path, returns the two checked blocks ``(outer -
+    inner, inner)``. Both are positive semidefinite whenever the spectrum
+    lies in ``[m, inf)`` with ``m > 0``: ``m`` is ``table.m``, the smallest
+    eigenvalue of ``A``. Each is judged at the
+    :meth:`MomentTable.operand_scale` of its terms.
     """
     m = table.m
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
-    outer, inner = _gather(np.stack([
-        table.powers(2, 3),
-        2.0 * m * table.powers(1, 3) - m * m * table.powers(0, 3)]))
-    return (BlockMatrixSpec(outer - inner, table.operand_scale(
-                {2: 1.0, 1: 2.0 * m, 0: m * m}, 1)),
-            BlockMatrixSpec(inner, table.operand_scale(
-                {1: 2.0 * m, 0: m * m}, 1)))
+    outer, inner = ((1, 2, None),), ((1, 1, 2.0 * m), (-1, 0, m * m))
+    outer_block, inner_block = _assemble(table, 1, (outer, inner))
+    # the scale reads no sign: outer - inner is sized by all three terms
+    return (BlockMatrixSpec(outer_block.assembled - inner_block.assembled,
+                            table.operand_scale(outer + inner, 1)),
+            inner_block)
 
 
 def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
@@ -522,11 +501,11 @@ def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     ms = m.conj().T
     eye = np.eye(pulm.codomain_dim)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        square = pulm.apply(ms @ m)  # at (0, 2) and (2, 0)
         block = np.block([
-            [eye, pulm.apply(m), pulm.apply(ms @ m)],
+            [eye, pulm.apply(m), square],
             [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
-            [pulm.apply(ms @ m), pulm.apply(ms @ m @ m),
-             pulm.apply(ms @ ms @ m @ m)],
+            [square, pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
         ])
     require_finite("normal-matrix moments", block)
     with np.errstate(over="ignore"):  # inf, which psd_records rejects

@@ -107,7 +107,7 @@ def projection_images(pulm, vectors):
 
 def gap_block(table, r, pair):
     """The ``gap_product`` block of one eigenvalue pair: the one-pair family
-    of :func:`moments.build_blocks`, None where the pair is too narrow."""
+    of :func:`moments.build_blocks`."""
     ((kind, block),) = moments.build_blocks(table, r, eigenvalues=pair)
     assert kind == "gap_product"
     return block
@@ -336,15 +336,24 @@ class TestBuildBlock:
             assert linalg.is_psd(block.assembled).passed
 
     def test_gap_product_argument_validation(self):
-        # gap blocks come from eigenvalues alone, and a pair narrower than
-        # an eigenvalue gap gives no block
+        # gap blocks come from eigenvalues alone
         t = table12(0, 4)
         with pytest.raises(DomainError, match="eigenvalues"):
             moments.build_block("gap_product", t, 1)
         with pytest.raises(DomainError, match="eigenvalues"):
             moments.build_blocks(t, 1, ("gap_product",), eigenvalues=[1.0, 2.0])
-        assert gap_block(t, 1, [1.0, 1.0 + 1e-12]) is None
         assert gap_block(t, 1, [1.0, 2.0]) is not None
+
+    def test_a_pair_closer_than_an_eigenvalue_gap_gives_no_block(self):
+        # 1.0 and 1.0 + 1e-12 lie within GAP_RTOL of the spectrum [1, 2]:
+        # one atom, so the only gap block is that of the atom and 2.0
+        t = table12(0, 4)
+        family = list(moments.build_blocks(t, 1,
+                                           eigenvalues=[1.0, 1.0 + 1e-12, 2.0]))
+        atom = moments.distinct_eigenvalues([1.0, 1.0 + 1e-12, 2.0])[0]
+        assert [kind for kind, _ in family] == ["gap_product"]
+        assert (family[0][1].assembled.tobytes()
+                == gap_block(t, 1, [atom, 2.0]).assembled.tobytes())
 
     def test_insufficient_range(self):
         t = table12(0, 2)
@@ -457,12 +466,12 @@ class TestBuildBlocks:
             assert [kind for kind, _ in family] == (
                 list(PLAIN_KINDS) + ["gap_product"] * (lam.size - 1))
             for i, (kind, block) in enumerate(family):
-                pair, weights = None, None
+                pair, terms = None, None
                 if kind == "gap_product":
                     g = i - len(PLAIN_KINDS)
                     pair = lam[g:g + 2]
                     s, u = float(pair[0]), float(pair[1])
-                    weights = {2: 1.0, 1: s + u, 0: s * u}
+                    terms = ((1, 2, None), (-1, 1, s + u), (1, 0, s * u))
                 single = one_block(kind, t, r, pair)
                 expected = entry_block(kind, t, r, pair)
                 # bit for bit, signed zeros included
@@ -472,41 +481,28 @@ class TestBuildBlocks:
                 assert block.scale == single.scale
                 assert block.scale == pytest.approx(
                     operand_scale_oracle(kind, t, r, pair), rel=1e-14)
-                if weights is not None:
+                if terms is not None:
                     # the scalar scale of one pair, as a float expression
-                    assert block.scale == t.operand_scale(weights, r)
+                    assert block.scale == t.operand_scale(terms, r)
                 zeros = block.assembled.imag == 0.0
                 signed_zeros += np.signbit(block.assembled.imag[zeros]).sum()
         assert signed_zeros > 0 or not real
 
-    def test_operand_scale_takes_arrays_of_coefficients(self):
-        # a family's gap scales are one expression over its pairs, each the
-        # scalar scale of its pair
-        t = random_table(2, False, seed=3)
-        s, u = TABLE_SPECTRUM[:-1], TABLE_SPECTRUM[1:]
-        for r in range(4):
-            scales = t.operand_scale({2: 1.0, 1: s + u, 0: s * u}, r)
-            assert scales.shape == s.shape
-            for i in range(s.size):
-                one = t.operand_scale({2: 1.0, 1: s[i] + u[i], 0: s[i] * u[i]}, r)
-                assert type(one) is float and scales[i] == one
-
-    def test_narrow_pairs_are_skipped_alone_and_in_a_family(self):
-        t = random_table(2, False, seed=7)
-        gap = moments.GAP_RTOL * (t.M - t.m)
-        lam = np.array([-0.7, -0.7 + 0.5 * gap, -0.2, -0.2 + 0.25 * gap,
-                        0.4, 1.3])
-        family = list(moments.build_blocks(t, 1, eigenvalues=lam))
-        assert [block is None for _, block in family] == [
-            True, False, True, False, False]
-        for g, (kind, block) in enumerate(family):
-            assert kind == "gap_product"
-            single = gap_block(t, 1, lam[g:g + 2])
-            if block is None:
-                assert single is None
-            else:
-                assert block.assembled.tobytes() == single.assembled.tobytes()
-                assert block.scale == single.scale
+    @pytest.mark.parametrize("name", ["mixed", "chain", "all-equal"])
+    def test_raw_eigenvalues_give_the_blocks_of_their_atoms(self, name):
+        # build_blocks forms the atoms itself: A's raw eigenvalues and their
+        # distinct_eigenvalues give the same family, byte for byte
+        t = random_table(2, False, seed=5)
+        raw = np.asarray(CLUSTERED[name]) - 0.5  # inside [m, M] = [-0.7, 1.3]
+        atoms = moments.distinct_eigenvalues(raw)
+        for r in range(3):
+            got, want = (list(moments.build_blocks(t, r, ("hankel",),
+                                                   eigenvalues=values))
+                         for values in (raw, atoms))
+            assert len(got) == len(want) == atoms.size
+            for (kind, a), (kind2, b) in zip(got, want):
+                assert (kind, a.scale) == (kind2, b.scale)
+                assert a.assembled.tobytes() == b.assembled.tobytes()
 
     def test_one_gather_per_family_and_a_budget_of_one_block(self,
                                                              monkeypatch):
@@ -624,8 +620,10 @@ class TestRefinementChain:
                 == (expected_outer - expected_inner).tobytes())
         assert inner.assembled.tobytes() == expected_inner.tobytes()
         # each block at the size of its terms, at degree 0 or 2
-        assert diff.scale == t.operand_scale({2: 1.0, 1: 2 * m, 0: m * m}, 1)
-        assert inner.scale == t.operand_scale({1: 2 * m, 0: m * m}, 1)
+        assert diff.scale == t.operand_scale(
+            ((1, 2, None), (1, 1, 2 * m), (-1, 0, m * m)), 1)
+        assert inner.scale == t.operand_scale(((1, 1, 2 * m), (-1, 0, m * m)),
+                                              1)
 
     def test_single_atom_equality(self):
         c = 0.9
@@ -833,6 +831,20 @@ class TestNormalBlock:
             pulm = maps.random_map("vector_state", 4, seed=seed + 1)
             block = moments.build_normal_block(pulm, a).assembled
             assert linalg.is_psd(block).passed
+
+    def test_each_image_is_applied_once(self, monkeypatch):
+        # seven distinct images: Phi(A*A) at (0, 2) and (2, 0) is one
+        applied = []
+        apply = maps.NormalizedTrace.apply
+
+        def counting(self, a):
+            applied.append(a)
+            return apply(self, a)
+
+        monkeypatch.setattr(maps.NormalizedTrace, "apply", counting)
+        moments.build_normal_block(maps.NormalizedTrace(6),
+                                   linalg.random_normal_matrix(6, 5))
+        assert len(applied) == 7
 
     def test_rejects_non_normal(self):
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
