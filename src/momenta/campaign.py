@@ -35,8 +35,13 @@ from .moments import CheckRecord, psd_records, record, skip_record
 #: Minimum eigenvalue of the shifted positive definite variant.
 PD_FLOOR = 0.1
 
-#: Relative tolerance of the cubic bounds and signs in :func:`bounds_suite`.
+#: Relative tolerances of the cubic bounds and signs in :func:`bounds_suite`
+#: and of the identities of :func:`oracle_suite`.
 BOUNDS_RTOL = 1e-8
+ROUTE_RTOL = 1e-8
+SHIFT_SUM_RTOL = 1e-10
+DETERMINANT_RTOL = 1e-8
+TENSOR_RTOL = 1e-9
 
 #: Map kinds cycled by the normal-matrix suite (block and functional cases).
 NORMAL_MAP_KINDS = ("compression", "vector_state")
@@ -179,7 +184,7 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
         direct = np.stack([pulm.apply(hermitian_part(acc[p]))
                            for p in range(k_min, k_max + 1)])
         require_finite("moment powers", direct)
-        direct = (direct + direct.conj().transpose(0, 2, 1)) / 2.0
+        direct = hermitian_part(direct)
         scales = np.array([spectral.size(k) for k in range(k_min, k_max + 1)])
         # divide the real and imaginary parts: a complex division by a
         # subnormal scale can give nan
@@ -230,8 +235,8 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
     if inst.matrix_pd is not None:
         err = max(err, _route_error(inst.pulm, inst.matrix_pd, -1,
                                     max(2 * r + 2, 4)))
-    records.append(record("route_agreement", inst.seed,
-                          passes(-err, 1.0, 1e-8), 1e-8 - err))
+    records.append(_identity_record("route_agreement", inst.seed, err, 1.0,
+                                    ROUTE_RTOL))
 
     table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * r + 2)
     low, high, hank = (block.assembled for _, block in moments.build_blocks(
@@ -240,13 +245,13 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
     # low and high are differences T(e+1) - m T(e), M T(e) - T(e+1): their
     # rounding scales with the terms before subtraction
     scale = _max_entry(low, high, max(abs(table.m), abs(table.M)) * hank)
-    records.append(record("shift_sum_identity", inst.seed,
-                          passes(-err, scale, 1e-10), 1e-10 * scale - err))
+    records.append(_identity_record("shift_sum_identity", inst.seed, err,
+                                    scale, SHIFT_SUM_RTOL))
 
     cm = eigenbounds.central_moments(NormalizedTrace(inst.n), inst.matrix)
     worst = _determinant_identity_error(cm)
-    records.append(record("determinant_identity", inst.seed,
-                          passes(-worst, 1.0, 1e-8), 1e-8 - worst))
+    records.append(_identity_record("determinant_identity", inst.seed, worst,
+                                    1.0, DETERMINANT_RTOL))
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
@@ -257,9 +262,14 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
             acc += w * np.outer(v, v)
         err = float(np.max(np.abs(acc - hank.real)))
         scale = _max_entry(acc, hank.real)
-        records.append(record("tensor_reconstruction", inst.seed,
-                              passes(-err, scale, 1e-9), 1e-9 * scale - err))
+        records.append(_identity_record("tensor_reconstruction", inst.seed,
+                                        err, scale, TENSOR_RTOL))
     return records
+
+
+def _identity_record(check, seed, err, scale, rtol) -> CheckRecord:
+    """The record of an identity met up to ``err``, judged at ``scale``."""
+    return record(check, seed, passes(-err, scale, rtol), rtol * scale - err)
 
 
 def bounds_suite(inst: Instance) -> list[CheckRecord]:

@@ -8,10 +8,12 @@ Three subcommands:
 
 ``momenta verify [MATRIX | --random]``
     Run the inequality catalog against one matrix or a seeded random
-    campaign; exit status 0 exactly when no applicable check failed.
+    campaign.
 
 ``momenta moments MATRIX``
     Print the moment blocks ``Phi(A^k)`` and the Hankel PSD verdicts.
+
+Each exits 0 exactly when no applicable check of its report failed.
 
 Matrices are read from JSON (``{"rows": n, "cols": n, "entries": [[re, im],
 ...]}`` row-major) or CSV (``n`` lines of ``n`` comma-separated reals, for
@@ -26,7 +28,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,15 +42,15 @@ MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; a subcommand sets those it has flags for."""
+    """Validated run settings, named as in a report's ``config``, and the one
+    declaration of their defaults; a subcommand sets those it has flags for."""
 
     tolerance: float = DEFAULT_PSD_TOL
     r_max: int = 3
-    map_spec: str = "trace"
+    map: str = "trace"
     seed: int = 0
     instances: int = 200
-    n_lo: int = 2
-    n_hi: int = 6
+    n_range: tuple[int, int] = (2, 6)
     k_min: int = 0
 
     def __post_init__(self):
@@ -58,26 +60,30 @@ class RunConfig:
             raise ValueError("r-max must be non-negative")
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
-        if self.n_lo < 1 or self.n_hi < self.n_lo:
+        lo, hi = self.n_range
+        if lo < 1 or hi < lo:
             raise ValueError("n-range must satisfy 1 <= lo <= hi")
         if self.k_min not in (-1, 0):
             raise ValueError("k-min must be -1 or 0")
 
 
-#: Every option flag; each subcommand takes the ones it reads. A flag left
-#: at None keeps RunConfig's default, and shows it was not given.
+#: Every option flag; each subcommand takes the ones it reads. A flag sets
+#: the RunConfig field of its dest, and one left at None keeps the default.
 _FLAGS = {
-    "--tol": dict(type=float, default=RunConfig.tolerance, dest="tolerance",
-                  help="relative tolerance of every PSD and scalar verdict, "
-                       "at its operands' scale (default 1e-9)"),
-    "--r-max": dict(type=int, default=RunConfig.r_max,
-                    help="largest block order (default 3)"),
-    "--map": dict(dest="map_spec", help=f"{MAP_SPEC_HELP} (default trace)"),
-    "--seed": dict(type=int, help="seed (default 0)"),
-    "--instances": dict(type=int, help="random-mode instance count (default 200)"),
-    "--n-range": dict(help="random-mode dimension range lo:hi (default 2:6)"),
-    "--k-min": dict(type=int, default=RunConfig.k_min, choices=(-1, 0),
-                    help="lowest tabulated power"),
+    "--tol": dict(type=float, dest="tolerance", help=(
+        "relative tolerance of every PSD and scalar verdict, at its operands' "
+        "scale (default " + np.format_float_scientific(
+            RunConfig.tolerance, trim="-", exp_digits=1) + ")")),
+    "--r-max": dict(type=int,
+                    help=f"largest block order (default {RunConfig.r_max})"),
+    "--map": dict(metavar="MAP_SPEC",
+                  help=f"{MAP_SPEC_HELP} (default {RunConfig.map})"),
+    "--seed": dict(type=int, help=f"seed (default {RunConfig.seed})"),
+    "--instances": dict(type=int, help="random-mode instance count "
+                                       f"(default {RunConfig.instances})"),
+    "--n-range": dict(help="random-mode dimension range lo:hi "
+                           "(default {}:{})".format(*RunConfig.n_range)),
+    "--k-min": dict(type=int, choices=(-1, 0), help="lowest tabulated power"),
     "--out": dict(help="write a JSON report here"),
 }
 
@@ -180,33 +186,24 @@ def write_matrix_csv(m: np.ndarray) -> str:
     ) + "\n"
 
 
-#: The ``MAP_KINDS`` name of each ``--map`` name but ``compression:k``.
+#: The ``MAP_KINDS`` name of each ``--map`` name. Only ``compression``
+#: takes an argument, ``:k``; without it ``k = max(1, n // 2)``.
 _MAP_NAMES = {"trace": "normalized_trace", "identity": "identity",
-              "vector-state": "vector_state", "pinching": "pinching"}
+              "vector-state": "vector_state", "pinching": "pinching",
+              "compression": "compression"}
 
 
 def build_map(spec: str, n: int, seed: int) -> PositiveUnitalMap:
     """Instantiate the map named by a CLI descriptor for dimension ``n``."""
-    if spec in _MAP_NAMES:
-        return random_map(_MAP_NAMES[spec], n, seed=seed)
-    if spec.startswith("compression"):
-        _, _, arg = spec.partition(":")
-        return random_map("compression", n, int(arg) if arg else max(1, n // 2),
-                          seed=seed)
+    name, colon, arg = spec.partition(":")
+    if name in _MAP_NAMES and (not colon or name == "compression"):
+        try:  # random_map reads k for a compression only
+            k = int(arg) if colon else max(1, n // 2)
+        except ValueError:
+            pass
+        else:
+            return random_map(_MAP_NAMES[name], n, k, seed=seed)
     raise ValueError(f"unknown map descriptor {spec!r}; expected {MAP_SPEC_HELP}")
-
-
-def _config_dict(config: RunConfig, source: str) -> dict:
-    return {
-        "input": source,
-        "tolerance": config.tolerance,
-        "r_max": config.r_max,
-        "map": config.map_spec,
-        "seed": config.seed,
-        "instances": config.instances,
-        "n_range": [config.n_lo, config.n_hi],
-        "k_min": config.k_min,
-    }
 
 
 def make_report(config: RunConfig, source: str,
@@ -215,7 +212,7 @@ def make_report(config: RunConfig, source: str,
     ordered = sorted(records, key=lambda r: (r.check, r.seed))
     applicable = [r for r in ordered if r.passed is not None]
     return {
-        "config": _config_dict(config, source),
+        "config": {"input": source, **asdict(config)},
         "records": [
             {
                 "check": r.check,
@@ -283,32 +280,32 @@ def report_to_json(report: dict) -> str:
             f'  "summary": {_nested_json(report["summary"])}\n}}\n')
 
 
-def _write_out(out_path: str | None, report: dict) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
-
-
 def _config_from_args(args) -> RunConfig:
-    """The run's config from the flags given; defaults for the others."""
-    given = vars(args)
-    options = {f.name: given[f.name] for f in fields(RunConfig)
-               if given.get(f.name) is not None}
-    if given.get("n_range") is not None:
+    """The run's config from the flags given, once they fit ``verify``'s
+    mode; defaults for the others."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    random = getattr(args, "random", False)
+    if random and (args.matrix or given["map"] is not None):
+        raise ValueError("--random takes no matrix file and no --map")
+    if not random and (given["instances"], given["n_range"]) != (None, None):
+        raise ValueError("--instances and --n-range apply to --random only")
+    if given["n_range"] is not None:
         lo, _, hi = given["n_range"].partition(":")
-        options["n_lo"], options["n_hi"] = int(lo), int(hi) if hi else int(lo)
-    return RunConfig(**options)
+        given["n_range"] = int(lo), int(hi or lo)
+    return RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def cmd_bounds(args) -> int:
-    config = _config_from_args(args)
+def _load(args, config: RunConfig) -> tuple[np.ndarray, PositiveUnitalMap]:
+    """The matrix file of the run and its ``--map`` map at that dimension."""
     m = parse_matrix(args.matrix)
-    functional = build_map(config.map_spec, m.shape[0], config.seed)
+    return m, build_map(config.map, m.shape[0], config.seed)
+
+
+def cmd_bounds(args, config: RunConfig) -> dict:
+    m, functional = _load(args, config)
     if not functional.is_functional:
-        raise ValueError(
-            f"bounds needs a functional map (trace or vector-state), "
-            f"got {config.map_spec!r}"
-        )
+        raise ValueError("bounds needs a functional map (trace or "
+                         f"vector-state), got {config.map!r}")
     report = eigenbounds.spectral_bounds(functional, m)
     values = []
     if report.degenerate:
@@ -335,14 +332,11 @@ def cmd_bounds(args) -> int:
                    ("ws_max_lower", report.ws_max_lower)]
     records = [moments.record(name, config.seed, True, value)
                for name, value in values]
-    _write_out(args.out, make_report(config, args.matrix, records))
-    return 0
+    return make_report(config, args.matrix, records)
 
 
-def cmd_moments(args) -> int:
-    config = _config_from_args(args)
-    m = parse_matrix(args.matrix)
-    pulm = build_map(config.map_spec, m.shape[0], config.seed)
+def cmd_moments(args, config: RunConfig) -> dict:
+    m, pulm = _load(args, config)
     k_max = 2 * config.r_max + 1
     table = moments.moment_table(pulm, m, config.k_min, k_max)
     for k in range(config.k_min, k_max + 1):
@@ -359,30 +353,20 @@ def cmd_moments(args) -> int:
     for r, rec in enumerate(records):
         status = "PASS" if rec.passed else "FAIL"
         print(f"hankel r={r}: {status} (min eigenvalue {rec.margin:.6g})")
-    _write_out(args.out, make_report(config, args.matrix, records))
-    return 0 if all(r.passed for r in records) else 1
+    return make_report(config, args.matrix, records)
 
 
-def cmd_verify(args) -> int:
-    if args.random and (args.matrix or args.map_spec is not None):
-        raise ValueError("--random takes no matrix file and no --map")
-    if not args.random and (args.instances, args.n_range) != (None, None):
-        raise ValueError("--instances and --n-range apply to --random only")
-    config = _config_from_args(args)
+def cmd_verify(args, config: RunConfig) -> dict:
     if args.random:
-        source = "random"
         records = campaign.run_campaign(
-            count=config.instances, seed=config.seed,
-            n_range=(config.n_lo, config.n_hi), r_max=config.r_max,
-            tol=config.tolerance)
-    else:
-        if not args.matrix:
-            raise ValueError("verify needs a matrix file or --random")
-        source = args.matrix
-        m = parse_matrix(args.matrix)
-        pulm = build_map(config.map_spec, m.shape[0], config.seed)
+            count=config.instances, seed=config.seed, n_range=config.n_range,
+            r_max=config.r_max, tol=config.tolerance)
+    elif args.matrix:
+        m, pulm = _load(args, config)
         records = campaign.single_matrix_records(
             m, pulm, config.seed, config.r_max, config.tolerance)
+    else:
+        raise ValueError("verify needs a matrix file or --random")
 
     by_check: dict[str, list[moments.CheckRecord]] = {}
     for r in records:
@@ -400,12 +384,11 @@ def cmd_verify(args) -> int:
             line += f"  FAILED (worst margin {worst:.3e}; seeds {seeds})"
         print(line)
 
-    report = make_report(config, source, records)
+    report = make_report(config, args.matrix or "random", records)
     summary = report["summary"]
     print(f"{summary['total']} checks, {summary['passed']} passed, "
           f"worst margin {summary['worst_margin']:.6g}")
-    _write_out(args.out, report)
-    return 0 if summary["passed"] + summary["skipped"] == summary["total"] else 1
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,10 +437,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args, _config_from_args(args))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report_to_json(report))
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    summary = report["summary"]
+    return 0 if summary["passed"] + summary["skipped"] == summary["total"] else 1
 
 
 if __name__ == "__main__":

@@ -100,13 +100,13 @@ def require_finite(what: str, values) -> None:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(M + M*)/2`` with no asymmetry check.
+    """``(M + M*)/2`` of a matrix or of each in a stack, no asymmetry check.
 
     For quantities that are Hermitian by construction and asymmetric only
     through rounding; user-facing ingestion should go through
     :func:`symmetrize` instead, which rejects genuinely non-Hermitian data.
     """
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _asymmetry(a) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -230,7 +230,7 @@ def spectral_images(pulm: PositiveUnitalMap, spectrum,
         n, k = images.shape[:2]
         blocks = (values @ images.reshape(n, k * k)).reshape(-1, k, k)
     require_finite("moment powers", blocks)
-    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+    return hermitian_part(blocks)
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ def direct_powers(pulm, a, k_min, k_max):
         acc[p] = acc[p - 1] @ h
     if k_min == -1:
         acc[-1] = np.linalg.inv(h)
-    blocks = np.stack([pulm.apply(linalg.hermitian_part(acc[p]))
-                       for p in range(k_min, k_max + 1)])
-    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+    return linalg.hermitian_part(np.stack(
+        [pulm.apply(linalg.hermitian_part(acc[p]))
+         for p in range(k_min, k_max + 1)]))
 
 
 def direct_log_blocks(pulm, a):

@@ -1,4 +1,4 @@
-"""Digest of 215 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 231 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -11,7 +11,14 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
 - ``verify`` on the normal ``random_normal_matrix(6, 5)`` and the non-normal
   ``triu(random_hermitian(4, 7))`` under trace, ``compression:2`` and
   vector-state: 6 runs;
-- ``moments --k-min -1`` on the four files of the second item: 4 runs.
+- ``moments --k-min -1`` on the four files of the second item: 4 runs;
+- the settings and error paths of the command line: the bare
+  ``--map compression``, ``bounds`` under vector-state, ``verify --random``
+  with ``--n-range``, ``--r-max`` and ``--tol`` given, ``moments --r-max 0``,
+  seven runs that exit 1 (a flag of the other ``verify`` mode, ``bounds``
+  under a map that is not a functional, ``--n-range 3:2``, ``--tol 0``, no
+  input, and ``--out`` into a missing directory) and four malformed
+  ``--map`` values: 16 runs.
 
 It prints one tab-separated line per run: the argv, the exit code, and the
 sha256 of stdout, of stderr and of the JSON report. Every path is relative
@@ -94,6 +101,24 @@ def runs():
             yield ["verify", name, "--map", spec, "--out", REPORT], REPORT
     for name in files:
         yield ["moments", name, "--k-min", "-1", "--out", REPORT], REPORT
+    for argv in (["verify", "h8.json", "--map", "compression"],
+                 ["moments", "pd8.json", "--map", "compression"],
+                 ["bounds", "h24.json", "--map", "vector-state", "--seed", "3"],
+                 ["verify", "--random", "--instances", "20", "--seed", "7",
+                  "--n-range", "3:5", "--r-max", "2", "--tol", "1e-7"],
+                 ["moments", "h8.json", "--r-max", "0"],
+                 ["verify", "--random", "--map", "trace"],
+                 ["verify", "h8.json", "--instances", "5"],
+                 ["bounds", "h8.json", "--map", "pinching"],
+                 ["verify", "--random", "--n-range", "3:2"],
+                 ["moments", "h8.json", "--tol", "0"],
+                 ["verify", "--seed", "3"],
+                 *(["verify", "h8.json", "--map", spec]
+                   for spec in ("compressionXYZ", "compressionXYZ:3",
+                                "compression:abc", "compression:"))):
+        yield argv + ["--out", REPORT], REPORT
+    missing = os.path.join("missing", REPORT)
+    yield ["verify", "h8.json", "--out", missing], missing
 
 
 def main() -> int:

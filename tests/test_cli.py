@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momenta
-from momenta import campaign, cli, linalg, moments
+from momenta import campaign, cli, linalg, maps, moments
 
 from conftest import EXAMPLE_3X3, ReflectedTrace
 
@@ -449,6 +449,28 @@ class TestMapSpecs:
         with pytest.raises(ValueError):
             cli.build_map("fourier", 4, seed=1)
 
+    @pytest.mark.parametrize("spec", ["compressionXYZ", "compressionXYZ:3",
+                                      "compression:abc", "compression:",
+                                      "trace:2"])
+    def test_junk_spec_is_one_error_line_naming_it(self, tmp_path, capsys,
+                                                   spec):
+        path = write(tmp_path, "a6.json",
+                     cli.write_matrix_json(linalg.random_hermitian(6, 1)))
+        assert cli.main(["verify", path, "--map", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: unknown map descriptor {spec!r}; "
+                                f"expected {cli.MAP_SPEC_HELP}\n")
+
+    @pytest.mark.parametrize("spec, k", [("compression", 3),
+                                         ("compression:3", 3),
+                                         ("compression:6", 6)])
+    def test_compression_spec_builds_the_seeded_compression(self, spec, k):
+        # bare compression takes k = max(1, n // 2)
+        built = cli.build_map(spec, 6, seed=4)
+        expected = maps.random_map("compression", 6, k, seed=4)
+        assert built.isometry.tobytes() == expected.isometry.tobytes()
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [
@@ -556,4 +578,6 @@ def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
     first = parser.parse_args(["verify", "--random", "--seed", "5", "--r-max", "1"])
     second = parser.parse_args(["verify", "m.json"])
     assert (first.random, first.seed, first.r_max) == (True, 5, 1)
-    assert (second.random, second.seed, second.r_max) == (False, None, 3)
+    assert (second.random, second.seed, second.r_max) == (False, None, None)
+    # a flag left unset keeps RunConfig's default, declared there alone
+    assert cli._config_from_args(second).r_max == 3
