@@ -2,8 +2,10 @@
 
 For a normal matrix A (A*A = AA*) and any positive unital linear map, the
 3x3 block array built from I, Phi(A), Phi(A*A) and their degree-four
-companions is PSD, with no eigendecomposition needed to assemble it. For a
-functional phi this yields a lower bound on the centered fourth moment:
+companions is PSD. A normal A is unitarily diagonal, A = U diag(z) U*, and
+normal_spectrum finds U and z from the commuting Hermitian and skew parts of
+A; every block entry is then a sum of f(z_j) Phi(u_j u_j*). For a functional
+phi this yields a lower bound on the centered fourth moment:
 phi(|B|^4) >= |phi(B |B|^2)|^2 / phi(|B|^2) + phi(|B|^2)^2 where
 B = A - phi(A) I.
 """
@@ -13,15 +15,17 @@ import numpy as np
 from momenta import (
     NormalizedTrace,
     build_normal_block,
-    centered_fourth_moment_slack,
+    centered_fourth_moment,
     is_psd,
+    normal_spectrum,
     random_map,
     random_normal_matrix,
 )
 
 # A rotation-like spectrum: conjugate pair on the imaginary axis.
-A = np.diag([1j, -1j])
-block = build_normal_block(NormalizedTrace(2), A).assembled
+z, u = normal_spectrum(np.diag([1j, -1j]))
+print("eigenvalues of diag(i, -i):", z)
+block = build_normal_block(NormalizedTrace(2), z, u).assembled
 print("conjugate-pair spectrum {i, -i} under the normalized trace:")
 print(block.real)
 print("min eigenvalue:", is_psd(block).min_eigenvalue)
@@ -30,16 +34,18 @@ print("min eigenvalue:", is_psd(block).min_eigenvalue)
 print("\nrandom normal matrices:")
 for seed in range(5):
     n = 3 + seed % 3
-    A = random_normal_matrix(n, seed=seed)
+    z, u = normal_spectrum(random_normal_matrix(n, seed=seed))
     compression = random_map("compression", n, k=2, seed=seed + 10)
     state = random_map("vector_state", n, seed=seed + 20)
-    block = build_normal_block(compression, A)
+    block = build_normal_block(compression, z, u)
     v = is_psd(block.assembled, scale=block.scale)
-    slack = centered_fourth_moment_slack(state, A)
+    _, slack = centered_fourth_moment(state, z, u, tol=1e-9)
     print(f"  n={n} seed={seed}: block margin {v.min_eigenvalue:+.3e} "
           f"({'PSD' if v.passed else 'NOT PSD'}), "
           f"fourth-moment slack {slack:+.3e}")
 
 # The fourth-moment bound is tight for a centered two-point spectrum.
-slack = centered_fourth_moment_slack(NormalizedTrace(2), np.diag([1.0, -1.0]))
+_, slack = centered_fourth_moment(NormalizedTrace(2),
+                                  *normal_spectrum(np.diag([1.0, -1.0])),
+                                  tol=1e-9)
 print(f"\nspectrum {{1, -1}}: slack {slack:+.1e} (zero = equality)")

@@ -46,9 +46,10 @@ from .moments import (
     build_log_endpoint_blocks,
     build_normal_block,
     build_refinement_chain,
-    centered_fourth_moment_slack,
+    centered_fourth_moment,
     distinct_eigenvalues,
     moment_table,
+    normal_spectrum,
     scalar_checks,
 )
 from .eigenbounds import (
@@ -89,7 +90,7 @@ __all__ = [
     "build_log_endpoint_blocks",
     "build_normal_block",
     "build_refinement_chain",
-    "centered_fourth_moment_slack",
+    "centered_fourth_moment",
     "central_moments",
     "determinant_oracle",
     "distinct_eigenvalues",
@@ -100,6 +101,7 @@ __all__ = [
     "hermitian_with_spectrum",
     "is_psd",
     "moment_table",
+    "normal_spectrum",
     "random_hermitian",
     "random_map",
     "random_normal_matrix",

@@ -305,12 +305,12 @@ def bounds_suite(inst: Instance) -> list[CheckRecord]:
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Normal-matrix block and centered fourth-moment checks."""
+    z, u = moments.normal_spectrum(matrix)
     records = psd_records(
-        [("normal_block", moments.build_normal_block(pulm, matrix))], seed, tol)
+        [("normal_block", moments.build_normal_block(pulm, z, u))], seed, tol)
     if pulm.is_functional:
         records.append(record("centered_fourth_moment", seed,
-                              *moments.centered_fourth_moment_outcome(
-                                  pulm, matrix, tol)))
+                              *moments.centered_fourth_moment(pulm, z, u, tol)))
     return records
 
 
@@ -347,17 +347,19 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
     m = np.asarray(matrix, dtype=np.complex128)
     if is_hermitian(m):
         m = hermitian_part(m)
-        pd = hermitian_eig(m).min > 0.0
+        spectrum = hermitian_eig(m)
+        z, u = spectrum.eigenvalues, spectrum.eigenvectors
         records = instance_records(Instance(
             seed=seed, n=m.shape[0], r=r_max, kind="file", matrix=m,
-            matrix_pd=m if pd else None, pulm=pulm), tol)
+            matrix_pd=m if spectrum.min > 0.0 else None, pulm=pulm), tol)
     elif moments.is_normal(m):
         # scalar_checks covers the centered fourth moment
         records = _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
+        z, u = moments.normal_spectrum(m)
     else:
         # Neither Hermitian nor normal: nothing in the catalog applies.
         return [skip_record(check, seed)
                 for check in ("psd_hankel", "normal_block", "kadison",
                               "centered_fourth_moment")]
     return records + psd_records(
-        [("normal_block", moments.build_normal_block(pulm, m))], seed, tol)
+        [("normal_block", moments.build_normal_block(pulm, z, u))], seed, tol)

@@ -290,8 +290,12 @@ def _config_from_args(args) -> RunConfig:
     if not random and (given["instances"], given["n_range"]) != (None, None):
         raise ValueError("--instances and --n-range apply to --random only")
     if given["n_range"] is not None:
-        lo, _, hi = given["n_range"].partition(":")
-        given["n_range"] = int(lo), int(hi or lo)
+        lo, colon, hi = given["n_range"].partition(":")
+        try:
+            given["n_range"] = int(lo), int(hi if colon else lo)
+        except ValueError:
+            raise ValueError(f"--n-range takes lo or lo:hi in integers, "
+                             f"got {given['n_range']!r}") from None
     return RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 

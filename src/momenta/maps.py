@@ -43,13 +43,12 @@ class PositiveUnitalMap:
     """Common interface of the map variants.
 
     Subclasses implement ``domain_dim``, ``codomain_dim``, a linear
-    ``apply`` and ``rank_one_images``. ``apply`` accepts arbitrary complex
-    square matrices (not just Hermitian ones), which the normal-matrix
-    constructions rely on. ``rank_one_images`` maps the rank-one matrices
-    ``v v*`` of many vectors at once, from the contraction ``W = K* V`` of
-    the map's factors with the vectors, and never forms ``v v*``: every
-    image of a Hermitian matrix is contracted from those of its
-    eigenprojections (``moments.spectral_images``).
+    ``apply`` and ``rank_one_images``. ``rank_one_images`` maps the rank-one
+    matrices ``v v*`` of many vectors at once, from the contraction
+    ``W = K* V`` of the map's factors with the vectors, and never forms
+    ``v v*``: every image of a Hermitian or normal matrix is contracted from
+    those of its eigenprojections. ``apply`` takes any complex square
+    matrix; only the direct route of the ``route_agreement`` oracle uses it.
     """
 
     @property

@@ -4,9 +4,10 @@ A :class:`MomentTable` holds the images ``Phi(A^k)`` of the powers of a
 Hermitian matrix over a contiguous range of exponents (possibly starting at
 -1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
 with the extreme eigenvalues ``m`` and ``M`` of ``A``. Every image
-``Phi(f(A))`` of a Hermitian ``A``, the table's, the scalar checks' and the
-log blocks', is one contraction of ``f(lambda_j)`` with the images of the
-eigenprojections: :func:`spectral_images`. From such a table,
+``Phi(f(A))`` is one contraction of ``f`` at the eigenvalues with the images
+of the eigenprojections: of a Hermitian ``A`` (:func:`spectral_images`), and
+of a normal ``A = U diag(z) U*`` (:func:`normal_spectrum`) in the normal
+block and the centered fourth moment. From such a table,
 :func:`build_blocks` assembles the family of block matrices whose positive
 semidefiniteness this package verifies:
 
@@ -225,12 +226,19 @@ def spectral_images(pulm: PositiveUnitalMap, spectrum,
     the map's ``rank_one_images``, Hermitian part taken; a non-finite one
     (an overflow) is a :class:`DomainError`.
     """
+    return hermitian_part(_images(pulm, spectrum.eigenvectors, values,
+                                  "moment powers"))
+
+
+def _images(pulm: PositiveUnitalMap, vectors, values, what: str):
+    """The stack of ``sum_j values[i, j] Phi(v_j v_j*)`` over the columns of
+    ``vectors``; a non-finite image is a :class:`DomainError` on ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        images = pulm.rank_one_images(spectrum.eigenvectors)
+        images = pulm.rank_one_images(vectors)
         n, k = images.shape[:2]
         blocks = (values @ images.reshape(n, k * k)).reshape(-1, k, k)
-    require_finite("moment powers", blocks)
-    return hermitian_part(blocks)
+    require_finite(what, blocks)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -251,15 +259,20 @@ def distinct_eigenvalues(values) -> np.ndarray:
     vals = np.sort(np.asarray(values, dtype=np.float64))
     if vals.size == 0:
         return vals
-    width = max(vals[-1] - vals[0], np.finfo(float).tiny)
-    # a new atom starts wherever a step is not within the merging gap
-    cuts = np.flatnonzero(~(np.diff(vals) <= GAP_RTOL * width)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [vals.size]))
+    starts, ends = _atoms(vals, vals[-1] - vals[0])
     atoms = vals[starts]
     for i in np.flatnonzero(ends - starts > 1):
         atoms[i] = np.mean(vals[starts[i]:ends[i]])
     return atoms
+
+
+def _atoms(vals: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the atoms of a non-empty ascending spectrum:
+    adjacent values closer than ``GAP_RTOL * width`` are one atom."""
+    width = max(width, np.finfo(float).tiny)
+    # a new atom starts wherever a step is not within the merging gap
+    cuts = np.flatnonzero(~(np.diff(vals) <= GAP_RTOL * width)) + 1
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [vals.size]))
 
 
 def build_block(kind: str, table: MomentTable, r: int) -> BlockMatrixSpec:
@@ -462,12 +475,11 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
                  in zip(blocks, (high + size, size + low)))
 
 
-def _normality_defect(a: np.ndarray) -> float:
+def _normality_defect(b: np.ndarray) -> float:
     """``||B*B - BB*||_F / ||B||_F^2`` of ``B = 2^-e A``
     (:func:`~momenta.linalg.binary_scaled`). No norm can overflow, and
     wherever ``A``'s own products neither overflow nor underflow, the ratio
     is ``A``'s."""
-    b = binary_scaled(a)[0]
     bs = b.conj().T
     return (frobenius(bs @ b - b @ bs)
             / max(frobenius(b) ** 2, np.finfo(float).tiny))
@@ -476,39 +488,62 @@ def _normality_defect(a: np.ndarray) -> float:
 def is_normal(a: np.ndarray) -> bool:
     """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, decided on
     ``A`` scaled by a power of two, so that no norm overflows."""
-    return _normality_defect(a) <= NORMALITY_RTOL
+    return _normality_defect(binary_scaled(a)[0]) <= NORMALITY_RTOL
 
 
-def build_normal_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
-    """Three-by-three moment block of a normal (possibly non-Hermitian) matrix.
+def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, U)`` with ``A = U diag(z) U*`` for a normal ``A``, which
+    :func:`is_normal` decides, scaled by a power of two so no norm overflows.
 
-    ``[[I, Phi(A), Phi(A*A)], [Phi(A*), Phi(AA*), Phi(A*^2 A)],
-    [Phi(A*A), Phi(A* A^2), Phi(A*^2 A^2)]]``, assembled from direct matrix
-    products; no eigendecomposition is involved. Every entry is one map
-    image, with no cancellation, so the block's scale is its own Frobenius
-    norm (``inf`` where that overflows, which :func:`psd_records` rejects).
+    ``H = (A + A*)/2`` and ``K = (A - A*)/2i`` commute: ``eigh`` of ``H``,
+    then of ``K`` on each atom of ``H``, and of ``H`` again on each atom of
+    ``K`` there where ``H`` spreads more, solves both. The atoms are taken at
+    the width ``||A - (tr A / n) I||_F`` of the whole spectrum.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got {m.shape}")
-    defect = _normality_defect(m)
+    b, e = binary_scaled(m)
+    defect = _normality_defect(b)
     if not defect <= NORMALITY_RTOL:
         raise DomainError(
-            f"matrix is not normal: ||A*A - AA*||_F = "
-            f"{defect:.3e} * ||A||_F^2 "
-            f"exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2"
-        )
-    ms = m.conj().T
-    eye = np.eye(pulm.codomain_dim)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        square = pulm.apply(ms @ m)  # at (0, 2) and (2, 0)
-        block = np.block([
-            [eye, pulm.apply(m), square],
-            [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
-            [square, pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
-        ])
-    require_finite("normal-matrix moments", block)
-    with np.errstate(over="ignore"):  # inf, which psd_records rejects
+            f"matrix is not normal: ||A*A - AA*||_F = {defect:.3e} * "
+            f"||A||_F^2 exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2")
+    bs = b.conj().T
+    h, k = (b + bs) / 2.0, (b - bs) / 2j
+    hv, u = np.linalg.eigh(h)
+    width = frobenius(b - np.trace(b) / len(b) * np.eye(len(b)))
+    for lo, hi in zip(*_atoms(hv, width)):
+        if hi - lo > 1:
+            v = u[:, lo:hi]
+            kv, w = np.linalg.eigh(v.conj().T @ k @ v)
+            u[:, lo:hi] = v @ w
+            for klo, khi in zip(*(lo + i for i in _atoms(kv, width))):
+                v = u[:, klo:khi]
+                hs, w = np.linalg.eigh(v.conj().T @ h @ v)
+                if np.ptp(hs) > np.ptp(kv[klo - lo:khi - lo]):
+                    u[:, klo:khi] = v @ w
+    z = np.einsum("ij,ij->j", u.conj(), b @ u)
+    with np.errstate(over="ignore"):  # an infinite z overflows the images
+        return np.ldexp(z.view(np.float64), e).view(np.complex128), u
+
+
+def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:
+    """Three-by-three moment block of a normal ``A = U diag(z) U*``
+    (:func:`normal_spectrum`, or a Hermitian ``A``'s full solve).
+
+    ``[[I, Phi(A), Phi(A*A)], [Phi(A*), Phi(AA*), Phi(A*^2 A)],
+    [Phi(A*A), Phi(A* A^2), Phi(A*^2 A^2)]]``, block ``(p, q)`` contracted
+    from ``conj(x_p) x_q``, ``x = (1, z_j, |z_j|^2)``. Each entry is one
+    image, with no cancellation, so the scale is the block's own Frobenius
+    norm (``inf`` where that overflows, which :func:`psd_records` rejects).
+    """
+    x = np.stack([np.ones_like(z), z, z.real * z.real + z.imag * z.imag])
+    # _images raises an overflow, and psd_records an infinite scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _images(pulm, u, (x.conj()[:, np.newaxis] * x).reshape(9, -1),
+                       "normal-matrix moments")
+        block = np.block([list(grid[p:p + 3]) for p in (0, 3, 6)])
         return BlockMatrixSpec(block, frobenius(block))
 
 
@@ -630,40 +665,29 @@ def psd_records(blocks, seed: int, tol: float,
     return out
 
 
-def centered_fourth_moment_outcome(functional: PositiveUnitalMap, a,
-                                   tol: float) -> tuple[bool, float]:
-    """Verdict and slack, judged at ``||A||_F^4``, the size of the fourth
-    moments the slack is computed from."""
-    slack = centered_fourth_moment_slack(functional, a)
-    with np.errstate(over="ignore"):  # inf, which passes rejects
-        scale = np.float64(frobenius(a)) ** 4
-    return passes(slack, scale, tol), slack
+def centered_fourth_moment(functional: PositiveUnitalMap, z, u,
+                           tol: float) -> tuple[bool, float]:
+    """Verdict and slack of the centered fourth-moment bound of a normal
+    ``A = U diag(z) U*``, judged at ``||A||_F^4``.
 
-
-def centered_fourth_moment_slack(functional: PositiveUnitalMap, a) -> float:
-    """Slack of the centered fourth-moment bound for a normal matrix.
-
-    With ``B = A - phi(A) I`` and ``|B|^2 = B* B``, returns
-    ``phi(|B|^4) - |phi(B |B|^2)|^2 / phi(|B|^2) - phi(|B|^2)^2``. The middle
-    term is taken as 0 when ``phi(|B|^2)`` vanishes (the numerator then
-    vanishes too, by Cauchy-Schwarz).
+    With ``B = A - phi(A) I`` and ``|B|^2 = B* B``, the slack is
+    ``phi(|B|^4) - |phi(B |B|^2)|^2 / phi(|B|^2) - phi(|B|^2)^2``, each
+    moment weighted by ``phi(u_j u_j*)``. The middle term is 0 when
+    ``phi(|B|^2)`` vanishes (its numerator does too, by Cauchy-Schwarz).
     """
     if not functional.is_functional:
         raise ShapeError("centered fourth moment needs a functional (1x1 codomain)")
-    m = as_matrix(a)
+    w = functional.rank_one_images(u).real.ravel()
     # numpy scalars, so an overflow gives inf or nan, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = functional.apply(m)[0, 0]
-        b = m - mean * np.eye(m.shape[0])
-        bsq = b.conj().T @ b
-        second = functional.apply(bsq)[0, 0].real
-        fourth = functional.apply(bsq @ bsq)[0, 0].real
-        mixed = functional.apply(b @ bsq)[0, 0]
-        vanishes = second <= 1e-15 * frobenius(b) ** 2
-        ratio = 0.0 if vanishes else abs(mixed) ** 2 / second
+        b = z - w @ z
+        s = b.real * b.real + b.imag * b.imag  # |b_j|^2
+        second, fourth, mixed = w @ s, w @ (s * s), w @ (b * s)
+        ratio = 0.0 if second <= 1e-15 * s.sum() else abs(mixed) ** 2 / second
         slack = fourth - ratio - second * second
-    require_finite("centered fourth moments", slack)
-    return slack
+        require_finite("centered fourth moments", slack)
+        scale = np.vdot(z, z).real ** 2  # inf, which passes rejects
+        return passes(slack, scale, tol), slack
 
 
 def scalar_checks(pulm: PositiveUnitalMap, a,
@@ -688,7 +712,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got {mat.shape}")
     blocks = dict.fromkeys(_HERMITIAN_SCALAR_CHECKS)
-
+    spectrum = None
     if is_hermitian(mat):
         spectrum = hermitian_eig(mat)
         m, M = spectrum.min, spectrum.max
@@ -739,9 +763,9 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
                 M * p2 - schur - p3, (rho + abs(M)) * sq + size)
     results = psd_records(blocks.items(), 0, tol)
 
-    if pulm.is_functional and is_normal(mat):
-        results.append(record("centered_fourth_moment", 0,
-                              *centered_fourth_moment_outcome(pulm, mat, tol)))
-    else:
-        results.append(skip_record("centered_fourth_moment", 0))
-    return results
+    if not pulm.is_functional or (spectrum is None and not is_normal(mat)):
+        return results + [skip_record("centered_fourth_moment", 0)]
+    z, u = ((spectrum.eigenvalues, spectrum.eigenvectors)
+            if spectrum is not None else normal_spectrum(mat))
+    return results + [record("centered_fourth_moment", 0,
+                             *centered_fourth_moment(pulm, z, u, tol))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momenta import campaign, linalg, maps
+from momenta import campaign, linalg, maps, moments
 
 ROOT2 = np.sqrt(2.0)
 
@@ -71,6 +71,37 @@ def direct_log_blocks(pulm, a):
     lower = np.block([[phi(la - lm * eye), phi(hla - lm * h)],
                       [phi(hla - lm * h), phi(h2la - lm * h2)]])
     return deficit, upper, lower
+
+
+def direct_normal_block(pulm, a):
+    """The normal-matrix block of ``A`` by the direct route: each image one
+    ``apply`` on a multiplied product of ``A`` and ``A*``, judged at its own
+    Frobenius norm. An oracle for ``moments.build_normal_block``."""
+    m = np.asarray(a, dtype=np.complex128)
+    ms = m.conj().T
+    square = pulm.apply(ms @ m)  # at (0, 2) and (2, 0)
+    block = np.block([
+        [np.eye(pulm.codomain_dim), pulm.apply(m), square],
+        [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
+        [square, pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
+    ])
+    return moments.BlockMatrixSpec(block, linalg.frobenius(block))
+
+
+def direct_centered_fourth_moment(functional, a):
+    """The centered fourth-moment slack of ``A`` by the direct route, the
+    functional applied to multiplied products of ``B = A - phi(A) I``. An
+    oracle for ``moments.centered_fourth_moment``."""
+    m = np.asarray(a, dtype=np.complex128)
+    mean = functional.apply(m)[0, 0]
+    b = m - mean * np.eye(m.shape[0])
+    bsq = b.conj().T @ b
+    second = functional.apply(bsq)[0, 0].real
+    fourth = functional.apply(bsq @ bsq)[0, 0].real
+    mixed = functional.apply(b @ bsq)[0, 0]
+    vanishes = second <= 1e-15 * linalg.frobenius(b) ** 2
+    ratio = 0.0 if vanishes else abs(mixed) ** 2 / second
+    return fourth - ratio - second * second
 
 
 class ReflectedTrace(maps.PositiveUnitalMap):

@@ -1,4 +1,4 @@
-"""Digest of 231 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 237 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -8,17 +8,18 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
 - ``verify`` and ``moments`` at ``--seed 3`` on ``random_hermitian(n, 1)``
   and ``random_psd(n, 2) + I`` at n = 8 and 24, under each of the five
   ``--map`` values: 40 runs;
-- ``verify`` on the normal ``random_normal_matrix(6, 5)`` and the non-normal
+- ``verify`` on the normal ``random_normal_matrix(6, 5)``, on a normal
+  matrix with the clustered spectrum {1, 1, i, i, -1} and on the non-normal
   ``triu(random_hermitian(4, 7))`` under trace, ``compression:2`` and
-  vector-state: 6 runs;
+  vector-state: 9 runs;
 - ``moments --k-min -1`` on the four files of the second item: 4 runs;
 - the settings and error paths of the command line: the bare
   ``--map compression``, ``bounds`` under vector-state, ``verify --random``
   with ``--n-range``, ``--r-max`` and ``--tol`` given, ``moments --r-max 0``,
   seven runs that exit 1 (a flag of the other ``verify`` mode, ``bounds``
   under a map that is not a functional, ``--n-range 3:2``, ``--tol 0``, no
-  input, and ``--out`` into a missing directory) and four malformed
-  ``--map`` values: 16 runs.
+  input, and ``--out`` into a missing directory), four malformed ``--map``
+  values and three malformed ``--n-range`` values: 19 runs.
 
 It prints one tab-separated line per run: the argv, the exit code, and the
 sha256 of stdout, of stderr and of the JSON report. Every path is relative
@@ -96,7 +97,10 @@ def runs():
         cli.write_matrix_json(linalg.random_normal_matrix(6, 5)))
     Path("triu4.json").write_text(
         cli.write_matrix_json(np.triu(linalg.random_hermitian(4, 7))))
-    for name in ("normal6.json", "triu4.json"):
+    u = linalg.random_unitary(5, 9)
+    Path("cluster5.json").write_text(cli.write_matrix_json(
+        (u * np.array([1, 1, 1j, 1j, -1])) @ u.conj().T))
+    for name in ("normal6.json", "triu4.json", "cluster5.json"):
         for spec in NORMAL_MAPS:
             yield ["verify", name, "--map", spec, "--out", REPORT], REPORT
     for name in files:
@@ -115,7 +119,9 @@ def runs():
                  ["verify", "--seed", "3"],
                  *(["verify", "h8.json", "--map", spec]
                    for spec in ("compressionXYZ", "compressionXYZ:3",
-                                "compression:abc", "compression:"))):
+                                "compression:abc", "compression:")),
+                 *(["verify", "--random", "--n-range", value]
+                   for value in ("abc", "2:x", "3:"))):
         yield argv + ["--out", REPORT], REPORT
     missing = os.path.join("missing", REPORT)
     yield ["verify", "h8.json", "--out", missing], missing

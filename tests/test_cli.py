@@ -498,6 +498,21 @@ class TestFlags:
         assert cli.main(["verify", path, flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: --instances")
 
+    @pytest.mark.parametrize("value", ["abc", "2:x", "3:"])
+    def test_junk_n_range_is_one_error_line_naming_it(self, capsys, value):
+        assert cli.main(["verify", "--random", "--n-range", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --n-range takes lo or lo:hi in "
+                                f"integers, got {value!r}\n")
+
+    @pytest.mark.parametrize("value, n_range", [("3", (3, 3)),
+                                                ("2:5", (2, 5))])
+    def test_n_range_is_lo_or_lo_hi(self, value, n_range):
+        args = cli._parser().parse_args(["verify", "--random",
+                                         "--n-range", value])
+        assert cli._config_from_args(args).n_range == n_range
+
     def test_bounds_report_config_keeps_the_defaults(self, tmp_path, capsys):
         # bounds has no --tol, --r-max, --instances, --n-range or --k-min
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))

@@ -11,11 +11,17 @@ from momenta import campaign, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
-                      direct_log_blocks, direct_powers)
+                      direct_centered_fourth_moment, direct_log_blocks,
+                      direct_normal_block, direct_powers)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
 DIAG12 = np.diag([1.0, 2.0]).astype(np.complex128)
+
+#: Normal spectra with repeated and nearly repeated eigenvalues: their
+#: Hermitian parts have multiple eigenvalues.
+CLUSTERED_SPECTRA = ([1, 1, 1j, 1j, -1], [1 + 1j, 1 - 1j, 1 + 1e-9j, 2, 2],
+                     [0.5j, 2, 1 + 0.3j, 1 + 1e-9 + 0.3j])
 
 
 def table12(k_min=-1, k_max=4):
@@ -733,9 +739,9 @@ class TestLogBlocks:
 
 
 class TestOneRoute:
-    """Every image of a Hermitian matrix comes from the spectral contraction;
-    the direct route, the map applied to multiplied matrices, is
-    route_agreement's alone."""
+    """Every image of a Hermitian or normal matrix comes from the spectral
+    contraction; the direct route, the map applied to multiplied matrices,
+    is route_agreement's alone."""
 
     @pytest.fixture
     def no_apply(self, monkeypatch):
@@ -749,20 +755,30 @@ class TestOneRoute:
         pulm = maps.random_map(kind, 4, k=2, seed=21)
         a = linalg.random_hermitian(4, 22)
         pd = linalg.random_psd(4, 23) + np.eye(4)
-        # the centered fourth moment is the normal-matrix path, which
-        # multiplies non-Hermitian matrices
-        monkeypatch.setattr(moments, "centered_fourth_moment_slack",
-                            lambda functional, matrix: 0.0)
         for matrix in (a, pd):
             records = moments.scalar_checks(pulm, matrix)
             assert [r.passed for r in records[:3]] == [True] * 3
+        # normal input skips the Hermitian checks, and a functional passes
+        # its centered fourth moment
+        normal = linalg.random_normal_matrix(4, 24)
+        *hermitian, fourth = moments.scalar_checks(pulm, normal)
+        assert [r.passed for r in hermitian] == [None] * 6
+        assert fourth.check == "centered_fourth_moment"
+        assert fourth.passed is (True if pulm.is_functional else None)
         moments.build_log_deficit_block(pulm, pd)
         moments.build_log_endpoint_blocks(pulm, pd)
         if pulm.is_functional:
             assert moments.psd_records(
                 moments.build_centered_blocks(pulm, a, 2), 0, 1e-9)
+        assert all(r.passed for r in campaign.normal_suite(0, normal, pulm))
+        # file mode, with route_agreement, the oracle, stubbed
+        route_error = campaign._route_error
+        monkeypatch.setattr(campaign, "_route_error", lambda *args: 0.0)
+        for matrix in (a, normal):
+            records = campaign.single_matrix_records(matrix, pulm, 0, 2)
+            assert "normal_block" in {r.check for r in records}
         with pytest.raises(AssertionError, match="route oracle"):
-            campaign._route_error(pulm, a, 0, 4)
+            route_error(pulm, a, 0, 4)
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_scalar_powers_match_the_direct_route(self, kind):
@@ -805,7 +821,9 @@ class TestNormalBlock:
     def test_hermitian_input_reduces_to_hankel_pattern(self):
         a = linalg.random_hermitian(3, 4)
         pulm = maps.random_map("compression", 3, k=2, seed=6)
-        block = moments.build_normal_block(pulm, a)
+        spectrum = linalg.hermitian_eig(a)
+        block = moments.build_normal_block(pulm, spectrum.eigenvalues,
+                                           spectrum.eigenvectors)
         assert block.scale == linalg.frobenius(block.assembled)
         block = block.assembled
         t = moments.moment_table(pulm, a, 0, 4)
@@ -819,7 +837,8 @@ class TestNormalBlock:
         assert linalg.is_psd(block).passed
 
     def test_conjugate_pair_spectrum(self):
-        block = moments.build_normal_block(TR2, np.diag([1j, -1j])).assembled
+        block = moments.build_normal_block(
+            TR2, *moments.normal_spectrum(np.diag([1j, -1j]))).assembled
         expected = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=float)
         np.testing.assert_allclose(block.real, expected, atol=1e-14)
         np.testing.assert_allclose(block.imag, np.zeros((3, 3)), atol=1e-14)
@@ -829,27 +848,78 @@ class TestNormalBlock:
         for seed in range(8):
             a = linalg.random_normal_matrix(4, seed)
             pulm = maps.random_map("vector_state", 4, seed=seed + 1)
-            block = moments.build_normal_block(pulm, a).assembled
+            block = moments.build_normal_block(
+                pulm, *moments.normal_spectrum(a)).assembled
             assert linalg.is_psd(block).passed
 
-    def test_each_image_is_applied_once(self, monkeypatch):
-        # seven distinct images: Phi(A*A) at (0, 2) and (2, 0) is one
-        applied = []
-        apply = maps.NormalizedTrace.apply
+    @pytest.mark.parametrize("z", [*CLUSTERED_SPECTRA, [1j, -1j, 0.5j, 2j],
+                                   [0.5j, 2, 1 + 0.3j, 1 + 0.3j + 1e-9j]])
+    @pytest.mark.parametrize("shift", [0.0, 3.0, 3j])
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e150])
+    def test_joint_eigensolve_diagonalizes_a_clustered_spectrum(self, z,
+                                                                shift, c):
+        # the atoms of H are solved for K, and the atoms of K in them for H
+        # where H spreads more (in the third spectrum K is scalar on a pair
+        # of atom-mates of H, in the last H on one of K); the shifts put a
+        # multiple of the identity to rounding in the atoms of H or of K,
+        # and at c = 1e-200 and 1e150 the squares of the entries underflow
+        # or overflow. A unitary U with U diag(z) U* = A gives A's
+        # eigenvalues.
+        z = c * (np.array(z) + shift)
+        u0 = linalg.random_unitary(z.size, 9)
+        a = (u0 * z) @ u0.conj().T
+        got, u = moments.normal_spectrum(a)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(z.size),
+                                   atol=1e-14)
+        assert np.max(np.abs((u * got) @ u.conj().T - a)) <= 1e-14 * np.max(
+            np.abs(z))
 
-        def counting(self, a):
-            applied.append(a)
-            return apply(self, a)
-
-        monkeypatch.setattr(maps.NormalizedTrace, "apply", counting)
-        moments.build_normal_block(maps.NormalizedTrace(6),
-                                   linalg.random_normal_matrix(6, 5))
-        assert len(applied) == 7
+    def test_normal_routes_agree(self):
+        # the spectral block and fourth moment against the direct products:
+        # entrywise to 1e-12 of the block's scale, the slack to 1e-12 of
+        # ||A||_F^4, and the same verdicts; the maps that are not positive
+        # make some of them FAIL
+        cases = [(c * a, pulm) for c in SCALES
+                 for _, a, corpus_map in campaign.normal_corpus(200, 42)
+                 for pulm in (corpus_map, ReflectedTrace(len(a)),
+                              ReflectedState(len(a)))]
+        for z in CLUSTERED_SPECTRA:
+            u0 = linalg.random_unitary(len(z), 9)
+            for kind in maps.MAP_KINDS:
+                cases.append(((u0 * np.array(z)) @ u0.conj().T,
+                              maps.random_map(kind, len(z), 2, seed=10)))
+        for inst in campaign.corpus(200, 42):
+            cases.append((inst.matrix, inst.pulm))
+        failed = []
+        for a, pulm in cases:
+            if linalg.is_hermitian(a):
+                spectrum = linalg.hermitian_eig(a)
+                z, u = spectrum.eigenvalues, spectrum.eigenvectors
+            else:
+                z, u = moments.normal_spectrum(a)
+            block, direct = (moments.build_normal_block(pulm, z, u),
+                             direct_normal_block(pulm, a))
+            assert (np.max(np.abs(block.assembled - direct.assembled))
+                    <= 1e-12 * direct.scale)
+            (got, expected) = (moments.psd_records([("normal_block", b)], 0,
+                                                   1e-9)[0]
+                               for b in (block, direct))
+            assert got.passed is expected.passed
+            failed.append(expected.passed is False)
+            if pulm.is_functional:
+                passed, slack = moments.centered_fourth_moment(pulm, z, u,
+                                                               1e-9)
+                scale = linalg.frobenius(a) ** 4
+                expected = direct_centered_fourth_moment(pulm, a)
+                assert abs(slack - expected) <= 1e-12 * scale
+                assert passed is linalg.passes(expected, scale, 1e-9)
+                failed.append(not passed)
+        assert 0 < sum(failed) < len(failed)
 
     def test_rejects_non_normal(self):
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DomainError):
-            moments.build_normal_block(TR2, shear)
+            moments.normal_spectrum(shear)
 
     @pytest.mark.parametrize("c", [1e-150, 2.0 ** -40, 1.0, 1e100, 1e140])
     def test_normality_is_decided_at_every_scale(self, c):
@@ -864,7 +934,7 @@ class TestNormalBlock:
             with pytest.raises(DomainError,
                                match=r"not normal: \|\|A\*A - AA\*\|\|_F "
                                      r"= 1\.414e\+00 \* \|\|A\|\|_F\^2"):
-                moments.build_normal_block(TR2, c * shear)
+                moments.normal_spectrum(c * shear)
 
 
 #: Scales at which the blocks whose sizing moved into ``moments`` are shown
@@ -889,11 +959,13 @@ def reflected_pd_records(c, n, seed):
     ``c (random_psd(n, seed) + 0.1 I)`` under :class:`ReflectedTrace`."""
     a = c * (linalg.random_psd(n, seed) + 0.1 * np.eye(n))
     pulm = ReflectedTrace(n)
+    spectrum = linalg.hermitian_eig(a)
     blocks = (*moments.build_refinement_chain(moments.moment_table(pulm, a,
                                                                    0, 4)),
               moments.build_log_deficit_block(pulm, a),
               *moments.build_log_endpoint_blocks(pulm, a),
-              moments.build_normal_block(pulm, a))
+              moments.build_normal_block(pulm, spectrum.eigenvalues,
+                                         spectrum.eigenvectors))
     return moments.psd_records(zip(_PD_CHECKS, blocks), 0, 1e-9)
 
 
@@ -1007,10 +1079,11 @@ class TestScalarChecks:
         a = c * np.diag([1j, -1j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            z, u = moments.normal_spectrum(a)
             with pytest.raises(DomainError, match="overflow"):
-                moments.centered_fourth_moment_slack(TR2, a)
+                moments.centered_fourth_moment(TR2, z, u, 1e-9)
             with pytest.raises(DomainError, match="overflow"):
-                moments.build_normal_block(TR2, a)
+                moments.build_normal_block(TR2, z, u)
 
     def test_a_block_with_an_infinite_scale_is_a_domain_error(self):
         # an infinite scale would pass any block; it is rejected before the
@@ -1088,8 +1161,9 @@ class TestScalarChecks:
 
     def test_centered_fourth_moment_equality(self):
         # B = A, |B|^2 = I: phi(|B|^4) = 1 = 0 + 1^2
-        slack = moments.centered_fourth_moment_slack(TR2, np.diag([1.0, -1.0]))
-        assert slack == pytest.approx(0.0, abs=1e-14)
+        passed, slack = moments.centered_fourth_moment(
+            TR2, *moments.normal_spectrum(np.diag([1.0, -1.0])), 1e-9)
+        assert passed and slack == pytest.approx(0.0, abs=1e-14)
 
     def test_centered_fourth_moment_on_normal_input(self):
         a = linalg.random_normal_matrix(4, 6)
@@ -1111,8 +1185,9 @@ class TestScalarChecks:
         e1 = np.array([1.0, 0.0])
         a = np.diag([1.0, 3.0]).astype(np.complex128)
         # phi(A) = 1 so B = diag(0, 2) annihilates e1
-        slack = moments.centered_fourth_moment_slack(maps.VectorState(e1), a)
-        assert slack == pytest.approx(0.0, abs=1e-14)
+        passed, slack = moments.centered_fourth_moment(
+            maps.VectorState(e1), *moments.normal_spectrum(a), 1e-9)
+        assert passed and slack == pytest.approx(0.0, abs=1e-14)
 
 
 class TestScalarOracles:
