@@ -256,10 +256,8 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
         weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
-        acc = np.zeros((r + 1, r + 1))
-        for lam_j, w in zip(spectrum.eigenvalues, weights):
-            v = np.array([lam_j ** k for k in range(r + 1)])
-            acc += w * np.outer(v, v)
+        v = spectrum.eigenvalues[:, np.newaxis] ** np.arange(r + 1)
+        acc = (v.T * weights) @ v  # sum_j w_j v_j v_j^T
         err = float(np.max(np.abs(acc - hank.real)))
         scale = _max_entry(acc, hank.real)
         records.append(_identity_record("tensor_reconstruction", inst.seed,

@@ -145,9 +145,10 @@ def _matrix_from_csv(text: str, path: str) -> np.ndarray:
         raise ValueError(f"{path}: empty matrix file")
     rows = []
     for i, line in enumerate(lines):
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            rows.append([float(c) for c in cells])
+        try:  # float() strips each cell, but would read 1_0 as 10
+            if "_" in line:
+                raise ValueError
+            rows.append([float(c) for c in line.split(",")])
         except ValueError:
             raise ValueError(f"{path}: row {i + 1} has a non-numeric cell") from None
     width = len(rows[0])

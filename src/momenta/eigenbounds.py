@@ -4,6 +4,9 @@ Given a Hermitian matrix ``A`` and a positive unital linear functional
 ``phi``, the centered matrix ``B = A - phi(A) I`` has moments
 ``b_k = phi(B^k)``: those of the spectral measure ``sum_j w_j delta(x_j)``
 with atoms ``x_j = lambda_j - phi(A)`` and weights ``w_j = phi(v_j v_j*)``.
+Under the normalized trace every weight is ``1/n`` whatever the orthonormal
+basis, so that measure is read from an eigenvalues-only solve; any other
+functional weighs the eigenvectors of the full solve.
 The shifted 3x3 Hankel matrix of ``B`` is positive semidefinite when the
 shift sits at an extreme centered eigenvalue, and its determinant is
 ``gamma`` times a monic cubic
@@ -47,7 +50,7 @@ import numpy as np
 from .errors import ShapeError
 from .linalg import (binary_scaled, frobenius, hermitian_eig, require_finite,
                      symmetrize)
-from .maps import PositiveUnitalMap
+from .maps import NormalizedTrace, PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
 #: ``|gamma| / b2^3 = (e2 / e1)^2``, this bounds that ratio by 1e-10.
@@ -70,17 +73,20 @@ def _spectral_measure(functional: PositiveUnitalMap,
     """Eigenvalues, weights ``phi(v_j v_j*)`` and validated matrix of ``A``."""
     if not functional.is_functional:
         raise ShapeError("central moments need a functional (1x1 codomain)")
-    spectrum = hermitian_eig(a)
+    # the trace weighs every unit vector 1/n: the standard basis will do
+    trace = isinstance(functional, NormalizedTrace)
+    spectrum = hermitian_eig(symmetrize(a) if trace else a, vectors=not trace)
+    basis = np.eye(len(spectrum.matrix)) if trace else spectrum.eigenvectors
     return (spectrum.eigenvalues,
-            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
-            spectrum.matrix)
+            functional.rank_one_images(basis).real.ravel(), spectrum.matrix)
 
 
 def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
     """Central moments ``phi((A - phi(A) I)^k)``, k = 2..5, spectrally.
 
     The functional's weights on the eigenprojections of ``A`` are computed
-    once and the centered powers are averaged against them.
+    once and the centered powers are averaged against them (``1/n`` under
+    the normalized trace, from an eigenvalues-only solve).
     """
     lam, weights, _ = _spectral_measure(functional, a)
     with np.errstate(over="ignore", invalid="ignore"):

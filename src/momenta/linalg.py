@@ -20,7 +20,9 @@ only asks for no vectors (``vectors=False``): the same routine then runs
 with ``jobz='N'`` through ``numpy.linalg.eigvalsh``, which skips the
 eigenvector work. Every PSD verdict is such a solve, since it needs the
 minimum eigenvalue alone: :func:`is_psd` symmetrizes its input first, and
-``moments.psd_records`` solves the Hermitian part of each assembled block.
+``moments.psd_records`` solves each block as assembled, exactly Hermitian.
+So is the normalized trace's spectral measure in ``eigenbounds``, whose
+weights are ``1/n`` for any basis: it solves the symmetrized matrix.
 
 Every check of an instance reads the same spectrum of ``A``, so the full
 solve (``vectors=True``) is memoized: the last two distinct inputs, keyed on

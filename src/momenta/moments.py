@@ -243,8 +243,10 @@ def _images(pulm: PositiveUnitalMap, vectors, values, what: str):
 
 @dataclass(frozen=True)
 class BlockMatrixSpec:
-    """An assembled block matrix and the size of the operands it was
-    assembled from, the scale its PSD verdict is judged at."""
+    """An assembled block matrix, exactly Hermitian (each gathered chunk,
+    scalar-check block and normal block is the Hermitian part of what it
+    was formed from), and the size of the operands it was assembled from,
+    the scale its PSD verdict is judged at."""
 
     assembled: np.ndarray
     scale: float
@@ -339,7 +341,8 @@ def _assemble(table: MomentTable, r: int, family):
                      // (2 * table.blocks.itemsize * ((r + 1) * k) ** 2))
 
     def chunk(part):
-        assembled = _gather(np.stack([_sequence(T, terms) for terms in part]))
+        assembled = hermitian_part(
+            _gather(np.stack([_sequence(T, terms) for terms in part])))
         return map(BlockMatrixSpec, assembled,
                    [table.operand_scale(terms, r) for terms in part])
 
@@ -544,7 +547,7 @@ def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:
         grid = _images(pulm, u, (x.conj()[:, np.newaxis] * x).reshape(9, -1),
                        "normal-matrix moments")
         block = np.block([list(grid[p:p + 3]) for p in (0, 3, 6)])
-        return BlockMatrixSpec(block, frobenius(block))
+        return BlockMatrixSpec(hermitian_part(block), frobenius(block))
 
 
 @dataclass(frozen=True)
@@ -642,14 +645,13 @@ def psd_records(blocks, seed: int, tol: float,
                 prefix: str = "") -> list[CheckRecord]:
     """The PSD records of ``(check, block)`` pairs, named ``prefix + check``.
 
-    Each :class:`BlockMatrixSpec` is Hermitian by construction, so it is
-    not checked again: its rounding asymmetry is dropped by
-    :func:`~momenta.linalg.hermitian_part`, and the minimum eigenvalue of
-    that exactly Hermitian matrix (``hermitian_eig(..., vectors=False)``) is
-    the margin, judged by :func:`~momenta.linalg.passes` at
-    ``block.scale``. A block that is None, whose hypotheses fail, gives a
-    skip, and one whose scale overflowed a :class:`DomainError` before its
-    eigensolve. Every PSD verdict of the package is recorded here.
+    Each :class:`BlockMatrixSpec` is exactly Hermitian as built, so it is
+    neither checked nor copied again: the minimum eigenvalue of the block
+    itself (``hermitian_eig(..., vectors=False)``) is the margin, judged by
+    :func:`~momenta.linalg.passes` at ``block.scale``. A block that is
+    None, whose hypotheses fail, gives a skip, and one whose scale
+    overflowed a :class:`DomainError` before its eigensolve. Every PSD
+    verdict of the package is recorded here.
     """
     out = []
     for check, block in blocks:
@@ -659,7 +661,7 @@ def psd_records(blocks, seed: int, tol: float,
         if not math.isfinite(block.scale):
             raise DomainError(f"{prefix + check} operands overflow double "
                               f"precision; rescale the matrix")
-        lam = hermitian_eig(hermitian_part(block.assembled), vectors=False).min
+        lam = hermitian_eig(block.assembled, vectors=False).min
         out.append(record(prefix + check, seed,
                           passes(lam, block.scale, tol), lam))
     return out
@@ -723,22 +725,22 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
 
         rho = max(abs(m), abs(M))
         sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
-        blocks["kadison"] = BlockMatrixSpec(variance, 2.0 * sq)
+        blocks["kadison"] = BlockMatrixSpec(hermitian_part(variance), 2.0 * sq)
         half = (M - m) / 2.0
-        blocks["variance_range"] = BlockMatrixSpec(
-            half * half * eye - variance, half * half + 2.0 * sq)
-        blocks["variance_endpoints"] = BlockMatrixSpec(
-            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance,
+        blocks["variance_range"] = BlockMatrixSpec(hermitian_part(
+            half * half * eye - variance), half * half + 2.0 * sq)
+        blocks["variance_endpoints"] = BlockMatrixSpec(hermitian_part(
+            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance),
             (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
         # an overflow in an inverse gives a non-finite scale, which
         # psd_records rejects
         if m > 0.0:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 p1_inv = np.linalg.inv(p1)
                 size = frobenius(p1_inv)
-            blocks["inverse_moment"] = BlockMatrixSpec(
-                table.power(-1) - p1_inv, 1.0 / m + size)
+                blocks["inverse_moment"] = BlockMatrixSpec(
+                    hermitian_part(table.power(-1) - p1_inv), 1.0 / m + size)
 
         # a gap is inverted only if it stands clear of its own norm and of
         # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
@@ -749,8 +751,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
             with np.errstate(over="ignore", invalid="ignore"):
                 schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
                 size = frobenius(schur)
-            blocks["third_moment_lower"] = BlockMatrixSpec(
-                p3 - (m * p2 + schur), (rho + abs(m)) * sq + size)
+                blocks["third_moment_lower"] = BlockMatrixSpec(hermitian_part(
+                    p3 - (m * p2 + schur)), (rho + abs(m)) * sq + size)
 
         high_gap = M * eye - p1
         if (hermitian_eig(high_gap, vectors=False).min
@@ -759,8 +761,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
             with np.errstate(over="ignore", invalid="ignore"):
                 schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
                 size = frobenius(schur)
-            blocks["third_moment_upper"] = BlockMatrixSpec(
-                M * p2 - schur - p3, (rho + abs(M)) * sq + size)
+                blocks["third_moment_upper"] = BlockMatrixSpec(hermitian_part(
+                    M * p2 - schur - p3), (rho + abs(M)) * sq + size)
     results = psd_records(blocks.items(), 0, tol)
 
     if not pulm.is_functional or (spectrum is None and not is_normal(mat)):

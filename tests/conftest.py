@@ -75,8 +75,9 @@ def direct_log_blocks(pulm, a):
 
 def direct_normal_block(pulm, a):
     """The normal-matrix block of ``A`` by the direct route: each image one
-    ``apply`` on a multiplied product of ``A`` and ``A*``, judged at its own
-    Frobenius norm. An oracle for ``moments.build_normal_block``."""
+    ``apply`` on a multiplied product of ``A`` and ``A*``, Hermitian part
+    taken, judged at the Frobenius norm of the products. An oracle for
+    ``moments.build_normal_block``."""
     m = np.asarray(a, dtype=np.complex128)
     ms = m.conj().T
     square = pulm.apply(ms @ m)  # at (0, 2) and (2, 0)
@@ -85,7 +86,19 @@ def direct_normal_block(pulm, a):
         [pulm.apply(ms), pulm.apply(m @ ms), pulm.apply(ms @ ms @ m)],
         [square, pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
     ])
-    return moments.BlockMatrixSpec(block, linalg.frobenius(block))
+    return moments.BlockMatrixSpec(linalg.hermitian_part(block),
+                                   linalg.frobenius(block))
+
+
+def full_solve_measure(functional, a):
+    """Eigenvalues, weights ``phi(v_j v_j*)`` and validated matrix of ``A``
+    from its full solve, eigenvectors and all: an oracle for the
+    eigenvalues-only measure of the normalized trace in
+    ``eigenbounds._spectral_measure``."""
+    spectrum = linalg.hermitian_eig(a)
+    return (spectrum.eigenvalues,
+            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
+            spectrum.matrix)
 
 
 def direct_centered_fourth_moment(functional, a):

@@ -21,12 +21,15 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
   input, and ``--out`` into a missing directory), four malformed ``--map``
   values and three malformed ``--n-range`` values: 19 runs.
 
-It prints one tab-separated line per run: the argv, the exit code, and the
-sha256 of stdout, of stderr and of the JSON report. Every path is relative
-to the temporary directory, so two checkouts print the same lines exactly
-when their runs give the same bytes; diff the two outputs to check a change
-that should alter none. It exits 1 if a run raises a numpy warning. pytest
-does not collect it; run it from the repository root as
+It prints one tab-separated line per run: the argv, the exit code, the
+sha256 of stdout, of stderr and of the JSON report, and the sha256 of the
+report's verdicts: its ``(check, seed, passed)`` triples and its summary
+counts, without margins. Every path is relative to the temporary directory,
+so two checkouts print the same lines exactly when their runs give the same
+bytes; diff the two outputs to check a change that should alter none. A
+change that moves margins only, by rounding, keeps the verdict digests. It
+exits 1 if a run raises a numpy warning. pytest does not collect it; run it
+from the repository root as
 
     PYTHONPATH=src python tests/equivalence_runs.py > runs.txt
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -70,8 +74,22 @@ def run(argv: list[str], report: str) -> tuple[str, int]:
     data = Path(report).read_bytes() if os.path.exists(report) else b""
     line = "\t".join([" ".join(argv), str(code),
                       _digest(out.getvalue().encode()),
-                      _digest(err.getvalue().encode()), _digest(data)])
+                      _digest(err.getvalue().encode()), _digest(data),
+                      _digest(_verdicts(data))])
     return line, len(caught)
+
+
+def _verdicts(data: bytes) -> bytes:
+    """A report's ``(check, seed, passed)`` triples and summary counts, as
+    JSON; empty for no report."""
+    if not data:
+        return b""
+    report = json.loads(data)
+    summary = report["summary"]
+    return json.dumps([[[r["check"], r["seed"], r["passed"]]
+                        for r in report["records"]],
+                       [summary[k] for k in ("total", "passed", "skipped")]
+                       ]).encode()
 
 
 def runs():

@@ -52,6 +52,32 @@ def test_oracle_suite_has_no_failures():
             assert rec.passed is not False, (rec.check, rec.seed, rec.margin)
 
 
+def test_tensor_reconstruction_equals_its_loop():
+    # the per-eigenvalue outer-product loop the suite's one product
+    # replaced: the same sum in another order, so equal to rounding
+    checked = 0
+    for inst in campaign.corpus(60, seed=6):
+        if not inst.pulm.is_functional:
+            continue
+        spectrum = linalg.hermitian_eig(inst.matrix)
+        weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
+        acc = np.zeros((inst.r + 1, inst.r + 1))
+        for lam_j, w in zip(spectrum.eigenvalues, weights):
+            v = np.array([lam_j ** k for k in range(inst.r + 1)])
+            acc += w * np.outer(v, v)
+        hank = moments.build_block(
+            "hankel", moments.moment_table(inst.pulm, inst.matrix, 0,
+                                           2 * inst.r + 2), inst.r).assembled
+        err = float(np.max(np.abs(acc - hank.real)))
+        scale = max(float(np.max(np.abs(acc))), float(np.max(np.abs(hank))))
+        rec, = (r for r in campaign.oracle_suite(inst)
+                if r.check == "tensor_reconstruction")
+        assert abs(rec.margin - (campaign.TENSOR_RTOL * scale - err)) <= (
+            1e-14 * scale)
+        checked += 1
+    assert checked >= 10
+
+
 def _file_instance(matrix, pulm):
     n = matrix.shape[0]
     return campaign.Instance(seed=0, n=n, r=3, kind="file",
@@ -403,6 +429,40 @@ def test_single_matrix_records_near_identity_runs_centered_checks(c):
     centered = [r for r in records if r.check.startswith("centered_")]
     assert len(centered) == 3
     assert all(r.passed is True for r in centered)
+
+
+#: Every PSD check of the two corpora, each a block of the package.
+BLOCK_CHECKS = (
+    {f"psd_{kind}" for kind in moments.BLOCK_KINDS}
+    | {"centered_lower_shift", "centered_upper_shift", "refinement_chain_outer",
+       "refinement_chain_inner", "log_deficit", "log_endpoint_upper",
+       "log_endpoint_lower", "normal_block"}
+    | set(moments._HERMITIAN_SCALAR_CHECKS))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_every_block_is_exactly_hermitian(c, monkeypatch):
+    # psd_records solves each block as it is given, reading one triangle
+    seen = set()
+    records = moments.psd_records
+
+    def checking(blocks, seed, tol, prefix=""):
+        blocks = list(blocks)
+        for check, block in blocks:
+            if block is not None:
+                b = block.assembled
+                assert np.array_equal(b, b.conj().T), (prefix + check, seed)
+                seen.add(prefix + check)
+        return records(blocks, seed, tol, prefix)
+
+    monkeypatch.setattr(moments, "psd_records", checking)
+    monkeypatch.setattr(campaign, "psd_records", checking)
+    for inst in campaign.corpus(200, 42):
+        campaign.instance_records(dataclasses.replace(
+            inst, matrix=c * inst.matrix, matrix_pd=c * inst.matrix_pd))
+    for seed, a, pulm in campaign.normal_corpus(200, 42):
+        campaign.normal_suite(seed, c * a, pulm)
+    assert seen == BLOCK_CHECKS
 
 
 def test_records_carry_reproducible_seeds():

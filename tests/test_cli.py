@@ -104,6 +104,76 @@ class TestParseMatrix:
         np.testing.assert_array_equal(m, np.array([[0, 1j], [-1j, 0]]))
 
 
+#: Malformed matrix files and their exact error messages, ``{}`` the path.
+MALFORMED = {
+    "": "{}: empty matrix file",
+    " \n\t\n": "{}: empty matrix file",
+    "1,x\n2,3\n": "{}: row 1 has a non-numeric cell",
+    "1,2\n\n2,\n": "{}: row 2 has a non-numeric cell",
+    "1_0,2\n2,3\n": "{}: row 1 has a non-numeric cell",
+    "1,2\n2, 3_0\n": "{}: row 2 has a non-numeric cell",
+    "1,2\n3\n": "{}: row 2 has 1 columns, row 1 has 2",
+    "1,2,3\n4,5,6\n": "{}: matrix is not square (2 rows x 3 columns)",
+    "1,inf\ninf,1\n": "{}: matrix contains non-finite entries",
+    '{"rows":1}': "{}: expected keys rows, cols, entries",
+    '{"rows":1.5,"cols":1.5,"entries":[[2,0]]}':
+        "{}: rows and cols must be JSON integers",
+    '{"rows":0,"cols":0,"entries":[]}':
+        "{}: rows and cols must be at least 1",
+    '{"rows":2,"cols":3,"entries":[]}': "{}: matrix is not square (2x3)",
+    '{"rows":1,"cols":1,"entries":[[{},0]]}':
+        "{}: entries must be [re, im] number pairs",
+    '{"rows":1,"cols":1,"entries":[[null,0]]}':
+        "{}: matrix contains non-finite entries",
+    '{"rows":2,"cols":2,"entries":[[1,0]]}':
+        "{}: expected 4 [re, im] entries, found an array of shape (1, 2)",
+    '{"rows":1,"cols":1,"entries":[[1e999,0]]}':
+        "{}: matrix contains non-finite entries",
+}
+
+
+class TestIngest:
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_file_message(self, tmp_path, text):
+        path = write(tmp_path, "bad.txt", text)
+        with pytest.raises(ValueError) as caught:
+            cli.parse_matrix(path)
+        assert str(caught.value) == MALFORMED[text].format(path)
+
+    def test_malformed_json_message(self, tmp_path):
+        path = write(tmp_path, "bad.json", "{not json")
+        with pytest.raises(ValueError) as caught:
+            cli.parse_matrix(path)
+        with pytest.raises(json.JSONDecodeError) as reason:
+            json.loads("{not json")
+        assert str(caught.value) == f"{path}: malformed JSON ({reason.value})"
+
+    def test_bounds_rejects_an_underscore_in_a_cell(self, tmp_path, capsys):
+        # float() reads 1_0 as 10
+        path = write(tmp_path, "m.csv", "2,1_0\n1_0,3\n")
+        assert cli.main(["bounds", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 1 has a non-numeric cell\n")
+
+    def test_csv_is_one_float_per_cell(self, tmp_path):
+        # a byte order mark, blank lines, CRLF line ends and padded cells
+        rng = np.random.default_rng(5)
+        cells = [[format(x, ".17g") for x in row]
+                 for row in rng.standard_normal((4, 4)) * 1e3]
+        pads = [" ", "\t", "  \t ", ""]
+        lines = [",".join(pads[(i + j) % 4] + c + pads[(i * j) % 4]
+                          for j, c in enumerate(row))
+                 for i, row in enumerate(cells)]
+        text = "\r\n\r\n".join(lines[:2]) + "\n \n" + "\r\n".join(lines[2:])
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (text + "\r\n").encode())
+        expected = np.array([[float(c) for c in row] for row in cells],
+                            dtype=np.complex128)
+        got = cli.parse_matrix(str(path))
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestByteOrderMark:
     """A UTF-8 byte order mark, which some editors write, is not content."""
 

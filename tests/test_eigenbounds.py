@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta import eigenbounds, linalg, maps
+from momenta import campaign, eigenbounds, linalg, maps
 from momenta.errors import DomainError, ShapeError
 
-from conftest import EXAMPLE_3X3
+from conftest import EXAMPLE_3X3, full_solve_measure
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -26,6 +26,18 @@ def brute_central_moments(eigenvalues, weights=None):
         b2=float(w @ c ** 2), b3=float(w @ c ** 3),
         b4=float(w @ c ** 4), b5=float(w @ c ** 5),
     )
+
+
+def two_atom_matrices(c):
+    """``(seed, A)``: ten seeded matrices of dimension 3..7 whose spectra
+    have two atoms, scaled by ``c``."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+        n = int(rng.integers(3, 8))
+        n_lo = int(rng.integers(1, n))
+        yield seed, linalg.hermitian_with_spectrum(
+            c * np.array([lo] * n_lo + [hi] * (n - n_lo)), seed)
 
 
 class TestCentralMoments:
@@ -309,13 +321,8 @@ class TestSpectralBounds:
 
     @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_two_atoms_flagged_at_every_scale(self, c):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
-            n = int(rng.integers(3, 8))
-            n_lo = int(rng.integers(1, n))
-            spectrum = c * np.array([lo] * n_lo + [hi] * (n - n_lo))
-            a = linalg.hermitian_with_spectrum(spectrum, seed)
+        for seed, a in two_atom_matrices(c):
+            n = len(a)
             for functional in (maps.NormalizedTrace(n),
                                maps.random_map("vector_state", n, seed=seed)):
                 report = eigenbounds.spectral_bounds(functional, a)
@@ -421,3 +428,90 @@ class TestSpectralBounds:
                 continue
             assert lam[0] <= report.lambda_min_upper + 1e-8
             assert lam[-1] >= report.lambda_max_lower - 1e-8
+
+
+def requests(monkeypatch):
+    """The ``vectors`` flag of every ``hermitian_eig`` request that
+    ``eigenbounds`` makes, in order."""
+    flags = []
+    solve = linalg.hermitian_eig
+
+    def counting(a, vectors=True):
+        flags.append(vectors)
+        return solve(a, vectors)
+
+    monkeypatch.setattr(eigenbounds, "hermitian_eig", counting)
+    return flags
+
+
+class TestTraceMeasure:
+    """Under the normalized trace, the measure is read from the eigenvalues
+    alone; every other functional weighs its eigenvectors."""
+
+    SOLVES = [eigenbounds.spectral_bounds, eigenbounds.central_moments]
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_trace_solves_for_eigenvalues_only(self, solve, monkeypatch):
+        flags = requests(monkeypatch)
+        linalg._eigh.cache_clear()
+
+        def no_eigh(h):
+            raise AssertionError("numpy.linalg.eigh was called")
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", no_eigh)
+        solve(maps.NormalizedTrace(6), linalg.random_hermitian(6, 1))
+        assert flags == [False]
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_vector_state_keeps_one_full_solve(self, solve, monkeypatch,
+                                               eigh_inputs):
+        flags = requests(monkeypatch)
+        solve(maps.random_map("vector_state", 6, seed=2),
+              linalg.random_hermitian(6, 1))
+        assert flags == [True] and len(eigh_inputs) == 1
+
+    def test_weights_are_one_over_n(self):
+        for n in (1, 3, 7, 80):
+            _, weights, _ = eigenbounds._spectral_measure(
+                maps.NormalizedTrace(n), linalg.random_hermitian(n, n))
+            assert weights.tobytes() == np.full(n, 1.0 / n).tobytes()
+
+    def test_a_trace_of_another_dimension_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            eigenbounds.spectral_bounds(maps.NormalizedTrace(4),
+                                        linalg.random_hermitian(5, 1))
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_agrees_with_the_full_solve_measure(self, c, monkeypatch):
+        cases = [(maps.NormalizedTrace(inst.n), c * inst.matrix)
+                 for inst in campaign.corpus(200, 42)]
+        cases += [(maps.NormalizedTrace(len(a)), a)
+                  for _, a in two_atom_matrices(c)]
+        cases += [(TR3, c * np.diag([1.0, 2.0, 4.0])), (TR3, c * EXAMPLE_3X3)]
+        got = [(eigenbounds.spectral_bounds(f, a),
+                eigenbounds.central_moments(f, a)) for f, a in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(eigenbounds, "_spectral_measure", full_solve_measure)
+            expected = [(eigenbounds.spectral_bounds(f, a),
+                         eigenbounds.central_moments(f, a)) for f, a in cases]
+        flagged = 0
+        for (f, a), (report, cm), (oracle, oracle_cm) in zip(cases, got,
+                                                             expected):
+            rho = np.max(np.abs(linalg.hermitian_eig(a).eigenvalues))
+            assert report.degenerate is oracle.degenerate
+            flagged += report.degenerate
+            assert (report.ws_min_upper, report.ws_max_lower) == (
+                oracle.ws_min_upper, oracle.ws_max_lower)
+            assert abs(report.mean - oracle.mean) <= 1e-13 * rho
+            for k in range(2, 6):
+                assert (abs(getattr(cm, f"b{k}") - getattr(oracle_cm, f"b{k}"))
+                        <= 1e-13 * rho ** k)
+            if not report.degenerate:
+                assert abs(report.lambda_min_upper
+                           - oracle.lambda_min_upper) <= 1e-13 * rho
+                assert abs(report.lambda_max_lower
+                           - oracle.lambda_max_lower) <= 1e-13 * rho
+                assert np.max(np.abs(np.subtract(report.roots, oracle.roots))
+                              ) <= 1e-13 * rho
+        # the two-atom cases and the two-by-two corpus matrices
+        assert flagged >= 10
