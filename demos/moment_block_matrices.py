@@ -5,20 +5,23 @@ For any positive unital linear map Phi and Hermitian A with spectrum in
 weighted variants: multiplying the underlying measure by (x - m), (M - x),
 their product, an eigenvalue-gap quadratic, or 1/x (for positive definite
 A) keeps it positive. This script assembles each variant and prints the
-margin (smallest eigenvalue) reported by the PSD test.
+margin (smallest eigenvalue) and the verdict of psd_records, which judges
+each block at the size of the operands it was assembled from, as every
+check of the package does.
 """
 
 import numpy as np
 
 from momenta import (
     BLOCK_KINDS,
+    DEFAULT_PSD_TOL,
     build_block,
     build_blocks,
     build_refinement_chain,
     hermitian_eig,
     hermitian_with_spectrum,
-    is_psd,
     moment_table,
+    psd_records,
     random_map,
 )
 
@@ -36,15 +39,13 @@ r = 3
 # adjacent distinct eigenvalue pairs, which build_blocks forms from A's
 # eigenvalues
 lam = hermitian_eig(A).eigenvalues
-for kind in BLOCK_KINDS:
-    if kind == "gap_product":
-        _, block = next(build_blocks(table, r, eigenvalues=lam))
-    else:
-        block = build_block(kind, table, r)
-    verdict = is_psd(block.assembled)
-    print(f"  {kind:18s} {block.assembled.shape[0]:2d}x{block.assembled.shape[0]:<2d}"
-          f" min eigenvalue {verdict.min_eigenvalue:+.3e}"
-          f"  {'PSD' if verdict.passed else 'NOT PSD'}")
+blocks = [next(build_blocks(table, r, eigenvalues=lam))
+          if kind == "gap_product" else (kind, build_block(kind, table, r))
+          for kind in BLOCK_KINDS]
+for (kind, block), rec in zip(blocks, psd_records(blocks, 0, DEFAULT_PSD_TOL)):
+    size = block.assembled.shape[0]
+    print(f"  {kind:18s} {size:2d}x{size:<2d} min eigenvalue {rec.margin:+.3e}"
+          f"  {'PSD' if rec.passed else 'NOT PSD'}")
 
 # The lower and upper shifted blocks are two halves of one identity.
 low = build_block("lower_shift", table, r).assembled
@@ -57,11 +58,12 @@ print(f"\nlower + upper shifts vs (M - m) * Hankel: max entry gap {gap:.2e}")
 # which is itself PSD. The chain gives both checked blocks, each with the
 # size of its operands as the scale to judge it at.
 print("refinement chain:")
-for name, block in zip(("outer - inner", "inner"),
-                       build_refinement_chain(table)):
-    verdict = is_psd(block.assembled, scale=block.scale)
-    print(f"  {name + ':':14s} min eigenvalue {verdict.min_eigenvalue:+.3e}"
-          f"  {'PSD' if verdict.passed else 'NOT PSD'}")
+chain = zip(("refinement_chain_outer", "refinement_chain_inner"),
+            build_refinement_chain(table))
+for name, rec in zip(("outer - inner", "inner"),
+                     psd_records(chain, 0, DEFAULT_PSD_TOL)):
+    print(f"  {name + ':':14s} min eigenvalue {rec.margin:+.3e}"
+          f"  {'PSD' if rec.passed else 'NOT PSD'}")
 
 # Each power in the table is one spectral contraction, the sum over the
 # eigenpairs of lambda_j^k Phi(v_j v_j*). Applying the map to explicitly

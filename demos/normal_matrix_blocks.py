@@ -13,11 +13,12 @@ B = A - phi(A) I.
 import numpy as np
 
 from momenta import (
+    DEFAULT_PSD_TOL,
     NormalizedTrace,
     build_normal_block,
     centered_fourth_moment,
-    is_psd,
     normal_spectrum,
+    psd_records,
     random_map,
     random_normal_matrix,
 )
@@ -25,10 +26,11 @@ from momenta import (
 # A rotation-like spectrum: conjugate pair on the imaginary axis.
 z, u = normal_spectrum(np.diag([1j, -1j]))
 print("eigenvalues of diag(i, -i):", z)
-block = build_normal_block(NormalizedTrace(2), z, u).assembled
+block = build_normal_block(NormalizedTrace(2), z, u)
 print("conjugate-pair spectrum {i, -i} under the normalized trace:")
-print(block.real)
-print("min eigenvalue:", is_psd(block).min_eigenvalue)
+print(block.assembled.real)
+(rec,) = psd_records([("normal_block", block)], 0, DEFAULT_PSD_TOL)
+print("min eigenvalue:", rec.margin)
 
 # Random normal matrices under compressions and vector states.
 print("\nrandom normal matrices:")
@@ -37,11 +39,12 @@ for seed in range(5):
     z, u = normal_spectrum(random_normal_matrix(n, seed=seed))
     compression = random_map("compression", n, k=2, seed=seed + 10)
     state = random_map("vector_state", n, seed=seed + 20)
-    block = build_normal_block(compression, z, u)
-    v = is_psd(block.assembled, scale=block.scale)
+    (rec,) = psd_records([("normal_block",
+                           build_normal_block(compression, z, u))],
+                         seed, DEFAULT_PSD_TOL)
     _, slack = centered_fourth_moment(state, z, u, tol=1e-9)
-    print(f"  n={n} seed={seed}: block margin {v.min_eigenvalue:+.3e} "
-          f"({'PSD' if v.passed else 'NOT PSD'}), "
+    print(f"  n={n} seed={seed}: block margin {rec.margin:+.3e} "
+          f"({'PSD' if rec.passed else 'NOT PSD'}), "
           f"fourth-moment slack {slack:+.3e}")
 
 # The fourth-moment bound is tight for a centered two-point spectrum.

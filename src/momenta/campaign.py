@@ -302,14 +302,15 @@ def bounds_suite(inst: Instance) -> list[CheckRecord]:
 
 def normal_suite(seed: int, matrix: np.ndarray, pulm: PositiveUnitalMap,
                  tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
-    """Normal-matrix block and centered fourth-moment checks."""
+    """Centered fourth moment (of a functional), then normal block, from one
+    ``normal_spectrum``: where both overflow, the former's error is raised."""
     z, u = moments.normal_spectrum(matrix)
-    records = psd_records(
-        [("normal_block", moments.build_normal_block(pulm, z, u))], seed, tol)
+    records = []
     if pulm.is_functional:
         records.append(record("centered_fourth_moment", seed,
                               *moments.centered_fourth_moment(pulm, z, u, tol)))
-    return records
+    return records + psd_records(
+        [("normal_block", moments.build_normal_block(pulm, z, u))], seed, tol)
 
 
 def instance_records(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
@@ -337,27 +338,27 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
     """File-mode verification: run every applicable check on one matrix.
 
     Hermitian input is one instance of :func:`instance_records`, its own
-    positive definite variant when it is positive definite; normal input
-    gets the scalar checks; both get the normal-matrix block. Checks whose
-    hypotheses fail for the given matrix are recorded as skipped, never as
-    failures.
+    positive definite variant when it is positive definite, and the normal
+    block of its solve; normal input is :func:`normal_suite`, with every
+    other scalar check skipped. Checks whose hypotheses fail for the given
+    matrix are recorded as skipped, never as failures.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if is_hermitian(m):
         m = hermitian_part(m)
         spectrum = hermitian_eig(m)
-        z, u = spectrum.eigenvalues, spectrum.eigenvectors
         records = instance_records(Instance(
             seed=seed, n=m.shape[0], r=r_max, kind="file", matrix=m,
             matrix_pd=m if spectrum.min > 0.0 else None, pulm=pulm), tol)
-    elif moments.is_normal(m):
-        # scalar_checks covers the centered fourth moment
-        records = _restamp(moments.scalar_checks(pulm, m, tol=tol), seed, "")
-        z, u = moments.normal_spectrum(m)
-    else:
-        # Neither Hermitian nor normal: nothing in the catalog applies.
-        return [skip_record(check, seed)
-                for check in ("psd_hankel", "normal_block", "kadison",
-                              "centered_fourth_moment")]
-    return records + psd_records(
-        [("normal_block", moments.build_normal_block(pulm, z, u))], seed, tol)
+        block = moments.build_normal_block(pulm, spectrum.eigenvalues,
+                                           spectrum.eigenvectors)
+        return records + psd_records([("normal_block", block)], seed, tol)
+    if moments.is_normal(m):
+        skipped = moments.HERMITIAN_SCALAR_CHECKS + (
+            () if pulm.is_functional else ("centered_fourth_moment",))
+        return ([skip_record(check, seed) for check in skipped]
+                + normal_suite(seed, m, pulm, tol))
+    # Neither Hermitian nor normal: nothing in the catalog applies.
+    return [skip_record(check, seed)
+            for check in ("psd_hankel", "normal_block", "kadison",
+                          "centered_fourth_moment")]

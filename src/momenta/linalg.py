@@ -276,7 +276,8 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL,
     operands the matrix was computed from, the scale :func:`passes` judges
     it at; by default the matrix's own Frobenius norm, right for a matrix
     that is not a cancelling difference. :func:`passes` rejects a ``tol``
-    that is not positive and finite.
+    that is not positive and finite. The package's own verdicts come from
+    ``moments.psd_records``, at the operand scale of each block it builds.
     """
     h = symmetrize(m)
     spectrum = hermitian_eig(h, vectors=False)

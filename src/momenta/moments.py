@@ -5,11 +5,11 @@ Hermitian matrix over a contiguous range of exponents (possibly starting at
 -1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
 with the extreme eigenvalues ``m`` and ``M`` of ``A``. Every image
 ``Phi(f(A))`` is one contraction of ``f`` at the eigenvalues with the images
-of the eigenprojections: of a Hermitian ``A`` (:func:`spectral_images`), and
-of a normal ``A = U diag(z) U*`` (:func:`normal_spectrum`) in the normal
-block and the centered fourth moment. From such a table,
-:func:`build_blocks` assembles the family of block matrices whose positive
-semidefiniteness this package verifies:
+of the eigenprojections of ``A``'s one solve: of a Hermitian ``A``
+(:func:`spectral_images`), whose shift ``A - phi(A) I`` has the same ones,
+and of a normal ``A = U diag(z) U*`` (:func:`normal_spectrum`). From such a
+table, :func:`build_blocks` assembles the family of block matrices whose
+positive semidefiniteness this package verifies:
 
 ==================  block (i, j), indices 1-based over 1..r+1
 hankel              Phi(A^{i+j-2})
@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from .linalg import (
     frobenius,
     hermitian_eig,
     hermitian_part,
-    is_hermitian,
     passes,
     require_finite,
 )
@@ -200,21 +199,25 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
         raise DomainError(f"k_min must be -1 or 0, got {k_min}")
     if k_max < k_min:
         raise DomainError(f"k_max {k_max} below k_min {k_min}")
-    return _table(pulm, hermitian_eig(a), k_min, k_max)
+    spectrum = hermitian_eig(a)
+    return _table(pulm, spectrum.eigenvalues, spectrum.eigenvectors, k_min,
+                  k_max)
 
 
-def _table(pulm: PositiveUnitalMap, spectrum, k_min: int,
-           k_max: int) -> MomentTable:
-    """The moment table of :func:`moment_table` from the spectrum of ``A``."""
-    if k_min == -1 and spectrum.min <= 0.0:
+def _table(pulm: PositiveUnitalMap, eigenvalues: np.ndarray,
+           eigenvectors: np.ndarray, k_min: int, k_max: int) -> MomentTable:
+    """The moment table of :func:`moment_table` from ascending ``eigenvalues``
+    and their ``eigenvectors``; ``[m, M]`` are the first and the last."""
+    m, M = float(eigenvalues[0]), float(eigenvalues[-1])
+    if k_min == -1 and m <= 0.0:
         raise DomainError(f"inverse moments need a positive definite matrix "
-                          f"(min eigenvalue {spectrum.min:.3e})")
+                          f"(min eigenvalue {m:.3e})")
     powers = np.arange(k_min, k_max + 1)
-    with np.errstate(over="ignore"):  # spectral_images rejects the overflow
-        values = spectrum.eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
-    return MomentTable(k_min=k_min, k_max=k_max,
-                       blocks=spectral_images(pulm, spectrum, values),
-                       m=spectrum.min, M=spectrum.max)
+    with np.errstate(over="ignore"):  # _images rejects the overflow
+        values = eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
+    blocks = hermitian_part(_images(pulm, eigenvectors, values,
+                                    "moment powers"))
+    return MomentTable(k_min=k_min, k_max=k_max, blocks=blocks, m=m, M=M)
 
 
 def spectral_images(pulm: PositiveUnitalMap, spectrum,
@@ -402,20 +405,18 @@ def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
     """The :func:`build_blocks` pairs of the order-``r`` ``lower_shift`` and
     ``upper_shift`` blocks of ``A - phi(A) I`` under a functional ``phi``.
 
-    The table's ``[m, M]``, which sizes both blocks, is the centered
-    spectrum taken from ``A``'s own eigenvalues, as the other checks on
-    ``A`` see them, rather than from the eigensolve of the centered matrix;
-    the two differ by rounding.
+    ``A - phi(A) I`` has ``A``'s eigenvectors and the eigenvalues
+    ``lambda_j - phi(A)``, so its table is contracted from ``A``'s one solve
+    at those shifted eigenvalues; the table's ``[m, M]``, which sizes both
+    blocks, is ``A``'s extreme eigenvalues less the mean.
     """
     if not functional.is_functional:
         raise ShapeError("centered blocks need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
-    lam = spectrum.eigenvalues
+    lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
     mean = float(spectral_images(functional, spectrum,
                                  lam[np.newaxis])[0, 0, 0].real)
-    centered = np.asarray(a) - mean * np.eye(lam.size)
-    table = replace(moment_table(functional, centered, 0, 2 * r + 2),
-                    m=float(lam[0] - mean), M=float(lam[-1] - mean))
+    table = _table(functional, lam - mean, vectors, 0, 2 * r + 2)
     return build_blocks(table, r, ("lower_shift", "upper_shift"))
 
 
@@ -620,9 +621,9 @@ CATALOG = {
 }
 
 #: Scalar checks that need Hermitian input, in the order they are emitted.
-_HERMITIAN_SCALAR_CHECKS = ("kadison", "variance_range", "variance_endpoints",
-                            "inverse_moment", "third_moment_lower",
-                            "third_moment_upper")
+HERMITIAN_SCALAR_CHECKS = ("kadison", "variance_range", "variance_endpoints",
+                           "inverse_moment", "third_moment_lower",
+                           "third_moment_upper")
 
 
 def record(check: str, seed: int, passed: bool | None,
@@ -694,80 +695,73 @@ def centered_fourth_moment(functional: PositiveUnitalMap, z, u,
 
 def scalar_checks(pulm: PositiveUnitalMap, a,
                   tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
-    """Run the non-block inequality checks on one matrix under one map.
+    """Run the non-block inequality checks on one Hermitian matrix.
 
-    For Hermitian input this covers the square-moment bound, the two
-    variance bounds against the spectrum ``[m, M]`` of ``A``, the inverse
-    moment bound (positive definite input), and the two Schur-complement
-    bounds on the third moment (which need ``Phi(A) - mI`` respectively
-    ``MI - Phi(A)`` to be safely invertible). For a functional it adds the
-    centered fourth-moment bound, which also covers normal non-Hermitian
-    input; all other checks are then reported as skipped. The records carry
-    seed 0; a seeded campaign restamps them with its instance seed.
+    They cover the square-moment bound, the two variance bounds against the
+    spectrum ``[m, M]`` of ``A``, the inverse moment bound (positive definite
+    input), the two Schur-complement bounds on the third moment (which need
+    ``Phi(A) - mI`` respectively ``MI - Phi(A)`` to be safely invertible),
+    and for a functional the centered fourth-moment bound. All read one
+    ``hermitian_eig(a)``, which rejects non-Hermitian input (a normal
+    matrix goes through ``campaign.normal_suite``). The records carry seed
+    0; a seeded campaign restamps them with its instance seed.
 
     Each verdict is judged at the size of the operands its slack is
     computed from: ``rho = max(|m|, |M|)`` bounds ``||Phi(A^k)||`` by
     ``rho^k``, and a check that inverts a gap adds the norm of the inverse
     or Schur term it forms.
     """
-    mat = as_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {mat.shape}")
-    blocks = dict.fromkeys(_HERMITIAN_SCALAR_CHECKS)
-    spectrum = None
-    if is_hermitian(mat):
-        spectrum = hermitian_eig(mat)
-        m, M = spectrum.min, spectrum.max
-        eye = np.eye(pulm.codomain_dim)
-        table = _table(pulm, spectrum, -1 if m > 0.0 else 0, 3)
-        p1, p2, p3 = table.powers(1, 3)
-        variance = p2 - p1 @ p1
+    spectrum = hermitian_eig(a)
+    lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    m, M = spectrum.min, spectrum.max
+    blocks = dict.fromkeys(HERMITIAN_SCALAR_CHECKS)
+    eye = np.eye(pulm.codomain_dim)
+    table = _table(pulm, lam, vectors, -1 if m > 0.0 else 0, 3)
+    p1, p2, p3 = table.powers(1, 3)
+    variance = p2 - p1 @ p1
 
-        rho = max(abs(m), abs(M))
-        sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
-        blocks["kadison"] = BlockMatrixSpec(hermitian_part(variance), 2.0 * sq)
-        half = (M - m) / 2.0
-        blocks["variance_range"] = BlockMatrixSpec(hermitian_part(
-            half * half * eye - variance), half * half + 2.0 * sq)
-        blocks["variance_endpoints"] = BlockMatrixSpec(hermitian_part(
-            hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance),
-            (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
+    rho = max(abs(m), abs(M))
+    sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
+    blocks["kadison"] = BlockMatrixSpec(hermitian_part(variance), 2.0 * sq)
+    half = (M - m) / 2.0
+    blocks["variance_range"] = BlockMatrixSpec(hermitian_part(
+        half * half * eye - variance), half * half + 2.0 * sq)
+    blocks["variance_endpoints"] = BlockMatrixSpec(hermitian_part(
+        hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance),
+        (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
-        # an overflow in an inverse gives a non-finite scale, which
-        # psd_records rejects
-        if m > 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p1_inv = np.linalg.inv(p1)
-                size = frobenius(p1_inv)
-                blocks["inverse_moment"] = BlockMatrixSpec(
-                    hermitian_part(table.power(-1) - p1_inv), 1.0 / m + size)
+    # an overflowing inverse gives a non-finite scale, which psd_records rejects
+    if m > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1_inv = np.linalg.inv(p1)
+            size = frobenius(p1_inv)
+            blocks["inverse_moment"] = BlockMatrixSpec(
+                hermitian_part(table.power(-1) - p1_inv), 1.0 / m + size)
 
-        # a gap is inverted only if it stands clear of its own norm and of
-        # the rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
-        low_gap = p1 - m * eye
-        if (hermitian_eig(low_gap, vectors=False).min
-                > 1e-6 * max(frobenius(low_gap), rho)):
-            x = p2 - m * p1
-            with np.errstate(over="ignore", invalid="ignore"):
-                schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-                size = frobenius(schur)
-                blocks["third_moment_lower"] = BlockMatrixSpec(hermitian_part(
-                    p3 - (m * p2 + schur)), (rho + abs(m)) * sq + size)
+    # a gap is inverted only if it stands clear of its own norm and of the
+    # rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
+    low_gap = p1 - m * eye
+    if (hermitian_eig(low_gap, vectors=False).min
+            > 1e-6 * max(frobenius(low_gap), rho)):
+        x = p2 - m * p1
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
+            size = frobenius(schur)
+            blocks["third_moment_lower"] = BlockMatrixSpec(hermitian_part(
+                p3 - (m * p2 + schur)), (rho + abs(m)) * sq + size)
 
-        high_gap = M * eye - p1
-        if (hermitian_eig(high_gap, vectors=False).min
-                > 1e-6 * max(frobenius(high_gap), rho)):
-            y = M * p1 - p2
-            with np.errstate(over="ignore", invalid="ignore"):
-                schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-                size = frobenius(schur)
-                blocks["third_moment_upper"] = BlockMatrixSpec(hermitian_part(
-                    M * p2 - schur - p3), (rho + abs(M)) * sq + size)
+    high_gap = M * eye - p1
+    if (hermitian_eig(high_gap, vectors=False).min
+            > 1e-6 * max(frobenius(high_gap), rho)):
+        y = M * p1 - p2
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
+            size = frobenius(schur)
+            blocks["third_moment_upper"] = BlockMatrixSpec(hermitian_part(
+                M * p2 - schur - p3), (rho + abs(M)) * sq + size)
     results = psd_records(blocks.items(), 0, tol)
 
-    if not pulm.is_functional or (spectrum is None and not is_normal(mat)):
+    if not pulm.is_functional:
         return results + [skip_record("centered_fourth_moment", 0)]
-    z, u = ((spectrum.eigenvalues, spectrum.eigenvectors)
-            if spectrum is not None else normal_spectrum(mat))
     return results + [record("centered_fourth_moment", 0,
-                             *centered_fourth_moment(pulm, z, u, tol))]
+                             *centered_fourth_moment(pulm, lam, vectors, tol))]

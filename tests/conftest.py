@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,25 @@ def direct_normal_block(pulm, a):
     ])
     return moments.BlockMatrixSpec(linalg.hermitian_part(block),
                                    linalg.frobenius(block))
+
+
+def centered_solve_blocks(functional, a, r):
+    """``(table, blocks)`` of the centered blocks of ``A`` from the
+    eigensolve of ``A - phi(A) I`` itself: its moment table, ``[m, M]``
+    replaced by ``A``'s extreme eigenvalues less the mean, and that table's
+    order-``r`` ``(kind, block)`` pairs. An oracle for
+    ``moments.build_centered_blocks``, which contracts ``A``'s own solve at
+    the shifted eigenvalues."""
+    spectrum = linalg.hermitian_eig(a)
+    lam = spectrum.eigenvalues
+    mean = float(moments.spectral_images(functional, spectrum,
+                                         lam[np.newaxis])[0, 0, 0].real)
+    centered = np.asarray(a) - mean * np.eye(lam.size)
+    table = dataclasses.replace(
+        moments.moment_table(functional, centered, 0, 2 * r + 2),
+        m=float(lam[0] - mean), M=float(lam[-1] - mean))
+    return table, list(moments.build_blocks(table, r, ("lower_shift",
+                                                       "upper_shift")))
 
 
 def full_solve_measure(functional, a):

@@ -1,4 +1,4 @@
-"""Digest of 237 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 239 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -11,7 +11,9 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
 - ``verify`` on the normal ``random_normal_matrix(6, 5)``, on a normal
   matrix with the clustered spectrum {1, 1, i, i, -1} and on the non-normal
   ``triu(random_hermitian(4, 7))`` under trace, ``compression:2`` and
-  vector-state: 9 runs;
+  vector-state: 9 runs; and on the normal ``random_normal_matrix(64, 5)``
+  under trace and ``compression:2``, where its joint eigensolve costs most:
+  2 runs;
 - ``moments --k-min -1`` on the four files of the second item: 4 runs;
 - the settings and error paths of the command line: the bare
   ``--map compression``, ``bounds`` under vector-state, ``verify --random``
@@ -121,6 +123,10 @@ def runs():
     for name in ("normal6.json", "triu4.json", "cluster5.json"):
         for spec in NORMAL_MAPS:
             yield ["verify", name, "--map", spec, "--out", REPORT], REPORT
+    Path("normal64.json").write_text(
+        cli.write_matrix_json(linalg.random_normal_matrix(64, 5)))
+    for spec in NORMAL_MAPS[:2]:
+        yield ["verify", "normal64.json", "--map", spec, "--out", REPORT], REPORT
     for name in files:
         yield ["moments", name, "--k-min", "-1", "--out", REPORT], REPORT
     for argv in (["verify", "h8.json", "--map", "compression"],

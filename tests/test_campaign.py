@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from momenta import campaign, cli, eigenbounds, linalg, maps, moments
+from momenta.errors import DomainError
 
 from conftest import ReflectedTrace
 
@@ -342,23 +343,45 @@ def test_single_matrix_records_normal_input():
     assert not any(r.passed is False for r in records)
 
 
+def test_a_normal_file_is_solved_once(monkeypatch):
+    # the centered fourth moment and the normal block come from one joint
+    # eigensolve, and the Hermitian scalar checks are skipped
+    calls = []
+    solve = moments.normal_spectrum
+    monkeypatch.setattr(moments, "normal_spectrum",
+                        lambda a: calls.append(a) or solve(a))
+    a = linalg.random_normal_matrix(6, 5)
+    records = campaign.single_matrix_records(a, maps.NormalizedTrace(6), 1)
+    assert len(calls) == 1
+    by_check = {r.check: r.passed for r in records}
+    assert by_check["normal_block"] is by_check["centered_fourth_moment"] is True
+    assert [by_check[c] for c in moments.HERMITIAN_SCALAR_CHECKS] == [None] * 6
+
+
+@pytest.mark.parametrize("c, spec", [(1e80, "trace"), (1e52, "vector-state")])
+def test_a_normal_file_names_the_fourth_moment_overflow_first(c, spec):
+    # the normal block overflows too; the fourth moment is computed first
+    a = c * np.diag([1j, -1j])
+    with pytest.raises(DomainError, match="^centered fourth moments overflow"):
+        campaign.single_matrix_records(a, cli.build_map(spec, 2, 3), 3)
+
+
 def test_single_matrix_records_unstructured_input_all_skipped():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])  # neither Hermitian nor normal
     records = campaign.single_matrix_records(a, maps.NormalizedTrace(2), seed=3)
     assert records and all(r.passed is None for r in records)
 
 
-@pytest.mark.parametrize("spec, solved", [("trace", 2), ("compression:4", 1)])
+@pytest.mark.parametrize("spec", ["trace", "compression:4"])
 def test_single_matrix_records_solves_each_distinct_input_once(
-        eigh_inputs, spec, solved):
-    # every suite reads A's spectrum, and a functional's centered checks
-    # that of A - phi(A) I; the memo solves each of them once
+        eigh_inputs, spec):
+    # every suite reads A's spectrum, a functional's centered checks
+    # included, which shift its eigenvalues: the memo solves A once
     a = linalg.hermitian_with_spectrum(np.linspace(0.5, 6.0, 12), 12)
     pulm = cli.build_map(spec, 12, 4)
     records = campaign.single_matrix_records(a, pulm, seed=4)
     assert not any(r.passed is False for r in records)
-    assert collections.Counter(eigh_inputs).most_common(1)[0][1] == 1
-    assert len(eigh_inputs) == solved
+    assert len(eigh_inputs) == 1
 
 
 @pytest.mark.parametrize("shift, pd", [(0.0, False), (4.0, True)])
@@ -437,7 +460,7 @@ BLOCK_CHECKS = (
     | {"centered_lower_shift", "centered_upper_shift", "refinement_chain_outer",
        "refinement_chain_inner", "log_deficit", "log_endpoint_upper",
        "log_endpoint_lower", "normal_block"}
-    | set(moments._HERMITIAN_SCALAR_CHECKS))
+    | set(moments.HERMITIAN_SCALAR_CHECKS))
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])

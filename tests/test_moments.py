@@ -11,8 +11,8 @@ from momenta import campaign, linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
-                      direct_centered_fourth_moment, direct_log_blocks,
-                      direct_normal_block, direct_powers)
+                      centered_solve_blocks, direct_centered_fourth_moment,
+                      direct_log_blocks, direct_normal_block, direct_powers)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -766,10 +766,12 @@ class TestOneRoute:
         # normal input skips the Hermitian checks, and a functional passes
         # its centered fourth moment
         normal = linalg.random_normal_matrix(4, 24)
-        *hermitian, fourth = moments.scalar_checks(pulm, normal)
-        assert [r.passed for r in hermitian] == [None] * 6
-        assert fourth.check == "centered_fourth_moment"
-        assert fourth.passed is (True if pulm.is_functional else None)
+        by_check = {r.check: r.passed
+                    for r in campaign.single_matrix_records(normal, pulm, 0)}
+        assert ([by_check[c] for c in moments.HERMITIAN_SCALAR_CHECKS]
+                == [None] * 6)
+        assert by_check["centered_fourth_moment"] is (
+            True if pulm.is_functional else None)
         moments.build_log_deficit_block(pulm, pd)
         moments.build_log_endpoint_blocks(pulm, pd)
         if pulm.is_functional:
@@ -791,7 +793,9 @@ class TestOneRoute:
         for seed in range(3):
             pulm = maps.random_map(kind, 6, k=3, seed=seed + 31)
             a = linalg.random_psd(6, seed + 32) + 0.5 * np.eye(6)
-            table = moments._table(pulm, linalg.hermitian_eig(a), -1, 3)
+            spectrum = linalg.hermitian_eig(a)
+            table = moments._table(pulm, spectrum.eigenvalues,
+                                   spectrum.eigenvectors, -1, 3)
             direct = direct_powers(pulm, a, -1, 3)
             for k in range(-1, 4):
                 assert (np.max(np.abs(table.power(k) - direct[k + 1]))
@@ -982,6 +986,48 @@ def reflected_centered_records(c, n, seed, r):
         "centered_")
 
 
+def centered_inputs():
+    """``(functional, A, r)`` of the functional instances of the corpus and
+    of the :class:`ReflectedState` controls of
+    :func:`reflected_centered_records`."""
+    for inst in campaign.corpus(200, 42):
+        if inst.pulm.is_functional:
+            yield inst.pulm, inst.matrix, inst.r
+    for n in range(3, 7):
+        for seed in range(1, 40):
+            for r in (1, 2):
+                yield ReflectedState(n), linalg.random_hermitian(n, seed), r
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_centered_blocks_match_the_centered_solve(c, monkeypatch):
+    # A - phi(A) I has A's eigenvectors: contracting A's one solve at the
+    # shifted eigenvalues gives the blocks of its own solve to rounding,
+    # the same interval and the same verdicts
+    tables = []
+    build = moments.build_blocks
+    monkeypatch.setattr(moments, "build_blocks",
+                        lambda table, *args: tables.append(table)
+                        or build(table, *args))
+    failed = 0
+    for pulm, a, r in centered_inputs():
+        tables.clear()
+        got = list(moments.build_centered_blocks(pulm, c * a, r))
+        (table,) = tables
+        want_table, want = centered_solve_blocks(pulm, c * a, r)
+        assert (table.m, table.M) == (want_table.m, want_table.M)
+        assert [kind for kind, _ in got] == [kind for kind, _ in want]
+        for (_, block), (_, expected) in zip(got, want):
+            assert block.scale == expected.scale
+            assert (np.max(np.abs(block.assembled - expected.assembled))
+                    <= 1e-12 * block.scale)
+        verdicts = [rec.passed for rec in moments.psd_records(got, 0, 1e-9)]
+        assert verdicts == [rec.passed
+                            for rec in moments.psd_records(want, 0, 1e-9)]
+        failed += verdicts.count(False)
+    assert failed  # the controls fail under both routes
+
+
 class TestMovedBlockWitnesses:
     """Every block that a builder sizes can fail under a unital map that is
     not positive, and is tight where its inequality is an equality, at
@@ -1076,8 +1122,13 @@ class TestScalarChecks:
     def test_an_infinite_tolerance_is_rejected(self):
         # it would pass any slack, the centered fourth moment's included
         with pytest.raises(ValueError, match="tolerance"):
-            moments.scalar_checks(TR3, linalg.random_normal_matrix(3, 1),
+            campaign.normal_suite(0, linalg.random_normal_matrix(3, 1), TR3,
                                   tol=math.inf)
+
+    def test_normal_input_is_not_hermitian(self):
+        # a normal matrix has its own route, campaign.normal_suite
+        with pytest.raises(DomainError, match="not Hermitian"):
+            moments.scalar_checks(TR3, linalg.random_normal_matrix(3, 1))
 
     @pytest.mark.parametrize("c", [1e100, 1e150])
     def test_overflowing_normal_moments_are_a_domain_error(self, c):
@@ -1173,7 +1224,8 @@ class TestScalarChecks:
     def test_centered_fourth_moment_on_normal_input(self):
         a = linalg.random_normal_matrix(4, 6)
         x = maps.random_map("vector_state", 4, seed=7)
-        results = {r.check: r for r in moments.scalar_checks(x, a)}
+        results = {r.check: r
+                   for r in campaign.single_matrix_records(a, x, seed=0)}
         res = results["centered_fourth_moment"]
         assert res.passed is True
         # Hermitian-only checks are reported not applicable, never failed
