@@ -12,12 +12,10 @@ from .errors import DomainError, ShapeError
 from .linalg import (
     DEFAULT_PSD_TOL,
     HermitianSpectrum,
-    PsdVerdict,
     frobenius,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
-    is_psd,
     random_hermitian,
     random_normal_matrix,
     random_psd,
@@ -82,7 +80,6 @@ __all__ = [
     "NormalizedTrace",
     "Pinching",
     "PositiveUnitalMap",
-    "PsdVerdict",
     "ShapeError",
     "VectorState",
     "build_block",
@@ -100,7 +97,6 @@ __all__ = [
     "hermitian_eig",
     "hermitian_part",
     "hermitian_with_spectrum",
-    "is_psd",
     "moment_table",
     "normal_spectrum",
     "psd_records",

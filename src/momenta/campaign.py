@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenbounds, moments
+from .errors import NotNormalError
 from .linalg import (
     DEFAULT_PSD_TOL,
     hermitian_eig,
@@ -339,9 +340,12 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
 
     Hermitian input is one instance of :func:`instance_records`, its own
     positive definite variant when it is positive definite, and the normal
-    block of its solve; normal input is :func:`normal_suite`, with every
-    other scalar check skipped. Checks whose hypotheses fail for the given
-    matrix are recorded as skipped, never as failures.
+    block of its solve. Other input is :func:`normal_suite`, with every
+    other scalar check skipped, and its ``moments.normal_spectrum`` decides
+    whether it is normal: where that raises
+    :class:`~momenta.errors.NotNormalError`, nothing in the catalog applies.
+    Checks whose hypotheses fail for the given matrix are recorded as
+    skipped, never as failures.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if is_hermitian(m):
@@ -353,12 +357,12 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
         block = moments.build_normal_block(pulm, spectrum.eigenvalues,
                                            spectrum.eigenvectors)
         return records + psd_records([("normal_block", block)], seed, tol)
-    if moments.is_normal(m):
-        skipped = moments.HERMITIAN_SCALAR_CHECKS + (
-            () if pulm.is_functional else ("centered_fourth_moment",))
+    skipped = moments.HERMITIAN_SCALAR_CHECKS + (
+        () if pulm.is_functional else ("centered_fourth_moment",))
+    try:
         return ([skip_record(check, seed) for check in skipped]
                 + normal_suite(seed, m, pulm, tol))
-    # Neither Hermitian nor normal: nothing in the catalog applies.
-    return [skip_record(check, seed)
-            for check in ("psd_hankel", "normal_block", "kadison",
-                          "centered_fourth_moment")]
+    except NotNormalError:
+        return [skip_record(check, seed)
+                for check in ("psd_hankel", "normal_block", "kadison",
+                              "centered_fourth_moment")]

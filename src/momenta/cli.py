@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -107,6 +108,11 @@ def parse_matrix(path: str) -> np.ndarray:
     return _matrix_from_csv(text, path)
 
 
+#: The types ``json`` decodes a number or null to; not ``bool``, though it
+#: subclasses ``int``.
+_JSON_NUMBER_TYPES = {int, float, type(None)}
+
+
 def _matrix_from_json(text: str, path: str) -> np.ndarray:
     try:
         payload = json.loads(text)
@@ -125,13 +131,25 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
         raise ValueError(f"{path}: rows and cols must be at least 1")
     if rows != cols:
         raise ValueError(f"{path}: matrix is not square ({rows}x{cols})")
-    try:
-        pairs = np.array(entries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{path}: entries must be [re, im] number pairs") from None
-    if pairs.shape != (rows * cols, 2):
-        raise ValueError(f"{path}: expected {rows * cols} [re, im] entries, "
-                         f"found an array of shape {pairs.shape}")
+    count, pairs = rows * cols, None
+    try:  # one float per JSON number, or null, which reads as nan
+        flat = list(itertools.chain.from_iterable(entries))
+        if (len(flat) == 2 * count and set(map(len, entries)) == {2}
+                and set(map(type, flat)) <= _JSON_NUMBER_TYPES):
+            pairs = np.fromiter(flat, np.float64, 2 * count)
+    except (TypeError, OverflowError):
+        pass
+    if pairs is None:
+        # float() would read a string ("1_0" as 10) or a boolean; the
+        # shape numpy reads names any other fault
+        try:
+            shape = np.array(entries, dtype=np.float64).shape
+        except (TypeError, ValueError, OverflowError):
+            shape = None
+        if shape is not None and shape != (count, 2):
+            raise ValueError(f"{path}: expected {count} [re, im] entries, "
+                             f"found an array of shape {shape}")
+        raise ValueError(f"{path}: entries must be [re, im] number pairs")
     # (re, im) float pairs are the memory layout of complex128: exact
     m = pairs.view(np.complex128).reshape(rows, cols)
     if not np.all(np.isfinite(m)):

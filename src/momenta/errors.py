@@ -7,3 +7,7 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""
+
+
+class NotNormalError(DomainError):
+    """Matrix is not normal: ``A*A`` and ``AA*`` differ beyond round-off."""

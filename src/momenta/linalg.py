@@ -19,8 +19,8 @@ package targets (n up to a few hundred). A caller that reads eigenvalues
 only asks for no vectors (``vectors=False``): the same routine then runs
 with ``jobz='N'`` through ``numpy.linalg.eigvalsh``, which skips the
 eigenvector work. Every PSD verdict is such a solve, since it needs the
-minimum eigenvalue alone: :func:`is_psd` symmetrizes its input first, and
-``moments.psd_records`` solves each block as assembled, exactly Hermitian.
+minimum eigenvalue alone: :func:`is_psd`, the one verdict, which
+``moments.psd_records`` calls on each block as assembled, exactly Hermitian.
 So is the normalized trace's spectral measure in ``eigenbounds``, whose
 weights are ``1/n`` for any basis: it solves the symmetrized matrix.
 
@@ -249,42 +249,19 @@ def passes(slack: float, scale: float, rtol: float) -> bool:
     return slack >= -rtol * scale
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of a positive-semidefiniteness test with its margin.
+def is_psd(m, tol: float, scale: float) -> tuple[bool, float]:
+    """The one PSD verdict: ``(passed, min_eigenvalue)`` of a matrix.
 
-    ``passed`` is :func:`passes` of ``min_eigenvalue`` at ``scale``, the
-    size of the operands the tested matrix was assembled from.
+    ``passed`` is :func:`passes` of the minimum eigenvalue at ``scale``, the
+    size of the operands ``m`` was assembled from. ``m`` must be exactly
+    Hermitian, as every ``moments.BlockMatrixSpec`` is: it is solved for
+    eigenvalues only (``hermitian_eig(m, vectors=False)``), which reads one
+    triangle and rejects only a shape that is not square and a non-finite
+    entry. :func:`passes` rejects an infinite ``scale`` and a ``tol`` that
+    is not positive and finite.
     """
-
-    min_eigenvalue: float
-    scale: float
-    passed: bool
-
-
-def is_psd(m, tol: float = DEFAULT_PSD_TOL,
-           scale: float | None = None) -> PsdVerdict:
-    """Test a Hermitian matrix for positive semidefiniteness.
-
-    The verdict reports the minimum eigenvalue so callers can see the margin,
-    not just the boolean. ``m`` is checked by :func:`symmetrize`, so
-    non-Hermitian input (beyond the symmetrization tolerance) and a matrix
-    whose Frobenius norm overflows are rejected with :class:`DomainError`;
-    the minimum eigenvalue is all the verdict reads, so the symmetrized
-    matrix is then solved for eigenvalues only
-    (``hermitian_eig(h, vectors=False)``). ``scale`` is the size of the
-    operands the matrix was computed from, the scale :func:`passes` judges
-    it at; by default the matrix's own Frobenius norm, right for a matrix
-    that is not a cancelling difference. :func:`passes` rejects a ``tol``
-    that is not positive and finite. The package's own verdicts come from
-    ``moments.psd_records``, at the operand scale of each block it builds.
-    """
-    h = symmetrize(m)
-    spectrum = hermitian_eig(h, vectors=False)
-    if scale is None:
-        scale = frobenius(h)
-    return PsdVerdict(min_eigenvalue=spectrum.min, scale=scale,
-                      passed=passes(spectrum.min, scale, tol))
+    lam = hermitian_eig(m, vectors=False).min
+    return passes(lam, scale, tol), lam
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -48,8 +48,9 @@ The module also holds the check catalog: :data:`CATALOG` says what every
 check name verifies, and :func:`record` turns an outcome into the one record
 type, :class:`CheckRecord`, that every suite and the command line emit.
 Every PSD verdict is recorded by one function, :func:`psd_records`: for each
-``(check, block)`` pair, the verdict of a :class:`BlockMatrixSpec` at its
-scale with its minimum eigenvalue as the margin, or a skip where it is None.
+``(check, block)`` pair, :func:`~momenta.linalg.is_psd` of a
+:class:`BlockMatrixSpec` at its scale, with its minimum eigenvalue as the
+margin, or a skip where it is None.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NotNormalError, ShapeError
 from .linalg import (
     DEFAULT_PSD_TOL,
     as_matrix,
@@ -69,6 +70,7 @@ from .linalg import (
     frobenius,
     hermitian_eig,
     hermitian_part,
+    is_psd,
     passes,
     require_finite,
 )
@@ -489,15 +491,13 @@ def _normality_defect(b: np.ndarray) -> float:
             / max(frobenius(b) ** 2, np.finfo(float).tiny))
 
 
-def is_normal(a: np.ndarray) -> bool:
-    """Whether ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, decided on
-    ``A`` scaled by a power of two, so that no norm overflows."""
-    return _normality_defect(binary_scaled(a)[0]) <= NORMALITY_RTOL
-
-
 def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
-    """``(z, U)`` with ``A = U diag(z) U*`` for a normal ``A``, which
-    :func:`is_normal` decides, scaled by a power of two so no norm overflows.
+    """``(z, U)`` with ``A = U diag(z) U*`` for a normal ``A``.
+
+    This is the package's one normality decision:
+    ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, on ``A`` scaled by a
+    power of two so that no norm overflows; a matrix that fails it raises
+    :class:`~momenta.errors.NotNormalError`.
 
     ``H = (A + A*)/2`` and ``K = (A - A*)/2i`` commute: ``eigh`` of ``H``,
     then of ``K`` on each atom of ``H``, and of ``H`` again on each atom of
@@ -510,7 +510,7 @@ def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     b, e = binary_scaled(m)
     defect = _normality_defect(b)
     if not defect <= NORMALITY_RTOL:
-        raise DomainError(
+        raise NotNormalError(
             f"matrix is not normal: ||A*A - AA*||_F = {defect:.3e} * "
             f"||A||_F^2 exceeds {NORMALITY_RTOL:.1e} * ||A||_F^2")
     bs = b.conj().T
@@ -647,12 +647,11 @@ def psd_records(blocks, seed: int, tol: float,
     """The PSD records of ``(check, block)`` pairs, named ``prefix + check``.
 
     Each :class:`BlockMatrixSpec` is exactly Hermitian as built, so it is
-    neither checked nor copied again: the minimum eigenvalue of the block
-    itself (``hermitian_eig(..., vectors=False)``) is the margin, judged by
-    :func:`~momenta.linalg.passes` at ``block.scale``. A block that is
-    None, whose hypotheses fail, gives a skip, and one whose scale
-    overflowed a :class:`DomainError` before its eigensolve. Every PSD
-    verdict of the package is recorded here.
+    neither checked nor copied again: :func:`~momenta.linalg.is_psd` judges
+    the block itself at ``block.scale``, with its minimum eigenvalue as the
+    margin. A block that is None, whose hypotheses fail, gives a skip, and
+    one whose scale overflowed a :class:`DomainError` before its eigensolve.
+    Every PSD verdict of the package is recorded here.
     """
     out = []
     for check, block in blocks:
@@ -662,9 +661,8 @@ def psd_records(blocks, seed: int, tol: float,
         if not math.isfinite(block.scale):
             raise DomainError(f"{prefix + check} operands overflow double "
                               f"precision; rescale the matrix")
-        lam = hermitian_eig(block.assembled, vectors=False).min
         out.append(record(prefix + check, seed,
-                          passes(lam, block.scale, tol), lam))
+                          *is_psd(block.assembled, tol, block.scale)))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Digest of 239 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 241 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -21,7 +21,9 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
   seven runs that exit 1 (a flag of the other ``verify`` mode, ``bounds``
   under a map that is not a functional, ``--n-range 3:2``, ``--tol 0``, no
   input, and ``--out`` into a missing directory), four malformed ``--map``
-  values and three malformed ``--n-range`` values: 19 runs.
+  values and three malformed ``--n-range`` values: 19 runs;
+- ``bounds`` on a Hermitian JSON file with a string entry and on one with a
+  boolean entry, which exit 1, as neither is a JSON number: 2 runs.
 
 It prints one tab-separated line per run: the argv, the exit code, the
 sha256 of stdout, of stderr and of the JSON report, and the sha256 of the
@@ -149,6 +151,11 @@ def runs():
         yield argv + ["--out", REPORT], REPORT
     missing = os.path.join("missing", REPORT)
     yield ["verify", "h8.json", "--out", missing], missing
+    for name, entries in (("string2.json", '[2,0],["1.5",0],["1.5",0],[3,0]'),
+                          ("bool2.json", "[true,0],[0,0],[0,0],[1,0]")):
+        Path(name).write_text(
+            f'{{"rows": 2, "cols": 2, "entries": [{entries}]}}\n')
+        yield ["bounds", name, "--out", REPORT], REPORT
 
 
 def main() -> int:

@@ -343,16 +343,27 @@ def test_single_matrix_records_normal_input():
     assert not any(r.passed is False for r in records)
 
 
-def test_a_normal_file_is_solved_once(monkeypatch):
+@pytest.fixture
+def normality_defects(monkeypatch):
+    """The matrices whose normality is measured, in order."""
+    calls = []
+    defect = moments._normality_defect
+    monkeypatch.setattr(moments, "_normality_defect",
+                        lambda b: calls.append(b) or defect(b))
+    return calls
+
+
+def test_a_normal_file_is_solved_once(monkeypatch, normality_defects):
     # the centered fourth moment and the normal block come from one joint
-    # eigensolve, and the Hermitian scalar checks are skipped
+    # eigensolve, which alone decides that the matrix is normal, and the
+    # Hermitian scalar checks are skipped
     calls = []
     solve = moments.normal_spectrum
     monkeypatch.setattr(moments, "normal_spectrum",
                         lambda a: calls.append(a) or solve(a))
     a = linalg.random_normal_matrix(6, 5)
     records = campaign.single_matrix_records(a, maps.NormalizedTrace(6), 1)
-    assert len(calls) == 1
+    assert len(calls) == len(normality_defects) == 1
     by_check = {r.check: r.passed for r in records}
     assert by_check["normal_block"] is by_check["centered_fourth_moment"] is True
     assert [by_check[c] for c in moments.HERMITIAN_SCALAR_CHECKS] == [None] * 6
@@ -366,10 +377,19 @@ def test_a_normal_file_names_the_fourth_moment_overflow_first(c, spec):
         campaign.single_matrix_records(a, cli.build_map(spec, 2, 3), 3)
 
 
-def test_single_matrix_records_unstructured_input_all_skipped():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])  # neither Hermitian nor normal
-    records = campaign.single_matrix_records(a, maps.NormalizedTrace(2), seed=3)
-    assert records and all(r.passed is None for r in records)
+@pytest.mark.parametrize("a", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                               np.triu(linalg.random_hermitian(4, 7))],
+                         ids=["shear", "triu"])
+def test_single_matrix_records_unstructured_input_all_skipped(
+        normality_defects, a):
+    # neither Hermitian nor normal, by normal_spectrum's one decision:
+    # nothing in the catalog applies
+    records = campaign.single_matrix_records(a, maps.NormalizedTrace(len(a)),
+                                             seed=3)
+    assert [(r.check, r.passed) for r in records] == [
+        ("psd_hankel", None), ("normal_block", None), ("kadison", None),
+        ("centered_fourth_moment", None)]
+    assert len(normality_defects) == 1
 
 
 @pytest.mark.parametrize("spec", ["trace", "compression:4"])

@@ -155,6 +155,22 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {path}: row 1 has a non-numeric cell\n")
 
+    @pytest.mark.parametrize("text", [
+        '{"rows":2,"cols":2,"entries":[[2,0],["1.5",0],["1.5",0],[3,0]]}',
+        '{"rows":2,"cols":2,"entries":[[2,0],["1_0",0],["1_0",0],[3,0]]}',
+        '{"rows":2,"cols":2,"entries":[[true,0],[0,0],[0,0],[1,0]]}',
+        '{"rows":2,"cols":2,"entries":[[1,0],[0,false],[0,0],[1,0]]}',
+    ], ids=["string", "underscore-string", "true", "false"])
+    @pytest.mark.parametrize("command", ["bounds", "verify", "moments"])
+    def test_an_entry_that_is_not_a_json_number_exits_1(self, tmp_path,
+                                                        capsys, command,
+                                                        text):
+        # float() reads "1.5", "1_0" as 10 and true as 1
+        path = write(tmp_path, "m.json", text)
+        assert cli.main([command, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: entries must be [re, im] number pairs\n")
+
     def test_csv_is_one_float_per_cell(self, tmp_path):
         # a byte order mark, blank lines, CRLF line ends and padded cells
         rng = np.random.default_rng(5)

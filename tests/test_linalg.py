@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from momenta import linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
-from conftest import reconstruct
+from conftest import psd_at_own_norm, reconstruct
 
 EPS = np.finfo(float).eps
 
@@ -356,58 +356,72 @@ class TestSymmetrizeContract:
 
 
 class TestIsPsd:
+    """``is_psd(m, tol, scale)``: the one verdict, on exactly Hermitian
+    input, at the scale its caller gives."""
+
     def test_identity(self):
-        verdict = linalg.is_psd(np.eye(3))
-        assert verdict.passed
-        assert verdict.min_eigenvalue == pytest.approx(1.0, abs=1e-14)
+        passed, lam = linalg.is_psd(np.eye(3), 1e-9, 1.0)
+        assert passed
+        assert lam == pytest.approx(1.0, abs=1e-14)
 
     def test_indefinite_2x2(self):
         lo, hi = quad_eig2(1.0, 2.0, 1.0)
-        verdict = linalg.is_psd([[1.0, 2.0], [2.0, 1.0]])
-        assert not verdict.passed
-        assert verdict.min_eigenvalue == pytest.approx(lo, abs=1e-12)
+        passed, lam = linalg.is_psd([[1.0, 2.0], [2.0, 1.0]], 1e-9, 3.0)
+        assert not passed
+        assert lam == pytest.approx(lo, abs=1e-12)
         assert lo == pytest.approx(-1.0)
 
     def test_moment_block_of_two_point_spectrum(self):
         # 2x2 moment matrix of diag(1, 2) under the normalized trace
         block = np.array([[1.0, 1.5], [1.5, 2.5]])
         lo, _ = quad_eig2(1.0, 1.5, 2.5)
-        verdict = linalg.is_psd(block)
-        assert verdict.passed
-        assert verdict.min_eigenvalue == pytest.approx(lo, abs=1e-12)
+        passed, lam = linalg.is_psd(block, 1e-9, 2.5)
+        assert passed
+        assert lam == pytest.approx(lo, abs=1e-12)
         assert lo == pytest.approx(0.07294901687515765, abs=1e-12)
         assert np.linalg.det(block) == pytest.approx(0.25)
 
     def test_gram_matrices_pass(self):
         for seed in range(10):
-            v = linalg.is_psd(linalg.random_psd(5, seed))
-            assert v.passed
+            h = linalg.hermitian_part(linalg.random_psd(5, seed))
+            assert linalg.is_psd(h, 1e-9, linalg.frobenius(h))[0]
 
     def test_zero_matrix_passes_at_scale_zero(self):
-        # the scale is the matrix's own norm, with no floor of 1
-        verdict = linalg.is_psd(np.zeros((2, 2)))
-        assert verdict.passed
-        assert verdict.scale == 0.0
+        # no floor of 1 on the scale
+        assert linalg.is_psd(np.zeros((2, 2)), 1e-9, 0.0) == (True, 0.0)
 
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
     def test_verdict_is_relative_to_the_given_scale(self, c):
         # min eigenvalue -2e-9 c against operands of size c
         block = c * np.diag([1.0, -2e-9])
-        assert not linalg.is_psd(block, 1e-9, c).passed
-        assert linalg.is_psd(block, 1e-9, 3.0 * c).passed
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            linalg.is_psd([[1.0, 5.0], [0.0, 1.0]])
+        assert not linalg.is_psd(block, 1e-9, c)[0]
+        assert linalg.is_psd(block, 1e-9, 3.0 * c)[0]
 
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
-            linalg.is_psd(np.eye(2), tol=0.0)
+            linalg.is_psd(np.eye(2), 0.0, 1.0)
         # an infinite tol would pass every matrix; a NaN one fail every one
         with pytest.raises(ValueError):
-            linalg.is_psd(np.diag([-1.0, 1.0]), tol=float("inf"))
+            linalg.is_psd(np.diag([-1.0, 1.0]), float("inf"), 1.0)
         with pytest.raises(ValueError):
-            linalg.is_psd(np.eye(2), tol=float("nan"))
+            linalg.is_psd(np.eye(2), float("nan"), 1.0)
+
+    def test_overflowing_scale_is_a_domain_error(self):
+        # an infinite scale would accept any minimum eigenvalue
+        with pytest.raises(DomainError, match="overflow"):
+            linalg.is_psd(np.diag([1.0, -1.0]), 1e-9, math.inf)
+
+    def test_a_non_square_matrix_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="square"):
+            linalg.is_psd(np.ones((2, 3)), 1e-9, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_is_a_domain_error(self, bad):
+        # in the triangle the solve does not read too
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            linalg.is_psd(m, 1e-9, 1.0)
 
     @pytest.mark.parametrize("rtol", [math.inf, math.nan, 0.0, -1e-9])
     def test_passes_owns_its_tolerance_rule(self, rtol):
@@ -420,11 +434,6 @@ class TestIsPsd:
         with pytest.raises(DomainError, match="overflow"):
             linalg.passes(-1.0, np.inf, 1e-9)
 
-    def test_overflowing_scale_is_a_domain_error(self):
-        # an infinite scale would accept any minimum eigenvalue
-        with pytest.raises(DomainError, match="overflow"):
-            linalg.is_psd(np.diag([1e160, -1e160]))
-
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 64), seed=st.integers(0, 2**31),
            exponent=st.floats(-6.0, 6.0))
@@ -432,9 +441,8 @@ class TestIsPsd:
         # the eigenvalues-only solve against the full one, within rounding
         h = 10.0 ** exponent * linalg.random_hermitian(n, seed)
         reference = np.linalg.eigh(h)[0][0]
-        verdict = linalg.is_psd(h)
-        assert (abs(verdict.min_eigenvalue - reference)
-                <= 8 * n * EPS * linalg.frobenius(h))
+        lam = linalg.is_psd(h, 1e-9, linalg.frobenius(h))[1]
+        assert abs(lam - reference) <= 8 * n * EPS * linalg.frobenius(h)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -446,9 +454,9 @@ class TestIsPsd:
         for factor, passed in ((0.999, True), (1.001, False)):
             lam = np.concatenate([[-factor * tol * scale], rest])
             h = linalg.hermitian_with_spectrum(lam, seed=n)
-            verdict = linalg.is_psd(h, tol, scale)
-            assert verdict.passed is passed
-            assert verdict.min_eigenvalue == pytest.approx(lam[0], rel=1e-4)
+            verdict, margin = linalg.is_psd(h, tol, scale)
+            assert verdict is passed
+            assert margin == pytest.approx(lam[0], rel=1e-4)
 
 
 class TestKron:
@@ -456,7 +464,7 @@ class TestKron:
         for seed in range(5):
             a = linalg.random_psd(2, seed)
             b = linalg.random_psd(3, seed + 50)
-            assert linalg.is_psd(np.kron(a, b)).passed
+            assert psd_at_own_norm(np.kron(a, b))
 
 
 class TestHadamard:
@@ -464,7 +472,7 @@ class TestHadamard:
         for seed in range(5):
             a = linalg.random_psd(4, seed)
             b = linalg.random_psd(4, seed + 100)
-            assert linalg.is_psd(a * b).passed
+            assert psd_at_own_norm(a * b)
 
 
 class TestMatrixFunctions:

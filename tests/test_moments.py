@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta import campaign, linalg, maps, moments
-from momenta.errors import DomainError, ShapeError
+from momenta import campaign, cli, linalg, maps, moments
+from momenta.errors import DomainError, NotNormalError, ShapeError
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
                       centered_solve_blocks, direct_centered_fourth_moment,
-                      direct_log_blocks, direct_normal_block, direct_powers)
+                      direct_log_blocks, direct_normal_block, direct_powers,
+                      psd_at_own_norm)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -311,14 +312,14 @@ class TestBuildBlock:
         block = moments.build_block("lower_shift", table12(), 1).assembled
         np.testing.assert_allclose(block.real, [[0.5, 1.0], [1.0, 2.0]],
                                    atol=1e-13)
-        assert linalg.is_psd(block).passed
+        assert psd_at_own_norm(block)
 
     def test_lower_shift_inv_two_point_spectrum(self):
         block = moments.build_block("lower_shift_inv", table12(), 1).assembled
         np.testing.assert_allclose(block.real, [[0.25, 0.5], [0.5, 1.0]],
                                    atol=1e-13)
         assert np.linalg.det(block).real == pytest.approx(0.0, abs=1e-14)
-        assert linalg.is_psd(block).passed
+        assert psd_at_own_norm(block)
 
     def test_range_product_vanishes_on_two_point_spectrum(self):
         # (A - mI)(MI - A) = 0 when the spectrum is exactly {m, M}
@@ -340,7 +341,7 @@ class TestBuildBlock:
         family = list(moments.build_blocks(t, 2, eigenvalues=lam))
         assert [kind for kind, _ in family] == ["gap_product"] * 3
         for _, block in family:
-            assert linalg.is_psd(block.assembled).passed
+            assert psd_at_own_norm(block.assembled)
 
     def test_gap_product_argument_validation(self):
         # gap blocks come from eigenvalues alone
@@ -649,14 +650,14 @@ class TestRefinementChain:
         np.testing.assert_allclose(inner.assembled.real,
                                    [[2.0, 3.5], [3.5, 6.5]], atol=1e-13)
         assert np.linalg.det(inner.assembled).real == pytest.approx(0.75)
-        assert linalg.is_psd(diff.assembled).passed
-        assert linalg.is_psd(inner.assembled).passed
+        assert psd_at_own_norm(diff.assembled)
+        assert psd_at_own_norm(inner.assembled)
 
     def test_vanishing_endpoint_limit(self):
         t = replace(table12(0, 4), m=1e-9)
         diff, inner = moments.build_refinement_chain(t)
         assert linalg.frobenius(inner.assembled) <= 1e-7
-        assert linalg.is_psd(diff.assembled).passed
+        assert psd_at_own_norm(diff.assembled)
 
     def test_requires_positive_m(self):
         t = moments.moment_table(TR2, np.diag([0.0, 2.0]), 0, 4)
@@ -670,7 +671,7 @@ class TestLogBlocks:
         block = moments.build_log_deficit_block(t1, [[1.0]])
         np.testing.assert_allclose(block.assembled.real,
                                    [[1.0, 1.0], [1.0, 1.0]], atol=1e-13)
-        assert linalg.is_psd(block.assembled).passed
+        assert psd_at_own_norm(block.assembled)
 
     def test_deficit_two_point_spectrum(self):
         e = np.e
@@ -687,7 +688,7 @@ class TestLogBlocks:
             a = linalg.hermitian_with_spectrum(
                 np.random.default_rng(seed).uniform(0.2, 3.0, 4), seed)
             block = moments.build_log_deficit_block(maps.Identity(4), a)
-            assert linalg.is_psd(block.assembled).passed
+            assert psd_at_own_norm(block.assembled)
 
     def test_deficit_requires_positive_definite(self):
         with pytest.raises(DomainError):
@@ -708,8 +709,8 @@ class TestLogBlocks:
         np.testing.assert_allclose(
             lower.assembled.real,
             (l2 / 2) * np.array([[1.0, 2.0], [2.0, 4.0]]), atol=1e-12)
-        assert linalg.is_psd(upper.assembled).passed
-        assert linalg.is_psd(lower.assembled).passed
+        assert psd_at_own_norm(upper.assembled)
+        assert psd_at_own_norm(lower.assembled)
         # (|log M| + log 2) rho^2 and (log 2 + |log m|) rho^2, rho = 2
         assert upper.scale == pytest.approx(8 * l2, rel=1e-15)
         assert lower.scale == pytest.approx(4 * l2, rel=1e-15)
@@ -843,7 +844,7 @@ class TestNormalBlock:
         ])
         assert linalg.frobenius(block - expected) <= 1e-8 * max(
             1.0, linalg.frobenius(expected))
-        assert linalg.is_psd(block).passed
+        assert psd_at_own_norm(block)
 
     def test_conjugate_pair_spectrum(self):
         block = moments.build_normal_block(
@@ -851,7 +852,7 @@ class TestNormalBlock:
         expected = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=float)
         np.testing.assert_allclose(block.real, expected, atol=1e-14)
         np.testing.assert_allclose(block.imag, np.zeros((3, 3)), atol=1e-14)
-        assert linalg.is_psd(block).passed
+        assert psd_at_own_norm(block)
 
     def test_random_normal_instances_are_psd(self):
         for seed in range(8):
@@ -859,7 +860,7 @@ class TestNormalBlock:
             pulm = maps.random_map("vector_state", 4, seed=seed + 1)
             block = moments.build_normal_block(
                 pulm, *moments.normal_spectrum(a)).assembled
-            assert linalg.is_psd(block).passed
+            assert psd_at_own_norm(block)
 
     @pytest.mark.parametrize("z", [*CLUSTERED_SPECTRA, [1j, -1j, 0.5j, 2j],
                                    [0.5j, 2, 1 + 0.3j, 1 + 0.3j + 1e-9j]])
@@ -927,7 +928,7 @@ class TestNormalBlock:
 
     def test_rejects_non_normal(self):
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DomainError):
+        with pytest.raises(NotNormalError):
             moments.normal_spectrum(shear)
 
     @pytest.mark.parametrize("c", [1e-150, 2.0 ** -40, 1.0, 1e100, 1e140])
@@ -938,9 +939,8 @@ class TestNormalBlock:
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert moments.is_normal(c * linalg.random_normal_matrix(6, 5))
-            assert not moments.is_normal(c * shear)
-            with pytest.raises(DomainError,
+            moments.normal_spectrum(c * linalg.random_normal_matrix(6, 5))
+            with pytest.raises(NotNormalError,
                                match=r"not normal: \|\|A\*A - AA\*\|\|_F "
                                      r"= 1\.414e\+00 \* \|\|A\|\|_F\^2"):
                 moments.normal_spectrum(c * shear)
@@ -1092,30 +1092,40 @@ class TestMovedBlockWitnesses:
 
 
 class TestPsdRecords:
-    def test_verdicts_equal_is_psd_of_the_hermitian_part(self, monkeypatch):
-        # psd_records judges an assembled block without symmetrize; on every
-        # block of the psd suite its margin and verdict are is_psd's, bit
-        # for bit
-        judged = []
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--random", "--instances", "12"],
+        ["verify", "hermitian.json"],
+        ["verify", "normal.json"],
+        ["moments", "hermitian.json"],
+    ], ids=["random", "hermitian-file", "normal-file", "moments"])
+    def test_every_verdict_is_one_is_psd_call(self, tmp_path, monkeypatch,
+                                              capsys, argv):
+        # each applicable PSD record is the outcome of one linalg.is_psd
+        # call, in order, and is_psd judges nothing else
+        for name, m in (("hermitian.json", linalg.random_hermitian(6, 1)),
+                        ("normal.json", linalg.random_normal_matrix(6, 5))):
+            (tmp_path / name).write_text(cli.write_matrix_json(m))
+        verdicts, judged = [], []
+        is_psd, psd_records = linalg.is_psd, moments.psd_records
 
-        def spy(blocks, seed, tol, prefix=""):
-            pairs = list(blocks)
-            out = moments.psd_records(pairs, seed, tol, prefix)
-            judged.extend((block, tol, rec) for (_, block), rec
-                          in zip(pairs, out))
+        def spy_is_psd(m, tol, scale):
+            verdicts.append(is_psd(m, tol, scale))
+            return verdicts[-1]
+
+        def spy_psd_records(blocks, seed, tol, prefix=""):
+            out = psd_records(blocks, seed, tol, prefix)
+            judged.extend(rec for rec in out if rec.passed is not None)
             return out
 
-        monkeypatch.setattr(campaign, "psd_records", spy)
-        for inst in campaign.corpus(24, seed=7):
-            campaign.psd_suite(inst)
-        blocks = [(b, tol, rec) for b, tol, rec in judged if b is not None]
-        assert len(blocks) > 400
-        for block, tol, rec in blocks:
-            verdict = linalg.is_psd(linalg.hermitian_part(block.assembled),
-                                    tol, block.scale)
-            assert rec.passed is verdict.passed
-            assert (np.float64(rec.margin).tobytes()
-                    == np.float64(verdict.min_eigenvalue).tobytes())
+        monkeypatch.setattr(moments, "is_psd", spy_is_psd)
+        for module in (moments, campaign):
+            monkeypatch.setattr(module, "psd_records", spy_psd_records)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(judged) > 0
+        assert ([(rec.passed, rec.margin) for rec in judged]
+                == [(passed, float(lam)) for passed, lam in verdicts])
 
 
 class TestScalarChecks:
@@ -1272,14 +1282,14 @@ class TestScalarOracles:
            r=st.integers(0, 3))
     def test_shift_is_psd(self, x, gap, r):
         out = scalar_shift_hankel(x, x - gap, r)
-        assert linalg.is_psd(out).passed
+        assert psd_at_own_norm(out)
 
     @settings(max_examples=60, deadline=None)
     @given(y=st.floats(-3, 3), up=st.floats(0, 2), down=st.floats(0, 2),
            r=st.integers(0, 3))
     def test_bracket_is_psd(self, y, up, down, r):
         out = scalar_bracket_hankel(y + up, y, y - down, r)
-        assert linalg.is_psd(out).passed
+        assert psd_at_own_norm(out)
 
     def test_weighted_scalar_hankels_rebuild_shift_and_range_blocks(self):
         # a functional's lower_shift and range_product blocks are the

@@ -18,7 +18,6 @@ TR2 = maps.NormalizedTrace(2)
 #: Public functions taking a Hermitian matrix, each as a one-argument call.
 HERMITIAN_ENTRY_POINTS = {
     "hermitian_eig": linalg.hermitian_eig,
-    "is_psd": linalg.is_psd,
     "moment_table": lambda a: moments.moment_table(TR2, a),
     "build_log_deficit_block": lambda a: moments.build_log_deficit_block(TR2, a),
     "build_log_endpoint_blocks":
