@@ -18,7 +18,6 @@ from .linalg import (
     hermitian_with_spectrum,
     random_hermitian,
     random_normal_matrix,
-    random_psd,
     random_unitary,
     symmetrize,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "random_hermitian",
     "random_map",
     "random_normal_matrix",
-    "random_psd",
     "random_unitary",
     "scalar_checks",
     "spectral_bounds",

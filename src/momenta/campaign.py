@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenbounds, moments
-from .errors import NotNormalError
+from .errors import NotHermitianError, NotNormalError
 from .linalg import (
     DEFAULT_PSD_TOL,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
-    is_hermitian,
     passes,
     random_normal_matrix,
     require_finite,
@@ -169,8 +168,8 @@ def scalar_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckReco
 
 def _route_error(pulm, matrix, k_min, k_max) -> float:
     """Worst disagreement of the moment table with the direct route (the
-    map applied to multiplied powers), each power ``k`` relative to its own
-    scale: ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``. A zero scale
+    map applied to multiplied powers), each power ``k`` relative to the
+    table's ``size(k)``, ``kappa/m`` for ``k = -1``. A zero scale
     (an underflowed power) leaves the raw difference. Each difference is
     divided by its scale before its norm is taken, so the norm of a finite
     relative difference cannot overflow."""
@@ -338,22 +337,24 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
                           tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """File-mode verification: run every applicable check on one matrix.
 
-    Hermitian input is one instance of :func:`instance_records`, its own
-    positive definite variant when it is positive definite, and the normal
-    block of its solve. Other input is :func:`normal_suite`, with every
-    other scalar check skipped, and its ``moments.normal_spectrum`` decides
-    whether it is normal: where that raises
-    :class:`~momenta.errors.NotNormalError`, nothing in the catalog applies.
-    Checks whose hypotheses fail for the given matrix are recorded as
-    skipped, never as failures.
+    Hermitian input, as its one solve ``hermitian_eig`` decides, is one
+    instance of :func:`instance_records` on the matrix as given, its own
+    positive definite variant where ``moments.positive_definite`` holds,
+    and the normal block of its solve. Where the solve raises
+    :class:`~momenta.errors.NotHermitianError`, it is :func:`normal_suite`,
+    other scalar checks skipped, or, where ``moments.normal_spectrum``
+    raises :class:`~momenta.errors.NotNormalError`, four skips: checks
+    whose hypotheses fail are skips, never failures.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if is_hermitian(m):
-        m = hermitian_part(m)
-        spectrum = hermitian_eig(m)
+    try:
+        spectrum = hermitian_eig(matrix)
+    except NotHermitianError:
+        pass
+    else:
+        pd = moments.positive_definite(spectrum.min, spectrum.max, tol)
         records = instance_records(Instance(
-            seed=seed, n=m.shape[0], r=r_max, kind="file", matrix=m,
-            matrix_pd=m if spectrum.min > 0.0 else None, pulm=pulm), tol)
+            seed=seed, n=spectrum.eigenvalues.size, r=r_max, kind="file",
+            matrix=matrix, matrix_pd=matrix if pd else None, pulm=pulm), tol)
         block = moments.build_normal_block(pulm, spectrum.eigenvalues,
                                            spectrum.eigenvectors)
         return records + psd_records([("normal_block", block)], seed, tol)
@@ -361,7 +362,7 @@ def single_matrix_records(matrix: np.ndarray, pulm: PositiveUnitalMap,
         () if pulm.is_functional else ("centered_fourth_moment",))
     try:
         return ([skip_record(check, seed) for check in skipped]
-                + normal_suite(seed, m, pulm, tol))
+                + normal_suite(seed, matrix, pulm, tol))
     except NotNormalError:
         return [skip_record(check, seed)
                 for check in ("psd_hankel", "normal_block", "kadison",

@@ -108,9 +108,9 @@ def parse_matrix(path: str) -> np.ndarray:
     return _matrix_from_csv(text, path)
 
 
-#: The types ``json`` decodes a number or null to; not ``bool``, though it
-#: subclasses ``int``.
-_JSON_NUMBER_TYPES = {int, float, type(None)}
+#: The types ``json`` decodes a number to; not ``bool``, though it
+#: subclasses ``int``, nor the ``None`` of a null.
+_JSON_NUMBER_TYPES = {int, float}
 
 
 def _matrix_from_json(text: str, path: str) -> np.ndarray:
@@ -132,7 +132,7 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
     if rows != cols:
         raise ValueError(f"{path}: matrix is not square ({rows}x{cols})")
     count, pairs = rows * cols, None
-    try:  # one float per JSON number, or null, which reads as nan
+    try:  # one float per JSON number
         flat = list(itertools.chain.from_iterable(entries))
         if (len(flat) == 2 * count and set(map(len, entries)) == {2}
                 and set(map(type, flat)) <= _JSON_NUMBER_TYPES):
@@ -140,8 +140,8 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
     except (TypeError, OverflowError):
         pass
     if pairs is None:
-        # float() would read a string ("1_0" as 10) or a boolean; the
-        # shape numpy reads names any other fault
+        # float() would read a string ("1_0" as 10) or a boolean, and numpy
+        # a null as nan; the shape numpy reads names any other fault
         try:
             shape = np.array(entries, dtype=np.float64).shape
         except (TypeError, ValueError, OverflowError):

@@ -11,3 +11,7 @@ class DomainError(ValueError):
 
 class NotNormalError(DomainError):
     """Matrix is not normal: ``A*A`` and ``AA*`` differ beyond round-off."""
+
+
+class NotHermitianError(DomainError):
+    """Matrix is not Hermitian: ``M`` and ``M*`` differ beyond round-off."""

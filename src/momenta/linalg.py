@@ -2,8 +2,10 @@
 
 Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
 validated once, where it enters: :func:`symmetrize` rejects non-finite,
-non-square and non-Hermitian input (asymmetry ``||M - M*||_F`` above
-``SYMMETRY_RTOL * ||M||_F``; less is round-off and absorbed). The full solve
+non-square and non-Hermitian input, the last with the package's one
+Hermitian decision, :class:`~momenta.errors.NotHermitianError` (asymmetry
+``||M - M*||_F`` above ``SYMMETRY_RTOL * ||M||_F``; less is round-off and
+absorbed). The full solve
 :func:`hermitian_eig` runs that check and returns the validated matrix with
 the spectrum, so callers never symmetrize twice. The eigenvalues-only solve
 does not: it is for a matrix that its caller holds as Hermitian, a block the
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NotHermitianError, ShapeError
 
 #: Relative tolerance below which asymmetry is treated as round-off.
 SYMMETRY_RTOL = 1e-8
@@ -113,8 +115,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def _asymmetry(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``M`` as ``complex128``, ``M*``, ``||M - M*||_F`` and the threshold
-    :func:`is_hermitian` holds it to, for a square ``M`` of finite entries
-    and norm; else a :class:`ShapeError` or :class:`DomainError`.
+    :func:`symmetrize` holds it to, for a square ``M`` of finite entries and
+    norm; else a :class:`ShapeError` or :class:`DomainError`.
 
     One pass over the input, which is neither copied nor changed. The
     finiteness check rides on ``||M||_F``: only a non-finite norm leads to
@@ -140,20 +142,13 @@ def _asymmetry(a) -> tuple[np.ndarray, np.ndarray, float, float]:
                 SYMMETRY_RTOL * max(scale, _TINY))
 
 
-def is_hermitian(a) -> bool:
-    """Whether ``||M - M*||_F <= SYMMETRY_RTOL * max(||M||_F, tiny)``; the
-    ``tiny`` floor lets the zero matrix pass. Input that :func:`symmetrize`
-    rejects for its shape or a non-finite entry or norm raises its error."""
-    asymmetry, threshold = _asymmetry(a)[2:]
-    return asymmetry <= threshold
-
-
 def symmetrize(a) -> np.ndarray:
-    """Return ``(M + M*)/2`` if ``M`` passes :func:`is_hermitian`, else
-    raise; ``M*`` is formed once, for the asymmetry and for the result."""
+    """``(M + M*)/2``, or :class:`NotHermitianError` where ``||M - M*||_F >
+    SYMMETRY_RTOL * max(||M||_F, tiny)`` (the floor passes the zero matrix);
+    ``M*`` is formed once, for the asymmetry and for the result."""
     m, adjoint, asymmetry, threshold = _asymmetry(a)
     if not asymmetry <= threshold:
-        raise DomainError(
+        raise NotHermitianError(
             f"matrix is not Hermitian: asymmetry {asymmetry:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * ||M||_F = {threshold:.3e}"
         )
@@ -285,13 +280,6 @@ def random_hermitian(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(g)
-
-
-def random_psd(n: int, seed: int) -> np.ndarray:
-    """Seeded random positive semidefinite matrix ``C* C``."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return c.conj().T @ c
 
 
 def random_normal_matrix(n: int, seed: int) -> np.ndarray:

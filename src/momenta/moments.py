@@ -178,15 +178,23 @@ class MomentTable:
 
 
 def _power_size(m: float, M: float, k: int) -> float:
-    """Bound on the norm of ``Phi(A^k)`` for a spectrum in ``[m, M]``:
-    ``max(|m|, |M|)^k``, and ``1/m`` for ``k = -1``, since a positive unital
-    map does not increase the norm; ``inf`` past double precision."""
+    """Size of ``Phi(A^k)`` for a spectrum in ``[m, M]``: ``max(|m|, |M|)^k``,
+    as a positive unital map does not increase the norm, and for ``k = -1``
+    ``kappa/m``, ``kappa = M/m``, as ``1/lambda_j`` is only good to ``eps
+    kappa`` of ``1/m``; ``inf`` past double precision."""
     if k < 0:
-        return 1.0 / m
+        return (M / m) / m
     try:
         return max(abs(m), abs(M)) ** k
     except OverflowError:
         return math.inf
+
+
+def positive_definite(m: float, M: float, tol: float) -> bool:
+    """Whether ``[m, M]`` is a positive definite spectrum at working
+    precision, ``m > 0`` and ``kappa tol < 1``: past that, the inverse
+    powers' rounding reaches their checks' tolerance, and they are skips."""
+    return m > 0.0 and M / m * tol < 1.0
 
 
 def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
@@ -248,10 +256,10 @@ def _images(pulm: PositiveUnitalMap, vectors, values, what: str):
 
 @dataclass(frozen=True)
 class BlockMatrixSpec:
-    """An assembled block matrix, exactly Hermitian (each gathered chunk,
-    scalar-check block and normal block is the Hermitian part of what it
-    was formed from), and the size of the operands it was assembled from,
-    the scale its PSD verdict is judged at."""
+    """An assembled block matrix, exactly Hermitian, and the size of the
+    operands it was assembled from, the scale its PSD verdict is judged at.
+    A gathered block is Hermitian because its table is and its terms are
+    real; a scalar-check block and the normal block are Hermitian parts."""
 
     assembled: np.ndarray
     scale: float
@@ -346,8 +354,7 @@ def _assemble(table: MomentTable, r: int, family):
                      // (2 * table.blocks.itemsize * ((r + 1) * k) ** 2))
 
     def chunk(part):
-        assembled = hermitian_part(
-            _gather(np.stack([_sequence(T, terms) for terms in part])))
+        assembled = _gather(np.stack([_sequence(T, terms) for terms in part]))
         return map(BlockMatrixSpec, assembled,
                    [table.operand_scale(terms, r) for terms in part])
 
@@ -696,10 +703,11 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     """Run the non-block inequality checks on one Hermitian matrix.
 
     They cover the square-moment bound, the two variance bounds against the
-    spectrum ``[m, M]`` of ``A``, the inverse moment bound (positive definite
-    input), the two Schur-complement bounds on the third moment (which need
-    ``Phi(A) - mI`` respectively ``MI - Phi(A)`` to be safely invertible),
-    and for a functional the centered fourth-moment bound. All read one
+    spectrum ``[m, M]`` of ``A``, the inverse moment bound (where
+    :func:`positive_definite`), the two Schur-complement bounds on the third
+    moment (which need ``Phi(A) - mI`` respectively ``MI - Phi(A)`` to be
+    safely invertible), and for a functional the centered fourth-moment
+    bound. All read one
     ``hermitian_eig(a)``, which rejects non-Hermitian input (a normal
     matrix goes through ``campaign.normal_suite``). The records carry seed
     0; a seeded campaign restamps them with its instance seed.
@@ -712,9 +720,10 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     spectrum = hermitian_eig(a)
     lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
     m, M = spectrum.min, spectrum.max
+    pd = positive_definite(m, M, tol)
     blocks = dict.fromkeys(HERMITIAN_SCALAR_CHECKS)
     eye = np.eye(pulm.codomain_dim)
-    table = _table(pulm, lam, vectors, -1 if m > 0.0 else 0, 3)
+    table = _table(pulm, lam, vectors, -1 if pd else 0, 3)
     p1, p2, p3 = table.powers(1, 3)
     variance = p2 - p1 @ p1
 
@@ -729,12 +738,12 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
         (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
     # an overflowing inverse gives a non-finite scale, which psd_records rejects
-    if m > 0.0:
+    if pd:
         with np.errstate(over="ignore", invalid="ignore"):
             p1_inv = np.linalg.inv(p1)
             size = frobenius(p1_inv)
-            blocks["inverse_moment"] = BlockMatrixSpec(
-                hermitian_part(table.power(-1) - p1_inv), 1.0 / m + size)
+            blocks["inverse_moment"] = BlockMatrixSpec(hermitian_part(
+                table.power(-1) - p1_inv), table.size(-1) + size)
 
     # a gap is inverted only if it stands clear of its own norm and of the
     # rounding in Phi(A) - m I, which is relative to max(|m|, |M|)

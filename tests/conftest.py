@@ -23,6 +23,14 @@ def reconstruct(spectrum):
     return (v * spectrum.eigenvalues) @ v.conj().T
 
 
+def random_psd(n, seed):
+    """Seeded random positive semidefinite matrix ``C* C``, ``C`` a complex
+    Gaussian matrix: test input with no structure of its own."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return c.conj().T @ c
+
+
 def psd_at_own_norm(m):
     """Whether ``m``, checked and symmetrized by ``linalg.symmetrize``, is
     PSD at its own Frobenius norm: ``linalg.is_psd`` at that scale.

@@ -1,4 +1,4 @@
-"""Digest of 241 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 248 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -23,7 +23,13 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
   input, and ``--out`` into a missing directory), four malformed ``--map``
   values and three malformed ``--n-range`` values: 19 runs;
 - ``bounds`` on a Hermitian JSON file with a string entry and on one with a
-  boolean entry, which exit 1, as neither is a JSON number: 2 runs.
+  boolean entry, which exit 1, as neither is a JSON number: 2 runs;
+- ``verify`` under identity and trace on the positive definite
+  ``hermitian_with_spectrum([d, 0.5, 1, 2], 3)`` at d = 1e-8 and 1e-10,
+  condition numbers 2e8 and 2e10: 4 runs;
+- ``verify`` under trace and ``compression:4`` on ``random_hermitian(8, 1)``
+  with 1e-12 added to entry (0, 1), Hermitian up to rounding: 2 runs;
+- ``bounds`` on a JSON file with a null entry, which exits 1: 1 run.
 
 It prints one tab-separated line per run: the argv, the exit code, the
 sha256 of stdout, of stderr and of the JSON report, and the sha256 of the
@@ -53,6 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from momenta import cli, linalg
+
+from conftest import random_psd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -108,7 +116,7 @@ def runs():
     for n in (8, 24):
         for name, matrix in ((f"h{n}.json", linalg.random_hermitian(n, 1)),
                              (f"pd{n}.json",
-                              linalg.random_psd(n, 2) + np.eye(n))):
+                              random_psd(n, 2) + np.eye(n))):
             Path(name).write_text(cli.write_matrix_json(matrix))
             files.append(name)
             for command in ("verify", "moments"):
@@ -156,6 +164,19 @@ def runs():
         Path(name).write_text(
             f'{{"rows": 2, "cols": 2, "entries": [{entries}]}}\n')
         yield ["bounds", name, "--out", REPORT], REPORT
+    for d in ("1e-8", "1e-10"):
+        Path(f"pd{d}.json").write_text(cli.write_matrix_json(
+            linalg.hermitian_with_spectrum([float(d), 0.5, 1.0, 2.0], 3)))
+        for spec in ("identity", "trace"):
+            yield ["verify", f"pd{d}.json", "--map", spec, "--out", REPORT], REPORT
+    nearly = linalg.random_hermitian(8, 1)
+    nearly[0, 1] += 1e-12
+    Path("nearly8.json").write_text(cli.write_matrix_json(nearly))
+    for spec in ("trace", "compression:4"):
+        yield ["verify", "nearly8.json", "--map", spec, "--out", REPORT], REPORT
+    Path("null2.json").write_text(
+        '{"rows": 2, "cols": 2, "entries": [[1,0],[0,0],[0,0],[null,0]]}\n')
+    yield ["bounds", "null2.json", "--out", REPORT], REPORT
 
 
 def main() -> int:

@@ -30,12 +30,14 @@ import numpy as np
 
 from momenta import cli, linalg
 
+from conftest import random_psd
+
 MATRICES = {
     "diag3": np.diag([-1.0, 0.5, 2.0]),
-    "psd3": linalg.random_psd(3, 2),
+    "psd3": random_psd(3, 2),
     "normal2": np.diag([1j, -1j]),
     "herm8": linalg.random_hermitian(8, 1),
-    "pd8": linalg.random_psd(8, 2) + np.eye(8),
+    "pd8": random_psd(8, 2) + np.eye(8),
     "normal6": linalg.random_normal_matrix(6, 5),
 }
 EXPONENTS = [*range(-330, -29, 20), *range(10, 155, 6)]

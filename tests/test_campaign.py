@@ -11,7 +11,7 @@ import pytest
 from momenta import campaign, cli, eigenbounds, linalg, maps, moments
 from momenta.errors import DomainError
 
-from conftest import ReflectedTrace
+from conftest import ReflectedTrace, random_psd
 
 
 def test_corpus_is_deterministic():
@@ -246,9 +246,9 @@ def test_route_error_is_relative_before_its_norm(case, c):
     # finite; their difference is divided by its scale 1/m before its norm
     # is taken, so the norm does not square past double precision
     pulm, a = {
-        "trace": (maps.NormalizedTrace(3), linalg.random_psd(3, 2)),
+        "trace": (maps.NormalizedTrace(3), random_psd(3, 2)),
         "compression": (cli.build_map("compression:2", 8, 3),
-                        linalg.random_psd(8, 2) + np.eye(8)),
+                        random_psd(8, 2) + np.eye(8)),
     }[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -404,6 +404,40 @@ def test_single_matrix_records_solves_each_distinct_input_once(
     assert len(eigh_inputs) == 1
 
 
+@pytest.mark.parametrize("spec", ["trace", "compression:4"])
+def test_a_hermitian_file_is_decided_by_one_asymmetry(monkeypatch,
+                                                      eigh_inputs, spec):
+    # the one full solve's symmetrize measures the asymmetry, and nothing
+    # else does before the suites run
+    measured = []
+    measure = linalg._asymmetry
+    monkeypatch.setattr(linalg, "_asymmetry",
+                        lambda a: measured.append(a) or measure(a))
+    seen = []
+    monkeypatch.setattr(campaign, "instance_records",
+                        lambda inst, tol: seen.append(len(measured)) or [])
+    a = linalg.random_hermitian(6, 3)
+    campaign.single_matrix_records(a, cli.build_map(spec, 6, 4), seed=4)
+    assert seen == [1]
+    assert len(eigh_inputs) == 1
+
+
+@pytest.mark.parametrize("spec", ["trace", "compression:4", "identity"])
+def test_a_nearly_hermitian_file_gets_its_hermitian_parts_records(
+        eigh_inputs, spec):
+    # asymmetric by rounding, below SYMMETRY_RTOL: every full-solve request
+    # reads the raw bytes, so there is one solve, of the Hermitian part
+    a = linalg.random_hermitian(6, 3) + 4.0 * np.eye(6)
+    a[0, 1] += 1e-12
+    h = linalg.symmetrize(a)
+    assert h.tobytes() != a.tobytes()
+    pulm = cli.build_map(spec, 6, 4)
+    records = campaign.single_matrix_records(a, pulm, seed=4)
+    assert eigh_inputs == [h.tobytes()]
+    linalg._eigh.cache_clear()
+    assert campaign.single_matrix_records(h, pulm, seed=4) == records
+
+
 @pytest.mark.parametrize("shift, pd", [(0.0, False), (4.0, True)])
 def test_file_instance_has_a_pd_variant_only_for_pd_input(monkeypatch, shift,
                                                           pd):
@@ -420,6 +454,47 @@ def test_file_instance_has_a_pd_variant_only_for_pd_input(monkeypatch, shift,
         np.testing.assert_array_equal(inst.matrix_pd, inst.matrix)
     else:
         assert inst.matrix_pd is None
+
+
+#: The checks of a positive definite file that read inverse powers or need
+#: ``A > 0``: skipped together where the matrix is not positive definite
+#: at working precision.
+PD_FILE_CHECKS = campaign._PD_CHECKS + ("inverse_moment",)
+
+
+@pytest.mark.parametrize("spec", ["trace", "vector-state", "compression:2",
+                                  "pinching", "identity"])
+@pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 1e-10, 1e-13])
+def test_an_ill_conditioned_pd_file_gets_no_spurious_fail(d, spec):
+    # kappa = 2/d: the inverse powers are sized by kappa/m, and past
+    # kappa * tol >= 1 (d <= 2e-9) the pd checks are skips
+    a = linalg.hermitian_with_spectrum([d, 0.5, 1.0, 2.0], 3)
+    records = campaign.single_matrix_records(a, cli.build_map(spec, 4, 0), 0)
+    assert [r.check for r in records if r.passed is False] == []
+    pd = [r.passed for r in records if r.check in PD_FILE_CHECKS]
+    assert len(pd) == len(PD_FILE_CHECKS)
+    runs = 2.0 / d * linalg.DEFAULT_PSD_TOL < 1.0
+    assert runs == (d > 2e-9)
+    assert all((passed is not None) == runs for passed in pd)
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0])
+def test_a_shift_by_the_spectral_radius_gets_no_spurious_fail(shared_corpus,
+                                                              shift):
+    # A + rho(A) I is positive semidefinite, its smallest eigenvalue 0 up to
+    # rounding where lambda_min = -rho; A + 2 rho(A) I has kappa <= 3
+    skipped = 0
+    for inst in shared_corpus:
+        lam = linalg.hermitian_eig(inst.matrix).eigenvalues
+        rho = max(abs(lam[0]), abs(lam[-1]))
+        a = inst.matrix + shift * rho * np.eye(inst.n)
+        records = campaign.single_matrix_records(a, inst.pulm, inst.seed,
+                                                 inst.r)
+        failed = [r.check for r in records if r.passed is False]
+        assert failed == [], (inst.seed, failed)
+        skipped += any(r.passed is None for r in records
+                       if r.check == "inverse_moment")
+    assert (skipped > 0) == (shift == 1.0)
 
 
 @pytest.mark.parametrize("kind", maps.MAP_KINDS)

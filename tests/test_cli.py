@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import momenta
 from momenta import campaign, cli, linalg, maps, moments
 
-from conftest import EXAMPLE_3X3, ReflectedTrace
+from conftest import EXAMPLE_3X3, ReflectedTrace, random_psd
 
 PAPERLIKE_CSV = ("3,-4.242640687,-9\n"
                  "-4.242640687,-6,-4.242640687\n"
@@ -124,7 +124,7 @@ MALFORMED = {
     '{"rows":1,"cols":1,"entries":[[{},0]]}':
         "{}: entries must be [re, im] number pairs",
     '{"rows":1,"cols":1,"entries":[[null,0]]}':
-        "{}: matrix contains non-finite entries",
+        "{}: entries must be [re, im] number pairs",
     '{"rows":2,"cols":2,"entries":[[1,0]]}':
         "{}: expected 4 [re, im] entries, found an array of shape (1, 2)",
     '{"rows":1,"cols":1,"entries":[[1e999,0]]}':
@@ -160,12 +160,13 @@ class TestIngest:
         '{"rows":2,"cols":2,"entries":[[2,0],["1_0",0],["1_0",0],[3,0]]}',
         '{"rows":2,"cols":2,"entries":[[true,0],[0,0],[0,0],[1,0]]}',
         '{"rows":2,"cols":2,"entries":[[1,0],[0,false],[0,0],[1,0]]}',
-    ], ids=["string", "underscore-string", "true", "false"])
+        '{"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[null,0]]}',
+    ], ids=["string", "underscore-string", "true", "false", "null"])
     @pytest.mark.parametrize("command", ["bounds", "verify", "moments"])
     def test_an_entry_that_is_not_a_json_number_exits_1(self, tmp_path,
                                                         capsys, command,
                                                         text):
-        # float() reads "1.5", "1_0" as 10 and true as 1
+        # float() reads "1.5", "1_0" as 10 and true as 1, numpy null as nan
         path = write(tmp_path, "m.json", text)
         assert cli.main([command, path]) == 1
         assert capsys.readouterr().err == (
@@ -333,7 +334,7 @@ class TestMomentsCommand:
 SCALED_INPUTS = {
     "spectrum4": linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3),
     "hermitian8": linalg.random_hermitian(8, 1),
-    "pd8": linalg.random_psd(8, 2) + np.eye(8),
+    "pd8": random_psd(8, 2) + np.eye(8),
 }
 
 
@@ -648,7 +649,7 @@ OVERFLOWS = {
     "fourth-moment-products": (1e80 * np.diag([1j, -1j]), "trace", "3"),
     "normal-block-products": (1e82 * np.diag([1j, -1j]), "compression:2",
                               "0"),
-    "route-difference": (1e-250 * (linalg.random_psd(8, 2) + np.eye(8)),
+    "route-difference": (1e-250 * (random_psd(8, 2) + np.eye(8)),
                          "trace", "3"),
     # the commutator's Frobenius norm overflowed and read as "not normal",
     # which skipped every check with exit 0

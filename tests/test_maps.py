@@ -5,7 +5,8 @@ from momenta import linalg, maps
 from momenta.errors import DomainError, ShapeError
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
-                      psd_at_own_norm, rank_one_positivity_failures)
+                      psd_at_own_norm, random_psd,
+                      rank_one_positivity_failures)
 
 
 def all_variants(n=4, seed=7):
@@ -58,7 +59,7 @@ class TestApply:
     def test_positivity_on_psd(self, kind):
         pulm = maps.random_map(kind, 4, k=3, seed=23)
         for seed in range(5):
-            image = pulm.apply(linalg.random_psd(4, seed))
+            image = pulm.apply(random_psd(4, seed))
             assert psd_at_own_norm(image)
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)

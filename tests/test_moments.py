@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momenta import campaign, cli, linalg, maps, moments
-from momenta.errors import DomainError, NotNormalError, ShapeError
+from momenta.errors import (DomainError, NotHermitianError, NotNormalError,
+                            ShapeError)
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
                       centered_solve_blocks, direct_centered_fourth_moment,
                       direct_log_blocks, direct_normal_block, direct_powers,
-                      psd_at_own_norm)
+                      psd_at_own_norm, random_psd)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -86,8 +87,8 @@ def entry_block(kind, table, r, pair=None):
 
 
 def operand_scale_oracle(kind, table, r, pair=None):
-    """``sum_d |c_d| max(|m|, |M|)^(e + d)`` (``1/m`` for power -1),
-    maximised over every degree ``e = 0..2r``: an oracle for the block
+    """``sum_d |c_d| max(|m|, |M|)^(e + d)`` (``kappa/m = M/m^2`` for power
+    -1), maximised over every degree ``e = 0..2r``: an oracle for the block
     scale, which evaluates the two extreme degrees only."""
     m, M = table.m, table.M
     s = t = 0.0
@@ -102,7 +103,7 @@ def operand_scale_oracle(kind, table, r, pair=None):
         "gap_product": {0: s * t, 1: s + t, 2: 1.0},
     }[kind]
     rho = max(abs(m), abs(M))
-    return max(sum(abs(c) * (1.0 / m if e + d < 0 else rho ** (e + d))
+    return max(sum(abs(c) * (M / m / m if e + d < 0 else rho ** (e + d))
                    for d, c in weights.items()) for e in range(2 * r + 1))
 
 
@@ -166,10 +167,28 @@ class TestMomentTable:
 
     @pytest.mark.parametrize("m", [0.0, -1.0])
     def test_inverse_moments_need_a_positive_interval(self, m):
-        # the size of Phi(A^-1), the scale of the inverse blocks, is 1/m,
-        # and m is the smallest eigenvalue
+        # the size of Phi(A^-1), the scale of the inverse blocks, is
+        # kappa/m, and m is the smallest eigenvalue
         with pytest.raises(DomainError, match="positive definite"):
             moments.moment_table(TR2, np.diag([m, 2.0]), -1, 2)
+
+    def test_the_inverse_power_is_sized_by_its_forward_error(self):
+        # 1/lambda_j is good to eps kappa of 1/m, so the size is kappa/m,
+        # formed as (M/m)/m: finite where m^2 underflows
+        assert table12(-1, 2).size(-1) == 2.0
+        assert moments._power_size(1e-200, 1e-190, -1) == 1e10 / 1e-200
+        assert moments._power_size(1e-200, 1e-190, -1) < math.inf
+
+    @pytest.mark.parametrize("m, M, tol, pd", [
+        (1.0, 2.0, 1e-9, True), (0.0, 1.0, 1e-9, False),
+        (-1.0, 1.0, 1e-9, False), (1.0, 9.9e8, 1e-9, True),
+        (1.0, 1e9, 1e-9, False), (1e-6, 1.0, 1e-7, True),
+        (5e-324, 1e300, 1e-9, False)])
+    def test_positive_definite_is_m_above_0_and_kappa_tol_below_1(
+            self, m, M, tol, pd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # kappa may overflow to inf
+            assert moments.positive_definite(m, M, tol) is pd
 
     @pytest.mark.parametrize("route", ["spectral", "direct"])
     def test_overflowing_powers_are_a_domain_error(self, route):
@@ -291,7 +310,7 @@ class TestBuildBlock:
                 operand_scale_oracle(kind, t, r, pair), rel=1e-14)
             assert block.assembled.shape == ((r + 1) * codomain,) * 2
             # bit for bit, signed zeros included
-            expected = linalg.hermitian_part(entry_block(kind, t, r, pair))
+            expected = entry_block(kind, t, r, pair)
             assert block.assembled.tobytes() == expected.tobytes()
 
     def test_hankel_of_two_point_spectrum(self):
@@ -481,11 +500,9 @@ class TestBuildBlocks:
                     s, u = float(pair[0]), float(pair[1])
                     terms = ((1, 2, None), (-1, 1, s + u), (1, 0, s * u))
                 single = one_block(kind, t, r, pair)
-                raw = entry_block(kind, t, r, pair)
-                # an assembled block is exactly Hermitian: the Hermitian
-                # part of the entrywise form, which turns the imaginary
-                # zeros of its diagonal to +0
-                expected = linalg.hermitian_part(raw)
+                # an assembled block is the entrywise form itself, exactly
+                # Hermitian because the table is: no Hermitian part is taken
+                expected = entry_block(kind, t, r, pair)
                 # bit for bit, signed zeros included
                 assert block.assembled.dtype == expected.dtype
                 assert block.assembled.tobytes() == expected.tobytes()
@@ -496,8 +513,8 @@ class TestBuildBlocks:
                 if terms is not None:
                     # the scalar scale of one pair, as a float expression
                     assert block.scale == t.operand_scale(terms, r)
-                zeros = raw.imag == 0.0
-                signed_zeros += np.signbit(raw.imag[zeros]).sum()
+                zeros = expected.imag == 0.0
+                signed_zeros += np.signbit(expected.imag[zeros]).sum()
         assert signed_zeros > 0 or not real
 
     @pytest.mark.parametrize("name", ["mixed", "chain", "all-equal"])
@@ -760,7 +777,7 @@ class TestOneRoute:
                                                        monkeypatch):
         pulm = maps.random_map(kind, 4, k=2, seed=21)
         a = linalg.random_hermitian(4, 22)
-        pd = linalg.random_psd(4, 23) + np.eye(4)
+        pd = random_psd(4, 23) + np.eye(4)
         for matrix in (a, pd):
             records = moments.scalar_checks(pulm, matrix)
             assert [r.passed for r in records[:3]] == [True] * 3
@@ -793,7 +810,7 @@ class TestOneRoute:
         # Phi(A^k), k = -1..3, as scalar_checks reads them
         for seed in range(3):
             pulm = maps.random_map(kind, 6, k=3, seed=seed + 31)
-            a = linalg.random_psd(6, seed + 32) + 0.5 * np.eye(6)
+            a = random_psd(6, seed + 32) + 0.5 * np.eye(6)
             spectrum = linalg.hermitian_eig(a)
             table = moments._table(pulm, spectrum.eigenvalues,
                                    spectrum.eigenvectors, -1, 3)
@@ -806,7 +823,7 @@ class TestOneRoute:
     def test_log_blocks_match_the_direct_route(self, kind):
         for seed in range(3):
             pulm = maps.random_map(kind, 5, k=2, seed=seed + 40)
-            a = linalg.random_psd(5, seed + 50) + 0.2 * np.eye(5)
+            a = random_psd(5, seed + 50) + 0.2 * np.eye(5)
             blocks = (moments.build_log_deficit_block(pulm, a),
                       *moments.build_log_endpoint_blocks(pulm, a))
             for block, expected, scale in zip(
@@ -902,11 +919,13 @@ class TestNormalBlock:
             cases.append((inst.matrix, inst.pulm))
         failed = []
         for a, pulm in cases:
-            if linalg.is_hermitian(a):
+            # the dispatch of file mode: the full solve's symmetrize
+            try:
                 spectrum = linalg.hermitian_eig(a)
-                z, u = spectrum.eigenvalues, spectrum.eigenvectors
-            else:
+            except NotHermitianError:
                 z, u = moments.normal_spectrum(a)
+            else:
+                z, u = spectrum.eigenvalues, spectrum.eigenvectors
             block, direct = (moments.build_normal_block(pulm, z, u),
                              direct_normal_block(pulm, a))
             assert (np.max(np.abs(block.assembled - direct.assembled))
@@ -966,7 +985,7 @@ _NO_WITNESS = {("log_deficit", 1e-6), ("normal_block", 1e-6),
 def reflected_pd_records(c, n, seed):
     """Records of the positive definite blocks and the normal block of
     ``c (random_psd(n, seed) + 0.1 I)`` under :class:`ReflectedTrace`."""
-    a = c * (linalg.random_psd(n, seed) + 0.1 * np.eye(n))
+    a = c * (random_psd(n, seed) + 0.1 * np.eye(n))
     pulm = ReflectedTrace(n)
     spectrum = linalg.hermitian_eig(a)
     blocks = (*moments.build_refinement_chain(moments.moment_table(pulm, a,
@@ -1137,7 +1156,7 @@ class TestScalarChecks:
 
     def test_normal_input_is_not_hermitian(self):
         # a normal matrix has its own route, campaign.normal_suite
-        with pytest.raises(DomainError, match="not Hermitian"):
+        with pytest.raises(NotHermitianError, match="not Hermitian"):
             moments.scalar_checks(TR3, linalg.random_normal_matrix(3, 1))
 
     @pytest.mark.parametrize("c", [1e100, 1e150])
@@ -1218,6 +1237,15 @@ class TestScalarChecks:
         res = results["inverse_moment"]
         assert res.passed is True
         assert res.margin == pytest.approx(0.75 - 1.0 / 1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("m, pd", [(1e-8, True), (1e-10, False)])
+    def test_inverse_moment_needs_kappa_tol_below_1(self, m, pd):
+        # kappa = 1/m on [m, 1]: at 1e10 the inverse power is good to only
+        # about eps kappa = 2e-6, and no verdict at tol 1e-9 is possible
+        results = {r.check: r
+                   for r in moments.scalar_checks(TR2, np.diag([m, 1.0]))}
+        assert (results["inverse_moment"].passed is not None) is pd
+        assert results["inverse_moment"].passed is not False
 
     def test_inverse_moment_skipped_for_indefinite(self):
         results = {r.check: r

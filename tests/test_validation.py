@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from momenta import campaign, eigenbounds, linalg, maps, moments
-from momenta.errors import DomainError, ShapeError
+from momenta.errors import DomainError, NotHermitianError, ShapeError
 
 from conftest import reconstruct
 
@@ -28,7 +28,7 @@ HERMITIAN_ENTRY_POINTS = {
 }
 
 BAD_INPUTS = {
-    "non_hermitian": (np.array([[1.0, 1.0], [0.0, 2.0]]), DomainError),
+    "non_hermitian": (np.array([[1.0, 1.0], [0.0, 2.0]]), NotHermitianError),
     "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
     "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), DomainError),
     "non_square": (np.ones((2, 3)), ShapeError),
@@ -51,29 +51,29 @@ def test_entry_point_rejects_bad_input_like_symmetrize(entry, bad):
     assert str(got) == str(expected)
 
 
-#: Input that ``is_hermitian`` once misjudged: numpy's broadcast error, a
-#: norm overflow named for a NaN, and True for a vector.
-NOT_A_MATRIX = {
-    "non_square": np.ones((2, 3)),
-    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
-    "one_dimensional": np.ones(3),
-}
-
-
-@pytest.mark.parametrize("bad", sorted(NOT_A_MATRIX))
-def test_is_hermitian_rejects_bad_input_like_symmetrize(bad):
-    a = NOT_A_MATRIX[bad]
-    expected = _error_of(linalg.symmetrize, a)
-    got = _error_of(linalg.is_hermitian, a)
-    assert type(got) is type(expected)
-    assert str(got) == str(expected)
-
-
 def test_file_mode_rejects_a_non_square_matrix_like_symmetrize():
     a = np.ones((2, 3))
     got = _error_of(lambda a: campaign.single_matrix_records(a, TR2, 0), a)
     assert type(got) is ShapeError
     assert str(got) == str(_error_of(linalg.symmetrize, a))
+
+
+#: Input that is bad before it is asymmetric: file mode sends only a
+#: NotHermitianError to the normal path, so each raises symmetrize's error.
+NOT_A_MATRIX = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "norm_overflow": np.array([[1e160, 1e160], [0.0, 1e160]]),
+    "one_dimensional": np.ones(2),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_A_MATRIX))
+def test_file_mode_rejects_bad_input_like_symmetrize(bad):
+    a = NOT_A_MATRIX[bad]
+    expected = _error_of(linalg.symmetrize, a)
+    got = _error_of(lambda a: campaign.single_matrix_records(a, TR2, 0), a)
+    assert type(got) is type(expected) is not NotHermitianError
+    assert str(got) == str(expected)
 
 
 @pytest.mark.parametrize("kind", maps.MAP_KINDS)
