@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.r_max < 0:
             raise ValueError("r-max must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
         lo, hi = self.n_range
@@ -84,7 +86,8 @@ _FLAGS = {
                                        f"(default {RunConfig.instances})"),
     "--n-range": dict(help="random-mode dimension range lo:hi "
                            "(default {}:{})".format(*RunConfig.n_range)),
-    "--k-min": dict(type=int, choices=(-1, 0), help="lowest tabulated power"),
+    "--k-min": dict(type=int, help="lowest tabulated power, -1 or 0 "
+                                   f"(default {RunConfig.k_min})"),
     "--out": dict(help="write a JSON report here"),
 }
 

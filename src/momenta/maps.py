@@ -7,13 +7,16 @@ and the normalized trace. The first four have matrix codomain; the last two
 are functionals, represented as maps into the 1x1 matrices so that every
 variant shares one interface.
 
-Every model is completely positive in Kraus form, so a map is positive by
-construction, and unitality is the one payload condition left. Construction
-enforces it with the structure (shapes, a genuine partition, positive
-mixture weights): the factor maps -- compressions, mixtures and vector
-states -- raise :class:`DomainError` unless ``sum_i w_i V_i* V_i = I``
-within ``UNITALITY_TOL``, and the identity, pinchings and the normalized
-trace are unital by their structure.
+Every model is completely positive in Kraus form
+``A -> sum_i w_i K_i* A K_i``, so a map is positive by construction, and
+unitality is the one payload condition left. Construction enforces it with
+the structure (shapes, a genuine partition, positive mixture weights): the
+factor maps -- the identity (the factor ``I``), compressions, mixtures and
+vector states -- store their weighted factors and raise
+:class:`DomainError` unless ``sum_i w_i K_i* K_i = I`` within
+``UNITALITY_TOL``. Pinchings and the normalized trace are unital by their
+structure; their factors are n projections or n unit vectors, so they keep
+their own masked and traced contractions.
 """
 
 from __future__ import annotations
@@ -42,30 +45,42 @@ MAP_KINDS = (
 class PositiveUnitalMap:
     """Common interface of the map variants.
 
-    Subclasses implement ``domain_dim``, ``codomain_dim``, a linear
-    ``apply`` and ``rank_one_images``. ``rank_one_images`` maps the rank-one
-    matrices ``v v*`` of many vectors at once, from the contraction
-    ``W = K* V`` of the map's factors with the vectors, and never forms
-    ``v v*``: every image of a Hermitian or normal matrix is contracted from
-    those of its eigenprojections. ``apply`` takes any complex square
-    matrix; only the direct route of the ``route_agreement`` oracle uses it.
+    Every subclass implements a linear ``apply``, the map's definition, which
+    takes any complex square matrix; only the direct route of the
+    ``route_agreement`` oracle uses it. A map in factor form stores
+    ``factors``, the weighted factors ``(w_i, K_i)`` of
+    ``A -> sum_i w_i K_i* A K_i``, each ``K_i`` an n-by-k matrix, once they
+    are unital, and inherits ``domain_dim``, ``codomain_dim`` and
+    ``rank_one_images`` from them; any other map implements those three.
+    ``rank_one_images`` maps the rank-one matrices ``v v*`` of many vectors
+    at once, from the contraction ``W = K* V`` of the map's factors with the
+    vectors, and never forms ``v v*``: every image of a Hermitian or normal
+    matrix is contracted from those of its eigenprojections.
     """
+
+    factors: tuple
 
     @property
     def domain_dim(self) -> int:
-        raise NotImplementedError
+        return self.factors[0][1].shape[0]
 
     @property
     def codomain_dim(self) -> int:
-        raise NotImplementedError
+        return self.factors[0][1].shape[1]
 
     def apply(self, a) -> np.ndarray:
         raise NotImplementedError
 
     def rank_one_images(self, vectors) -> np.ndarray:
         """``Phi(v v*)`` for each column ``v`` of an ``(n, m)`` array, as an
-        ``(m, k, k)`` stack."""
-        raise NotImplementedError
+        ``(m, k, k)`` stack: ``sum_i w_i (K_i* v)(K_i* v)*``."""
+        x = self._check_vectors(vectors)
+        # from the first term, not sum()'s 0, which would flip signed zeros
+        (w, k), *rest = self.factors
+        images = w * _outer_stack(k.conj().T @ x)
+        for w, k in rest:
+            images = images + w * _outer_stack(k.conj().T @ x)
+        return images
 
     @property
     def is_functional(self) -> bool:
@@ -88,17 +103,21 @@ class PositiveUnitalMap:
                 f"got shape {v.shape}")
         return v
 
+    def _set_factors(self, what: str, factors) -> None:
+        _require_unital(what, factors)
+        object.__setattr__(self, "factors", tuple(factors))
+
 
 def _outer_stack(w: np.ndarray) -> np.ndarray:
     """``w_j w_j*`` for each column ``w_j`` of ``w``, as an ``(m, k, k)`` stack."""
     return w.T[:, :, np.newaxis] * w.T.conj()[:, np.newaxis, :]
 
 
-def _require_unital(what: str, terms) -> None:
-    """Raise :class:`DomainError` unless the weighted factors ``(w_i, V_i)``
-    of ``A -> sum_i w_i V_i* A V_i`` satisfy ``sum_i w_i V_i* V_i = I``
-    within ``UNITALITY_TOL`` in the Frobenius norm."""
-    total = sum(w * (v.conj().T @ v) for w, v in terms)
+def _require_unital(what: str, factors) -> None:
+    """Raise :class:`DomainError` unless the weighted factors ``(w_i, K_i)``
+    satisfy ``sum_i w_i K_i* K_i = I`` within ``UNITALITY_TOL`` in the
+    Frobenius norm."""
+    total = sum(w * (k.conj().T @ k) for w, k in factors)
     residual = frobenius(total - np.eye(total.shape[0]))
     if residual > UNITALITY_TOL:
         raise DomainError(f"{what} is not unital: "
@@ -114,20 +133,10 @@ class Identity(PositiveUnitalMap):
     def __post_init__(self):
         if self.n < 1:
             raise ShapeError("dimension must be at least 1")
-
-    @property
-    def domain_dim(self) -> int:
-        return self.n
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.n
+        self._set_factors("identity", ((1.0, np.eye(self.n, dtype=complex)),))
 
     def apply(self, a) -> np.ndarray:
         return self._check_input(a).copy()
-
-    def rank_one_images(self, vectors) -> np.ndarray:
-        return _outer_stack(self._check_vectors(vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,24 +151,13 @@ class Compression(PositiveUnitalMap):
             raise ShapeError(
                 f"isometry must be tall or square, got shape {v.shape}"
             )
-        _require_unital("compression", ((1.0, v),))
+        self._set_factors("compression", ((1.0, v),))
         object.__setattr__(self, "isometry", v)
-
-    @property
-    def domain_dim(self) -> int:
-        return self.isometry.shape[0]
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.isometry.shape[1]
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
         v = self.isometry
         return v.conj().T @ m @ v
-
-    def rank_one_images(self, vectors) -> np.ndarray:
-        return _outer_stack(self.isometry.conj().T @ self._check_vectors(vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,24 +180,12 @@ class Mixture(PositiveUnitalMap):
             cooked.append((float(w), as_matrix(v)))
         if len({v.shape for _, v in cooked}) > 1:
             raise ShapeError("mixture factors must share one shape")
-        _require_unital("mixture", cooked)
-        object.__setattr__(self, "terms", tuple(cooked))
-
-    @property
-    def domain_dim(self) -> int:
-        return self.terms[0][1].shape[0]
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.terms[0][1].shape[1]
+        self._set_factors("mixture", cooked)
+        object.__setattr__(self, "terms", self.factors)
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
         return sum(w * (v.conj().T @ m @ v) for w, v in self.terms)
-
-    def rank_one_images(self, vectors) -> np.ndarray:
-        x = self._check_vectors(vectors)
-        return sum(w * _outer_stack(v.conj().T @ x) for w, v in self.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,25 +239,13 @@ class VectorState(PositiveUnitalMap):
         x = np.array(self.vector, dtype=np.complex128, copy=True).reshape(-1)
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise DomainError("state vector must be non-empty and finite")
-        _require_unital("vector state", ((1.0, x[:, np.newaxis]),))
+        self._set_factors("vector state", ((1.0, x[:, np.newaxis]),))
         object.__setattr__(self, "vector", x)
-
-    @property
-    def domain_dim(self) -> int:
-        return self.vector.size
-
-    @property
-    def codomain_dim(self) -> int:
-        return 1
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
         x = self.vector
         return np.array([[np.vdot(x, m @ x)]], dtype=np.complex128)
-
-    def rank_one_images(self, vectors) -> np.ndarray:
-        w = self.vector.conj() @ self._check_vectors(vectors)
-        return (w.conj() * w).reshape(-1, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Digest of 248 ``momenta`` runs, for checking that a change alters no output.
+"""Digest of 250 ``momenta`` runs, for checking that a change alters no output.
 
 Runs ``momenta.cli.main`` in process, in a temporary directory, on
 
@@ -29,7 +29,10 @@ Runs ``momenta.cli.main`` in process, in a temporary directory, on
   condition numbers 2e8 and 2e10: 4 runs;
 - ``verify`` under trace and ``compression:4`` on ``random_hermitian(8, 1)``
   with 1e-12 added to entry (0, 1), Hermitian up to rounding: 2 runs;
-- ``bounds`` on a JSON file with a null entry, which exits 1: 1 run.
+- ``bounds`` on a JSON file with a null entry, which exits 1: 1 run;
+- ``verify --map identity --seed -1`` and ``moments --k-min 5`` on the
+  Hermitian n = 8 file, two settings that ``RunConfig`` rejects with one
+  error line: 2 runs.
 
 It prints one tab-separated line per run: the argv, the exit code, the
 sha256 of stdout, of stderr and of the JSON report, and the sha256 of the
@@ -177,6 +180,9 @@ def runs():
     Path("null2.json").write_text(
         '{"rows": 2, "cols": 2, "entries": [[1,0],[0,0],[0,0],[null,0]]}\n')
     yield ["bounds", "null2.json", "--out", REPORT], REPORT
+    for argv in (["verify", "h8.json", "--map", "identity", "--seed", "-1"],
+                 ["moments", "h8.json", "--k-min", "5"]):
+        yield argv + ["--out", REPORT], REPORT
 
 
 def main() -> int:

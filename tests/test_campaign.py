@@ -27,6 +27,12 @@ def test_corpus_cycles_all_map_kinds():
     assert kinds == set(maps.MAP_KINDS)
 
 
+@pytest.mark.parametrize("n_range", [(0, 3), (4, 3)])
+def test_corpus_rejects_a_bad_dimension_range(n_range):
+    with pytest.raises(ValueError, match=r"bad dimension range \("):
+        campaign.corpus(2, seed=0, n_range=n_range)
+
+
 def test_corpus_dimensions_and_orders():
     insts = campaign.corpus(20, seed=2, n_range=(2, 6), r_max=3)
     assert {i.n for i in insts} == {2, 3, 4, 5, 6}

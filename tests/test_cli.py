@@ -585,6 +585,38 @@ class TestFlags:
         assert cli.main(["verify", path, flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: --instances")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "FILE", "--seed", "-1"], "seed must be non-negative"),
+        (["moments", "FILE", "--seed", "-1"], "seed must be non-negative"),
+        (["verify", "FILE", "--seed", "-1"], "seed must be non-negative"),
+        (["verify", "FILE", "--map", "pinching", "--seed", "-1"],
+         "seed must be non-negative"),
+        (["verify", "--random", "--seed", "-1"], "seed must be non-negative"),
+        (["moments", "FILE", "--k-min", "5"], "k-min must be -1 or 0"),
+        (["verify", "FILE", "--tol", "nan"],
+         "tolerance must be positive and finite"),
+        (["moments", "FILE", "--r-max", "-1"], "r-max must be non-negative"),
+        (["verify", "--random", "--instances", "0"],
+         "instances must be at least 1"),
+        (["verify", "--random", "--n-range", "0:3"],
+         "n-range must satisfy 1 <= lo <= hi"),
+        (["verify", "--random", "--n-range", "3:2"],
+         "n-range must satisfy 1 <= lo <= hi"),
+    ], ids=["bounds-seed", "moments-seed", "verify-trace-seed",
+            "verify-pinching-seed", "random-seed", "k-min", "tol", "r-max",
+            "instances", "n-range-lo", "n-range-order"])
+    def test_a_bad_setting_is_one_error_line_naming_it(self, tmp_path, capsys,
+                                                       argv, message):
+        # RunConfig is the one judge of a setting's value: no argparse
+        # choices, and no seed reaches numpy's own error
+        path = write(tmp_path, "a.json",
+                     cli.write_matrix_json(linalg.random_hermitian(6, 1)))
+        argv = [path if arg == "FILE" else arg for arg in argv]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["abc", "2:x", "3:"])
     def test_junk_n_range_is_one_error_line_naming_it(self, capsys, value):
         assert cli.main(["verify", "--random", "--n-range", value]) == 1

@@ -528,6 +528,15 @@ class TestMatrixFunctions:
             self.powers(np.diag([1.0, -2.0]), -1, 1)
 
 
+class TestFrobenius:
+    @pytest.mark.parametrize("part", ["real", "complex"])
+    def test_sums_as_numpy_norm_does_bit_for_bit(self, part):
+        a = linalg.random_hermitian(7, 3)
+        a = a.real.copy() if part == "real" else a
+        for m in (a, a[::2, 1:], a.T):
+            assert linalg.frobenius(m) == float(np.linalg.norm(m))
+
+
 class TestRandomGenerators:
     def test_unitary_single_element(self):
         u = linalg.random_unitary(1, 5)

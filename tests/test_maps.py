@@ -104,6 +104,48 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             maps.Compression(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: maps.Identity(0), ShapeError, "at least 1"),
+        (lambda: maps.NormalizedTrace(0), ShapeError, "at least 1"),
+        (lambda: maps.Mixture(()), ShapeError, "at least one term"),
+        (lambda: maps.Mixture(((0.5, np.eye(2)), (0.5, np.eye(3)))),
+         ShapeError, "share one shape"),
+        (lambda: maps.Compression(np.ones(3)), ShapeError, "2-D"),
+        (lambda: maps.Compression([[np.nan], [1.0]]), DomainError,
+         "non-finite"),
+        (lambda: maps.VectorState([]), DomainError, "non-empty and finite"),
+        (lambda: maps.VectorState([np.inf, 0.0]), DomainError,
+         "non-empty and finite"),
+    ], ids=["identity-0", "trace-0", "empty-mixture", "two-shape-mixture",
+            "one-dimensional-isometry", "non-finite-isometry",
+            "empty-state", "non-finite-state"])
+    def test_malformed_payload_is_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+
+#: The maps stored as weighted factors, and the two that keep their own
+#: contractions (n projections, n unit vectors).
+FACTOR_MAPS = (maps.Identity, maps.Compression, maps.Mixture, maps.VectorState)
+OWN_CONTRACTION_MAPS = (maps.Pinching, maps.NormalizedTrace)
+
+
+class TestFactorForm:
+    """``Identity``, ``Compression``, ``Mixture`` and ``VectorState`` are
+    their weighted factors ``(w_i, K_i)``: the base class derives their
+    dimensions and rank-one images from them."""
+
+    @pytest.mark.parametrize("cls", FACTOR_MAPS + OWN_CONTRACTION_MAPS)
+    def test_every_map_defines_its_own_apply(self, cls):
+        # the map's definition and route_agreement's direct route, wrapped
+        # per class by the benchmark's tracer
+        assert "apply" in vars(cls)
+
+    @pytest.mark.parametrize("cls", FACTOR_MAPS)
+    def test_a_factor_map_inherits_its_shape_and_contraction(self, cls):
+        own = {"domain_dim", "codomain_dim", "rank_one_images"} & set(vars(cls))
+        assert own == set()
+
 
 class TestUnitalityAtConstruction:
     """The factor maps raise where they are built unless
@@ -129,6 +171,15 @@ class TestUnitalityAtConstruction:
         assert maps.VectorState(x).domain_dim == 2
         with pytest.raises(DomainError):
             maps.VectorState(np.array([1.0, 0.0]) * (1.0 + maps.UNITALITY_TOL))
+
+    def test_the_identity_is_checked_too(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(maps, "_require_unital",
+                            lambda what, factors: checked.append(what))
+        pulm = maps.Identity(3)
+        assert checked == ["identity"]
+        assert len(pulm.factors) == 1
+        np.testing.assert_array_equal(pulm.factors[0][1], np.eye(3))
 
     def test_pinching_is_unital(self):
         pinching = maps.Pinching(((0,), (1, 2)))
@@ -188,6 +239,17 @@ class TestRandomMap:
     def test_codomain_exceeding_domain(self):
         with pytest.raises(ShapeError):
             maps.random_map("compression", 2, k=3, seed=0)
+
+    @pytest.mark.parametrize("kind", maps.MAP_KINDS)
+    def test_an_empty_domain_is_rejected(self, kind):
+        with pytest.raises(ShapeError, match="dimension must be at least 1"):
+            maps.random_map(kind, 0, seed=0)
+
+    @pytest.mark.parametrize("kind", ["compression", "mixture"])
+    def test_an_empty_codomain_is_rejected(self, kind):
+        with pytest.raises(ShapeError,
+                           match="codomain dimension must be at least 1"):
+            maps.random_map(kind, 3, k=0, seed=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

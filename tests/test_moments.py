@@ -161,6 +161,15 @@ class TestMomentTable:
         assert t.m == pytest.approx(1.0, abs=1e-12)
         assert t.M == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k_min, k_max, message", [
+        (1, 4, "k_min must be -1 or 0, got 1"),
+        (-2, 4, "k_min must be -1 or 0, got -2"),
+        (0, -1, "k_max -1 below k_min 0"),
+    ])
+    def test_the_power_range_is_checked(self, k_min, k_max, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            moments.moment_table(TR2, DIAG12, k_min, k_max)
+
     def test_inverse_moments_need_positive_definite(self):
         with pytest.raises(DomainError):
             moments.moment_table(TR2, np.diag([1.0, -1.0]), -1, 2)
@@ -1095,6 +1104,11 @@ class TestMovedBlockWitnesses:
         # the mean phi(A) is the 1x1 image; a matrix image has none
         with pytest.raises(ShapeError, match="functional"):
             moments.build_centered_blocks(maps.Identity(3), np.eye(3), 1)
+
+    def test_the_centered_fourth_moment_needs_a_functional(self):
+        z, u = moments.normal_spectrum(np.diag([1j, -1j]))
+        with pytest.raises(ShapeError, match="needs a functional"):
+            moments.centered_fourth_moment(maps.Identity(2), z, u, 1e-9)
 
     @pytest.mark.parametrize("kind", ["normalized_trace", "identity",
                                       "compression"])

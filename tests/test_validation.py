@@ -76,6 +76,25 @@ def test_file_mode_rejects_bad_input_like_symmetrize(bad):
     assert str(got) == str(expected)
 
 
+#: Input that the normal path's joint solve rejects before it decides
+#: normality: ``as_matrix``'s two checks and the square shape.
+NOT_A_SQUARE_MATRIX = {
+    "inf": (np.array([[np.inf, 0.0], [0.0, 1j]]), DomainError,
+            "matrix contains non-finite entries"),
+    "non_square": (np.ones((2, 3)), ShapeError,
+                   r"expected a square matrix, got \(2, 3\)"),
+    "one_dimensional": (np.ones(2), ShapeError,
+                        "expected a 2-D matrix, got ndim=1"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_A_SQUARE_MATRIX))
+def test_normal_spectrum_rejects_what_is_not_a_square_matrix(bad):
+    a, error, message = NOT_A_SQUARE_MATRIX[bad]
+    with pytest.raises(error, match=f"^{message}$"):
+        moments.normal_spectrum(a)
+
+
 @pytest.mark.parametrize("kind", maps.MAP_KINDS)
 def test_apply_rejects_wrong_shape(kind):
     pulm = maps.random_map(kind, 3, k=2, seed=1)
