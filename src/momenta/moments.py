@@ -38,9 +38,10 @@ whole family of one table, the kinds asked for and then the ``gap_product``
 block of every adjacent pair of distinct eigenvalues, and lays them all out
 with one index gather. The gather runs in chunks of at most
 ``GATHER_BUDGET`` bytes, so a family of ``k = n`` blocks is never held all at
-once. :func:`build_block` is the one-block call of that path, the centered
-blocks and the refinement chain are families of it, and the log blocks are
-laid out by the same gather. Every block builder returns each block as a
+once. :func:`build_block` is the one-block call of that path; the centered
+blocks and the refinement chain, whose outer block is ``gap_product`` at
+``s = t = m``, are families of it; the log and normal blocks are laid out by
+the same gather. Every builder returns each block as a
 :class:`BlockMatrixSpec` with the size of its operands: block scales are
 decided in this module alone.
 
@@ -210,14 +211,14 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
     if k_max < k_min:
         raise DomainError(f"k_max {k_max} below k_min {k_min}")
     spectrum = hermitian_eig(a)
-    return _table(pulm, spectrum.eigenvalues, spectrum.eigenvectors, k_min,
-                  k_max)
+    return _table(pulm.rank_one_images(spectrum.eigenvectors),
+                  spectrum.eigenvalues, k_min, k_max)
 
 
-def _table(pulm: PositiveUnitalMap, eigenvalues: np.ndarray,
-           eigenvectors: np.ndarray, k_min: int, k_max: int) -> MomentTable:
+def _table(images: np.ndarray, eigenvalues: np.ndarray, k_min: int,
+           k_max: int) -> MomentTable:
     """The moment table of :func:`moment_table` from ascending ``eigenvalues``
-    and their ``eigenvectors``; ``[m, M]`` are the first and the last."""
+    and their eigenvectors' ``images``; ``[m, M]`` are the first and last."""
     m, M = float(eigenvalues[0]), float(eigenvalues[-1])
     if k_min == -1 and m <= 0.0:
         raise DomainError(f"inverse moments need a positive definite matrix "
@@ -225,8 +226,7 @@ def _table(pulm: PositiveUnitalMap, eigenvalues: np.ndarray,
     powers = np.arange(k_min, k_max + 1)
     with np.errstate(over="ignore"):  # _images rejects the overflow
         values = eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
-    blocks = hermitian_part(_images(pulm, eigenvectors, values,
-                                    "moment powers"))
+    blocks = hermitian_part(_images(images, values, "moment powers"))
     return MomentTable(k_min=k_min, k_max=k_max, blocks=blocks, m=m, M=M)
 
 
@@ -239,16 +239,15 @@ def spectral_images(pulm: PositiveUnitalMap, spectrum,
     the map's ``rank_one_images``, Hermitian part taken; a non-finite one
     (an overflow) is a :class:`DomainError`.
     """
-    return hermitian_part(_images(pulm, spectrum.eigenvectors, values,
-                                  "moment powers"))
+    return hermitian_part(_images(pulm.rank_one_images(spectrum.eigenvectors),
+                                  values, "moment powers"))
 
 
-def _images(pulm: PositiveUnitalMap, vectors, values, what: str):
-    """The stack of ``sum_j values[i, j] Phi(v_j v_j*)`` over the columns of
-    ``vectors``; a non-finite image is a :class:`DomainError` on ``what``."""
+def _images(images: np.ndarray, values, what: str):
+    """The stack of ``sum_j values[i, j] images[j]`` over a ``rank_one_images``
+    stack; a non-finite image is a :class:`DomainError` on ``what``."""
+    n, k = images.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        images = pulm.rank_one_images(vectors)
-        n, k = images.shape[:2]
         blocks = (values @ images.reshape(n, k * k)).reshape(-1, k, k)
     require_finite(what, blocks)
     return blocks
@@ -354,7 +353,8 @@ def _assemble(table: MomentTable, r: int, family):
                      // (2 * table.blocks.itemsize * ((r + 1) * k) ** 2))
 
     def chunk(part):
-        assembled = _gather(np.stack([_sequence(T, terms) for terms in part]))
+        assembled = _gather(np.stack([_sequence(T, terms) for terms in part]),
+                            _hankel_index(r + 1))
         return map(BlockMatrixSpec, assembled,
                    [table.operand_scale(terms, r) for terms in part])
 
@@ -372,17 +372,17 @@ def _hankel_index(size: int) -> np.ndarray:
     return index
 
 
-def _gather(sequences: np.ndarray) -> np.ndarray:
-    """The block Hankel matrices ``[sequences[b, i + j]]`` of a
-    ``(count, 2r + 1, k, k)`` stack of sequences.
+def _gather(sequences: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The block matrices ``[sequences[b, index[i, j]]]`` of a
+    ``(count, length, k, k)`` stack of sequences and a square grid
+    ``index``: :func:`_hankel_index` for a Hankel block.
 
-    One index gather puts block ``i + j`` of each sequence at block position
-    ``(i, j)``, and one transpose and reshape lay each ``(r + 1) x (r + 1)``
-    grid of ``k x k`` blocks out as a ``(r + 1) k`` square matrix.
+    One index gather puts block ``index[i, j]`` of each sequence at block
+    position ``(i, j)``, and one transpose and reshape lay each grid of
+    ``k x k`` blocks out as one square matrix.
     """
-    count, length, k = sequences.shape[:3]
-    size = (length + 1) // 2
-    grid = sequences[:, _hankel_index(size)]  # (b, i, j, row, col)
+    count, size, k = sequences.shape[0], index.shape[0], sequences.shape[-1]
+    grid = sequences[:, index]  # (b, i, j, row, col)
     return grid.transpose(0, 1, 3, 2, 4).reshape(count, size * k, size * k)
 
 
@@ -390,24 +390,19 @@ def build_refinement_chain(table: MomentTable) -> tuple[BlockMatrixSpec,
                                                         BlockMatrixSpec]:
     """Two-block refinement of the even-moment Hankel for ``A >= m > 0``.
 
-    With ``outer = [[Phi(A^2), Phi(A^3)], [Phi(A^3), Phi(A^4)]]`` and
-    ``inner = 2m [[Phi(A), Phi(A^2)], [Phi(A^2), Phi(A^3)]]
-    - m^2 [[I, Phi(A)], [Phi(A), Phi(A^2)]]``, a two-block family of the
-    :func:`build_blocks` path, returns the two checked blocks ``(outer -
-    inner, inner)``. Both are positive semidefinite whenever the spectrum
-    lies in ``[m, inf)`` with ``m > 0``: ``m`` is ``table.m``, the smallest
-    eigenvalue of ``A``. Each is judged at the
-    :meth:`MomentTable.operand_scale` of its terms.
+    Returns ``(outer, inner)``, a two-block family of :func:`build_blocks`:
+    ``inner = 2m [[Phi(A), Phi(A^2)], [Phi(A^2), Phi(A^3)]] - m^2 [[I,
+    Phi(A)], [Phi(A), Phi(A^2)]]``, and ``outer``, the even-moment Hankel
+    ``[[Phi(A^2), Phi(A^3)], [Phi(A^3), Phi(A^4)]]`` less ``inner``, which is
+    the ``gap_product`` block at ``s = t = m``. Both are positive
+    semidefinite whenever the spectrum lies in ``[m, inf)``, ``m = table.m >
+    0``; each is judged at the :meth:`MomentTable.operand_scale` of its terms.
     """
     m = table.m
     if m <= 0.0:
         raise DomainError(f"refinement chain needs m > 0, got {m}")
-    outer, inner = ((1, 2, None),), ((1, 1, 2.0 * m), (-1, 0, m * m))
-    outer_block, inner_block = _assemble(table, 1, (outer, inner))
-    # the scale reads no sign: outer - inner is sized by all three terms
-    return (BlockMatrixSpec(outer_block.assembled - inner_block.assembled,
-                            table.operand_scale(outer + inner, 1)),
-            inner_block)
+    return tuple(_assemble(table, 1, (_KINDS["gap_product"](m, m),
+                                      ((1, 1, 2.0 * m), (-1, 0, m * m)))))
 
 
 def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
@@ -422,10 +417,11 @@ def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
     if not functional.is_functional:
         raise ShapeError("centered blocks need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
-    lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
-    mean = float(spectral_images(functional, spectrum,
-                                 lam[np.newaxis])[0, 0, 0].real)
-    table = _table(functional, lam - mean, vectors, 0, 2 * r + 2)
+    lam = spectrum.eigenvalues
+    images = functional.rank_one_images(spectrum.eigenvectors)
+    mean = float(hermitian_part(_images(images, lam[np.newaxis],
+                                        "moment powers"))[0, 0, 0].real)
+    table = _table(images, lam - mean, 0, 2 * r + 2)
     return build_blocks(table, r, ("lower_shift", "upper_shift"))
 
 
@@ -453,7 +449,7 @@ def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     with np.errstate(over="ignore"):  # spectral_images rejects the overflow
         values = np.stack([lam * lam, lam, lam - log_lam])
     images = spectral_images(pulm, spectrum, values)
-    return BlockMatrixSpec(_gather(images[np.newaxis])[0],
+    return BlockMatrixSpec(_gather(images[np.newaxis], _hankel_index(2))[0],
                            max(_power_size(m, M, 2),
                                _power_size(m, M, 1) + log_size))
 
@@ -481,7 +477,7 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
         values = np.concatenate([(lM - log_lam) * powers,
                                  (log_lam - lm) * powers])
     images = spectral_images(pulm, spectrum, values)
-    blocks = _gather(images.reshape(2, 3, *images.shape[1:]))
+    blocks = _gather(images.reshape(2, 3, *images.shape[1:]), _hankel_index(2))
     low, high = abs(math.log(m)), abs(math.log(M))  # max: the size of log A
     size, square = max(low, high), _power_size(m, M, 2)
     return tuple(BlockMatrixSpec(block, max(c, c * square)) for block, c
@@ -552,9 +548,10 @@ def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:
     x = np.stack([np.ones_like(z), z, z.real * z.real + z.imag * z.imag])
     # _images raises an overflow, and psd_records an infinite scale
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = _images(pulm, u, (x.conj()[:, np.newaxis] * x).reshape(9, -1),
+        grid = _images(pulm.rank_one_images(u),
+                       (x.conj()[:, np.newaxis] * x).reshape(9, -1),
                        "normal-matrix moments")
-        block = np.block([list(grid[p:p + 3]) for p in (0, 3, 6)])
+        block = _gather(grid[np.newaxis], np.arange(9).reshape(3, 3))[0]
         return BlockMatrixSpec(hermitian_part(block), frobenius(block))
 
 
@@ -723,7 +720,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     pd = positive_definite(m, M, tol)
     blocks = dict.fromkeys(HERMITIAN_SCALAR_CHECKS)
     eye = np.eye(pulm.codomain_dim)
-    table = _table(pulm, lam, vectors, -1 if pd else 0, 3)
+    table = _table(pulm.rank_one_images(vectors), lam, -1 if pd else 0, 3)
     p1, p2, p3 = table.powers(1, 3)
     variance = p2 - p1 @ p1
 

@@ -549,9 +549,9 @@ class TestBuildBlocks:
         gathers = []
         gather = moments._gather
 
-        def counting(sequences):
+        def counting(sequences, index):
             gathers.append(sequences.shape[0])
-            return gather(sequences)
+            return gather(sequences, index)
 
         monkeypatch.setattr(moments, "_gather", counting)
 
@@ -649,19 +649,35 @@ class TestRefinementChain:
         pulm = maps.random_map("mixture", 4, k=codomain, seed=52)
         m = 0.35
         t = replace(moments.moment_table(pulm, a, 0, 4), m=m)
-        T = t.power
+        T0, T1, T2 = (np.block([[t.power(d), t.power(d + 1)],
+                                [t.power(d + 1), t.power(d + 2)]])
+                      for d in range(3))
         diff, inner = moments.build_refinement_chain(t)
-        expected_outer = np.block([[T(2), T(3)], [T(3), T(4)]])
-        expected_inner = (2.0 * m * np.block([[T(1), T(2)], [T(2), T(3)]])
-                          - m * m * np.block([[T(0), T(1)], [T(1), T(2)]]))
+        # the outer block's terms, T2 - 2m T1 + m^2 T0, in order
         assert (diff.assembled.tobytes()
-                == (expected_outer - expected_inner).tobytes())
-        assert inner.assembled.tobytes() == expected_inner.tobytes()
+                == (T2 - 2.0 * m * T1 + m * m * T0).tobytes())
+        assert (inner.assembled.tobytes()
+                == (2.0 * m * T1 - m * m * T0).tobytes())
         # each block at the size of its terms, at degree 0 or 2
         assert diff.scale == t.operand_scale(
             ((1, 2, None), (1, 1, 2 * m), (-1, 0, m * m)), 1)
         assert inner.scale == t.operand_scale(((1, 1, 2 * m), (-1, 0, m * m)),
                                               1)
+
+    @pytest.mark.parametrize("codomain", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outer_block_is_the_gap_block_at_the_double_root(
+            self, codomain, seed, monkeypatch):
+        # Phi(A^e (A - mI)^2): build_blocks' gap_product block at s = t = m,
+        # the pair its atoms never give, so they are stubbed to (m, m)
+        t = random_table(codomain, seed % 2 == 0, seed, m=0.2 + 0.3 * seed)
+        monkeypatch.setattr(moments, "distinct_eigenvalues",
+                            lambda values: np.array([t.m, t.m]))
+        (kind, gap), = moments.build_blocks(t, 1, eigenvalues=[t.m])
+        outer, _ = moments.build_refinement_chain(t)
+        assert kind == "gap_product"
+        assert gap.scale == outer.scale
+        assert gap.assembled.tobytes() == outer.assembled.tobytes()
 
     def test_single_atom_equality(self):
         c = 0.9
@@ -821,8 +837,9 @@ class TestOneRoute:
             pulm = maps.random_map(kind, 6, k=3, seed=seed + 31)
             a = random_psd(6, seed + 32) + 0.5 * np.eye(6)
             spectrum = linalg.hermitian_eig(a)
-            table = moments._table(pulm, spectrum.eigenvalues,
-                                   spectrum.eigenvectors, -1, 3)
+            table = moments._table(
+                pulm.rank_one_images(spectrum.eigenvectors),
+                spectrum.eigenvalues, -1, 3)
             direct = direct_powers(pulm, a, -1, 3)
             for k in range(-1, 4):
                 assert (np.max(np.abs(table.power(k) - direct[k + 1]))
@@ -842,6 +859,35 @@ class TestOneRoute:
                         <= 1e-12 * scale)
 
     @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
+    def test_centered_blocks_apply_the_map_once(self, kind, monkeypatch):
+        # the mean and the centered table are contracted from one stack of
+        # rank-one images, with no apply, and give bit for bit the blocks of
+        # the route that formed a stack for each
+        a = linalg.random_hermitian(5, 63)
+        functional = maps.random_map(kind, 5, seed=64)
+        spectrum = linalg.hermitian_eig(a)
+        lam = spectrum.eigenvalues
+        mean = float(moments.spectral_images(functional, spectrum,
+                                             lam[np.newaxis])[0, 0, 0].real)
+        table = moments._table(
+            functional.rank_one_images(spectrum.eigenvectors), lam - mean,
+            0, 6)
+        expected = list(moments.build_blocks(table, 2, ("lower_shift",
+                                                        "upper_shift")))
+
+        cls, calls = type(functional), []
+        images = cls.rank_one_images
+        monkeypatch.setattr(cls, "rank_one_images",
+                            lambda self, v: calls.append(v) or images(self, v))
+        monkeypatch.setattr(cls, "apply", _no_apply)
+        got = list(moments.build_centered_blocks(functional, a, 2))
+        assert len(calls) == 1
+        assert [name for name, _ in got] == [name for name, _ in expected]
+        for (_, block), (_, want) in zip(got, expected):
+            assert block.scale == want.scale
+            assert block.assembled.tobytes() == want.assembled.tobytes()
+
+    @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
     def test_centered_mean_matches_the_functional(self, kind):
         a = linalg.random_hermitian(5, 61)
         functional = maps.random_map(kind, 5, seed=62)
@@ -854,6 +900,33 @@ class TestOneRoute:
 
 
 class TestNormalBlock:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_gathered_block_equals_its_block_layout(self, k, normal):
+        # the 3 x 3 grid of images laid out by np.block, bit for bit, for
+        # the complex spectrum of a normal matrix and the real one of a
+        # Hermitian matrix
+        for seed in range(3):
+            if normal:
+                z, u = moments.normal_spectrum(
+                    linalg.random_normal_matrix(5, seed))
+            else:
+                spectrum = linalg.hermitian_eig(linalg.random_hermitian(5,
+                                                                        seed))
+                z, u = spectrum.eigenvalues, spectrum.eigenvectors
+            for kind in ("compression", "mixture"):
+                pulm = maps.random_map(kind, 5, k=k, seed=seed + 70)
+                x = np.stack([np.ones_like(z), z,
+                              z.real * z.real + z.imag * z.imag])
+                grid = moments._images(
+                    pulm.rank_one_images(u),
+                    (x.conj()[:, np.newaxis] * x).reshape(9, -1), "grid")
+                layout = np.block([list(grid[p:p + 3]) for p in (0, 3, 6)])
+                block = moments.build_normal_block(pulm, z, u)
+                assert (block.assembled.tobytes()
+                        == linalg.hermitian_part(layout).tobytes())
+                assert block.scale == linalg.frobenius(layout)
+
     def test_hermitian_input_reduces_to_hankel_pattern(self):
         a = linalg.random_hermitian(3, 4)
         pulm = maps.random_map("compression", 3, k=2, seed=6)
