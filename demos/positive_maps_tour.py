@@ -15,7 +15,6 @@ from momenta import (
     NormalizedTrace,
     random_hermitian,
     random_map,
-    frobenius,
     scalar_checks,
 )
 
@@ -25,7 +24,7 @@ A = random_hermitian(n, seed=5)
 for kind in MAP_KINDS:
     phi = random_map(kind, n, k=2, seed=91)
     k = phi.codomain_dim
-    residual = frobenius(phi.apply(np.eye(n)) - np.eye(k))
+    residual = np.linalg.norm(phi.apply(np.eye(n)) - np.eye(k))
     print(f"{kind:17s} codomain {k}x{k}, unitality residual {residual:.1e}")
     for res in scalar_checks(phi, A):
         if res.passed is not None and res.check in (

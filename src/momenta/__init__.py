@@ -12,7 +12,6 @@ from .errors import DomainError, ShapeError
 from .linalg import (
     DEFAULT_PSD_TOL,
     HermitianSpectrum,
-    frobenius,
     hermitian_eig,
     hermitian_part,
     hermitian_with_spectrum,
@@ -91,7 +90,6 @@ __all__ = [
     "central_moments",
     "determinant_oracle",
     "distinct_eigenvalues",
-    "frobenius",
     "gamma_value",
     "hermitian_eig",
     "hermitian_part",

@@ -70,6 +70,15 @@ class Instance:
     pulm: PositiveUnitalMap
 
 
+def _dimensions(count: int, n_range: tuple[int, int]) -> list[int]:
+    """The dimension of each of ``count`` instances, cycling through
+    ``n_range``; a :class:`ValueError` unless ``1 <= n_lo <= n_hi``."""
+    n_lo, n_hi = n_range
+    if n_lo < 1 or n_hi < n_lo:
+        raise ValueError(f"bad dimension range {n_range}")
+    return [n_lo + i % (n_hi - n_lo + 1) for i in range(count)]
+
+
 def corpus(count: int = 200, seed: int = 42, n_range: tuple[int, int] = (2, 6),
            r_max: int = 3) -> list[Instance]:
     """Deterministic instance corpus cycling dimensions, maps, and orders.
@@ -79,13 +88,9 @@ def corpus(count: int = 200, seed: int = 42, n_range: tuple[int, int] = (2, 6),
     definite variant is the same matrix shifted to put its smallest
     eigenvalue at ``PD_FLOOR``.
     """
-    n_lo, n_hi = n_range
-    if n_lo < 1 or n_hi < n_lo:
-        raise ValueError(f"bad dimension range {n_range}")
     out = []
-    for i in range(count):
+    for i, n in enumerate(_dimensions(count, n_range)):
         inst_seed = seed + 7919 * i
-        n = n_lo + i % (n_hi - n_lo + 1)
         kind = MAP_KINDS[i % len(MAP_KINDS)]
         r = i % (r_max + 1)
         rng = np.random.default_rng(inst_seed)
@@ -108,11 +113,9 @@ def normal_corpus(count: int = 200, seed: int = 42,
     Cycles compressions and vector states, the variants the normal-matrix
     checks target. Yields ``(seed, matrix, map)`` triples.
     """
-    n_lo, n_hi = n_range
     out = []
-    for i in range(count):
+    for i, n in enumerate(_dimensions(count, n_range)):
         inst_seed = seed + 104729 + 7919 * i
-        n = n_lo + i % (n_hi - n_lo + 1)
         kind = NORMAL_MAP_KINDS[i % len(NORMAL_MAP_KINDS)]
         a = random_normal_matrix(n, inst_seed)
         rng = np.random.default_rng(inst_seed + 1)

@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import (binary_scaled, frobenius, hermitian_eig, require_finite,
-                     symmetrize)
+from .linalg import binary_scaled, hermitian_eig, require_finite, symmetrize
 from .maps import NormalizedTrace, PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
@@ -153,7 +152,7 @@ def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         # s / sqrt(n - 1) at the scale 2**-e, then scaled back
         b, e = binary_scaled(h - mu * np.eye(n))
-        t = frobenius(b)
+        t = np.linalg.norm(b)
         d = np.ldexp(math.sqrt(t * t / n) / math.sqrt(n - 1.0), e)
         bounds = float(mu - d), float(mu + d)
     require_finite("comparator bounds", bounds)

@@ -1,16 +1,17 @@
 """Dense complex linear algebra kernel.
 
 Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
-validated once, where it enters: :func:`symmetrize` rejects non-finite,
-non-square and non-Hermitian input, the last with the package's one
-Hermitian decision, :class:`~momenta.errors.NotHermitianError` (asymmetry
-``||M - M*||_F`` above ``SYMMETRY_RTOL * ||M||_F``; less is round-off and
-absorbed). The full solve
-:func:`hermitian_eig` runs that check and returns the validated matrix with
-the spectrum, so callers never symmetrize twice. The eigenvalues-only solve
-does not: it is for a matrix that its caller holds as Hermitian, a block the
-package assembled or a matrix already symmetrized, and reads one triangle of
-it. It rejects only a shape that is not square and a non-finite entry.
+validated once, where it enters. :func:`as_matrix` is the one matrix check:
+2-D, then finite entries, then square, with one error and message for each
+fault. :func:`symmetrize` runs it and rejects non-Hermitian input with the
+package's one Hermitian decision, :class:`~momenta.errors.NotHermitianError`
+(asymmetry ``||M - M*||_F`` above ``SYMMETRY_RTOL * ||M||_F``; less is
+round-off and absorbed). The full solve :func:`hermitian_eig` runs that
+check and returns the validated matrix with the spectrum, so callers never
+symmetrize twice. The eigenvalues-only solve does not: it is for a matrix
+that its caller holds as Hermitian, a block the package assembled or a
+matrix already symmetrized, and reads one triangle of it. It runs only the
+matrix check.
 
 The eigensolver is LAPACK's Hermitian divide-and-conquer routine (``zheevd``)
 reached through ``numpy.linalg.eigh``. It returns the spectrum in ascending
@@ -57,28 +58,19 @@ DEFAULT_PSD_TOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = np.array(a, dtype=np.complex128, copy=True)
+def as_matrix(a, square: bool = False) -> np.ndarray:
+    """``a`` as a 2-D ``complex128`` array, not copied where it is one
+    already, after the one matrix check: a :class:`ShapeError` unless it is
+    2-D, a :class:`DomainError` if an entry is not finite and, if
+    ``square``, a :class:`ShapeError` unless it is square, in that order."""
+    m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("matrix contains non-finite entries")
+    if square and m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def frobenius(a) -> float:
-    """``||a||_F``, summed as ``numpy.linalg.norm`` sums it, bit for bit.
-
-    A complex matrix takes the direct path, the sum of the squares of its
-    real and imaginary parts, without the dispatch of ``numpy.linalg.norm``.
-    """
-    x = np.asarray(a)
-    if x.dtype != np.complex128:
-        return float(np.linalg.norm(x))
-    x = x.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def binary_scaled(a) -> tuple[np.ndarray, int]:
@@ -115,30 +107,23 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def _asymmetry(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``M`` as ``complex128``, ``M*``, ``||M - M*||_F`` and the threshold
-    :func:`symmetrize` holds it to, for a square ``M`` of finite entries and
-    norm; else a :class:`ShapeError` or :class:`DomainError`.
+    :func:`symmetrize` holds it to, for a matrix that passes
+    :func:`as_matrix` as square and whose norm is finite; else a
+    :class:`ShapeError` or :class:`DomainError`.
 
-    One pass over the input, which is neither copied nor changed. The
-    finiteness check rides on ``||M||_F``: only a non-finite norm leads to
-    a scan of the entries, to tell a NaN or infinite entry from an
-    overflow. An overflowing norm is rejected too: against an infinite
-    scale any asymmetry, and any later verdict, would pass.
+    The input is neither copied nor changed. An overflowing norm is
+    rejected: against an infinite scale any asymmetry, and any later
+    verdict, would pass.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # norms checked below
-        scale = frobenius(m)
-        if not math.isfinite(scale) and not np.isfinite(m).all():
-            raise DomainError("matrix contains non-finite entries")
-        if m.shape[0] != m.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    m = as_matrix(a, square=True)
+    with np.errstate(over="ignore"):  # norms checked below
+        scale = np.linalg.norm(m)
         if not math.isfinite(scale):
             raise DomainError("matrix norm overflows double precision; "
                               "rescale the matrix")
         adjoint = m.conj().T
         # an infinite asymmetry fails the test
-        return (m, adjoint, frobenius(m - adjoint),
+        return (m, adjoint, np.linalg.norm(m - adjoint),
                 SYMMETRY_RTOL * max(scale, _TINY))
 
 
@@ -207,22 +192,17 @@ def hermitian_eig(a, vectors: bool = True) -> HermitianSpectrum:
     (``numpy.linalg.eigvalsh``, cheaper than ``eigh``), and ``eigenvectors``
     is None. This solve trusts its caller that ``a`` is Hermitian: it does
     not symmetrize, and it reads one triangle, as ``eigvalsh`` does. It
-    raises :class:`ShapeError` on a shape that is not square and
-    :class:`DomainError` on a non-finite entry in either triangle, which
-    ``eigvalsh`` could otherwise turn into finite eigenvalues. Its
-    eigenvalues agree with ``eigh``'s to rounding, a few ulps of
-    ``||A||_F``, but not always bit for bit, so it never reads the memo;
-    nor is it memoized, as its inputs are transient blocks that seldom
-    repeat.
+    runs only :func:`as_matrix`'s check, so a non-finite entry in either
+    triangle, which ``eigvalsh`` could otherwise turn into finite
+    eigenvalues, is a :class:`DomainError`. Its eigenvalues agree with
+    ``eigh``'s to rounding, a few ulps of ``||A||_F``, but not always bit
+    for bit, so it never reads the memo; nor is it memoized, as its inputs
+    are transient blocks that seldom repeat.
     """
     if vectors:
         m = np.asarray(a, dtype=np.complex128, order="C")
         return _eigh(m.shape, m.tobytes())
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DomainError("matrix contains non-finite entries")
+    m = as_matrix(a, square=True)
     return HermitianSpectrum(np.linalg.eigvalsh(m), None, matrix=m)
 
 
@@ -251,9 +231,8 @@ def is_psd(m, tol: float, scale: float) -> tuple[bool, float]:
     size of the operands ``m`` was assembled from. ``m`` must be exactly
     Hermitian, as every ``moments.BlockMatrixSpec`` is: it is solved for
     eigenvalues only (``hermitian_eig(m, vectors=False)``), which reads one
-    triangle and rejects only a shape that is not square and a non-finite
-    entry. :func:`passes` rejects an infinite ``scale`` and a ``tol`` that
-    is not positive and finite.
+    triangle and runs only :func:`as_matrix`'s check. :func:`passes` rejects
+    an infinite ``scale`` and a ``tol`` that is not positive and finite.
     """
     lam = hermitian_eig(m, vectors=False).min
     return passes(lam, scale, tol), lam

@@ -7,28 +7,30 @@ and the normalized trace. The first four have matrix codomain; the last two
 are functionals, represented as maps into the 1x1 matrices so that every
 variant shares one interface.
 
-Every model is completely positive in Kraus form
-``A -> sum_i w_i K_i* A K_i``, so a map is positive by construction, and
-unitality is the one payload condition left. Construction enforces it with
-the structure (shapes, a genuine partition, positive mixture weights): the
-factor maps -- the identity (the factor ``I``), compressions, mixtures and
-vector states -- store their weighted factors and raise
-:class:`DomainError` unless ``sum_i w_i K_i* K_i = I`` within
+Every model is completely positive in Kraus form ``A -> sum_i K_i* A K_i``
+(Choi 1975), so a map is positive by construction, and unitality is the
+one payload condition left. Construction enforces it with the structure
+(shapes, a genuine partition, positive mixture weights): the factor maps --
+the identity (the Kraus operator ``I``), compressions (``V``), mixtures
+(``K_i = sqrt(w_i) V_i``, each weight folded in once) and vector states
+(``x`` as an n x 1 column) -- store their Kraus operators and raise
+:class:`DomainError` unless ``sum_i K_i* K_i = I`` within
 ``UNITALITY_TOL``. Pinchings and the normalized trace are unital by their
-structure; their factors are n projections or n unit vectors, so they keep
-their own masked and traced contractions.
+structure; their Kraus operators are n projections or n vectors
+``e_j / sqrt(n)``, so they keep their own masked and traced contractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, frobenius, random_unitary
+from .linalg import as_matrix, random_unitary
 
-#: Frobenius tolerance on ``sum_i w_i V_i* V_i - I`` of a factor map.
+#: Frobenius tolerance on ``sum_i K_i* K_i - I`` of a factor map.
 UNITALITY_TOL = 1e-10
 
 #: All map kinds, in the order verification campaigns cycle through them.
@@ -48,10 +50,10 @@ class PositiveUnitalMap:
     Every subclass implements a linear ``apply``, the map's definition, which
     takes any complex square matrix; only the direct route of the
     ``route_agreement`` oracle uses it. A map in factor form stores
-    ``factors``, the weighted factors ``(w_i, K_i)`` of
-    ``A -> sum_i w_i K_i* A K_i``, each ``K_i`` an n-by-k matrix, once they
-    are unital, and inherits ``domain_dim``, ``codomain_dim`` and
-    ``rank_one_images`` from them; any other map implements those three.
+    ``factors``, the Kraus operators ``K_i`` of ``A -> sum_i K_i* A K_i``,
+    each an n-by-k matrix, once they are unital, and inherits
+    ``domain_dim``, ``codomain_dim`` and ``rank_one_images`` from them; any
+    other map implements those three.
     ``rank_one_images`` maps the rank-one matrices ``v v*`` of many vectors
     at once, from the contraction ``W = K* V`` of the map's factors with the
     vectors, and never forms ``v v*``: every image of a Hermitian or normal
@@ -62,24 +64,24 @@ class PositiveUnitalMap:
 
     @property
     def domain_dim(self) -> int:
-        return self.factors[0][1].shape[0]
+        return self.factors[0].shape[0]
 
     @property
     def codomain_dim(self) -> int:
-        return self.factors[0][1].shape[1]
+        return self.factors[0].shape[1]
 
     def apply(self, a) -> np.ndarray:
         raise NotImplementedError
 
     def rank_one_images(self, vectors) -> np.ndarray:
         """``Phi(v v*)`` for each column ``v`` of an ``(n, m)`` array, as an
-        ``(m, k, k)`` stack: ``sum_i w_i (K_i* v)(K_i* v)*``."""
+        ``(m, k, k)`` stack: ``sum_i (K_i* v)(K_i* v)*``."""
         x = self._check_vectors(vectors)
         # from the first term, not sum()'s 0, which would flip signed zeros
-        (w, k), *rest = self.factors
-        images = w * _outer_stack(k.conj().T @ x)
-        for w, k in rest:
-            images = images + w * _outer_stack(k.conj().T @ x)
+        k, *rest = self.factors
+        images = _outer_stack(k.conj().T @ x)
+        for k in rest:
+            images = images + _outer_stack(k.conj().T @ x)
         return images
 
     @property
@@ -114,14 +116,14 @@ def _outer_stack(w: np.ndarray) -> np.ndarray:
 
 
 def _require_unital(what: str, factors) -> None:
-    """Raise :class:`DomainError` unless the weighted factors ``(w_i, K_i)``
-    satisfy ``sum_i w_i K_i* K_i = I`` within ``UNITALITY_TOL`` in the
-    Frobenius norm."""
-    total = sum(w * (k.conj().T @ k) for w, k in factors)
-    residual = frobenius(total - np.eye(total.shape[0]))
-    if residual > UNITALITY_TOL:
+    """Raise :class:`DomainError` unless the Kraus operators ``K_i`` satisfy
+    ``sum_i K_i* K_i = I`` within ``UNITALITY_TOL`` in the Frobenius norm."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: fails
+        total = sum(k.conj().T @ k for k in factors)
+        residual = np.linalg.norm(total - np.eye(total.shape[0]))
+    if not residual <= UNITALITY_TOL:
         raise DomainError(f"{what} is not unital: "
-                          f"||sum w V*V - I||_F = {residual:.3e}")
+                          f"||sum K*K - I||_F = {residual:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +135,7 @@ class Identity(PositiveUnitalMap):
     def __post_init__(self):
         if self.n < 1:
             raise ShapeError("dimension must be at least 1")
-        self._set_factors("identity", ((1.0, np.eye(self.n, dtype=complex)),))
+        self._set_factors("identity", (np.eye(self.n, dtype=complex),))
 
     def apply(self, a) -> np.ndarray:
         return self._check_input(a).copy()
@@ -146,12 +148,12 @@ class Compression(PositiveUnitalMap):
     isometry: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(self.isometry)
+        v = as_matrix(self.isometry).copy()
         if v.shape[0] < v.shape[1]:
             raise ShapeError(
                 f"isometry must be tall or square, got shape {v.shape}"
             )
-        self._set_factors("compression", ((1.0, v),))
+        self._set_factors("compression", (v,))
         object.__setattr__(self, "isometry", v)
 
     def apply(self, a) -> np.ndarray:
@@ -162,10 +164,12 @@ class Compression(PositiveUnitalMap):
 
 @dataclass(frozen=True, eq=False)
 class Mixture(PositiveUnitalMap):
-    """``A -> sum_i w_i V_i* A V_i`` with jointly unital weighted factors.
+    """``A -> sum_i w_i V_i* A V_i`` for the ``terms`` ``(w_i, V_i)``.
 
-    The unitality sum ``sum_i w_i V_i* V_i = I`` is enforced here rather than
-    renormalized silently; a payload that misses it is a construction bug.
+    Each positive weight is folded in once, here: the Kraus operators are
+    ``K_i = sqrt(w_i) V_i``. Their unitality sum ``sum_i K_i* K_i = I`` is
+    enforced rather than renormalized silently; a payload that misses it is
+    a construction bug.
     """
 
     terms: tuple
@@ -173,19 +177,19 @@ class Mixture(PositiveUnitalMap):
     def __post_init__(self):
         if not self.terms:
             raise ShapeError("mixture needs at least one term")
-        cooked = []
+        kraus = []
         for w, v in self.terms:
-            if not (float(w) > 0.0):
-                raise DomainError(f"mixture weights must be positive, got {w}")
-            cooked.append((float(w), as_matrix(v)))
-        if len({v.shape for _, v in cooked}) > 1:
+            if not 0.0 < float(w) < math.inf:
+                raise DomainError(
+                    f"mixture weights must be positive and finite, got {w}")
+            kraus.append(math.sqrt(float(w)) * as_matrix(v))
+        if len({k.shape for k in kraus}) > 1:
             raise ShapeError("mixture factors must share one shape")
-        self._set_factors("mixture", cooked)
-        object.__setattr__(self, "terms", self.factors)
+        self._set_factors("mixture", kraus)
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
-        return sum(w * (v.conj().T @ m @ v) for w, v in self.terms)
+        return sum(k.conj().T @ m @ k for k in self.factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +243,7 @@ class VectorState(PositiveUnitalMap):
         x = np.array(self.vector, dtype=np.complex128, copy=True).reshape(-1)
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise DomainError("state vector must be non-empty and finite")
-        self._set_factors("vector state", ((1.0, x[:, np.newaxis]),))
+        self._set_factors("vector state", (x[:, np.newaxis],))
         object.__setattr__(self, "vector", x)
 
     def apply(self, a) -> np.ndarray:

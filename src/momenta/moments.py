@@ -68,7 +68,6 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     as_matrix,
     binary_scaled,
-    frobenius,
     hermitian_eig,
     hermitian_part,
     is_psd,
@@ -182,13 +181,10 @@ def _power_size(m: float, M: float, k: int) -> float:
     """Size of ``Phi(A^k)`` for a spectrum in ``[m, M]``: ``max(|m|, |M|)^k``,
     as a positive unital map does not increase the norm, and for ``k = -1``
     ``kappa/m``, ``kappa = M/m``, as ``1/lambda_j`` is only good to ``eps
-    kappa`` of ``1/m``; ``inf`` past double precision."""
+    kappa`` of ``1/m``."""
     if k < 0:
         return (M / m) / m
-    try:
-        return max(abs(m), abs(M)) ** k
-    except OverflowError:
-        return math.inf
+    return max(abs(m), abs(M)) ** k
 
 
 def positive_definite(m: float, M: float, tol: float) -> bool:
@@ -490,8 +486,8 @@ def _normality_defect(b: np.ndarray) -> float:
     wherever ``A``'s own products neither overflow nor underflow, the ratio
     is ``A``'s."""
     bs = b.conj().T
-    return (frobenius(bs @ b - b @ bs)
-            / max(frobenius(b) ** 2, np.finfo(float).tiny))
+    return (np.linalg.norm(bs @ b - b @ bs)
+            / max(np.linalg.norm(b) ** 2, np.finfo(float).tiny))
 
 
 def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
@@ -507,10 +503,7 @@ def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     ``K`` there where ``H`` spreads more, solves both. The atoms are taken at
     the width ``||A - (tr A / n) I||_F`` of the whole spectrum.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {m.shape}")
-    b, e = binary_scaled(m)
+    b, e = binary_scaled(as_matrix(a, square=True))
     defect = _normality_defect(b)
     if not defect <= NORMALITY_RTOL:
         raise NotNormalError(
@@ -519,7 +512,7 @@ def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     bs = b.conj().T
     h, k = (b + bs) / 2.0, (b - bs) / 2j
     hv, u = np.linalg.eigh(h)
-    width = frobenius(b - np.trace(b) / len(b) * np.eye(len(b)))
+    width = np.linalg.norm(b - np.trace(b) / len(b) * np.eye(len(b)))
     for lo, hi in zip(*_atoms(hv, width)):
         if hi - lo > 1:
             v = u[:, lo:hi]
@@ -552,7 +545,7 @@ def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:
                        (x.conj()[:, np.newaxis] * x).reshape(9, -1),
                        "normal-matrix moments")
         block = _gather(grid[np.newaxis], np.arange(9).reshape(3, 3))[0]
-        return BlockMatrixSpec(hermitian_part(block), frobenius(block))
+        return BlockMatrixSpec(hermitian_part(block), np.linalg.norm(block))
 
 
 @dataclass(frozen=True)
@@ -738,7 +731,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     if pd:
         with np.errstate(over="ignore", invalid="ignore"):
             p1_inv = np.linalg.inv(p1)
-            size = frobenius(p1_inv)
+            size = np.linalg.norm(p1_inv)
             blocks["inverse_moment"] = BlockMatrixSpec(hermitian_part(
                 table.power(-1) - p1_inv), table.size(-1) + size)
 
@@ -746,21 +739,21 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     # rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
     low_gap = p1 - m * eye
     if (hermitian_eig(low_gap, vectors=False).min
-            > 1e-6 * max(frobenius(low_gap), rho)):
+            > 1e-6 * max(np.linalg.norm(low_gap), rho)):
         x = p2 - m * p1
         with np.errstate(over="ignore", invalid="ignore"):
             schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            size = frobenius(schur)
+            size = np.linalg.norm(schur)
             blocks["third_moment_lower"] = BlockMatrixSpec(hermitian_part(
                 p3 - (m * p2 + schur)), (rho + abs(m)) * sq + size)
 
     high_gap = M * eye - p1
     if (hermitian_eig(high_gap, vectors=False).min
-            > 1e-6 * max(frobenius(high_gap), rho)):
+            > 1e-6 * max(np.linalg.norm(high_gap), rho)):
         y = M * p1 - p2
         with np.errstate(over="ignore", invalid="ignore"):
             schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            size = frobenius(schur)
+            size = np.linalg.norm(schur)
             blocks["third_moment_upper"] = BlockMatrixSpec(hermitian_part(
                 M * p2 - schur - p3), (rho + abs(M)) * sq + size)
     results = psd_records(blocks.items(), 0, tol)

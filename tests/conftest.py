@@ -39,7 +39,7 @@ def psd_at_own_norm(m):
     or that are Hermitian only to rounding, such as a Kronecker product of
     PSD factors or a map's image."""
     h = linalg.symmetrize(m)
-    return linalg.is_psd(h, linalg.DEFAULT_PSD_TOL, linalg.frobenius(h))[0]
+    return linalg.is_psd(h, linalg.DEFAULT_PSD_TOL, np.linalg.norm(h))[0]
 
 
 def rank_one_positivity_failures(pulm, seed=0):
@@ -108,7 +108,7 @@ def direct_normal_block(pulm, a):
         [square, pulm.apply(ms @ m @ m), pulm.apply(ms @ ms @ m @ m)],
     ])
     return moments.BlockMatrixSpec(linalg.hermitian_part(block),
-                                   linalg.frobenius(block))
+                                   np.linalg.norm(block))
 
 
 def centered_solve_blocks(functional, a, r):
@@ -152,7 +152,7 @@ def direct_centered_fourth_moment(functional, a):
     second = functional.apply(bsq)[0, 0].real
     fourth = functional.apply(bsq @ bsq)[0, 0].real
     mixed = functional.apply(b @ bsq)[0, 0]
-    vanishes = second <= 1e-15 * linalg.frobenius(b) ** 2
+    vanishes = second <= 1e-15 * np.linalg.norm(b) ** 2
     ratio = 0.0 if vanishes else abs(mixed) ** 2 / second
     return fourth - ratio - second * second
 

@@ -27,10 +27,12 @@ def test_corpus_cycles_all_map_kinds():
     assert kinds == set(maps.MAP_KINDS)
 
 
-@pytest.mark.parametrize("n_range", [(0, 3), (4, 3)])
-def test_corpus_rejects_a_bad_dimension_range(n_range):
+@pytest.mark.parametrize("build", [campaign.corpus, campaign.normal_corpus],
+                         ids=["corpus", "normal_corpus"])
+@pytest.mark.parametrize("n_range", [(0, 3), (4, 3), (3, 1)])
+def test_corpus_rejects_a_bad_dimension_range(build, n_range):
     with pytest.raises(ValueError, match=r"bad dimension range \("):
-        campaign.corpus(2, seed=0, n_range=n_range)
+        build(2, seed=0, n_range=n_range)
 
 
 def test_corpus_dimensions_and_orders():

@@ -51,7 +51,7 @@ class TestParseMatrix:
     def test_example_csv_with_truncated_decimals(self, tmp_path):
         path = write(tmp_path, "m.csv", PAPERLIKE_CSV)
         m = cli.parse_matrix(path)
-        assert linalg.frobenius(m - EXAMPLE_3X3) <= 1e-8 * linalg.frobenius(EXAMPLE_3X3)
+        assert np.linalg.norm(m - EXAMPLE_3X3) <= 1e-8 * np.linalg.norm(EXAMPLE_3X3)
 
     def test_non_square_csv(self, tmp_path):
         path = write(tmp_path, "bad.csv", "1,2,3\n4,5,6\n")

@@ -41,10 +41,10 @@ class TestHermitianEig:
         for seed in range(4):
             a = linalg.random_hermitian(n, 100 * n + seed)
             spec = linalg.hermitian_eig(a)
-            scale = max(1.0, linalg.frobenius(a))
-            assert linalg.frobenius(reconstruct(spec) - a) <= 1e-10 * scale
+            scale = max(1.0, np.linalg.norm(a))
+            assert np.linalg.norm(reconstruct(spec) - a) <= 1e-10 * scale
             gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-            assert linalg.frobenius(gram - np.eye(n)) <= 1e-12
+            assert np.linalg.norm(gram - np.eye(n)) <= 1e-12
             assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
     @pytest.mark.parametrize("n", [64, 128, 256])
@@ -58,8 +58,8 @@ class TestHermitianEig:
             a = linalg.hermitian_with_spectrum(lam, n)
         spec = linalg.hermitian_eig(a)
         assert np.all(np.diff(spec.eigenvalues) >= 0.0)
-        assert (linalg.frobenius(reconstruct(spec) - a)
-                <= 1e-10 * linalg.frobenius(a))
+        assert (np.linalg.norm(reconstruct(spec) - a)
+                <= 1e-10 * np.linalg.norm(a))
         v = spec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12 * n
         if kind == "three_atom":
@@ -100,7 +100,7 @@ class TestHermitianEig:
         assert only.eigenvectors is None
         np.testing.assert_array_equal(only.matrix, full.matrix)
         np.testing.assert_allclose(only.eigenvalues, full.eigenvalues, rtol=0,
-                                   atol=8 * n * EPS * linalg.frobenius(a))
+                                   atol=8 * n * EPS * np.linalg.norm(a))
         assert np.all(np.diff(only.eigenvalues) >= 0.0)
 
 
@@ -186,7 +186,7 @@ class TestEigMemo:
         assert len(eigh_inputs) == 2
         np.testing.assert_array_equal(first.matrix, before)
         np.testing.assert_array_equal(second.matrix, a)
-        assert linalg.frobenius(reconstruct(second) - a) <= 1e-12
+        assert np.linalg.norm(reconstruct(second) - a) <= 1e-12
 
     @pytest.mark.parametrize("bad, error, message", [
         ([[0.0, 1.0], [0.0, 0.0]], DomainError, "not Hermitian"),
@@ -231,10 +231,10 @@ OVERFLOW = "matrix norm overflows double precision; rescale the matrix"
 class TestSymmetrize:
     def test_absorbs_roundoff(self):
         a = linalg.random_hermitian(4, 0)
-        noisy = a + 1e-12 * linalg.frobenius(a) * np.array(
+        noisy = a + 1e-12 * np.linalg.norm(a) * np.array(
             [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         h = linalg.symmetrize(noisy)
-        assert linalg.frobenius(h - h.conj().T) == 0.0
+        assert np.linalg.norm(h - h.conj().T) == 0.0
 
     def test_rejects_beyond_tolerance(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -386,7 +386,7 @@ class TestIsPsd:
     def test_gram_matrices_pass(self):
         for seed in range(10):
             h = linalg.hermitian_part(random_psd(5, seed))
-            assert linalg.is_psd(h, 1e-9, linalg.frobenius(h))[0]
+            assert linalg.is_psd(h, 1e-9, np.linalg.norm(h))[0]
 
     def test_zero_matrix_passes_at_scale_zero(self):
         # no floor of 1 on the scale
@@ -443,8 +443,8 @@ class TestIsPsd:
         # the eigenvalues-only solve against the full one, within rounding
         h = 10.0 ** exponent * linalg.random_hermitian(n, seed)
         reference = np.linalg.eigh(h)[0][0]
-        lam = linalg.is_psd(h, 1e-9, linalg.frobenius(h))[1]
-        assert abs(lam - reference) <= 8 * n * EPS * linalg.frobenius(h)
+        lam = linalg.is_psd(h, 1e-9, np.linalg.norm(h))[1]
+        assert abs(lam - reference) <= 8 * n * EPS * np.linalg.norm(h)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -514,8 +514,8 @@ class TestMatrixFunctions:
             for p, q in pairs:
                 left = table.power(p) @ table.power(q)
                 right = table.power(p + q)
-                assert linalg.frobenius(left - right) <= 1e-9 * max(
-                    1.0, linalg.frobenius(right))
+                assert np.linalg.norm(left - right) <= 1e-9 * max(
+                    1.0, np.linalg.norm(right))
 
     def test_log_requires_positive_definite(self):
         with pytest.raises(DomainError):
@@ -528,15 +528,6 @@ class TestMatrixFunctions:
             self.powers(np.diag([1.0, -2.0]), -1, 1)
 
 
-class TestFrobenius:
-    @pytest.mark.parametrize("part", ["real", "complex"])
-    def test_sums_as_numpy_norm_does_bit_for_bit(self, part):
-        a = linalg.random_hermitian(7, 3)
-        a = a.real.copy() if part == "real" else a
-        for m in (a, a[::2, 1:], a.T):
-            assert linalg.frobenius(m) == float(np.linalg.norm(m))
-
-
 class TestRandomGenerators:
     def test_unitary_single_element(self):
         u = linalg.random_unitary(1, 5)
@@ -544,7 +535,7 @@ class TestRandomGenerators:
 
     def test_unitary_orthonormal(self):
         u = linalg.random_unitary(4, 42)
-        assert linalg.frobenius(u.conj().T @ u - np.eye(4)) <= 1e-12
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12
 
     def test_unitary_deterministic(self):
         np.testing.assert_array_equal(linalg.random_unitary(4, 42),
@@ -563,4 +554,4 @@ class TestRandomGenerators:
     def test_normal_matrix_is_normal(self):
         a = linalg.random_normal_matrix(5, 3)
         comm = a.conj().T @ a - a @ a.conj().T
-        assert linalg.frobenius(comm) <= 1e-12 * linalg.frobenius(a) ** 2
+        assert np.linalg.norm(comm) <= 1e-12 * np.linalg.norm(a) ** 2

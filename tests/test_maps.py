@@ -52,8 +52,8 @@ class TestApply:
         pulm = maps.random_map(kind, 4, k=2, seed=11)
         a = linalg.random_hermitian(4, 13)
         out = pulm.apply(a)
-        scale = max(1.0, linalg.frobenius(a))
-        assert linalg.frobenius(out - out.conj().T) <= 1e-12 * scale
+        scale = max(1.0, np.linalg.norm(a))
+        assert np.linalg.norm(out - out.conj().T) <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_positivity_on_psd(self, kind):
@@ -70,8 +70,8 @@ class TestApply:
         alpha, beta = 0.7, -2.5
         left = pulm.apply(alpha * a + beta * b)
         right = alpha * pulm.apply(a) + beta * pulm.apply(b)
-        scale = max(1.0, linalg.frobenius(right))
-        assert linalg.frobenius(left - right) <= 1e-10 * scale
+        scale = max(1.0, np.linalg.norm(right))
+        assert np.linalg.norm(left - right) <= 1e-10 * scale
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_square_moment_dominates(self, kind):
@@ -124,16 +124,29 @@ class TestConstruction:
             build()
 
 
-#: The maps stored as weighted factors, and the two that keep their own
-#: contractions (n projections, n unit vectors).
+#: The maps stored as their Kraus operators, and the two that keep their own
+#: contractions (n projections, n vectors).
 FACTOR_MAPS = (maps.Identity, maps.Compression, maps.Mixture, maps.VectorState)
 OWN_CONTRACTION_MAPS = (maps.Pinching, maps.NormalizedTrace)
 
 
+def kraus_maps():
+    """One map of each factor class, built from its payload: the identity,
+    a compression, a two-term mixture of unequal weights and a vector
+    state."""
+    u = linalg.random_unitary(4, 3)
+    return {
+        "identity": maps.Identity(4),
+        "compression": maps.Compression(u[:, :2]),
+        "mixture": maps.Mixture(((0.25, u[:, :2]), (0.75, u[:, 2:]))),
+        "vector_state": maps.VectorState(u[:, 1]),
+    }
+
+
 class TestFactorForm:
     """``Identity``, ``Compression``, ``Mixture`` and ``VectorState`` are
-    their weighted factors ``(w_i, K_i)``: the base class derives their
-    dimensions and rank-one images from them."""
+    their Kraus operators ``K_i``: the base class derives their dimensions
+    and rank-one images from them, and no weight is stored."""
 
     @pytest.mark.parametrize("cls", FACTOR_MAPS + OWN_CONTRACTION_MAPS)
     def test_every_map_defines_its_own_apply(self, cls):
@@ -146,10 +159,47 @@ class TestFactorForm:
         own = {"domain_dim", "codomain_dim", "rank_one_images"} & set(vars(cls))
         assert own == set()
 
+    @pytest.mark.parametrize("name", sorted(kraus_maps()))
+    def test_the_kraus_operators_are_unital_and_define_apply(self, name):
+        pulm = kraus_maps()[name]
+        total = sum(k.conj().T @ k for k in pulm.factors)
+        assert (np.linalg.norm(total - np.eye(pulm.codomain_dim))
+                <= maps.UNITALITY_TOL)
+        a = linalg.random_hermitian(4, 9) + 1j * np.triu(np.ones((4, 4)))
+        np.testing.assert_allclose(
+            pulm.apply(a), sum(k.conj().T @ a @ k for k in pulm.factors),
+            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["identity", "compression",
+                                      "vector_state"])
+    def test_one_factor_images_are_its_outer_products_bit_for_bit(self, name):
+        pulm = kraus_maps()[name]
+        (k,) = pulm.factors
+        v = linalg.random_unitary(4, 5)[:, :3]
+        np.testing.assert_array_equal(pulm.rank_one_images(v),
+                                      maps._outer_stack(k.conj().T @ v))
+
+    def test_mixture_weights_are_folded_into_its_kraus_operators(self):
+        # terms keeps the payload as given
+        pulm = kraus_maps()["mixture"]
+        for (w, v), k in zip(pulm.terms, pulm.factors):
+            np.testing.assert_allclose(k, np.sqrt(w) * v, rtol=0, atol=1e-15)
+        x = linalg.random_unitary(4, 5)
+        expected = sum(w * maps._outer_stack(v.conj().T @ x)
+                       for w, v in pulm.terms)
+        np.testing.assert_allclose(pulm.rank_one_images(x), expected,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_a_weight_that_is_not_positive_and_finite_is_rejected(self,
+                                                                  weight):
+        with pytest.raises(DomainError, match="positive and finite"):
+            maps.Mixture(((weight, np.eye(2)),))
+
 
 class TestUnitalityAtConstruction:
     """The factor maps raise where they are built unless
-    ``sum_i w_i V_i* V_i = I``; there is no after-the-fact validator."""
+    ``sum_i K_i* K_i = I``; there is no after-the-fact validator."""
 
     def test_scaled_identity_compression_is_rejected(self):
         with pytest.raises(DomainError, match="compression is not unital"):
@@ -160,6 +210,14 @@ class TestUnitalityAtConstruction:
         v = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)], [0.0, 0.0]])
         with pytest.raises(DomainError, match="compression is not unital"):
             maps.Compression(v)
+
+    @pytest.mark.parametrize("v", [[[1e200, 1e200], [1e200, -1e200]],
+                                   [[1e200], [0.0]]],
+                             ids=["nan-gram", "inf-gram"])
+    def test_an_overflowing_unitality_sum_is_rejected(self, v):
+        # K*K overflows to a NaN or an infinite entry; neither is unital
+        with pytest.raises(DomainError, match="compression is not unital"):
+            maps.Compression(np.array(v))
 
     def test_unnormalized_vector_state_is_rejected(self):
         with pytest.raises(DomainError, match="vector state is not unital"):
@@ -179,11 +237,11 @@ class TestUnitalityAtConstruction:
         pulm = maps.Identity(3)
         assert checked == ["identity"]
         assert len(pulm.factors) == 1
-        np.testing.assert_array_equal(pulm.factors[0][1], np.eye(3))
+        np.testing.assert_array_equal(pulm.factors[0], np.eye(3))
 
     def test_pinching_is_unital(self):
         pinching = maps.Pinching(((0,), (1, 2)))
-        residual = linalg.frobenius(pinching.apply(np.eye(3)) - np.eye(3))
+        residual = np.linalg.norm(pinching.apply(np.eye(3)) - np.eye(3))
         assert residual <= 1e-14
 
     def test_complementary_mixture_is_unital(self):
@@ -199,7 +257,7 @@ class TestUnitalityAtConstruction:
         # far inside UNITALITY_TOL: the random maps are unital to rounding
         pulm = maps.random_map(kind, n, k=min(n, 3), seed=77)
         k = pulm.codomain_dim
-        residual = linalg.frobenius(pulm.apply(np.eye(n)) - np.eye(k))
+        residual = np.linalg.norm(pulm.apply(np.eye(n)) - np.eye(k))
         assert residual <= 1e-14
 
 
@@ -224,8 +282,8 @@ class TestRandomMap:
     def test_square_compression_is_unitary_conjugation(self):
         pulm = maps.random_map("compression", 3, k=3, seed=2)
         v = pulm.isometry
-        assert linalg.frobenius(v.conj().T @ v - np.eye(3)) <= 1e-12
-        assert linalg.frobenius(v @ v.conj().T - np.eye(3)) <= 1e-12
+        assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 1e-12
+        assert np.linalg.norm(v @ v.conj().T - np.eye(3)) <= 1e-12
 
     def test_vector_state_is_normalized(self):
         pulm = maps.random_map("vector_state", 3, seed=7)

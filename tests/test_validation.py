@@ -77,22 +77,35 @@ def test_file_mode_rejects_bad_input_like_symmetrize(bad):
 
 
 #: Input that the normal path's joint solve rejects before it decides
-#: normality: ``as_matrix``'s two checks and the square shape.
+#: normality: ``as_matrix``'s three checks.
 NOT_A_SQUARE_MATRIX = {
     "inf": (np.array([[np.inf, 0.0], [0.0, 1j]]), DomainError,
             "matrix contains non-finite entries"),
     "non_square": (np.ones((2, 3)), ShapeError,
-                   r"expected a square matrix, got \(2, 3\)"),
+                   r"expected a square matrix, got shape \(2, 3\)"),
     "one_dimensional": (np.ones(2), ShapeError,
                         "expected a 2-D matrix, got ndim=1"),
+    "non_square_nan": (np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                       DomainError, "matrix contains non-finite entries"),
+}
+
+#: The two solves that run the matrix check without symmetrizing.
+MATRIX_CHECK_ENTRY_POINTS = {
+    "eigenvalues_only": lambda a: linalg.hermitian_eig(a, vectors=False),
+    "normal_spectrum": moments.normal_spectrum,
 }
 
 
+@pytest.mark.parametrize("entry", sorted(MATRIX_CHECK_ENTRY_POINTS))
 @pytest.mark.parametrize("bad", sorted(NOT_A_SQUARE_MATRIX))
-def test_normal_spectrum_rejects_what_is_not_a_square_matrix(bad):
+def test_matrix_check_rejects_what_is_not_a_square_matrix_like_symmetrize(
+        entry, bad):
     a, error, message = NOT_A_SQUARE_MATRIX[bad]
-    with pytest.raises(error, match=f"^{message}$"):
-        moments.normal_spectrum(a)
+    with pytest.raises(error, match=f"^{message}$") as info:
+        MATRIX_CHECK_ENTRY_POINTS[entry](a)
+    expected = _error_of(linalg.symmetrize, a)
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)
 
 
 @pytest.mark.parametrize("kind", maps.MAP_KINDS)
