@@ -125,13 +125,6 @@ def normal_corpus(count: int = 200, seed: int = 42,
     return out
 
 
-def _restamp(results: list[CheckRecord], seed: int,
-             suffix: str) -> list[CheckRecord]:
-    """Scalar-check records under the instance seed and a name suffix."""
-    return [record(res.check + suffix, seed, res.passed, res.margin)
-            for res in results]
-
-
 def psd_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """PSD verdicts for every block construction on one instance; those of
     the positive definite variant are skipped where it is None."""
@@ -161,11 +154,10 @@ def psd_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]
 def scalar_suite(inst: Instance, tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
     """Scalar-form inequality checks on one instance, and under a ``_pd``
     suffix on a positive definite variant other than the matrix itself."""
-    records = _restamp(moments.scalar_checks(inst.pulm, inst.matrix, tol=tol),
-                       inst.seed, "")
+    records = moments.scalar_checks(inst.pulm, inst.matrix, tol, inst.seed)
     if inst.matrix_pd is not None and inst.matrix_pd is not inst.matrix:
-        records += _restamp(moments.scalar_checks(inst.pulm, inst.matrix_pd,
-                                                  tol=tol), inst.seed, "_pd")
+        records += moments.scalar_checks(inst.pulm, inst.matrix_pd, tol,
+                                         inst.seed, "_pd")
     return records
 
 

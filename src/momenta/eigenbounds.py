@@ -72,12 +72,15 @@ def _spectral_measure(functional: PositiveUnitalMap,
     """Eigenvalues, weights ``phi(v_j v_j*)`` and validated matrix of ``A``."""
     if not functional.is_functional:
         raise ShapeError("central moments need a functional (1x1 codomain)")
-    # the trace weighs every unit vector 1/n: the standard basis will do
-    trace = isinstance(functional, NormalizedTrace)
-    spectrum = hermitian_eig(symmetrize(a) if trace else a, vectors=not trace)
-    basis = np.eye(len(spectrum.matrix)) if trace else spectrum.eigenvectors
+    if isinstance(functional, NormalizedTrace):
+        # the trace weighs every unit vector 1/n, whatever the basis
+        h = functional._check_input(symmetrize(a))
+        return (hermitian_eig(h, vectors=False).eigenvalues,
+                np.full(functional.n, 1.0 / functional.n), h)
+    spectrum = hermitian_eig(a)
     return (spectrum.eigenvalues,
-            functional.rank_one_images(basis).real.ravel(), spectrum.matrix)
+            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
+            spectrum.matrix)
 
 
 def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
@@ -219,19 +222,12 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
         gamma = 0.0 - (e1 * e2) * (e1 * e2) * (e1 * e1)
         require_finite("Gauss rule bounds", gamma)
         rounding = n * np.finfo(float).eps * max(abs(lam[0]), abs(lam[-1]))
-        degenerate = e2 <= max(DEGENERACY_RTOL * e1, rounding)
-    if degenerate:
-        return EigenBoundReport(
-            mean=mean, gamma=gamma, degenerate=True, cubic=None, roots=(),
-            lambda_min_upper=None, lambda_max_lower=None,
-            ws_min_upper=ws_min, ws_max_lower=ws_max,
-        )
-    roots = tuple(float(r) for r in np.linalg.eigvalsh(jacobi))
-    cubic = tuple(float(c) for c in np.poly(roots)[1:])
-    require_finite("Gauss rule bounds", cubic)
-    return EigenBoundReport(
-        mean=mean, gamma=gamma, degenerate=False, cubic=cubic, roots=roots,
-        lambda_min_upper=mean + roots[0],
-        lambda_max_lower=mean + roots[-1],
-        ws_min_upper=ws_min, ws_max_lower=ws_max,
-    )
+        degenerate = bool(e2 <= max(DEGENERACY_RTOL * e1, rounding))
+    cubic, roots, bounds = None, (), (None, None)
+    if not degenerate:
+        roots = tuple(float(r) for r in np.linalg.eigvalsh(jacobi))
+        cubic = tuple(float(c) for c in np.poly(roots)[1:])
+        require_finite("Gauss rule bounds", cubic)
+        bounds = mean + roots[0], mean + roots[-1]
+    return EigenBoundReport(mean, gamma, degenerate, cubic, roots, *bounds,
+                            ws_min, ws_max)

@@ -572,6 +572,13 @@ class CheckRecord:
 #: What each check verifies, by check name. A check name may add a ``psd_``
 #: prefix (block constructions) or a ``_pd`` suffix (the same check on the
 #: positive definite variant); both cite the entry of the bare name.
+#:
+#: The centered shift blocks restate the plain ones: with ``mu = phi(A)``
+#: and ``B = A - mu I``, ``[phi(B^{i+j} (A - m))]`` is ``P L P^T`` for the
+#: plain ``lower_shift`` block ``L`` and the unipotent ``P = [C(i, a)
+#: (-mu)^{i-a}]``, and likewise for ``upper_shift``. So
+#: ``centered_lower_shift`` and ``centered_upper_shift`` test the same
+#: inequalities on blocks conditioned differently.
 CATALOG = {
     "hankel": "moment Hankel block matrix is PSD",
     "hankel_shift1": "odd-shifted moment Hankel is PSD for nonnegative matrices",
@@ -598,6 +605,7 @@ CATALOG = {
     "third_moment_upper": "third moment below its Schur-complement upper bound",
     "centered_fourth_moment": "centered fourth moment dominates its two-term lower bound",
     "route_agreement": "spectral and direct moment routes agree",
+    # holds for every table, so it checks the term lists, not the input
     "shift_sum_identity": "lower plus upper shifted blocks equal (M - m) times the Hankel",
     "determinant_identity": "shifted-Hankel determinant matches the cubic expansion",
     "tensor_reconstruction": "moment Hankel equals its weighted scalar-Hankel sum",
@@ -688,8 +696,8 @@ def centered_fourth_moment(functional: PositiveUnitalMap, z, u,
         return passes(slack, scale, tol), slack
 
 
-def scalar_checks(pulm: PositiveUnitalMap, a,
-                  tol: float = DEFAULT_PSD_TOL) -> list[CheckRecord]:
+def scalar_checks(pulm: PositiveUnitalMap, a, tol: float = DEFAULT_PSD_TOL,
+                  seed: int = 0, suffix: str = "") -> list[CheckRecord]:
     """Run the non-block inequality checks on one Hermitian matrix.
 
     They cover the square-moment bound, the two variance bounds against the
@@ -699,8 +707,8 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     safely invertible), and for a functional the centered fourth-moment
     bound. All read one
     ``hermitian_eig(a)``, which rejects non-Hermitian input (a normal
-    matrix goes through ``campaign.normal_suite``). The records carry seed
-    0; a seeded campaign restamps them with its instance seed.
+    matrix goes through ``campaign.normal_suite``). The records are named
+    ``check + suffix`` and carry ``seed``, the seed of their instance.
 
     Each verdict is judged at the size of the operands its slack is
     computed from: ``rho = max(|m|, |M|)`` bounds ``||Phi(A^k)||`` by
@@ -716,6 +724,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     table = _table(pulm.rank_one_images(vectors), lam, -1 if pd else 0, 3)
     p1, p2, p3 = table.powers(1, 3)
     variance = p2 - p1 @ p1
+    low, high = p1 - m * eye, M * eye - p1  # the gaps of Phi(A) to m and M
 
     rho = max(abs(m), abs(M))
     sq = rho * rho  # the size of Phi(A^2) and of Phi(A)^2
@@ -724,10 +733,11 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
     blocks["variance_range"] = BlockMatrixSpec(hermitian_part(
         half * half * eye - variance), half * half + 2.0 * sq)
     blocks["variance_endpoints"] = BlockMatrixSpec(hermitian_part(
-        hermitian_part((p1 - m * eye) @ (M * eye - p1)) - variance),
+        hermitian_part(low @ high) - variance),
         (rho + abs(m)) * (rho + abs(M)) + 2.0 * sq)
 
-    # an overflowing inverse gives a non-finite scale, which psd_records rejects
+    # an overflowing inverse gives a non-finite scale, which psd_records
+    # rejects, here and in the third moments
     if pd:
         with np.errstate(over="ignore", invalid="ignore"):
             p1_inv = np.linalg.inv(p1)
@@ -735,30 +745,31 @@ def scalar_checks(pulm: PositiveUnitalMap, a,
             blocks["inverse_moment"] = BlockMatrixSpec(hermitian_part(
                 table.power(-1) - p1_inv), table.size(-1) + size)
 
-    # a gap is inverted only if it stands clear of its own norm and of the
-    # rounding in Phi(A) - m I, which is relative to max(|m|, |M|)
-    low_gap = p1 - m * eye
-    if (hermitian_eig(low_gap, vectors=False).min
-            > 1e-6 * max(np.linalg.norm(low_gap), rho)):
-        x = p2 - m * p1
-        with np.errstate(over="ignore", invalid="ignore"):
-            schur = hermitian_part(x @ np.linalg.inv(low_gap) @ x)
-            size = np.linalg.norm(schur)
-            blocks["third_moment_lower"] = BlockMatrixSpec(hermitian_part(
-                p3 - (m * p2 + schur)), (rho + abs(m)) * sq + size)
+    blocks["third_moment_lower"] = _third_moment(
+        low, p2 - m * p1, rho, (rho + abs(m)) * sq,
+        lambda schur: p3 - (m * p2 + schur))
+    blocks["third_moment_upper"] = _third_moment(
+        high, M * p1 - p2, rho, (rho + abs(M)) * sq,
+        lambda schur: M * p2 - schur - p3)
+    results = psd_records(((check + suffix, block)
+                           for check, block in blocks.items()), seed, tol)
 
-    high_gap = M * eye - p1
-    if (hermitian_eig(high_gap, vectors=False).min
-            > 1e-6 * max(np.linalg.norm(high_gap), rho)):
-        y = M * p1 - p2
-        with np.errstate(over="ignore", invalid="ignore"):
-            schur = hermitian_part(y @ np.linalg.inv(high_gap) @ y)
-            size = np.linalg.norm(schur)
-            blocks["third_moment_upper"] = BlockMatrixSpec(hermitian_part(
-                M * p2 - schur - p3), (rho + abs(M)) * sq + size)
-    results = psd_records(blocks.items(), 0, tol)
-
+    check = "centered_fourth_moment" + suffix
     if not pulm.is_functional:
-        return results + [skip_record("centered_fourth_moment", 0)]
-    return results + [record("centered_fourth_moment", 0,
+        return results + [skip_record(check, seed)]
+    return results + [record(check, seed,
                              *centered_fourth_moment(pulm, lam, vectors, tol))]
+
+
+def _third_moment(gap: np.ndarray, x: np.ndarray, rho: float, size: float,
+                  bound) -> BlockMatrixSpec | None:
+    """The third-moment block ``bound(x gap^-1 x)`` at ``size`` plus the
+    norm of its Schur term, or None unless the gap stands clear of its own
+    norm and of the rounding in it, which is relative to ``rho``."""
+    if (hermitian_eig(gap, vectors=False).min
+            > 1e-6 * max(np.linalg.norm(gap), rho)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = hermitian_part(x @ np.linalg.inv(gap) @ x)
+            return BlockMatrixSpec(hermitian_part(bound(schur)),
+                                   size + np.linalg.norm(schur))
+    return None

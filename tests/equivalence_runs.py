@@ -73,7 +73,7 @@ NORMAL_MAPS = ["trace", "compression:2", "vector-state"]
 REPORT = "report.json"
 
 
-def _digest(data: bytes) -> str:
+def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -88,13 +88,13 @@ def run(argv: list[str], report: str) -> tuple[str, int]:
             code = cli.main(argv)
     data = Path(report).read_bytes() if os.path.exists(report) else b""
     line = "\t".join([" ".join(argv), str(code),
-                      _digest(out.getvalue().encode()),
-                      _digest(err.getvalue().encode()), _digest(data),
-                      _digest(_verdicts(data))])
+                      digest(out.getvalue().encode()),
+                      digest(err.getvalue().encode()), digest(data),
+                      digest(verdicts(data))])
     return line, len(caught)
 
 
-def _verdicts(data: bytes) -> bytes:
+def verdicts(data: bytes) -> bytes:
     """A report's ``(check, seed, passed)`` triples and summary counts, as
     JSON; empty for no report."""
     if not data:

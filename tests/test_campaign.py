@@ -557,13 +557,16 @@ def test_single_matrix_records_near_identity_runs_centered_checks(c):
     assert all(r.passed is True for r in centered)
 
 
-#: Every PSD check of the two corpora, each a block of the package.
+#: Every PSD check of the two corpora, each a block of the package; the
+#: scalar checks of the positive definite variant are named with their
+#: ``_pd`` suffix where they are judged.
 BLOCK_CHECKS = (
     {f"psd_{kind}" for kind in moments.BLOCK_KINDS}
     | {"centered_lower_shift", "centered_upper_shift", "refinement_chain_outer",
        "refinement_chain_inner", "log_deficit", "log_endpoint_upper",
        "log_endpoint_lower", "normal_block"}
-    | set(moments.HERMITIAN_SCALAR_CHECKS))
+    | {check + suffix for check in moments.HERMITIAN_SCALAR_CHECKS
+       for suffix in ("", "_pd")})
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])

@@ -1129,6 +1129,36 @@ def test_centered_blocks_match_the_centered_solve(c, monkeypatch):
     assert failed  # the controls fail under both routes
 
 
+def test_centered_shift_blocks_are_congruent_to_the_plain_ones():
+    # with mu = phi(A) and B = A - mu I, [phi(B^{i+j} (A - m))] = P L P^T
+    # for the unipotent P = [C(i, a) (-mu)^{i-a}] and the plain lower_shift
+    # block L, and so for upper_shift: the same inequality on a block
+    # conditioned differently, so the verdicts agree, FAILs included
+    failed = 0
+    for n in range(3, 7):
+        for seed in range(1, 40):
+            pulm, a = ReflectedState(n), linalg.random_hermitian(n, seed)
+            for r in (1, 2):
+                table = moments.moment_table(pulm, a, 0, 2 * r + 2)
+                plain = list(moments.build_blocks(
+                    table, r, ("lower_shift", "upper_shift")))
+                centered = list(moments.build_centered_blocks(pulm, a, r))
+                mu = table.power(1)[0, 0].real
+                p = np.array([[math.comb(i, j) * (-mu) ** (i - j) if j <= i
+                               else 0.0 for j in range(r + 1)]
+                              for i in range(r + 1)])
+                for (_, block), (_, expected) in zip(plain, centered):
+                    assert (np.max(np.abs(p @ block.assembled @ p.T
+                                          - expected.assembled))
+                            <= 1e-13 * expected.scale)
+                verdicts = [rec.passed
+                            for rec in moments.psd_records(plain, 0, 1e-9)]
+                assert verdicts == [
+                    rec.passed for rec in moments.psd_records(centered, 0, 1e-9)]
+                failed += verdicts.count(False)
+    assert failed  # 150 of the 624 pairs fail under both
+
+
 class TestMovedBlockWitnesses:
     """Every block that a builder sizes can fail under a unital map that is
     not positive, and is tight where its inequality is an equality, at
