@@ -54,7 +54,6 @@ from .eigenbounds import (
     EigenBoundReport,
     central_moments,
     determinant_oracle,
-    gamma_value,
     spectral_bounds,
     wolkowicz_styan,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "central_moments",
     "determinant_oracle",
     "distinct_eigenvalues",
-    "gamma_value",
     "hermitian_eig",
     "hermitian_part",
     "hermitian_with_spectrum",

@@ -13,7 +13,6 @@ in isolation. A record whose hypotheses fail reports ``passed=None``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,40 +189,15 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
     return float(np.max(diff))
 
 
-def _determinant_identity_error(cm: eigenbounds.CentralMoments) -> float:
-    """Worst mismatch of determinant vs cubic at five shifts, relative to
-    the moments' own scale ``s = max_k |b_k|^(1/k)``.
-
-    Every determinant term is of degree 9 in ``s``, so the check runs on the
-    moments ``b_k / s^k`` (scaled by a power of two first, which is exact
-    and cannot overflow) at the shifts ``-2..2``. Moments that all vanish
-    give error 0.
-    """
-    b = (cm.b2, cm.b3, cm.b4, cm.b5)
-    s = max(abs(bk) ** (1.0 / k) for k, bk in enumerate(b, start=2))
-    if s == 0.0:
-        return 0.0
-    e = math.frexp(s)[1]
-    sigma = math.ldexp(s, -e)  # in [1/2, 1)
-    unit = eigenbounds.CentralMoments(0.0, *(
-        math.ldexp(bk, -e * k) / sigma ** k for k, bk in enumerate(b, start=2)))
-    gamma = eigenbounds.gamma_value(unit)
-    beta1, beta2, beta3 = eigenbounds.beta_values(unit)
-    worst = 0.0
-    for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        det = eigenbounds.determinant_oracle(unit, a)
-        poly = ((gamma * a + beta1) * a + beta2) * a + beta3
-        worst = max(worst, abs(det - poly))
-    return worst
-
-
 def _max_entry(*operands: np.ndarray) -> float:
     """Largest entry modulus over the operands: the scale of an identity."""
     return max(float(np.max(np.abs(x))) for x in operands)
 
 
 def oracle_suite(inst: Instance) -> list[CheckRecord]:
-    """Cross-checks between independent computation routes."""
+    """Identities of the moment table and the bounding cubic: only
+    ``route_agreement`` and ``determinant_identity`` compare independent
+    routes and can fail on the input; the other two hold for any input."""
     records = []
     r = inst.r
     err = _route_error(inst.pulm, inst.matrix, 0, 2 * r + 2)
@@ -243,8 +217,7 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
     records.append(_identity_record("shift_sum_identity", inst.seed, err,
                                     scale, SHIFT_SUM_RTOL))
 
-    cm = eigenbounds.central_moments(NormalizedTrace(inst.n), inst.matrix)
-    worst = _determinant_identity_error(cm)
+    worst = eigenbounds.determinant_error(NormalizedTrace(inst.n), inst.matrix)
     records.append(_identity_record("determinant_identity", inst.seed, worst,
                                     1.0, DETERMINANT_RTOL))
 

@@ -36,8 +36,9 @@ eigenvalues, the reported cubic is ``det(xI - J)`` and
 exactly when the functional sees at most two spectral atoms; no bound is
 then produced (the trace-moment comparator below still is).
 
-The moment formulas above are kept as an independent oracle:
-:func:`gamma_value`, :func:`beta_values` and :func:`determinant_oracle`.
+:func:`determinant_error` checks ``J`` against the reference, the cofactor
+determinant :func:`determinant_oracle` of the same measure's moments. The
+beta formulas live in the tests; :func:`central_moments` is the moment API.
 """
 
 from __future__ import annotations
@@ -99,29 +100,12 @@ def central_moments(functional: PositiveUnitalMap, a) -> CentralMoments:
     return CentralMoments(mean=mean, b2=b[0], b3=b[1], b4=b[2], b5=b[3])
 
 
-def gamma_value(cm: CentralMoments) -> float:
-    """``b3^2 - b2 b4 + b2^3``; non-positive for genuine moment data."""
-    return cm.b3 ** 2 - cm.b2 * cm.b4 + cm.b2 ** 3
-
-
-def beta_values(cm: CentralMoments) -> tuple[float, float, float]:
-    """``(beta_1, beta_2, beta_3)``, the cubic's coefficients times gamma.
-
-    Defined for degenerate moment data too, where gamma vanishes.
-    """
-    b2, b3, b4, b5 = cm.b2, cm.b3, cm.b4, cm.b5
-    beta1 = -b4 * b3 - b2 ** 2 * b3 + b2 * b5
-    beta2 = -b3 * b5 + b4 ** 2 + b3 ** 2 * b2 - b2 ** 2 * b4
-    beta3 = 2.0 * b2 * b3 * b4 - b2 ** 2 * b5 - b3 ** 3
-    return beta1, beta2, beta3
-
-
 def determinant_oracle(cm: CentralMoments, a: float) -> float:
     """Shifted-Hankel determinant at shift ``a``, by direct cofactors.
 
-    Equals ``gamma * (a^3 + c2 a^2 + c1 a + c0)`` identically; keeping the
-    cofactor expansion separate from the coefficient formulas makes the two
-    independently checkable.
+    For the moments of a measure it equals ``gamma * det(aI - J)``, ``J``
+    the measure's 3x3 Jacobi matrix: the reference of
+    :func:`determinant_error`.
     """
     m11, m12, m13 = -a, cm.b2, cm.b3 - a * cm.b2
     m22, m23 = cm.b3 - a * cm.b2, cm.b4 - a * cm.b3
@@ -231,3 +215,39 @@ def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
         bounds = mean + roots[0], mean + roots[-1]
     return EigenBoundReport(mean, gamma, degenerate, cubic, roots, *bounds,
                             ws_min, ws_max)
+
+
+def determinant_error(functional: PositiveUnitalMap, a) -> float:
+    """Worst mismatch of the shifted-Hankel determinant and
+    ``gamma * det(xI - J)`` at the shifts ``x = -2..2``.
+
+    The reference is :func:`determinant_oracle` of the measure's central
+    moments; ``J`` is the Jacobi matrix :func:`spectral_bounds` reads its
+    roots, cubic and gamma from. Both sides are taken on the centered atoms
+    scaled into [-1, 1] by a power of two, then divided by
+    ``s = max_k |b_k|^(1/k)``: every determinant term is of degree 9 in
+    ``s``. For ``n <= 2`` there is no ``J`` and gamma is 0: the shifted
+    Hankel of at most two atoms is singular.
+    """
+    lam, weights, _ = _spectral_measure(functional, a)
+    x = lam - weights @ lam
+    u = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    b = (weights @ u[:, np.newaxis] ** np.arange(2, 6)).tolist()
+    s = max(abs(bk) ** (1.0 / k) for k, bk in enumerate(b, start=2))
+    if s == 0.0:
+        return 0.0
+    unit = CentralMoments(0.0, *(bk / s ** k
+                                 for k, bk in enumerate(b, start=2)))
+    a1 = a2 = a3 = e1 = e2 = 0.0
+    if lam.size >= 3:
+        (a1, e1, _), (_, a2, e2), (_, _, a3) = (_jacobi_matrix(u, weights)
+                                                / s).tolist()
+    gamma = -(e1 * e2) ** 2 * e1 ** 2
+    worst = 0.0
+    for shift in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        # det(shift I - J) by the three-term recurrence of a tridiagonal
+        p1 = shift - a1
+        cubic = ((shift - a2) * p1 - e1 * e1) * (shift - a3) - e2 * e2 * p1
+        worst = max(worst, abs(determinant_oracle(unit, shift)
+                               - gamma * cubic))
+    return worst

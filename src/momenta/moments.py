@@ -608,6 +608,9 @@ CATALOG = {
     # holds for every table, so it checks the term lists, not the input
     "shift_sum_identity": "lower plus upper shifted blocks equal (M - m) times the Hankel",
     "determinant_identity": "shifted-Hankel determinant matches the cubic expansion",
+    # sums the images the Hankel gather uses, in another order, so it holds
+    # for any input; deleting it waits on the tracer counting work, since it
+    # makes one memo-hit eigensolve request per functional instance
     "tensor_reconstruction": "moment Hankel equals its weighted scalar-Hankel sum",
     "bound_min_upper": "smallest eigenvalue respects its cubic upper bound",
     "bound_max_lower": "largest eigenvalue respects its cubic lower bound",

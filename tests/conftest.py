@@ -141,6 +141,26 @@ def full_solve_measure(functional, a):
             spectrum.matrix)
 
 
+def gamma_value(cm):
+    """``b3^2 - b2 b4 + b2^3`` of central moments ``cm``: minus the
+    determinant of the moment Hankel, non-positive for the moments of a
+    measure. The paper's formula; an oracle for the gamma of
+    ``eigenbounds.spectral_bounds``, read off its Jacobi matrix."""
+    return cm.b3 ** 2 - cm.b2 * cm.b4 + cm.b2 ** 3
+
+
+def beta_values(cm):
+    """``(beta_1, beta_2, beta_3)`` of central moments ``cm``: the paper's
+    cubic coefficients times gamma, defined where gamma vanishes too. An
+    oracle for the cubic ``det(xI - J)`` of ``eigenbounds.spectral_bounds``
+    and for the cofactors of ``eigenbounds.determinant_oracle``."""
+    b2, b3, b4, b5 = cm.b2, cm.b3, cm.b4, cm.b5
+    beta1 = -b4 * b3 - b2 ** 2 * b3 + b2 * b5
+    beta2 = -b3 * b5 + b4 ** 2 + b3 ** 2 * b2 - b2 ** 2 * b4
+    beta3 = 2.0 * b2 * b3 * b4 - b2 ** 2 * b5 - b3 ** 3
+    return beta1, beta2, beta3
+
+
 def direct_centered_fourth_moment(functional, a):
     """The centered fourth-moment slack of ``A`` by the direct route, the
     functional applied to multiplied products of ``B = A - phi(A) I``. An

@@ -12,6 +12,7 @@ from momenta import campaign, cli, eigenbounds, linalg, maps, moments
 from momenta.errors import DomainError
 
 from conftest import ReflectedTrace, random_psd
+from mutant_runs import installed
 
 
 def test_corpus_is_deterministic():
@@ -659,20 +660,37 @@ def test_determinant_identity_holds_at_every_scale(c, n):
     assert _determinant_identity(c * linalg.random_hermitian(n, 2)).passed is True
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_determinant_error_is_small_at_every_scale(n):
+    # both sides are on the unit scale, so no overflow and no drift from
+    # 1e-300 to 1e150, where b5 itself would underflow or overflow
+    a = linalg.random_hermitian(n, 2)
+    functional = maps.NormalizedTrace(n)
+    for k in range(-300, 151, 10):
+        err = eigenbounds.determinant_error(functional, 10.0 ** k * a)
+        assert err <= 1e-13, (k, err)
+
+
+@pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
-def test_determinant_identity_fails_on_perturbed_betas(c, n, monkeypatch):
-    # negative control: a cubic whose constant term is off by 1e-6 of the
-    # scale of a determinant term, s^9 with s = max_k |b_k|^(1/k)
-    beta_values = eigenbounds.beta_values
-
-    def perturbed(cm):
-        s = max(abs(b) ** (1.0 / k)
-                for k, b in enumerate((cm.b2, cm.b3, cm.b4, cm.b5), start=2))
-        beta1, beta2, beta3 = beta_values(cm)
-        return beta1, beta2, beta3 + 1e-6 * s ** 9
-
-    monkeypatch.setattr(eigenbounds, "beta_values", perturbed)
-    rec = _determinant_identity(c * linalg.random_hermitian(n, 2))
+def test_determinant_identity_fails_on_a_short_e2(c, n):
+    # negative control: the Jacobi matrix of the bounds with e2 scaled by
+    # 0.9; a two-atom measure has no Jacobi matrix
+    with installed("jacobi_e2"):
+        rec = _determinant_identity(c * linalg.random_hermitian(n, 2))
     assert rec.passed is False
     assert rec.margin < 0.0
+
+
+def test_campaign_fails_determinant_identity_on_a_short_e2():
+    # every instance with three or more atoms, and no other verdict moves
+    base = campaign.run_campaign(200, 42)
+    with installed("jacobi_e2"):
+        mutated = campaign.run_campaign(200, 42)
+    assert [(r.check, r.seed) for r in mutated] == [
+        (r.check, r.seed) for r in base]
+    moved = [r for r, b in zip(mutated, base) if r.passed != b.passed]
+    assert {(r.check, r.seed) for r in moved} == {
+        ("determinant_identity", inst.seed)
+        for inst in campaign.corpus(200, 42) if inst.n >= 3}
+    assert len(moved) == 160 and all(r.passed is False for r in moved)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from momenta import campaign, eigenbounds, linalg, maps
 from momenta.errors import DomainError, ShapeError
 
-from conftest import EXAMPLE_3X3, full_solve_measure
+from conftest import (EXAMPLE_3X3, beta_values, full_solve_measure,
+                      gamma_value)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -126,7 +127,7 @@ class TestCubicCoefficients:
         report = gauss_bounds(TR3, np.diag([-12.0, 0.0, 12.0]))
         cm = brute_central_moments([-12.0, 0.0, 12.0])
         assert report.gamma == pytest.approx(-442368.0, rel=1e-14)
-        assert report.gamma == pytest.approx(eigenbounds.gamma_value(cm),
+        assert report.gamma == pytest.approx(gamma_value(cm),
                                              rel=1e-14)
         assert report.cubic == pytest.approx((0.0, -144.0, 0.0), abs=1e-12)
 
@@ -135,7 +136,7 @@ class TestCubicCoefficients:
         np.testing.assert_allclose(
             [cm.b2, cm.b3, cm.b4, cm.b5],
             [2.0 / 9.0, 2.0 / 27.0, 2.0 / 27.0, 10.0 / 243.0], atol=1e-15)
-        assert eigenbounds.gamma_value(cm) == pytest.approx(0.0, abs=1e-16)
+        assert gamma_value(cm) == pytest.approx(0.0, abs=1e-16)
         report = eigenbounds.spectral_bounds(TR3, np.diag([0.0, 0.0, 1.0]))
         assert report.degenerate and report.cubic is None
         assert report.gamma == pytest.approx(0.0, abs=1e-16)
@@ -154,9 +155,23 @@ class TestCubicCoefficients:
             report = eigenbounds.spectral_bounds(
                 maps.NormalizedTrace(lam.size), np.diag(lam))
             assert report.gamma <= 0.0
-            assert eigenbounds.gamma_value(cm) <= 1e-12 * cm.b2 ** 3
-            assert abs(report.gamma - eigenbounds.gamma_value(cm)) <= (
+            assert gamma_value(cm) <= 1e-12 * cm.b2 ** 3
+            assert abs(report.gamma - gamma_value(cm)) <= (
                 1e-12 * cm.b2 ** 3)
+
+    def test_cubic_matches_the_moment_formulas(self):
+        # the paper's coefficients beta_i / gamma, from the moments
+        for seed in range(40):
+            rng = np.random.default_rng(200 + seed)
+            lam = rng.uniform(-2, 2, rng.integers(3, 8))
+            cm = brute_central_moments(lam)
+            report = gauss_bounds(maps.NormalizedTrace(lam.size), np.diag(lam))
+            # c_k has degree k in the spread of the atoms
+            scale = np.max(np.abs(lam - cm.mean)) ** np.arange(1, 4)
+            np.testing.assert_allclose(
+                np.array(report.cubic) / scale,
+                np.array(beta_values(cm)) / gamma_value(cm) / scale,
+                rtol=0, atol=1e-10)
 
 
 class TestSolveCubic:
@@ -224,7 +239,7 @@ class TestDeterminantOracle:
         cm = brute_central_moments([-12.0, 0.0, 12.0])
         for a in (-12.0, 0.0, 12.0):
             det = eigenbounds.determinant_oracle(cm, a)
-            assert abs(det) <= 1e-6 * max(1.0, abs(eigenbounds.gamma_value(cm)))
+            assert abs(det) <= 1e-6 * max(1.0, abs(gamma_value(cm)))
 
     def test_vanishes_at_gauss_nodes_relative_to_its_scale(self):
         # every term of the determinant has degree 9 in the spread s
@@ -239,6 +254,21 @@ class TestDeterminantOracle:
             for root in report.roots:
                 det = eigenbounds.determinant_oracle(cm, root)
                 assert abs(det) <= 1e-12 * s ** 9, (seed, root, det)
+
+    def test_cofactors_match_the_beta_formulas(self):
+        # an identity in (b2..b5, a), moments of a measure or not: each term
+        # is of degree 9 in the moments' scale s = max_k |b_k|^(1/k)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            b = rng.uniform(-1.0, 1.0, 4)
+            cm = eigenbounds.CentralMoments(0.0, *b)
+            s = max(abs(bk) ** (1.0 / k) for k, bk in enumerate(b, start=2))
+            beta1, beta2, beta3 = beta_values(cm)
+            gamma = gamma_value(cm)
+            for a in rng.uniform(-2.0, 2.0, 5) * s:
+                poly = ((gamma * a + beta1) * a + beta2) * a + beta3
+                det = eigenbounds.determinant_oracle(cm, a)
+                assert abs(det - poly) <= 1e-12 * s ** 9, (b, a)
 
     def test_nonnegative_at_smallest_centered_eigenvalue(self):
         cm = brute_central_moments([-12.0, 0.0, 12.0])
