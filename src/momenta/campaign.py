@@ -189,11 +189,6 @@ def _route_error(pulm, matrix, k_min, k_max) -> float:
     return float(np.max(diff))
 
 
-def _max_entry(*operands: np.ndarray) -> float:
-    """Largest entry modulus over the operands: the scale of an identity."""
-    return max(float(np.max(np.abs(x))) for x in operands)
-
-
 def oracle_suite(inst: Instance) -> list[CheckRecord]:
     """Identities of the moment table and the bounding cubic: only
     ``route_agreement`` and ``determinant_identity`` compare independent
@@ -208,12 +203,12 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
                                     ROUTE_RTOL))
 
     table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * r + 2)
-    low, high, hank = (block.assembled for _, block in moments.build_blocks(
+    low, high, hank = (block for _, block in moments.build_blocks(
         table, r, ("lower_shift", "upper_shift", "hankel")))
-    err = float(np.max(np.abs(low + high - (table.M - table.m) * hank)))
-    # low and high are differences T(e+1) - m T(e), M T(e) - T(e+1): their
-    # rounding scales with the terms before subtraction
-    scale = _max_entry(low, high, max(abs(table.m), abs(table.M)) * hank)
+    gap = table.M - table.m
+    err = float(np.max(np.abs(low.assembled + high.assembled
+                              - gap * hank.assembled)))
+    scale = max(low.scale, high.scale, abs(gap) * hank.scale)
     records.append(_identity_record("shift_sum_identity", inst.seed, err,
                                     scale, SHIFT_SUM_RTOL))
 
@@ -226,10 +221,9 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
         weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
         v = spectrum.eigenvalues[:, np.newaxis] ** np.arange(r + 1)
         acc = (v.T * weights) @ v  # sum_j w_j v_j v_j^T
-        err = float(np.max(np.abs(acc - hank.real)))
-        scale = _max_entry(acc, hank.real)
+        err = float(np.max(np.abs(acc - hank.assembled.real)))
         records.append(_identity_record("tensor_reconstruction", inst.seed,
-                                        err, scale, TENSOR_RTOL))
+                                        err, hank.scale, TENSOR_RTOL))
     return records
 
 

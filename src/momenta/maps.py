@@ -230,7 +230,9 @@ class Pinching(PositiveUnitalMap):
         return np.where(self._mask, m, 0.0)
 
     def rank_one_images(self, vectors) -> np.ndarray:
-        return np.where(self._mask, _outer_stack(self._check_vectors(vectors)), 0.0)
+        images = _outer_stack(self._check_vectors(vectors))
+        images[:, ~self._mask] = 0.0
+        return images
 
 
 @dataclass(frozen=True, eq=False)

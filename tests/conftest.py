@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,22 @@ def direct_centered_fourth_moment(functional, a):
     vanishes = second <= 1e-15 * np.linalg.norm(b) ** 2
     ratio = 0.0 if vanishes else abs(mixed) ** 2 / second
     return fourth - ratio - second * second
+
+
+def peak_bytes(call):
+    """``call()``'s result and the tracemalloc peak, in bytes, of what it
+    allocates above the memory traced when it starts."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class ReflectedTrace(maps.PositiveUnitalMap):

@@ -1,4 +1,4 @@
-"""FAIL counts of the random campaign under five single-line mutants.
+"""Verdicts of three probes under five single-line mutants.
 
 Each mutant is installed with ``unittest.mock.patch`` on the module
 attribute that the package reads, so no source file is edited:
@@ -13,14 +13,28 @@ attribute that the package reads, so no source file is edited:
 - ``half_schur``: ``moments._third_moment`` with half the Schur term in the
   bound of ``third_moment_lower``.
 
-For the unmutated package and then for each mutant it runs
-``campaign.run_campaign(200, 42)`` and prints one line: the name, the
-number of FAILs and the FAIL count per check. A mutant with a FAIL is
-killed; one without survives. It exits 1 if the unmutated campaign FAILs,
-if a mutant in :data:`KILLED` survives, or if a run raises a numpy warning;
-the other mutants are printed as survivors, targets for checks that can
-still fail on the input. pytest does not collect it; run it from the
-repository root as
+The probes are:
+
+- the random campaign ``campaign.run_campaign(200, 42)``, which FAILs
+  nowhere;
+- negative controls: ``campaign.psd_suite`` on ``random_hermitian(4, s)``,
+  s = 1..10, at r = 2 under ``conftest.ReflectedTrace(4)``, a unital map
+  that is not positive, so some blocks FAIL;
+- equality witnesses: ``spectral_bounds`` under the normalized trace on
+  ``hermitian_with_spectrum`` of three atoms -1.3, 0.4 and 1.9 (multiplicities
+  2, 3, 2), seeds 0..9, where the three-node Gauss rule is exact and
+  ``lambda_min_upper`` is the smallest eigenvalue: a miss is an error above
+  ``WITNESS_RTOL`` times the spectral radius.
+
+For the unmutated package and then for each mutant it prints one line: the
+name, the number of campaign FAILs, control FAILs and witness misses, and
+the campaign's FAIL count per check. A mutant is killed when any probe
+differs from the unmutated run; otherwise it survives. It exits 1 if the
+unmutated campaign FAILs, if no unmutated control FAILs, if an unmutated
+witness misses, if a mutant in :data:`KILLED` survives, or if a run raises
+a numpy warning; the other mutants are printed as survivors, targets for
+checks that can still fail on the input. pytest does not collect it; run it
+from the repository root as
 
     PYTHONPATH=src python tests/mutant_runs.py
 """
@@ -35,10 +49,20 @@ import sys
 import warnings
 from unittest import mock
 
-from momenta import campaign, eigenbounds, linalg, moments
+import numpy as np
 
-#: The mutants that ``run_campaign(200, 42)`` must kill.
-KILLED = ("jacobi_e2",)
+from conftest import ReflectedTrace
+from momenta import campaign, eigenbounds, linalg, maps, moments
+
+#: The mutants that the probes must kill.
+KILLED = ("jacobi_e2", "is_psd_max", "middle_node")
+
+#: Largest error of a witness's ``lambda_min_upper``, relative to the
+#: spectral radius.
+WITNESS_RTOL = 1e-6
+
+#: The witnesses' spectrum: three atoms, so the Gauss rule is exact.
+WITNESS_SPECTRUM = np.repeat([-1.3, 0.4, 1.9], [2, 3, 2])
 
 _jacobi_matrix = eigenbounds._jacobi_matrix
 _passes = linalg.passes
@@ -109,23 +133,59 @@ def failures(records) -> collections.Counter:
     return collections.Counter(r.check for r in records if r.passed is False)
 
 
+def controls() -> list[campaign.Instance]:
+    """The negative controls: instances under a map that is not positive."""
+    return [campaign.Instance(seed=s, n=4, r=2, kind="control",
+                              matrix=linalg.random_hermitian(4, s),
+                              matrix_pd=None, pulm=ReflectedTrace(4))
+            for s in range(1, 11)]
+
+
+def witnesses() -> list[np.ndarray]:
+    """The equality witnesses: matrices of the spectrum ``WITNESS_SPECTRUM``."""
+    return [linalg.hermitian_with_spectrum(WITNESS_SPECTRUM, s)
+            for s in range(10)]
+
+
+def probes():
+    """The campaign's FAIL count per check, the number of control FAILs and
+    the number of witness misses."""
+    failed = failures(campaign.run_campaign(200, 42))
+    control_fails = sum(sum(failures(campaign.psd_suite(inst)).values())
+                        for inst in controls())
+    lam_min, rho = WITNESS_SPECTRUM[0], np.max(np.abs(WITNESS_SPECTRUM))
+    misses = sum(
+        not abs(eigenbounds.spectral_bounds(
+            maps.NormalizedTrace(a.shape[0]), a).lambda_min_upper - lam_min)
+        <= WITNESS_RTOL * rho
+        for a in witnesses())
+    return failed, control_fails, misses
+
+
 def main() -> int:
     status = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for name in (None, *MUTANTS):
             with installed(name) if name else contextlib.nullcontext():
-                failed = failures(campaign.run_campaign(200, 42))
+                result = probes()
+            failed, control_fails, misses = result
             counts = ", ".join(f"{check} {count}"
                                for check, count in sorted(failed.items()))
-            label = name or "unmutated"
-            verdict = ("killed" if failed else "survived") if name else ""
-            print(f"{label}\t{verdict}\t{sum(failed.values())} FAILs"
+            if name is None:
+                unmutated = result
+                label, verdict = "unmutated", ""
+                if failed or not control_fails or misses:
+                    status = 1
+            else:
+                label = name
+                killed = result != unmutated
+                verdict = "killed" if killed else "survived"
+                if name in KILLED and not killed:
+                    status = 1
+            print(f"{label}\t{verdict}\t{sum(failed.values())} campaign FAILs"
+                  f"\t{control_fails} control FAILs\t{misses} witness misses"
                   f"\t{counts}".rstrip())
-            if name is None and failed:
-                status = 1
-            if name in KILLED and not failed:
-                status = 1
     return status
 
 

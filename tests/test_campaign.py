@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import functools
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from momenta import campaign, cli, eigenbounds, linalg, maps, moments
 from momenta.errors import DomainError
 
-from conftest import ReflectedTrace, random_psd
+from conftest import ReflectedTrace, peak_bytes, random_psd
 from mutant_runs import installed
 
 
@@ -77,15 +76,30 @@ def test_tensor_reconstruction_equals_its_loop():
             acc += w * np.outer(v, v)
         hank = moments.build_block(
             "hankel", moments.moment_table(inst.pulm, inst.matrix, 0,
-                                           2 * inst.r + 2), inst.r).assembled
-        err = float(np.max(np.abs(acc - hank.real)))
-        scale = max(float(np.max(np.abs(acc))), float(np.max(np.abs(hank))))
+                                           2 * inst.r + 2), inst.r)
+        err = float(np.max(np.abs(acc - hank.assembled.real)))
         rec, = (r for r in campaign.oracle_suite(inst)
                 if r.check == "tensor_reconstruction")
-        assert abs(rec.margin - (campaign.TENSOR_RTOL * scale - err)) <= (
-            1e-14 * scale)
+        assert abs(rec.margin - (campaign.TENSOR_RTOL * hank.scale - err)) <= (
+            1e-14 * hank.scale)
         checked += 1
     assert checked >= 10
+
+
+def test_shift_sum_identity_is_judged_at_its_operand_scales():
+    # the operand scales that the blocks' PSD verdicts use, the Hankel's
+    # times the gap
+    for inst in campaign.corpus(60, seed=6):
+        table = moments.moment_table(inst.pulm, inst.matrix, 0, 2 * inst.r + 2)
+        low, high, hank = (block for _, block in moments.build_blocks(
+            table, inst.r, ("lower_shift", "upper_shift", "hankel")))
+        gap = table.M - table.m
+        err = float(np.max(np.abs(low.assembled + high.assembled
+                                  - gap * hank.assembled)))
+        scale = max(low.scale, high.scale, abs(gap) * hank.scale)
+        rec, = (r for r in campaign.oracle_suite(inst)
+                if r.check == "shift_sum_identity")
+        assert rec.margin == campaign.SHIFT_SUM_RTOL * scale - err
 
 
 def _file_instance(matrix, pulm):
@@ -533,17 +547,7 @@ def test_k_equals_n_block_families_stay_within_the_gather_budget(spec):
     pulm = cli.build_map(spec, 48, 1)
     campaign.single_matrix_records(a, pulm, 1)
     linalg._eigh.cache_clear()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        campaign.single_matrix_records(a, pulm, 1)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = peak_bytes(lambda: campaign.single_matrix_records(a, pulm, 1))
     assert peak <= ONE_BLOCK_PER_GATHER_PEAK[spec] + 2 * moments.GATHER_BUDGET
 
 

@@ -5,7 +5,7 @@ from momenta import linalg, maps
 from momenta.errors import DomainError, ShapeError
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
-                      psd_at_own_norm, random_psd,
+                      peak_bytes, psd_at_own_norm, random_psd,
                       rank_one_positivity_failures)
 
 
@@ -42,6 +42,15 @@ class TestApply:
         assert out[0, 2] == a[0, 2] and out[2, 0] == a[2, 0]
         assert out[0, 1] == 0.0 and out[1, 2] == 0.0
         np.testing.assert_array_equal(np.diag(out), np.diag(a))
+
+    def test_pinching_masks_its_one_image_stack_in_place(self):
+        # the bytes of the masked copy, at the peak of one (n, n, n) stack
+        p = maps.random_map("pinching", 96, seed=3)
+        v = linalg.random_unitary(96, 5)
+        expected = np.where(p._mask, maps._outer_stack(v), 0.0)
+        images, peak = peak_bytes(lambda: p.rank_one_images(v))
+        assert images.tobytes() == expected.tobytes()
+        assert peak <= 1.1 * expected.nbytes
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
