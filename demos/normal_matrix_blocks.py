@@ -38,7 +38,7 @@ for seed in range(5):
     n = 3 + seed % 3
     z, u = normal_spectrum(random_normal_matrix(n, seed=seed))
     compression = random_map("compression", n, k=2, seed=seed + 10)
-    state = random_map("vector_state", n, seed=seed + 20)
+    state = random_map("vector-state", n, seed=seed + 20)
     (rec,) = psd_records([("normal_block",
                            build_normal_block(compression, z, u))],
                          seed, DEFAULT_PSD_TOL)

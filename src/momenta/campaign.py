@@ -43,7 +43,7 @@ DETERMINANT_RTOL = 1e-8
 TENSOR_RTOL = 1e-9
 
 #: Map kinds cycled by the normal-matrix suite (block and functional cases).
-NORMAL_MAP_KINDS = ("compression", "vector_state")
+NORMAL_MAP_KINDS = ("compression", "vector-state")
 
 _ALWAYS_KINDS = ("hankel", "lower_shift", "upper_shift", "range_product")
 _PD_KINDS = ("hankel_shift1",) + moments.PD_BLOCK_KINDS

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
 from .linalg import DEFAULT_PSD_TOL
-from .maps import PositiveUnitalMap, random_map
+from .maps import MAP_KINDS, PositiveUnitalMap, random_map
 
 MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
 
@@ -208,23 +208,18 @@ def write_matrix_csv(m: np.ndarray) -> str:
     ) + "\n"
 
 
-#: The ``MAP_KINDS`` name of each ``--map`` name. Only ``compression``
-#: takes an argument, ``:k``; without it ``k = max(1, n // 2)``.
-_MAP_NAMES = {"trace": "normalized_trace", "identity": "identity",
-              "vector-state": "vector_state", "pinching": "pinching",
-              "compression": "compression"}
-
-
 def build_map(spec: str, n: int, seed: int) -> PositiveUnitalMap:
-    """Instantiate the map named by a CLI descriptor for dimension ``n``."""
+    """Instantiate the map named by a CLI descriptor for dimension ``n``: a
+    ``MAP_KINDS`` name but ``mixture``, and ``:k`` after a compression."""
     name, colon, arg = spec.partition(":")
-    if name in _MAP_NAMES and (not colon or name == "compression"):
-        try:  # random_map reads k for a compression only
-            k = int(arg) if colon else max(1, n // 2)
+    if (name in MAP_KINDS and name != "mixture"
+            and (not colon or name == "compression")):
+        try:
+            k = int(arg) if colon else None
         except ValueError:
             pass
         else:
-            return random_map(_MAP_NAMES[name], n, k, seed=seed)
+            return random_map(name, n, k, seed=seed)
     raise ValueError(f"unknown map descriptor {spec!r}; expected {MAP_SPEC_HELP}")
 
 

@@ -33,15 +33,10 @@ from .linalg import as_matrix, random_unitary
 #: Frobenius tolerance on ``sum_i K_i* K_i - I`` of a factor map.
 UNITALITY_TOL = 1e-10
 
-#: All map kinds, in the order verification campaigns cycle through them.
-MAP_KINDS = (
-    "normalized_trace",
-    "vector_state",
-    "compression",
-    "pinching",
-    "identity",
-    "mixture",
-)
+#: All map kinds, in the order verification campaigns cycle through them;
+#: ``--map`` takes each but ``mixture`` by the same name.
+MAP_KINDS = ("trace", "vector-state", "compression", "pinching", "identity",
+             "mixture")
 
 
 class PositiveUnitalMap:
@@ -286,16 +281,17 @@ def random_map(kind: str, n: int, k: int | None = None,
     """Seeded construction of a valid map of the requested kind.
 
     ``k`` (the codomain dimension) only matters for compressions and
-    mixtures, where it must not exceed ``n``; functionals always end in the
-    1x1 matrices and the identity and pinching keep dimension ``n``.
+    mixtures, where it must not exceed ``n`` and defaults to
+    ``max(1, n // 2)``; functionals always end in the 1x1 matrices and the
+    identity and pinching keep dimension ``n``.
     """
     if n < 1:
         raise ShapeError("dimension must be at least 1")
     if kind == "identity":
         return Identity(n)
-    if kind == "normalized_trace":
+    if kind == "trace":
         return NormalizedTrace(n)
-    if kind == "vector_state":
+    if kind == "vector-state":
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return VectorState(x / np.linalg.norm(x))
@@ -307,7 +303,7 @@ def random_map(kind: str, n: int, k: int | None = None,
         blocks = [tuple(int(i) for i in perm[labels == b]) for b in range(n_blocks)]
         return Pinching(tuple(b for b in blocks if b))
     if kind in ("compression", "mixture"):
-        k = n if k is None else int(k)
+        k = max(1, n // 2) if k is None else int(k)
         if k > n:
             raise ShapeError(f"compression codomain {k} exceeds domain {n}")
         if k < 1:

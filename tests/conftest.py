@@ -234,6 +234,26 @@ class ReflectedState(maps.PositiveUnitalMap):
                 - np.abs(v[0]) ** 2)[:, np.newaxis, np.newaxis]
 
 
+class Blend(maps.PositiveUnitalMap):
+    """``(1 - eps) Phi + eps Psi`` of two unital maps of one shape: unital,
+    and positive wherever both are. Past positivity by a little, from a
+    small ``eps`` of a negative control, it is a near-positive control."""
+
+    def __init__(self, phi, psi, eps):
+        self.phi, self.psi, self.eps = phi, psi, eps
+
+    domain_dim = property(lambda self: self.phi.domain_dim)
+    codomain_dim = property(lambda self: self.phi.codomain_dim)
+
+    def apply(self, a):
+        return ((1.0 - self.eps) * self.phi.apply(a)
+                + self.eps * self.psi.apply(a))
+
+    def rank_one_images(self, vectors):
+        return ((1.0 - self.eps) * self.phi.rank_one_images(vectors)
+                + self.eps * self.psi.rank_one_images(vectors))
+
+
 @pytest.fixture
 def example_3x3():
     return EXAMPLE_3X3.copy()

@@ -549,14 +549,32 @@ class TestMapSpecs:
         assert captured.err == (f"error: unknown map descriptor {spec!r}; "
                                 f"expected {cli.MAP_SPEC_HELP}\n")
 
-    @pytest.mark.parametrize("spec, k", [("compression", 3),
-                                         ("compression:3", 3),
-                                         ("compression:6", 6)])
-    def test_compression_spec_builds_the_seeded_compression(self, spec, k):
-        # bare compression takes k = max(1, n // 2)
+    @pytest.mark.parametrize("spec, name, k", [
+        ("trace", "trace", None), ("vector-state", "vector-state", None),
+        ("compression", "compression", None),
+        ("compression:3", "compression", 3),
+        ("compression:6", "compression", 6), ("pinching", "pinching", None),
+        ("identity", "identity", None),
+    ])
+    def test_a_spec_is_the_random_map_of_its_name(self, spec, name, k):
+        # --map names are MAP_KINDS names, and the bare compression takes
+        # random_map's own default k
         built = cli.build_map(spec, 6, seed=4)
-        expected = maps.random_map("compression", 6, k, seed=4)
-        assert built.isometry.tobytes() == expected.isometry.tobytes()
+        expected = maps.random_map(name, 6, k, seed=4)
+        assert type(built) is type(expected)
+        assert built.domain_dim == expected.domain_dim
+        if isinstance(expected, maps.Pinching):
+            assert built._mask.tobytes() == expected._mask.tobytes()
+        elif not isinstance(expected, maps.NormalizedTrace):
+            assert ([f.tobytes() for f in built.factors]
+                    == [f.tobytes() for f in expected.factors])
+
+    def test_the_mixture_has_no_spec_and_the_old_names_are_gone(self):
+        with pytest.raises(ValueError, match="unknown map descriptor"):
+            cli.build_map("mixture", 6, seed=1)
+        for old in ("normalized_trace", "vector_state"):
+            with pytest.raises(ValueError, match="unknown map kind"):
+                maps.random_map(old, 6, seed=1)
 
 
 class TestFlags:

@@ -61,7 +61,7 @@ class TestCentralMoments:
 
     def test_agrees_with_brute_force_under_vector_state(self):
         a = linalg.random_hermitian(5, 3)
-        x = maps.random_map("vector_state", 5, seed=4)
+        x = maps.random_map("vector-state", 5, seed=4)
         spectrum = linalg.hermitian_eig(a)
         weights = [abs(np.vdot(x.vector, v)) ** 2
                    for v in spectrum.eigenvectors.T]
@@ -354,7 +354,7 @@ class TestSpectralBounds:
         for seed, a in two_atom_matrices(c):
             n = len(a)
             for functional in (maps.NormalizedTrace(n),
-                               maps.random_map("vector_state", n, seed=seed)):
+                               maps.random_map("vector-state", n, seed=seed)):
                 report = eigenbounds.spectral_bounds(functional, a)
                 assert report.degenerate, (seed, functional)
 
@@ -365,7 +365,7 @@ class TestSpectralBounds:
             lam = rng.uniform(-1.5, 1.5, n)
             j = int(rng.integers(0, n - 1))
             lam[j + 1] = lam[j] + 10.0 ** rng.uniform(-6, -2)
-            x = maps.random_map("vector_state", n, seed=trial)
+            x = maps.random_map("vector-state", n, seed=trial)
             functional = maps.NormalizedTrace(n) if trial % 2 else x
             weights = (np.full(n, 1.0 / n) if trial % 2
                        else np.abs(x.vector) ** 2)
@@ -451,7 +451,7 @@ class TestSpectralBounds:
     def test_vector_state_bounds_stay_valid(self):
         for seed in range(15):
             a = linalg.random_hermitian(5, 2000 + seed)
-            x = maps.random_map("vector_state", 5, seed=seed)
+            x = maps.random_map("vector-state", 5, seed=seed)
             lam = linalg.hermitian_eig(a).eigenvalues
             report = eigenbounds.spectral_bounds(x, a)
             if report.degenerate:
@@ -496,7 +496,7 @@ class TestTraceMeasure:
     def test_vector_state_keeps_one_full_solve(self, solve, monkeypatch,
                                                eigh_inputs):
         flags = requests(monkeypatch)
-        solve(maps.random_map("vector_state", 6, seed=2),
+        solve(maps.random_map("vector-state", 6, seed=2),
               linalg.random_hermitian(6, 1))
         assert flags == [True] and len(eigh_inputs) == 1
 

@@ -4,7 +4,7 @@ import pytest
 from momenta import linalg, maps
 from momenta.errors import DomainError, ShapeError
 
-from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
+from conftest import (EXAMPLE_3X3, Blend, ReflectedState, ReflectedTrace,
                       peak_bytes, psd_at_own_norm, random_psd,
                       rank_one_positivity_failures)
 
@@ -148,7 +148,7 @@ def kraus_maps():
         "identity": maps.Identity(4),
         "compression": maps.Compression(u[:, :2]),
         "mixture": maps.Mixture(((0.25, u[:, :2]), (0.75, u[:, 2:]))),
-        "vector_state": maps.VectorState(u[:, 1]),
+        "vector-state": maps.VectorState(u[:, 1]),
     }
 
 
@@ -180,7 +180,7 @@ class TestFactorForm:
             rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("name", ["identity", "compression",
-                                      "vector_state"])
+                                      "vector-state"])
     def test_one_factor_images_are_its_outer_products_bit_for_bit(self, name):
         pulm = kraus_maps()[name]
         (k,) = pulm.factors
@@ -286,6 +286,17 @@ class TestRankOnePositivity:
         # the image of e_0 e_0* has the eigenvalue 2/n - 1 < 0
         assert rank_one_positivity_failures(control(n), seed=n) >= 1
 
+    def test_the_near_positive_blend_is_unital_and_just_not_positive(self):
+        # a third of ReflectedState sends e_0 e_0* to 0; a little more, below
+        blend = Blend(maps.NormalizedTrace(4), ReflectedState(4),
+                      (1.0 + 1e-3) / 3.0)
+        assert blend.apply(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
+        images = blend.rank_one_images(np.eye(4)).ravel()
+        assert images[0] == pytest.approx(-2.5e-4, rel=1e-9)
+        assert np.all(images[1:] > 0.0)
+        np.testing.assert_allclose(
+            blend.apply(np.diag([1.0, 0, 0, 0])), [[images[0]]], atol=1e-17)
+
 
 class TestRandomMap:
     def test_square_compression_is_unitary_conjugation(self):
@@ -295,7 +306,7 @@ class TestRandomMap:
         assert np.linalg.norm(v @ v.conj().T - np.eye(3)) <= 1e-12
 
     def test_vector_state_is_normalized(self):
-        pulm = maps.random_map("vector_state", 3, seed=7)
+        pulm = maps.random_map("vector-state", 3, seed=7)
         assert abs(np.linalg.norm(pulm.vector) - 1.0) <= 1e-12
 
     def test_deterministic(self):
@@ -321,3 +332,8 @@ class TestRandomMap:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             maps.random_map("squaring", 2, seed=0)
+
+    @pytest.mark.parametrize("kind", ["compression", "mixture"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 2), (6, 3)])
+    def test_the_codomain_defaults_to_half_the_domain(self, kind, n, k):
+        assert maps.random_map(kind, n, seed=4).codomain_dim == k

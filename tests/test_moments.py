@@ -858,7 +858,7 @@ class TestOneRoute:
                 assert (np.max(np.abs(block.assembled - expected))
                         <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
+    @pytest.mark.parametrize("kind", ["vector-state", "trace"])
     def test_centered_blocks_apply_the_map_once(self, kind, monkeypatch):
         # the mean and the centered table are contracted from one stack of
         # rank-one images, with no apply, and give bit for bit the blocks of
@@ -887,7 +887,7 @@ class TestOneRoute:
             assert block.scale == want.scale
             assert block.assembled.tobytes() == want.assembled.tobytes()
 
-    @pytest.mark.parametrize("kind", ["vector_state", "normalized_trace"])
+    @pytest.mark.parametrize("kind", ["vector-state", "trace"])
     def test_centered_mean_matches_the_functional(self, kind):
         a = linalg.random_hermitian(5, 61)
         functional = maps.random_map(kind, 5, seed=62)
@@ -956,7 +956,7 @@ class TestNormalBlock:
     def test_random_normal_instances_are_psd(self):
         for seed in range(8):
             a = linalg.random_normal_matrix(4, seed)
-            pulm = maps.random_map("vector_state", 4, seed=seed + 1)
+            pulm = maps.random_map("vector-state", 4, seed=seed + 1)
             block = moments.build_normal_block(
                 pulm, *moments.normal_spectrum(a)).assembled
             assert psd_at_own_norm(block)
@@ -1183,7 +1183,7 @@ class TestMovedBlockWitnesses:
                    for r in (1, 2)
                    for rec in reflected_centered_records(c, n, seed, r))
 
-    @pytest.mark.parametrize("kind", ["normalized_trace", "identity",
+    @pytest.mark.parametrize("kind", ["trace", "identity",
                                       "compression"])
     @pytest.mark.parametrize("c", SCALES)
     def test_chain_and_endpoints_are_tight_on_a_multiple_of_identity(
@@ -1213,7 +1213,7 @@ class TestMovedBlockWitnesses:
         with pytest.raises(ShapeError, match="needs a functional"):
             moments.centered_fourth_moment(maps.Identity(2), z, u, 1e-9)
 
-    @pytest.mark.parametrize("kind", ["normalized_trace", "identity",
+    @pytest.mark.parametrize("kind", ["trace", "identity",
                                       "compression"])
     def test_log_deficit_is_tight_at_the_identity(self, kind):
         pulm = maps.random_map(kind, 3, k=2, seed=3)
@@ -1341,7 +1341,7 @@ class TestScalarChecks:
                 moments.scalar_checks(TR3, c * np.diag([-1.0, 0.5, 2.0]))
 
     @pytest.mark.parametrize("kind, n, c", [("compression", 2, 1e3),
-                                            ("vector_state", 3, 1e7)])
+                                            ("vector-state", 3, 1e7)])
     def test_third_moment_skips_a_rounding_level_gap(self, kind, n, c):
         # Phi(cI) - m I is zero up to rounding; inverting it would FAIL
         pulm = maps.random_map(kind, n, 1, seed=3)
@@ -1378,7 +1378,7 @@ class TestScalarChecks:
 
     def test_centered_fourth_moment_on_normal_input(self):
         a = linalg.random_normal_matrix(4, 6)
-        x = maps.random_map("vector_state", 4, seed=7)
+        x = maps.random_map("vector-state", 4, seed=7)
         results = {r.check: r
                    for r in campaign.single_matrix_records(a, x, seed=0)}
         res = results["centered_fourth_moment"]
@@ -1440,7 +1440,7 @@ class TestScalarOracles:
         # a functional's lower_shift and range_product blocks are the
         # spectral-weight averages of the scalar oracles at each eigenvalue
         a = linalg.random_hermitian(4, 33)
-        x = maps.random_map("vector_state", 4, seed=34)
+        x = maps.random_map("vector-state", 4, seed=34)
         spectrum = linalg.hermitian_eig(a)
         t = moments.moment_table(x, a, 0, 8)
         r = 3
@@ -1458,7 +1458,7 @@ class TestScalarOracles:
     def test_tensor_sum_reconstructs_functional_hankel(self):
         # the moment Hankel of a functional is the weight-averaged scalar Hankel
         a = linalg.random_hermitian(4, 31)
-        x = maps.random_map("vector_state", 4, seed=32)
+        x = maps.random_map("vector-state", 4, seed=32)
         spectrum = linalg.hermitian_eig(a)
         t = moments.moment_table(x, a, 0, 6)
         hank = moments.build_block("hankel", t, 3).assembled.real
