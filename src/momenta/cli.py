@@ -70,6 +70,16 @@ class RunConfig:
             raise ValueError("k-min must be -1 or 0")
 
 
+def integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits as an int: the one rule for every
+    integer on the command line. ``int()`` would also read ``+3``, `` 3``,
+    ``1_0`` and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 #: Every option flag; each subcommand takes the ones it reads. A flag sets
 #: the RunConfig field of its dest, and one left at None keeps the default.
 _FLAGS = {
@@ -77,17 +87,17 @@ _FLAGS = {
         "relative tolerance of every PSD and scalar verdict, at its operands' "
         "scale (default " + np.format_float_scientific(
             RunConfig.tolerance, trim="-", exp_digits=1) + ")")),
-    "--r-max": dict(type=int,
+    "--r-max": dict(type=integer,
                     help=f"largest block order (default {RunConfig.r_max})"),
     "--map": dict(metavar="MAP_SPEC",
                   help=f"{MAP_SPEC_HELP} (default {RunConfig.map})"),
-    "--seed": dict(type=int, help=f"seed (default {RunConfig.seed})"),
-    "--instances": dict(type=int, help="random-mode instance count "
-                                       f"(default {RunConfig.instances})"),
+    "--seed": dict(type=integer, help=f"seed (default {RunConfig.seed})"),
+    "--instances": dict(type=integer, help="random-mode instance count "
+                                           f"(default {RunConfig.instances})"),
     "--n-range": dict(help="random-mode dimension range lo:hi "
                            "(default {}:{})".format(*RunConfig.n_range)),
-    "--k-min": dict(type=int, help="lowest tabulated power, -1 or 0 "
-                                   f"(default {RunConfig.k_min})"),
+    "--k-min": dict(type=integer, help="lowest tabulated power, -1 or 0 "
+                                       f"(default {RunConfig.k_min})"),
     "--out": dict(help="write a JSON report here"),
 }
 
@@ -105,10 +115,13 @@ def parse_matrix(path: str) -> np.ndarray:
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _matrix_from_json(text, path)
-    return _matrix_from_csv(text, path)
+    if text.lstrip().startswith("{"):
+        m = _matrix_from_json(text, path)
+    else:
+        m = _matrix_from_csv(text, path)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: matrix contains non-finite entries")
+    return m
 
 
 #: The types ``json`` decodes a number to; not ``bool``, though it
@@ -154,10 +167,7 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
                              f"found an array of shape {shape}")
         raise ValueError(f"{path}: entries must be [re, im] number pairs")
     # (re, im) float pairs are the memory layout of complex128: exact
-    m = pairs.view(np.complex128).reshape(rows, cols)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{path}: matrix contains non-finite entries")
-    return m
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def _matrix_from_csv(text: str, path: str) -> np.ndarray:
@@ -182,10 +192,7 @@ def _matrix_from_csv(text: str, path: str) -> np.ndarray:
         raise ValueError(
             f"{path}: matrix is not square ({len(rows)} rows x {width} columns)"
         )
-    m = np.array(rows, dtype=np.float64).astype(np.complex128)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{path}: matrix contains non-finite entries")
-    return m
+    return np.array(rows, dtype=np.float64).astype(np.complex128)
 
 
 def write_matrix_json(m: np.ndarray) -> str:
@@ -215,7 +222,7 @@ def build_map(spec: str, n: int, seed: int) -> PositiveUnitalMap:
     if (name in MAP_KINDS and name != "mixture"
             and (not colon or name == "compression")):
         try:
-            k = int(arg) if colon else None
+            k = integer(arg) if colon else None
         except ValueError:
             pass
         else:
@@ -309,7 +316,7 @@ def _config_from_args(args) -> RunConfig:
     if given["n_range"] is not None:
         lo, colon, hi = given["n_range"].partition(":")
         try:
-            given["n_range"] = int(lo), int(hi if colon else lo)
+            given["n_range"] = integer(lo), integer(hi if colon else lo)
         except ValueError:
             raise ValueError(f"--n-range takes lo or lo:hi in integers, "
                              f"got {given['n_range']!r}") from None
@@ -412,7 +419,9 @@ def cmd_verify(args, config: RunConfig) -> dict:
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="momenta",
         description="Moment matrices of positive unital maps and eigenvalue "
@@ -447,12 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--out")
     p_moments.set_defaults(func=cmd_moments)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing never mutates it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,6 @@ structure; their Kraus operators are n projections or n vectors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +101,7 @@ class PositiveUnitalMap:
 
     def _set_factors(self, what: str, factors) -> None:
         _require_unital(what, factors)
-        object.__setattr__(self, "factors", tuple(factors))
+        self.factors = tuple(factors)
 
 
 def _outer_stack(w: np.ndarray) -> np.ndarray:
@@ -121,35 +120,30 @@ def _require_unital(what: str, factors) -> None:
                           f"||sum K*K - I||_F = {residual:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
 class Identity(PositiveUnitalMap):
     """The identity map on M(n)."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ShapeError("dimension must be at least 1")
-        self._set_factors("identity", (np.eye(self.n, dtype=complex),))
+        self.n = n
+        self._set_factors("identity", (np.eye(n, dtype=complex),))
 
     def apply(self, a) -> np.ndarray:
         return self._check_input(a).copy()
 
 
-@dataclass(frozen=True, eq=False)
 class Compression(PositiveUnitalMap):
     """``A -> V* A V`` for an n-by-k matrix ``V`` with orthonormal columns."""
 
-    isometry: np.ndarray
-
-    def __post_init__(self):
-        v = as_matrix(self.isometry).copy()
+    def __init__(self, isometry: np.ndarray):
+        v = as_matrix(isometry).copy()
         if v.shape[0] < v.shape[1]:
             raise ShapeError(
                 f"isometry must be tall or square, got shape {v.shape}"
             )
         self._set_factors("compression", (v,))
-        object.__setattr__(self, "isometry", v)
+        self.isometry = v
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
@@ -157,7 +151,6 @@ class Compression(PositiveUnitalMap):
         return v.conj().T @ m @ v
 
 
-@dataclass(frozen=True, eq=False)
 class Mixture(PositiveUnitalMap):
     """``A -> sum_i w_i V_i* A V_i`` for the ``terms`` ``(w_i, V_i)``.
 
@@ -167,19 +160,18 @@ class Mixture(PositiveUnitalMap):
     a construction bug.
     """
 
-    terms: tuple
-
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple):
+        if not terms:
             raise ShapeError("mixture needs at least one term")
         kraus = []
-        for w, v in self.terms:
+        for w, v in terms:
             if not 0.0 < float(w) < math.inf:
                 raise DomainError(
                     f"mixture weights must be positive and finite, got {w}")
             kraus.append(math.sqrt(float(w)) * as_matrix(v))
         if len({k.shape for k in kraus}) > 1:
             raise ShapeError("mixture factors must share one shape")
+        self.terms = terms
         self._set_factors("mixture", kraus)
 
     def apply(self, a) -> np.ndarray:
@@ -187,7 +179,6 @@ class Mixture(PositiveUnitalMap):
         return sum(k.conj().T @ m @ k for k in self.factors)
 
 
-@dataclass(frozen=True, eq=False)
 class Pinching(PositiveUnitalMap):
     """Zero out all entries outside the diagonal blocks of a partition.
 
@@ -195,10 +186,8 @@ class Pinching(PositiveUnitalMap):
     not be contiguous.
     """
 
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+    def __init__(self, blocks: tuple):
+        blocks = tuple(tuple(int(i) for i in b) for b in blocks)
         flat = [i for b in blocks for i in b]
         n = len(flat)
         if n == 0 or sorted(flat) != list(range(n)):
@@ -209,8 +198,8 @@ class Pinching(PositiveUnitalMap):
         for b in blocks:
             idx = np.array(b)
             mask[np.ix_(idx, idx)] = True
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_mask", mask)
+        self.blocks = blocks
+        self._mask = mask
 
     @property
     def domain_dim(self) -> int:
@@ -230,18 +219,15 @@ class Pinching(PositiveUnitalMap):
         return images
 
 
-@dataclass(frozen=True, eq=False)
 class VectorState(PositiveUnitalMap):
     """The functional ``A -> x* A x`` for a unit vector ``x``, as a 1x1 map."""
 
-    vector: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.vector, dtype=np.complex128, copy=True).reshape(-1)
+    def __init__(self, vector: np.ndarray):
+        x = np.array(vector, dtype=np.complex128, copy=True).reshape(-1)
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise DomainError("state vector must be non-empty and finite")
         self._set_factors("vector state", (x[:, np.newaxis],))
-        object.__setattr__(self, "vector", x)
+        self.vector = x
 
     def apply(self, a) -> np.ndarray:
         m = self._check_input(a)
@@ -249,15 +235,13 @@ class VectorState(PositiveUnitalMap):
         return np.array([[np.vdot(x, m @ x)]], dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
 class NormalizedTrace(PositiveUnitalMap):
     """The functional ``A -> tr(A)/n``, as a 1x1 map."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ShapeError("dimension must be at least 1")
+        self.n = n
 
     @property
     def domain_dim(self) -> int:

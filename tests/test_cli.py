@@ -538,7 +538,9 @@ class TestMapSpecs:
 
     @pytest.mark.parametrize("spec", ["compressionXYZ", "compressionXYZ:3",
                                       "compression:abc", "compression:",
-                                      "trace:2"])
+                                      "trace:2", "compression:1_0",
+                                      "compression:+3", "compression: 3",
+                                      "compression:\uff13"])
     def test_junk_spec_is_one_error_line_naming_it(self, tmp_path, capsys,
                                                    spec):
         path = write(tmp_path, "a6.json",
@@ -590,6 +592,27 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--random", "--instances", "1", "--seed", "1_0"],
+        ["verify", "--random", "--instances", "1", "--r-max", "+1"],
+        ["verify", "--random", "--instances", " 1"],
+        ["moments", "FILE", "--k-min", "\uff10"],
+    ])
+    def test_an_integer_flag_reads_ascii_digits_only(self, tmp_path, capsys,
+                                                     argv):
+        # int() reads each of these values; a flag takes an optional "-"
+        # and ASCII digits, as the --map and --n-range integers do
+        path = write(tmp_path, "a.json",
+                     cli.write_matrix_json(linalg.random_hermitian(3, 1)))
+        argv = [path if arg == "FILE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        flag, value = argv[-2:]
+        assert err.startswith("usage: ")
+        assert f"argument {flag}: invalid integer value: {value!r}" in err
+
     @pytest.mark.parametrize("argv", [["--map", "pinching"], ["m.json"]])
     def test_random_mode_rejects_map_and_file(self, capsys, argv):
         assert cli.main(["verify", "--random", *argv]) == 1
@@ -635,7 +658,8 @@ class TestFlags:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", ["abc", "2:x", "3:"])
+    @pytest.mark.parametrize("value", ["abc", "2:x", "3:", "1_0",
+                                       "2:\u0663"])
     def test_junk_n_range_is_one_error_line_naming_it(self, capsys, value):
         assert cli.main(["verify", "--random", "--n-range", value]) == 1
         captured = capsys.readouterr()

@@ -13,6 +13,20 @@ def all_variants(n=4, seed=7):
     return [maps.random_map(kind, n, k=2, seed=seed) for kind in maps.MAP_KINDS]
 
 
+#: A 4x4 unitary whose columns build the payloads of the keyword test.
+U4 = linalg.random_unitary(4, 3)
+
+
+def _bits(value):
+    """``value`` with every array as its shape, dtype and bytes, nested in
+    tuples as given, for an exact comparison."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
 class TestApply:
     def test_identity_map(self):
         a = linalg.random_hermitian(3, 1)
@@ -131,6 +145,21 @@ class TestConstruction:
     def test_malformed_payload_is_rejected(self, build, error, message):
         with pytest.raises(error, match=message):
             build()
+
+    @pytest.mark.parametrize("cls, name, payload", [
+        (maps.Identity, "n", 3),
+        (maps.Compression, "isometry", U4[:, :2]),
+        (maps.Mixture, "terms", ((0.25, U4[:, :2]), (0.75, U4[:, 2:]))),
+        (maps.Pinching, "blocks", ((0, 2), (1, 3))),
+        (maps.VectorState, "vector", U4[:, 1]),
+        (maps.NormalizedTrace, "n", 3),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_a_keyword_payload_builds_the_positional_map(self, cls, name,
+                                                         payload):
+        # every field, the factors and a pinching's mask included, bit for bit
+        by_position, by_keyword = cls(payload), cls(**{name: payload})
+        assert ({k: _bits(v) for k, v in vars(by_keyword).items()}
+                == {k: _bits(v) for k, v in vars(by_position).items()})
 
 
 #: The maps stored as their Kraus operators, and the two that keep their own
