@@ -35,7 +35,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, campaign, eigenbounds, moments
-from .linalg import DEFAULT_PSD_TOL
+from .errors import DomainError
+from .linalg import DEFAULT_PSD_TOL, binary_scaled, require_finite
 from .maps import MAP_KINDS, PositiveUnitalMap, random_map
 
 MAP_SPEC_HELP = "trace | vector-state | compression:k | pinching | identity"
@@ -80,10 +81,18 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def number(text: str) -> float:
+    """ASCII text without ``_`` or surrounding space as a float, which
+    ``float()`` alone would also read; ``RunConfig`` judges the value."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 #: Every option flag; each subcommand takes the ones it reads. A flag sets
 #: the RunConfig field of its dest, and one left at None keeps the default.
 _FLAGS = {
-    "--tol": dict(type=float, dest="tolerance", help=(
+    "--tol": dict(type=number, dest="tolerance", help=(
         "relative tolerance of every PSD and scalar verdict, at its operands' "
         "scale (default " + np.format_float_scientific(
             RunConfig.tolerance, trim="-", exp_digits=1) + ")")),
@@ -323,57 +332,67 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _load(args, config: RunConfig) -> tuple[np.ndarray, PositiveUnitalMap]:
-    """The matrix file of the run and its ``--map`` map at that dimension."""
-    m = parse_matrix(args.matrix)
-    return m, build_map(config.map, m.shape[0], config.seed)
+def _load(args, config: RunConfig) -> tuple:
+    """``(2^-e A, e, map)`` of the run's matrix file ``A`` and ``--map``."""
+    m, e = binary_scaled(parse_matrix(args.matrix))
+    return m, e, build_map(config.map, m.shape[0], config.seed)
+
+
+#: The degree in ``A`` of each ``bounds`` value not of degree 1.
+_BOUNDS_DEGREES = {"cubic_c1": 2, "cubic_c0": 3, "gamma": 6}
+_NO_CUBIC = ("degenerate moment data: the functional sees at most two "
+             "spectral atoms; no cubic bounds\ngamma: {gamma}")
+_CUBIC = ("cubic coefficients: c2={cubic_c2} c1={cubic_c1} c0={cubic_c0}\n"
+          "gamma: {gamma}\nroots: {root_0} {root_1} {root_2}\n"
+          "lambda_min <= {lambda_min_upper}\nlambda_max >= {lambda_max_lower}")
+_COMPARATOR = ("comparator (trace moments): lambda_min <= {ws_min_upper}, "
+               "lambda_max >= {ws_max_lower}")
 
 
 def cmd_bounds(args, config: RunConfig) -> dict:
-    m, functional = _load(args, config)
+    m, e, functional = _load(args, config)
     if not functional.is_functional:
         raise ValueError("bounds needs a functional map (trace or "
                          f"vector-state), got {config.map!r}")
     report = eigenbounds.spectral_bounds(functional, m)
-    values = []
-    if report.degenerate:
-        print("degenerate moment data: the functional sees at most two "
-              "spectral atoms; no cubic bounds")
-        print(f"gamma: {report.gamma:.12g}")
-    else:
-        c2, c1, c0 = report.cubic
-        print(f"cubic coefficients: c2={c2:.12g} c1={c1:.12g} c0={c0:.12g}")
-        print(f"gamma: {report.gamma:.12g}")
-        print("roots:", " ".join(f"{r:.12g}" for r in report.roots))
-        print(f"lambda_min <= {report.lambda_min_upper:.12g}")
-        print(f"lambda_max >= {report.lambda_max_lower:.12g}")
-        values += [("cubic_c2", c2), ("cubic_c1", c1), ("cubic_c0", c0),
-                   ("lambda_min_upper", report.lambda_min_upper),
-                   ("lambda_max_lower", report.lambda_max_lower)]
-        values += [(f"root_{i}", r) for i, r in enumerate(report.roots)]
-    values.append(("gamma", report.gamma))
+    values = {"gamma": report.gamma}
+    lines = [_NO_CUBIC if report.degenerate else _CUBIC]
+    if not report.degenerate:
+        values.update(zip(("cubic_c2", "cubic_c1", "cubic_c0", "root_0",
+                           "root_1", "root_2"), report.cubic + report.roots),
+                      lambda_min_upper=report.lambda_min_upper,
+                      lambda_max_lower=report.lambda_max_lower)
     if report.ws_min_upper is not None:
-        print(f"comparator (trace moments): lambda_min <= "
-              f"{report.ws_min_upper:.12g}, lambda_max >= "
-              f"{report.ws_max_lower:.12g}")
-        values += [("ws_min_upper", report.ws_min_upper),
-                   ("ws_max_lower", report.ws_max_lower)]
-    records = [moments.record(name, config.seed, True, value)
-               for name, value in values]
+        values.update(ws_min_upper=report.ws_min_upper,
+                      ws_max_lower=report.ws_max_lower)
+        lines.append(_COMPARATOR)
+    try:  # a value of degree d in A is 2^(d e) times that of 2^-e A, exactly
+        values = {name: math.ldexp(x, _BOUNDS_DEGREES.get(name, 1) * e)
+                  for name, x in values.items()}
+    except OverflowError:
+        raise DomainError("Gauss rule bounds overflow double precision; "
+                          "rescale the matrix") from None
+    print("\n".join(lines).format_map(
+        {name: format(x, ".12g") for name, x in values.items()}))
+    records = [moments.record(name, config.seed, True, x)
+               for name, x in values.items()]
     return make_report(config, args.matrix, records)
 
 
 def cmd_moments(args, config: RunConfig) -> dict:
-    m, pulm = _load(args, config)
+    m, e, pulm = _load(args, config)
     k_max = 2 * config.r_max + 1
     table = moments.moment_table(pulm, m, config.k_min, k_max)
-    for k in range(config.k_min, k_max + 1):
-        block = table.power(k)
+    with np.errstate(over="ignore"):  # 2^(k e) times 2^-e A's, or raised
+        powers = np.ldexp(table.blocks.view(np.float64), e * np.arange(
+            config.k_min, k_max + 1)[:, np.newaxis, np.newaxis])
+    require_finite("moment powers", powers)
+    for k, block in enumerate(powers.view(np.complex128), config.k_min):
         if pulm.is_functional:
             print(f"Phi(A^{k}) = {block[0, 0].real:.12g}")
         else:
-            print(f"Phi(A^{k}) =")
-            print(np.array_str(block, precision=10, suppress_small=True))
+            print(f"Phi(A^{k}) =\n"
+                  + np.array_str(block, precision=10, suppress_small=True))
     records = moments.psd_records(
         [("hankel", moments.build_block("hankel", table, r))
          for r in range(config.r_max + 1)],
@@ -390,7 +409,7 @@ def cmd_verify(args, config: RunConfig) -> dict:
             count=config.instances, seed=config.seed, n_range=config.n_range,
             r_max=config.r_max, tol=config.tolerance)
     elif args.matrix:
-        m, pulm = _load(args, config)
+        m, _, pulm = _load(args, config)
         records = campaign.single_matrix_records(
             m, pulm, config.seed, config.r_max, config.tolerance)
     else:

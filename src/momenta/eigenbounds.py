@@ -39,6 +39,7 @@ then produced (the trace-moment comparator below still is).
 :func:`determinant_error` checks ``J`` against the reference, the cofactor
 determinant :func:`determinant_oracle` of the same measure's moments. The
 beta formulas live in the tests; :func:`central_moments` is the moment API.
+Matrices are at working scale, as given (see :mod:`momenta.linalg`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import binary_scaled, hermitian_eig, require_finite, symmetrize
+from .linalg import hermitian_eig, require_finite, symmetrize
 from .maps import NormalizedTrace, PositiveUnitalMap
 
 #: ``e2`` at or below this fraction of ``e1`` counts as degenerate. Since
@@ -122,9 +123,7 @@ def wolkowicz_styan(a) -> tuple[float, float]:
     the smallest eigenvalue is at most ``mu - s/sqrt(n-1)`` and the largest
     at least ``mu + s/sqrt(n-1)``. The variance is the centered sum
     ``||A - mu I||_F^2 / n``, which does not cancel as
-    ``||A||_F^2 / n - mu^2`` does. It is taken with ``A - mu I`` scaled by
-    a power of two, so the squares do not underflow at small scale or
-    overflow at large scale.
+    ``||A||_F^2 / n - mu^2`` does.
     """
     return _comparator_bounds(symmetrize(a))
 
@@ -137,10 +136,8 @@ def _comparator_bounds(h: np.ndarray) -> tuple[float, float]:
     # numpy scalars, so overflow yields inf (checked below) instead of raising
     mu = np.trace(h).real / n
     with np.errstate(over="ignore", invalid="ignore"):
-        # s / sqrt(n - 1) at the scale 2**-e, then scaled back
-        b, e = binary_scaled(h - mu * np.eye(n))
-        t = np.linalg.norm(b)
-        d = np.ldexp(math.sqrt(t * t / n) / math.sqrt(n - 1.0), e)
+        t = np.linalg.norm(h - mu * np.eye(n))
+        d = math.sqrt(t * t / n) / math.sqrt(n - 1.0)
         bounds = float(mu - d), float(mu + d)
     require_finite("comparator bounds", bounds)
     return bounds
@@ -172,14 +169,11 @@ def _jacobi_matrix(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     ``Q^T diag(x) Q`` with ``Q`` the orthonormal factor of the Krylov block
     ``[sqrt(w), x sqrt(w), x^2 sqrt(w)]``: the matrix three Lanczos steps on
     ``diag(x)`` from ``sqrt(w)`` produce, up to the signs of its
-    off-diagonal entries. ``x`` is first scaled into [-1, 1] by a power of
-    two, which is exact, so ``x^2`` neither overflows nor underflows.
+    off-diagonal entries.
     """
-    exponent = np.frexp(np.max(np.abs(x)))[1]
-    u = np.ldexp(x, -exponent)
     root_w = np.sqrt(np.clip(weights, 0.0, None))
-    q = np.linalg.qr(np.column_stack([root_w, u * root_w, u * u * root_w]))[0]
-    return np.ldexp(q.T @ (u[:, np.newaxis] * q), exponent)
+    q = np.linalg.qr(np.column_stack([root_w, x * root_w, x * x * root_w]))[0]
+    return q.T @ (x[:, np.newaxis] * q)
 
 
 def spectral_bounds(functional: PositiveUnitalMap, a) -> EigenBoundReport:
@@ -223,16 +217,16 @@ def determinant_error(functional: PositiveUnitalMap, a) -> float:
 
     The reference is :func:`determinant_oracle` of the measure's central
     moments; ``J`` is the Jacobi matrix :func:`spectral_bounds` reads its
-    roots, cubic and gamma from. Both sides are taken on the centered atoms
-    scaled into [-1, 1] by a power of two, then divided by
-    ``s = max_k |b_k|^(1/k)``: every determinant term is of degree 9 in
-    ``s``. For ``n <= 2`` there is no ``J`` and gamma is 0: the shifted
-    Hankel of at most two atoms is singular.
+    roots, cubic and gamma from. Both sides are divided by ``s = max_k
+    |b_k|^(1/k)``, the unit of the shifts: every determinant term is of
+    degree 9 in ``s``. For ``n <= 2`` there is no ``J`` and gamma is 0: the
+    shifted Hankel of at most two atoms is singular.
     """
     lam, weights, _ = _spectral_measure(functional, a)
     x = lam - weights @ lam
-    u = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-    b = (weights @ u[:, np.newaxis] ** np.arange(2, 6)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        b = (weights @ x[:, np.newaxis] ** np.arange(2, 6)).tolist()
+    require_finite("central moments", b)
     s = max(abs(bk) ** (1.0 / k) for k, bk in enumerate(b, start=2))
     if s == 0.0:
         return 0.0
@@ -240,7 +234,7 @@ def determinant_error(functional: PositiveUnitalMap, a) -> float:
                                  for k, bk in enumerate(b, start=2)))
     a1 = a2 = a3 = e1 = e2 = 0.0
     if lam.size >= 3:
-        (a1, e1, _), (_, a2, e2), (_, _, a3) = (_jacobi_matrix(u, weights)
+        (a1, e1, _), (_, a2, e2), (_, _, a3) = (_jacobi_matrix(x, weights)
                                                 / s).tolist()
     gamma = -(e1 * e2) ** 2 * e1 ** 2
     worst = 0.0

@@ -1,9 +1,12 @@
 """Dense complex linear algebra kernel.
 
-Everything operates on square ``numpy`` arrays of ``complex128``. A matrix is
-validated once, where it enters. :func:`as_matrix` is the one matrix check:
-2-D, then finite entries, then square, with one error and message for each
-fault. :func:`symmetrize` runs it and rejects non-Hermitian input with the
+Everything operates on square ``numpy`` arrays of ``complex128`` at working
+scale, as given: the command line scales a matrix file by a power of two
+where it enters, no function scales again, and an overflow is a
+:class:`~momenta.errors.DomainError`. A matrix is validated once, where it
+enters. :func:`as_matrix` is the one matrix check: 2-D, then finite
+entries, then square, with one error and message for each fault.
+:func:`symmetrize` runs it and rejects non-Hermitian input with the
 package's one Hermitian decision, :class:`~momenta.errors.NotHermitianError`
 (asymmetry ``||M - M*||_F`` above ``SYMMETRY_RTOL * ||M||_F``; less is
 round-off and absorbed). The full solve :func:`hermitian_eig` runs that
@@ -75,14 +78,8 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 def binary_scaled(a) -> tuple[np.ndarray, int]:
     """``(2**-e a, e)``, ``e`` the binary exponent of ``a``'s largest real
-    or imaginary part.
-
-    The scaling is exact, except for parts far below ``eps`` times the
-    largest, which can underflow, and it puts every part in ``(-1, 1)``. So
-    sums of squares and products of a few factors of the result cannot
-    overflow, and wherever those of ``a`` neither overflow nor underflow
-    they are ``a``'s times a power of two, bit for bit.
-    """
+    or imaginary part, which so lies in ``[1/2, 1)``: the working scale. It
+    is exact wherever a part does not fall below the normal range."""
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
     return np.ldexp(parts, -e).view(np.complex128), e

@@ -51,7 +51,7 @@ type, :class:`CheckRecord`, that every suite and the command line emit.
 Every PSD verdict is recorded by one function, :func:`psd_records`: for each
 ``(check, block)`` pair, :func:`~momenta.linalg.is_psd` of a
 :class:`BlockMatrixSpec` at its scale, with its minimum eigenvalue as the
-margin, or a skip where it is None.
+margin, or a skip where it is None. Inputs are at working scale (``linalg``).
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .errors import DomainError, NotNormalError, ShapeError
 from .linalg import (
     DEFAULT_PSD_TOL,
     as_matrix,
-    binary_scaled,
     hermitian_eig,
     hermitian_part,
     is_psd,
@@ -218,7 +217,7 @@ def _table(images: np.ndarray, eigenvalues: np.ndarray, k_min: int,
     m, M = float(eigenvalues[0]), float(eigenvalues[-1])
     if k_min == -1 and m <= 0.0:
         raise DomainError(f"inverse moments need a positive definite matrix "
-                          f"(min eigenvalue {m:.3e})")
+                          f"(min eigenvalue {m:.3e} at working scale)")
     powers = np.arange(k_min, k_max + 1)
     with np.errstate(over="ignore"):  # _images rejects the overflow
         values = eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
@@ -481,29 +480,28 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
 
 
 def _normality_defect(b: np.ndarray) -> float:
-    """``||B*B - BB*||_F / ||B||_F^2`` of ``B = 2^-e A``
-    (:func:`~momenta.linalg.binary_scaled`). No norm can overflow, and
-    wherever ``A``'s own products neither overflow nor underflow, the ratio
-    is ``A``'s."""
+    """``||B*B - BB*||_F / ||B||_F^2``; an overflow is a DomainError."""
     bs = b.conj().T
-    return (np.linalg.norm(bs @ b - b @ bs)
-            / max(np.linalg.norm(b) ** 2, np.finfo(float).tiny))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        defect = (np.linalg.norm(bs @ b - b @ bs)
+                  / max(np.linalg.norm(b) ** 2, np.finfo(float).tiny))
+    require_finite("normality test norms", defect)
+    return defect
 
 
 def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     """``(z, U)`` with ``A = U diag(z) U*`` for a normal ``A``.
 
     This is the package's one normality decision:
-    ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``, on ``A`` scaled by a
-    power of two so that no norm overflows; a matrix that fails it raises
-    :class:`~momenta.errors.NotNormalError`.
+    ``||A*A - AA*||_F <= NORMALITY_RTOL * ||A||_F^2``; a matrix that fails
+    it raises :class:`~momenta.errors.NotNormalError`.
 
     ``H = (A + A*)/2`` and ``K = (A - A*)/2i`` commute: ``eigh`` of ``H``,
     then of ``K`` on each atom of ``H``, and of ``H`` again on each atom of
     ``K`` there where ``H`` spreads more, solves both. The atoms are taken at
     the width ``||A - (tr A / n) I||_F`` of the whole spectrum.
     """
-    b, e = binary_scaled(as_matrix(a, square=True))
+    b = as_matrix(a, square=True)
     defect = _normality_defect(b)
     if not defect <= NORMALITY_RTOL:
         raise NotNormalError(
@@ -523,9 +521,7 @@ def normal_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
                 hs, w = np.linalg.eigh(v.conj().T @ h @ v)
                 if np.ptp(hs) > np.ptp(kv[klo - lo:khi - lo]):
                     u[:, klo:khi] = v @ w
-    z = np.einsum("ij,ij->j", u.conj(), b @ u)
-    with np.errstate(over="ignore"):  # an infinite z overflows the images
-        return np.ldexp(z.view(np.float64), e).view(np.complex128), u
+    return np.einsum("ij,ij->j", u.conj(), b @ u), u
 
 
 def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:

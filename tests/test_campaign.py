@@ -264,10 +264,10 @@ def test_route_agreement_fails_on_a_skewed_direct_route(c, monkeypatch):
 
 @pytest.mark.parametrize("c", [1e-170, 1e-250, 1e-300])
 @pytest.mark.parametrize("case", ["trace", "compression"])
-def test_route_error_is_relative_before_its_norm(case, c):
+def test_route_error_is_small_at_working_scale(case, c):
     # the inverse powers of a tiny positive definite matrix are huge and
-    # finite; their difference is divided by its scale 1/m before its norm
-    # is taken, so the norm does not square past double precision
+    # their norms square past double precision; scaled by a power of two,
+    # as the command line reads a file, its route error is A's
     pulm, a = {
         "trace": (maps.NormalizedTrace(3), random_psd(3, 2)),
         "compression": (cli.build_map("compression:2", 8, 3),
@@ -275,7 +275,8 @@ def test_route_error_is_relative_before_its_norm(case, c):
     }[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err = campaign._route_error(pulm, c * a, -1, 4)
+        err = campaign._route_error(pulm, linalg.binary_scaled(c * a)[0],
+                                    -1, 4)
     assert np.isfinite(err) and err < 1e-8
 
 
@@ -283,8 +284,8 @@ def test_route_error_is_relative_before_its_norm(case, c):
                                linalg.random_hermitian(8, 1)],
                          ids=["diag", "random"])
 def test_route_error_divides_by_a_subnormal_scale(a):
-    # at 1e-310 the scale of Phi(A) is subnormal: a complex division by it
-    # can give nan, the division of the real and imaginary parts does not
+    # at 1e-310 the scale of Phi(A) is subnormal: each power's norm is
+    # divided by it, and the quotient stays finite
     pulm = maps.Identity(a.shape[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -666,13 +667,26 @@ def test_determinant_identity_holds_at_every_scale(c, n):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
 def test_determinant_error_is_small_at_every_scale(n):
-    # both sides are on the unit scale, so no overflow and no drift from
-    # 1e-300 to 1e150, where b5 itself would underflow or overflow
+    # from 1e-300 to 1e150, where b5 itself would underflow or overflow,
+    # the matrix scaled by a power of two, as the command line reads a
+    # file: no overflow and no drift
     a = linalg.random_hermitian(n, 2)
     functional = maps.NormalizedTrace(n)
     for k in range(-300, 151, 10):
-        err = eigenbounds.determinant_error(functional, 10.0 ** k * a)
+        err = eigenbounds.determinant_error(
+            functional, linalg.binary_scaled(10.0 ** k * a)[0])
         assert err <= 1e-13, (k, err)
+
+
+@pytest.mark.parametrize("c", [1e70, 1e120])
+def test_determinant_error_off_working_scale_is_a_domain_error(c):
+    # b5 of the centered atoms overflows; a matrix file is scaled by a
+    # power of two at ingest, so only a library caller gets here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="central moments overflow"):
+            eigenbounds.determinant_error(maps.NormalizedTrace(5),
+                                          c * linalg.random_hermitian(5, 2))
 
 
 @pytest.mark.parametrize("n", [3, 5])

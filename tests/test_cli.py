@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -280,12 +284,16 @@ class TestBoundsCommand:
         assert abs(values["lambda_max_lower"] - atoms[-1]) <= 1e-6 * rho
 
     def test_overflow_exits_1_without_non_finite_output(self, tmp_path, capsys):
+        # gamma, of degree 6 in A, is about 1e1200 here: scaled back from
+        # the working scale it leaves double range, which is the one
+        # overflow line, not a bare "math range error"
         m = np.diag([1e200, -1e200, 3.0]).astype(complex)
         path = write(tmp_path, "big.json", cli.write_matrix_json(m))
         assert cli.main(["bounds", path]) == 1
         captured = capsys.readouterr()
-        assert "nan" not in captured.out and "inf" not in captured.out
-        assert "overflow" in captured.err
+        assert captured.out == ""
+        assert captured.err == ("error: Gauss rule bounds overflow double "
+                                "precision; rescale the matrix\n")
 
     def test_requires_functional_map(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
@@ -303,6 +311,22 @@ class TestMomentsCommand:
         assert "Phi(A^2) = 96" in out
         assert "Phi(A^4) = 13824" in out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e30])
+    def test_each_power_is_scaled_back_by_its_degree(self, tmp_path, capsys,
+                                                     c):
+        # the table is of the file at working scale, 2^-e A, and each
+        # Phi(A^k) is printed as 2^(k e) times that table's, exactly
+        a = c * linalg.random_hermitian(5, 2)
+        path = write(tmp_path, "a.json", cli.write_matrix_json(a))
+        assert cli.main(["moments", path]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("Phi")]
+        b, e = linalg.binary_scaled(a)
+        table = moments.moment_table(maps.NormalizedTrace(5), b, 0, 7)
+        assert lines == [f"Phi(A^{k}) = "
+                         f"{math.ldexp(table.power(k)[0, 0].real, k * e):.12g}"
+                         for k in range(8)]
 
     def test_identity_all_pass(self, tmp_path, capsys):
         path = write(tmp_path, "eye.json",
@@ -354,21 +378,14 @@ class TestVerifyCommand:
         assert cli.main(["verify", path, "--map", "trace"]) == 0
         assert "FAILED" not in capsys.readouterr().out
 
-    def test_overflow_exits_1(self, tmp_path, capsys):
-        # the moment powers up to A^7 overflow at this scale
-        a = 1e60 * linalg.hermitian_with_spectrum([-1.0, 0.2, 0.9, 1.3], 3)
-        path = write(tmp_path, "big.json", cli.write_matrix_json(a))
-        assert cli.main(["verify", path]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
     @pytest.mark.parametrize("spec", ["trace", "vector-state",
                                       "compression:2", "pinching",
                                       "identity"])
     @pytest.mark.parametrize("name", SCALED_INPUTS)
     def test_verdicts_hold_where_block_norms_overflow(self, tmp_path, capsys,
                                                       name, spec):
-        # every entry of every block is finite at these scales, though the
-        # Frobenius norms of the high moment blocks overflow
+        # the file is scaled by a power of two at ingest, so no block of
+        # it comes near the range of double precision
         a = SCALED_INPUTS[name]
 
         def verdicts(c):
@@ -597,11 +614,16 @@ class TestFlags:
         ["verify", "--random", "--instances", "1", "--r-max", "+1"],
         ["verify", "--random", "--instances", " 1"],
         ["moments", "FILE", "--k-min", "\uff10"],
+        ["verify", "FILE", "--tol", "1_0e-9"],
+        ["moments", "FILE", "--tol", "\uff11e-9"],
+        ["verify", "--random", "--instances", "1", "--tol", " 1e-9"],
     ])
-    def test_an_integer_flag_reads_ascii_digits_only(self, tmp_path, capsys,
-                                                     argv):
-        # int() reads each of these values; a flag takes an optional "-"
-        # and ASCII digits, as the --map and --n-range integers do
+    def test_a_number_flag_reads_ascii_text_only(self, tmp_path, capsys,
+                                                 argv):
+        # int() and float() read each of these values; an integer flag
+        # takes an optional "-" and ASCII digits, as the --map and
+        # --n-range integers do, and --tol ASCII text without "_" or
+        # surrounding space
         path = write(tmp_path, "a.json",
                      cli.write_matrix_json(linalg.random_hermitian(3, 1)))
         argv = [path if arg == "FILE" else arg for arg in argv]
@@ -610,8 +632,9 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         flag, value = argv[-2:]
+        kind = "number" if flag == "--tol" else "integer"
         assert err.startswith("usage: ")
-        assert f"argument {flag}: invalid integer value: {value!r}" in err
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in err
 
     @pytest.mark.parametrize("argv", [["--map", "pinching"], ["m.json"]])
     def test_random_mode_rejects_map_and_file(self, capsys, argv):
@@ -636,6 +659,10 @@ class TestFlags:
         (["moments", "FILE", "--k-min", "5"], "k-min must be -1 or 0"),
         (["verify", "FILE", "--tol", "nan"],
          "tolerance must be positive and finite"),
+        (["moments", "FILE", "--tol", "0"],
+         "tolerance must be positive and finite"),
+        (["verify", "FILE", "--tol", "-1"],
+         "tolerance must be positive and finite"),
         (["moments", "FILE", "--r-max", "-1"], "r-max must be non-negative"),
         (["verify", "--random", "--instances", "0"],
          "instances must be at least 1"),
@@ -644,7 +671,8 @@ class TestFlags:
         (["verify", "--random", "--n-range", "3:2"],
          "n-range must satisfy 1 <= lo <= hi"),
     ], ids=["bounds-seed", "moments-seed", "verify-trace-seed",
-            "verify-pinching-seed", "random-seed", "k-min", "tol", "r-max",
+            "verify-pinching-seed", "random-seed", "k-min", "tol", "tol-0",
+            "tol-negative", "r-max",
             "instances", "n-range-lo", "n-range-order"])
     def test_a_bad_setting_is_one_error_line_naming_it(self, tmp_path, capsys,
                                                        argv, message):
@@ -688,17 +716,14 @@ class TestFlags:
 
 @pytest.mark.parametrize("command, text", [
     ("bounds", cli.write_matrix_json(1e200 * linalg.random_hermitian(4, 1))),
+    # Phi(A^7) scaled back from the working scale overflows
     ("moments", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
-    ("verify", cli.write_matrix_json(1e100 * linalg.random_hermitian(4, 1))),
     ("bounds", '{"rows":1,"cols":1,"entries":[[null,0]]}'),
-    # the inverse moment's scale ||Phi(A)^-1||_F overflows, the matrix not
-    ("verify", cli.write_matrix_json(1e-200 * np.diag([1.0, 2.0, 4.0]))),
     # an infinite tolerance would pass every check
     ("verify --tol inf", cli.write_matrix_json(np.eye(2))),
     ("moments --tol inf", cli.write_matrix_json(np.eye(2))),
-], ids=["norm-overflow", "moments-power-overflow", "verify-power-overflow",
-        "malformed", "verify-inverse-scale-overflow", "verify-tol-inf",
-        "moments-tol-inf"])
+], ids=["norm-overflow", "moments-power-overflow", "malformed",
+        "verify-tol-inf", "moments-tol-inf"])
 def test_bad_input_is_one_error_line(tmp_path, command, text):
     # a subprocess, so numpy warnings written straight to stderr are seen
     path = write(tmp_path, "a.json", text)
@@ -713,39 +738,135 @@ def test_bad_input_is_one_error_line(tmp_path, command, text):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
-#: Overflows in the normal-matrix path and in inverted blocks, each once a
-#: numpy warning, a bare errno text or a misleading message: the matrix,
-#: the map and the block order.
+#: Files on which ``verify`` once stopped with an overflow error: in the
+#: moment powers, the normal-matrix path, inverted blocks or an operand
+#: scale, or, where a norm overflowed, with every check skipped as "not
+#: normal". The scale, the matrix, the map and the block order.
 OVERFLOWS = {
-    "inverted-gap": (1e-310 * np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
-    "normal-block-norm": (1e40 * np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
-    "fourth-moment-power": (1e52 * np.diag([1j, -1j]), "vector-state", "3"),
-    "fourth-moment-products": (1e80 * np.diag([1j, -1j]), "trace", "3"),
-    "normal-block-products": (1e82 * np.diag([1j, -1j]), "compression:2",
-                              "0"),
-    "route-difference": (1e-250 * (random_psd(8, 2) + np.eye(8)),
-                         "trace", "3"),
-    # the commutator's Frobenius norm overflowed and read as "not normal",
-    # which skipped every check with exit 0
-    "normal-commutator-1e100": (1e100 * linalg.random_normal_matrix(6, 5),
+    "moment-powers": (1e60, linalg.hermitian_with_spectrum(
+        [-1.0, 0.2, 0.9, 1.3], 3), "trace", "3"),
+    "moment-powers-1e100": (1e100, linalg.random_hermitian(4, 1), "trace",
+                            "3"),
+    # the inverse moment's scale ||Phi(A)^-1||_F overflowed, the matrix not
+    "inverse-scale": (1e-200, np.diag([1.0, 2.0, 4.0]), "trace", "3"),
+    "inverted-gap": (1e-310, np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
+    "normal-block-norm": (1e40, np.diag([-1.0, 0.5, 2.0]), "trace", "0"),
+    "fourth-moment-power": (1e52, np.diag([1j, -1j]), "vector-state", "3"),
+    "fourth-moment-products": (1e80, np.diag([1j, -1j]), "trace", "3"),
+    "normal-block-products": (1e82, np.diag([1j, -1j]), "compression:2", "0"),
+    "route-difference": (1e-250, random_psd(8, 2) + np.eye(8), "trace", "3"),
+    "normal-commutator-1e100": (1e100, linalg.random_normal_matrix(6, 5),
                                 "trace", "3"),
-    "normal-commutator-1e140": (1e140 * linalg.random_normal_matrix(6, 5),
+    "normal-commutator-1e140": (1e140, linalg.random_normal_matrix(6, 5),
                                 "trace", "3"),
 }
 
 
 @pytest.mark.parametrize("name", OVERFLOWS)
-def test_an_overflow_is_one_error_line_naming_it(tmp_path, capsys, name):
-    matrix, spec, r_max = OVERFLOWS[name]
-    path = write(tmp_path, "a.json", cli.write_matrix_json(matrix))
+def test_a_file_verifies_with_the_verdicts_of_scale_1(tmp_path, capsys,
+                                                      name):
+    # the file is scaled by a power of two at ingest, so c A exits and
+    # judges every check as A does, with no numpy warning
+    c, matrix, spec, r_max = OVERFLOWS[name]
+
+    def verdicts(c):
+        path = write(tmp_path, "a.json", cli.write_matrix_json(c * matrix))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", path, "--map", spec, "--r-max", r_max,
+                             "--seed", "3", "--out", str(out)])
+        return code, [(r["check"], r["passed"])
+                      for r in json.loads(out.read_text())["records"]]
+
+    expected = verdicts(1.0)
+    assert expected[0] == 0
+    assert verdicts(c) == expected
+    assert capsys.readouterr().err == ""
+
+
+def _run_at_scale(directory, matrix, j, argv):
+    """``momenta`` on the file of ``2^j matrix``, always at one path: exit
+    code, stdout, stderr and report bytes (empty for no report)."""
+    path, out = os.path.join(directory, "a.json"), os.path.join(directory,
+                                                                "r.json")
+    if os.path.exists(out):
+        os.remove(out)
+    scaled = np.ldexp(matrix.view(np.float64), j).view(np.complex128)
+    with open(path, "w") as f:
+        f.write(cli.write_matrix_json(scaled))
+    stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main(["verify", path, "--map", spec, "--r-max", r_max,
-                         "--seed", "3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "overflow" in err
+        with (contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
+            code = cli.main([argv[0], path, *argv[1:], "--out", out])
+    report = b""
+    if os.path.exists(out):
+        with open(out, "rb") as f:
+            report = f.read()
+    return code, stdout.getvalue(), stderr.getvalue(), report
+
+
+@settings(max_examples=40, deadline=None)
+@given(normal=st.booleans(), n=st.integers(1, 8),
+       seed=st.integers(0, 2**16),
+       spec=st.sampled_from(list(maps.MAP_KINDS[:5]) + ["compression:1"]),
+       j=st.integers(-900, 900))
+def test_a_power_of_two_leaves_the_verify_report_unchanged(normal, n, seed,
+                                                           spec, j):
+    # a file is scaled by a power of two where it enters, exactly, so every
+    # check of 2^j A runs on the matrix A's run does
+    a = (linalg.random_normal_matrix if normal else linalg.random_hermitian)(
+        n, seed)
+    argv = ["verify", "--map", spec, "--seed", "3"]
+    with tempfile.TemporaryDirectory() as directory:
+        assert (_run_at_scale(directory, a, j, argv)
+                == _run_at_scale(directory, a, 0, argv))
+
+
+#: The degree in A of each value ``bounds`` reports that is not of degree 1.
+BOUNDS_DEGREES = {"cubic_c1": 2, "cubic_c0": 3, "gamma": 6}
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=st.sampled_from([None, 1, 2, 3]), n=st.integers(1, 8),
+       seed=st.integers(0, 2**16),
+       spec=st.sampled_from(["trace", "vector-state"]),
+       j=st.integers(-900, 900))
+def test_a_power_of_two_scales_each_bounds_value_by_its_degree(atoms, n,
+                                                               seed, spec,
+                                                               j):
+    # a value of degree d in A is reported for 2^j A exactly as 2^(d j)
+    # times A's, or, where that leaves double range (gamma past about
+    # j = 170), as one overflow error line; the degeneracy is A's
+    if atoms is None:
+        a = linalg.random_hermitian(n, seed)
+    else:
+        a = linalg.hermitian_with_spectrum(
+            np.resize([-1.0, 0.5, 2.0][:atoms], n), seed)
+    argv = ["bounds", "--map", spec, "--seed", "3"]
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err, report = _run_at_scale(directory, a, 0, argv)
+        assert (code, err) == (0, "")
+        values = {r["check"]: r["margin"]
+                  for r in json.loads(report)["records"]}
+        try:
+            expected = {name: math.ldexp(value,
+                                         BOUNDS_DEGREES.get(name, 1) * j)
+                        for name, value in values.items()}
+        except OverflowError:
+            expected = None
+        code, scaled_out, err, report = _run_at_scale(directory, a, j, argv)
+    if expected is None:
+        assert (code, scaled_out, report) == (1, "", b"")
+        assert err == ("error: Gauss rule bounds overflow double precision; "
+                       "rescale the matrix\n")
+        return
+    assert (code, err) == (0, "")
+    assert (("degenerate" in scaled_out) == ("degenerate" in out))
+    got = {r["check"]: r["margin"] for r in json.loads(report)["records"]}
+    assert got == expected
 
 
 def test_parser_is_built_once_and_parsing_leaves_it_unchanged():

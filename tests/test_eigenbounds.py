@@ -313,13 +313,16 @@ class TestWolkowiczStyan:
 
     @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1.0, 1e100])
     def test_scales_with_the_matrix(self, c):
-        # ||A - mu I||_F^2 underflowed below c ~ 1e-154, which moved the
-        # bounds and, at 1e-200, collapsed both onto the mean 7c/3
+        # ||A - mu I||_F^2 underflows below c ~ 1e-154, which moves the
+        # bounds and, at 1e-200, collapses both onto the mean 7c/3; scaled
+        # by a power of two, as the command line reads a file, they are A's
         atoms = np.diag([1.0, 2.0, 4.0])
         unit = eigenbounds.wolkowicz_styan(atoms)
         assert unit == (1.4514162296451367, 3.2152504370215302)
-        for got, want in zip(eigenbounds.wolkowicz_styan(c * atoms), unit):
-            assert abs(got - c * want) <= 4 * np.spacing(c * want)
+        b, e = linalg.binary_scaled(c * atoms)
+        for got, want in zip(eigenbounds.wolkowicz_styan(b), unit):
+            assert abs(math.ldexp(got, e) - c * want) <= 4 * np.spacing(
+                c * want)
 
     def test_always_valid_on_random_instances(self):
         for seed in range(20):

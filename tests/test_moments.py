@@ -972,16 +972,17 @@ class TestNormalBlock:
         # of atom-mates of H, in the last H on one of K); the shifts put a
         # multiple of the identity to rounding in the atoms of H or of K,
         # and at c = 1e-200 and 1e150 the squares of the entries underflow
-        # or overflow. A unitary U with U diag(z) U* = A gives A's
+        # or overflow, so A is scaled by a power of two, as the command line
+        # reads a file. A unitary U with U diag(z) U* = A gives A's
         # eigenvalues.
         z = c * (np.array(z) + shift)
         u0 = linalg.random_unitary(z.size, 9)
-        a = (u0 * z) @ u0.conj().T
+        a, e = linalg.binary_scaled((u0 * z) @ u0.conj().T)
         got, u = moments.normal_spectrum(a)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(z.size),
                                    atol=1e-14)
-        assert np.max(np.abs((u * got) @ u.conj().T - a)) <= 1e-14 * np.max(
-            np.abs(z))
+        assert np.max(np.abs((u * got) @ u.conj().T - a)) <= 1e-14 * (
+            math.ldexp(np.max(np.abs(z)), -e))
 
     def test_normal_routes_agree(self):
         # the spectral block and fourth moment against the direct products:
@@ -1027,6 +1028,17 @@ class TestNormalBlock:
                 failed.append(not passed)
         assert 0 < sum(failed) < len(failed)
 
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_an_overflowing_normality_test_is_a_domain_error(self, c):
+        # the commutator's norm overflows, which is not read as "not
+        # normal"; a matrix file is scaled by a power of two at ingest, so
+        # only a library caller gets here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="^normality test norms overflow"):
+                moments.normal_spectrum(c * linalg.random_normal_matrix(6, 5))
+
     def test_rejects_non_normal(self):
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotNormalError):
@@ -1034,17 +1046,19 @@ class TestNormalBlock:
 
     @pytest.mark.parametrize("c", [1e-150, 2.0 ** -40, 1.0, 1e100, 1e140])
     def test_normality_is_decided_at_every_scale(self, c):
-        # decided on A scaled by a power of two: the commutator's norm can
-        # neither overflow (read as "not normal" at 1e100 and 1e140) nor
-        # underflow (read as "normal" at 1e-150)
+        # decided on A scaled by a power of two, as the command line reads
+        # a file: the commutator's norm can neither overflow (read as "not
+        # normal" at 1e100 and 1e140) nor underflow (read as "normal" at
+        # 1e-150)
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            moments.normal_spectrum(c * linalg.random_normal_matrix(6, 5))
+            moments.normal_spectrum(linalg.binary_scaled(
+                c * linalg.random_normal_matrix(6, 5))[0])
             with pytest.raises(NotNormalError,
                                match=r"not normal: \|\|A\*A - AA\*\|\|_F "
                                      r"= 1\.414e\+00 \* \|\|A\|\|_F\^2"):
-                moments.normal_spectrum(c * shear)
+                moments.normal_spectrum(linalg.binary_scaled(c * shear)[0])
 
 
 #: Scales at which the blocks whose sizing moved into ``moments`` are shown
