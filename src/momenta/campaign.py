@@ -211,7 +211,8 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
-        weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
+        weights = inst.pulm.images(spectrum.eigenvectors,
+                                   np.eye(inst.n)).real.ravel()
         v = spectrum.eigenvalues[:, np.newaxis] ** np.arange(r + 1)
         acc = (v.T * weights) @ v  # sum_j w_j v_j v_j^T
         err = float(np.max(np.abs(acc - hank.assembled.real)))

@@ -185,8 +185,8 @@ def _matrix_from_csv(text: str, path: str) -> np.ndarray:
         raise ValueError(f"{path}: empty matrix file")
     rows = []
     for i, line in enumerate(lines):
-        try:  # float() strips each cell, but would read 1_0 as 10
-            if "_" in line:
+        try:  # float() strips each cell, but reads 1_0 and non-ASCII digits
+            if "_" in line or not line.isascii():
                 raise ValueError
             rows.append([float(c) for c in line.split(",")])
         except ValueError:

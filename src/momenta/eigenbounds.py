@@ -81,7 +81,8 @@ def _spectral_measure(functional: PositiveUnitalMap,
                 np.full(functional.n, 1.0 / functional.n), h)
     spectrum = hermitian_eig(a)
     return (spectrum.eigenvalues,
-            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
+            functional.images(spectrum.eigenvectors,
+                              np.eye(len(spectrum.eigenvalues))).real.ravel(),
             spectrum.matrix)
 
 

@@ -15,9 +15,12 @@ the identity (the Kraus operator ``I``), compressions (``V``), mixtures
 (``K_i = sqrt(w_i) V_i``, each weight folded in once) and vector states
 (``x`` as an n x 1 column) -- store their Kraus operators and raise
 :class:`DomainError` unless ``sum_i K_i* K_i = I`` within
-``UNITALITY_TOL``. Pinchings and the normalized trace are unital by their
-structure; their Kraus operators are n projections or n vectors
-``e_j / sqrt(n)``, so they keep their own masked and traced contractions.
+``UNITALITY_TOL``; pinchings and the normalized trace are unital by their
+structure. A map sends a spectral sum ``sum_j f(z_j) v_j v_j*`` to ``sum_i
+W_i diag(f(z)) W_i*``, ``W_i = K_i* V`` (:meth:`PositiveUnitalMap.images`),
+one matrix product per factor: of ``V`` itself for the identity and the
+pinching, which zeroes the entries off its blocks, and of ``|v_j|^2 / n``
+for the trace. No rank-one image ``Phi(v_j v_j*)`` is formed.
 """
 
 from __future__ import annotations
@@ -46,12 +49,10 @@ class PositiveUnitalMap:
     ``route_agreement`` oracle uses it. A map in factor form stores
     ``factors``, the Kraus operators ``K_i`` of ``A -> sum_i K_i* A K_i``,
     each an n-by-k matrix, once they are unital, and inherits
-    ``domain_dim``, ``codomain_dim`` and ``rank_one_images`` from them; any
-    other map implements those three.
-    ``rank_one_images`` maps the rank-one matrices ``v v*`` of many vectors
-    at once, from the contraction ``W = K* V`` of the map's factors with the
-    vectors, and never forms ``v v*``: every image of a Hermitian or normal
-    matrix is contracted from those of its eigenprojections.
+    ``domain_dim``, ``codomain_dim`` and ``images`` from them (the identity
+    contracts ``V`` itself); any other map implements those three. Every
+    image of a Hermitian or normal matrix is a row of ``images``, and a
+    functional's weights ``phi(v_j v_j*)`` are ``images(V, I)``.
     """
 
     factors: tuple
@@ -67,15 +68,17 @@ class PositiveUnitalMap:
     def apply(self, a) -> np.ndarray:
         raise NotImplementedError
 
-    def rank_one_images(self, vectors) -> np.ndarray:
-        """``Phi(v v*)`` for each column ``v`` of an ``(n, m)`` array, as an
-        ``(m, k, k)`` stack: ``sum_i (K_i* v)(K_i* v)*``."""
+    def images(self, vectors, values) -> np.ndarray:
+        """``Phi(sum_j values[p, j] v_j v_j*)`` for the columns ``v_j`` of an
+        ``(n, m)`` array and the rows ``p`` of a ``(K, m)`` real or complex
+        array, as a ``(K, k, k)`` stack ``sum_i W_i diag(values[p]) W_i*``,
+        ``W_i = K_i* V``; ``values = I`` gives the images ``Phi(v_j v_j*)``."""
         x = self._check_vectors(vectors)
         # from the first term, not sum()'s 0, which would flip signed zeros
         k, *rest = self.factors
-        images = _outer_stack(k.conj().T @ x)
+        images = _contract(k.conj().T @ x, values)
         for k in rest:
-            images = images + _outer_stack(k.conj().T @ x)
+            images += _contract(k.conj().T @ x, values)
         return images
 
     @property
@@ -104,9 +107,12 @@ class PositiveUnitalMap:
         self.factors = tuple(factors)
 
 
-def _outer_stack(w: np.ndarray) -> np.ndarray:
-    """``w_j w_j*`` for each column ``w_j`` of ``w``, as an ``(m, k, k)`` stack."""
-    return w.T[:, :, np.newaxis] * w.T.conj()[:, np.newaxis, :]
+def _contract(w: np.ndarray, values) -> np.ndarray:
+    """``w diag(values[p]) w*`` for each row ``p`` of ``values``, as a
+    ``(K, k, k)`` stack: one matrix product for the whole stack."""
+    (count, m), k = values.shape, w.shape[0]
+    stacked = (values[:, np.newaxis, :] * w).reshape(count * k, m)
+    return (stacked @ w.conj().T).reshape(count, k, k)
 
 
 def _require_unital(what: str, factors) -> None:
@@ -131,6 +137,9 @@ class Identity(PositiveUnitalMap):
 
     def apply(self, a) -> np.ndarray:
         return self._check_input(a).copy()
+
+    def images(self, vectors, values) -> np.ndarray:
+        return _contract(self._check_vectors(vectors), values)
 
 
 class Compression(PositiveUnitalMap):
@@ -213,8 +222,8 @@ class Pinching(PositiveUnitalMap):
         m = self._check_input(a)
         return np.where(self._mask, m, 0.0)
 
-    def rank_one_images(self, vectors) -> np.ndarray:
-        images = _outer_stack(self._check_vectors(vectors))
+    def images(self, vectors, values) -> np.ndarray:
+        images = _contract(self._check_vectors(vectors), values)
         images[:, ~self._mask] = 0.0
         return images
 
@@ -255,9 +264,10 @@ class NormalizedTrace(PositiveUnitalMap):
         m = self._check_input(a)
         return np.array([[np.trace(m) / self.n]], dtype=np.complex128)
 
-    def rank_one_images(self, vectors) -> np.ndarray:
+    def images(self, vectors, values) -> np.ndarray:
         v = self._check_vectors(vectors)
-        return (np.einsum("ij,ij->j", v.conj(), v) / self.n).reshape(-1, 1, 1)
+        weights = np.einsum("ij,ij->j", v.conj(), v) / self.n
+        return (values @ weights[:, np.newaxis]).reshape(-1, 1, 1)
 
 
 def random_map(kind: str, n: int, k: int | None = None,

@@ -4,8 +4,8 @@ A :class:`MomentTable` holds the images ``Phi(A^k)`` of the powers of a
 Hermitian matrix over a contiguous range of exponents (possibly starting at
 -1 for positive definite ``A``) as one stacked ``(K, k, k)`` array, together
 with the extreme eigenvalues ``m`` and ``M`` of ``A``. Every image
-``Phi(f(A))`` is one contraction of ``f`` at the eigenvalues with the images
-of the eigenprojections of ``A``'s one solve: of a Hermitian ``A``
+``Phi(f(A))`` is the map's ``images`` of the eigenvectors of ``A``'s one
+solve, weighted by ``f`` at its eigenvalues: of a Hermitian ``A``
 (:func:`spectral_images`), whose shift ``A - phi(A) I`` has the same ones,
 and of a normal ``A = U diag(z) U*`` (:func:`normal_spectrum`). From such a
 table, :func:`build_blocks` assembles the family of block matrices whose
@@ -206,46 +206,36 @@ def moment_table(pulm: PositiveUnitalMap, a, k_min: int = 0,
     if k_max < k_min:
         raise DomainError(f"k_max {k_max} below k_min {k_min}")
     spectrum = hermitian_eig(a)
-    return _table(pulm.rank_one_images(spectrum.eigenvectors),
-                  spectrum.eigenvalues, k_min, k_max)
+    return _table(pulm, spectrum.eigenvectors, spectrum.eigenvalues, k_min,
+                  k_max)
 
 
-def _table(images: np.ndarray, eigenvalues: np.ndarray, k_min: int,
-           k_max: int) -> MomentTable:
+def _table(pulm: PositiveUnitalMap, vectors: np.ndarray,
+           eigenvalues: np.ndarray, k_min: int, k_max: int) -> MomentTable:
     """The moment table of :func:`moment_table` from ascending ``eigenvalues``
-    and their eigenvectors' ``images``; ``[m, M]`` are the first and last."""
+    and their eigenvectors; ``[m, M]`` are the first and last."""
     m, M = float(eigenvalues[0]), float(eigenvalues[-1])
     if k_min == -1 and m <= 0.0:
         raise DomainError(f"inverse moments need a positive definite matrix "
                           f"(min eigenvalue {m:.3e} at working scale)")
     powers = np.arange(k_min, k_max + 1)
-    with np.errstate(over="ignore"):  # _images rejects the overflow
+    with np.errstate(over="ignore"):  # spectral_images rejects the overflow
         values = eigenvalues[np.newaxis, :] ** powers[:, np.newaxis]
-    blocks = hermitian_part(_images(images, values, "moment powers"))
+    blocks = spectral_images(pulm, vectors, values)
     return MomentTable(k_min=k_min, k_max=k_max, blocks=blocks, m=m, M=M)
 
 
-def spectral_images(pulm: PositiveUnitalMap, spectrum,
+def spectral_images(pulm: PositiveUnitalMap, vectors,
                     values: np.ndarray) -> np.ndarray:
     """The ``(K, k, k)`` stack of ``Phi(f_i(A))``, ``values[i, j]`` being
-    ``f_i(lambda_j)`` on the eigenvalues of ``spectrum``, a full solve.
-
-    Each image is the contraction ``sum_j f_i(lambda_j) Phi(v_j v_j*)`` with
-    the map's ``rank_one_images``, Hermitian part taken; a non-finite one
-    (an overflow) is a :class:`DomainError`.
+    ``f_i(lambda_j)`` at the eigenvector ``vectors[:, j]`` of ``A``: the
+    map's ``images(vectors, values)``, Hermitian part taken. A non-finite
+    image (an overflow) is a :class:`DomainError`.
     """
-    return hermitian_part(_images(pulm.rank_one_images(spectrum.eigenvectors),
-                                  values, "moment powers"))
-
-
-def _images(images: np.ndarray, values, what: str):
-    """The stack of ``sum_j values[i, j] images[j]`` over a ``rank_one_images``
-    stack; a non-finite image is a :class:`DomainError` on ``what``."""
-    n, k = images.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        blocks = (values @ images.reshape(n, k * k)).reshape(-1, k, k)
-    require_finite(what, blocks)
-    return blocks
+        images = pulm.images(vectors, values)
+    require_finite("moment powers", images)
+    return hermitian_part(images)
 
 
 @dataclass(frozen=True)
@@ -412,11 +402,10 @@ def build_centered_blocks(functional: PositiveUnitalMap, a, r: int):
     if not functional.is_functional:
         raise ShapeError("centered blocks need a functional (1x1 codomain)")
     spectrum = hermitian_eig(a)
-    lam = spectrum.eigenvalues
-    images = functional.rank_one_images(spectrum.eigenvectors)
-    mean = float(hermitian_part(_images(images, lam[np.newaxis],
-                                        "moment powers"))[0, 0, 0].real)
-    table = _table(images, lam - mean, 0, 2 * r + 2)
+    lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    mean = float(spectral_images(functional, vectors,
+                                 lam[np.newaxis])[0, 0, 0].real)
+    table = _table(functional, vectors, lam - mean, 0, 2 * r + 2)
     return build_blocks(table, r, ("lower_shift", "upper_shift"))
 
 
@@ -443,7 +432,7 @@ def build_log_deficit_block(pulm: PositiveUnitalMap, a) -> BlockMatrixSpec:
     log_size = max(abs(math.log(m)), abs(math.log(M)))  # the size of log A
     with np.errstate(over="ignore"):  # spectral_images rejects the overflow
         values = np.stack([lam * lam, lam, lam - log_lam])
-    images = spectral_images(pulm, spectrum, values)
+    images = spectral_images(pulm, spectrum.eigenvectors, values)
     return BlockMatrixSpec(_gather(images[np.newaxis], _hankel_index(2))[0],
                            max(_power_size(m, M, 2),
                                _power_size(m, M, 1) + log_size))
@@ -471,7 +460,7 @@ def build_log_endpoint_blocks(pulm: PositiveUnitalMap,
         powers = lam[np.newaxis, :] ** np.arange(3)[:, np.newaxis]
         values = np.concatenate([(lM - log_lam) * powers,
                                  (log_lam - lm) * powers])
-    images = spectral_images(pulm, spectrum, values)
+    images = spectral_images(pulm, spectrum.eigenvectors, values)
     blocks = _gather(images.reshape(2, 3, *images.shape[1:]), _hankel_index(2))
     low, high = abs(math.log(m)), abs(math.log(M))  # max: the size of log A
     size, square = max(low, high), _power_size(m, M, 2)
@@ -535,11 +524,10 @@ def build_normal_block(pulm: PositiveUnitalMap, z, u) -> BlockMatrixSpec:
     norm (``inf`` where that overflows, which :func:`psd_records` rejects).
     """
     x = np.stack([np.ones_like(z), z, z.real * z.real + z.imag * z.imag])
-    # _images raises an overflow, and psd_records an infinite scale
+    # an overflow is raised here, and an infinite scale by psd_records
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = _images(pulm.rank_one_images(u),
-                       (x.conj()[:, np.newaxis] * x).reshape(9, -1),
-                       "normal-matrix moments")
+        grid = pulm.images(u, (x.conj()[:, np.newaxis] * x).reshape(9, -1))
+        require_finite("normal-matrix moments", grid)
         block = _gather(grid[np.newaxis], np.arange(9).reshape(3, 3))[0]
         return BlockMatrixSpec(hermitian_part(block), np.linalg.norm(block))
 
@@ -682,7 +670,7 @@ def centered_fourth_moment(functional: PositiveUnitalMap, z, u,
     """
     if not functional.is_functional:
         raise ShapeError("centered fourth moment needs a functional (1x1 codomain)")
-    w = functional.rank_one_images(u).real.ravel()
+    w = functional.images(u, np.eye(len(z))).real.ravel()
     # numpy scalars, so an overflow gives inf or nan, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         b = z - w @ z
@@ -720,7 +708,7 @@ def scalar_checks(pulm: PositiveUnitalMap, a, tol: float = DEFAULT_PSD_TOL,
     pd = positive_definite(m, M, tol)
     blocks = dict.fromkeys(HERMITIAN_SCALAR_CHECKS)
     eye = np.eye(pulm.codomain_dim)
-    table = _table(pulm.rank_one_images(vectors), lam, -1 if pd else 0, 3)
+    table = _table(pulm, vectors, lam, -1 if pd else 0, 3)
     p1, p2, p3 = table.powers(1, 3)
     variance = p2 - p1 @ p1
     low, high = p1 - m * eye, M * eye - p1  # the gaps of Phi(A) to m and M

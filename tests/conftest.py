@@ -55,7 +55,15 @@ def rank_one_positivity_failures(pulm, seed=0):
     x = rng.standard_normal((n, 20)) + 1j * rng.standard_normal((n, 20))
     probes = np.hstack([np.eye(n), x / np.linalg.norm(x, axis=0)])
     return sum(not psd_at_own_norm(image)
-               for image in pulm.rank_one_images(probes))
+               for image in pulm.images(probes, np.eye(probes.shape[1])))
+
+
+def direct_images(pulm, vectors, values):
+    """``sum_j values[p, j] Phi(v_j v_j*)`` for each row ``p``, one ``apply``
+    on each explicit rank-one matrix: the direct route, an oracle for the
+    maps' ``images``."""
+    rank_one = np.stack([pulm.apply(np.outer(v, v.conj())) for v in vectors.T])
+    return np.einsum("pj,jab->pab", values, rank_one)
 
 
 def direct_powers(pulm, a, k_min, k_max):
@@ -121,7 +129,7 @@ def centered_solve_blocks(functional, a, r):
     the shifted eigenvalues."""
     spectrum = linalg.hermitian_eig(a)
     lam = spectrum.eigenvalues
-    mean = float(moments.spectral_images(functional, spectrum,
+    mean = float(moments.spectral_images(functional, spectrum.eigenvectors,
                                          lam[np.newaxis])[0, 0, 0].real)
     centered = np.asarray(a) - mean * np.eye(lam.size)
     table = dataclasses.replace(
@@ -138,7 +146,8 @@ def full_solve_measure(functional, a):
     ``eigenbounds._spectral_measure``."""
     spectrum = linalg.hermitian_eig(a)
     return (spectrum.eigenvalues,
-            functional.rank_one_images(spectrum.eigenvectors).real.ravel(),
+            functional.images(spectrum.eigenvectors,
+                              np.eye(len(spectrum.eigenvalues))).real.ravel(),
             spectrum.matrix)
 
 
@@ -206,11 +215,12 @@ class ReflectedTrace(maps.PositiveUnitalMap):
         m = self._check_input(a)
         return 2.0 * np.trace(m) / self.n * np.eye(self.n) - m
 
-    def rank_one_images(self, vectors):
+    def images(self, vectors, values):
         v = self._check_vectors(vectors)
-        squared_norms = np.einsum("ij,ij->j", v.conj(), v)
-        outer = v.T[:, :, np.newaxis] * v.T.conj()[:, np.newaxis, :]
-        return 2.0 * squared_norms[:, None, None] / self.n * np.eye(self.n) - outer
+        traces = values @ np.einsum("ij,ij->j", v.conj(), v)
+        spectral_sums = (values[:, np.newaxis, :] * v) @ v.conj().T
+        return (2.0 * traces[:, None, None] / self.n * np.eye(self.n)
+                - spectral_sums)
 
 
 class ReflectedState(maps.PositiveUnitalMap):
@@ -227,11 +237,11 @@ class ReflectedState(maps.PositiveUnitalMap):
         m = self._check_input(a)
         return np.array([[2.0 * np.trace(m) / self.n - m[0, 0]]])
 
-    def rank_one_images(self, vectors):
+    def images(self, vectors, values):
         v = self._check_vectors(vectors)
         squared_norms = np.einsum("ij,ij->j", v.conj(), v)
-        return (2.0 * squared_norms / self.n
-                - np.abs(v[0]) ** 2)[:, np.newaxis, np.newaxis]
+        return (values @ (2.0 * squared_norms / self.n - np.abs(v[0]) ** 2)
+                )[:, np.newaxis, np.newaxis]
 
 
 class Blend(maps.PositiveUnitalMap):
@@ -249,9 +259,9 @@ class Blend(maps.PositiveUnitalMap):
         return ((1.0 - self.eps) * self.phi.apply(a)
                 + self.eps * self.psi.apply(a))
 
-    def rank_one_images(self, vectors):
-        return ((1.0 - self.eps) * self.phi.rank_one_images(vectors)
-                + self.eps * self.psi.rank_one_images(vectors))
+    def images(self, vectors, values):
+        return ((1.0 - self.eps) * self.phi.images(vectors, values)
+                + self.eps * self.psi.images(vectors, values))
 
 
 @pytest.fixture

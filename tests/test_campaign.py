@@ -69,7 +69,8 @@ def test_tensor_reconstruction_equals_its_loop():
         if not inst.pulm.is_functional:
             continue
         spectrum = linalg.hermitian_eig(inst.matrix)
-        weights = inst.pulm.rank_one_images(spectrum.eigenvectors).real.ravel()
+        weights = inst.pulm.images(spectrum.eigenvectors,
+                                   np.eye(inst.n)).real.ravel()
         acc = np.zeros((inst.r + 1, inst.r + 1))
         for lam_j, w in zip(spectrum.eigenvalues, weights):
             v = np.array([lam_j ** k for k in range(inst.r + 1)])

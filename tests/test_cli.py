@@ -115,6 +115,7 @@ MALFORMED = {
     "1,x\n2,3\n": "{}: row 1 has a non-numeric cell",
     "1,2\n\n2,\n": "{}: row 2 has a non-numeric cell",
     "1_0,2\n2,3\n": "{}: row 1 has a non-numeric cell",
+    "\uff11,0\n0,1\n": "{}: row 1 has a non-numeric cell",
     "1,2\n2, 3_0\n": "{}: row 2 has a non-numeric cell",
     "1,2\n3\n": "{}: row 2 has 1 columns, row 1 has 2",
     "1,2,3\n4,5,6\n": "{}: matrix is not square (2 rows x 3 columns)",

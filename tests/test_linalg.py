@@ -485,7 +485,8 @@ class TestMatrixFunctions:
     @staticmethod
     def log(a):
         spectrum, log_lam = moments._log_spectrum(a)
-        return moments.spectral_images(maps.Identity(len(a)), spectrum,
+        return moments.spectral_images(maps.Identity(len(a)),
+                                       spectrum.eigenvectors,
                                        log_lam[np.newaxis])[0]
 
     @staticmethod

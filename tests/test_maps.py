@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from momenta import linalg, maps
+from momenta import linalg, maps, moments
 from momenta.errors import DomainError, ShapeError
 
 from conftest import (EXAMPLE_3X3, Blend, ReflectedState, ReflectedTrace,
-                      peak_bytes, psd_at_own_norm, random_psd,
+                      direct_images, peak_bytes, psd_at_own_norm, random_psd,
                       rank_one_positivity_failures)
 
 
@@ -57,14 +57,18 @@ class TestApply:
         assert out[0, 1] == 0.0 and out[1, 2] == 0.0
         np.testing.assert_array_equal(np.diag(out), np.diag(a))
 
-    def test_pinching_masks_its_one_image_stack_in_place(self):
-        # the bytes of the masked copy, at the peak of one (n, n, n) stack
-        p = maps.random_map("pinching", 96, seed=3)
-        v = linalg.random_unitary(96, 5)
-        expected = np.where(p._mask, maps._outer_stack(v), 0.0)
-        images, peak = peak_bytes(lambda: p.rank_one_images(v))
-        assert images.tobytes() == expected.tobytes()
-        assert peak <= 1.1 * expected.nbytes
+    @pytest.mark.parametrize("kind, k", [("identity", None),
+                                         ("pinching", None),
+                                         ("compression", 96)])
+    def test_a_moment_table_holds_no_stack_of_rank_one_images(self, kind, k):
+        # with a warm memo, below half of one (n, n, n) complex stack: the
+        # powers are contracted from W = K* V, one (K, k, n) product
+        n = 96
+        pulm = maps.random_map(kind, n, k=k, seed=3)
+        a = linalg.random_hermitian(n, 1)
+        moments.moment_table(pulm, a, 0, 8)
+        _, peak = peak_bytes(lambda: moments.moment_table(pulm, a, 0, 8))
+        assert peak < n ** 3 * 16 / 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -184,7 +188,8 @@ def kraus_maps():
 class TestFactorForm:
     """``Identity``, ``Compression``, ``Mixture`` and ``VectorState`` are
     their Kraus operators ``K_i``: the base class derives their dimensions
-    and rank-one images from them, and no weight is stored."""
+    and images from them, the identity's images aside, and no weight is
+    stored."""
 
     @pytest.mark.parametrize("cls", FACTOR_MAPS + OWN_CONTRACTION_MAPS)
     def test_every_map_defines_its_own_apply(self, cls):
@@ -194,8 +199,9 @@ class TestFactorForm:
 
     @pytest.mark.parametrize("cls", FACTOR_MAPS)
     def test_a_factor_map_inherits_its_shape_and_contraction(self, cls):
-        own = {"domain_dim", "codomain_dim", "rank_one_images"} & set(vars(cls))
-        assert own == set()
+        # the identity contracts V itself, with no product I* V
+        own = {"domain_dim", "codomain_dim", "images"} & set(vars(cls))
+        assert own == ({"images"} if cls is maps.Identity else set())
 
     @pytest.mark.parametrize("name", sorted(kraus_maps()))
     def test_the_kraus_operators_are_unital_and_define_apply(self, name):
@@ -210,12 +216,15 @@ class TestFactorForm:
 
     @pytest.mark.parametrize("name", ["identity", "compression",
                                       "vector-state"])
-    def test_one_factor_images_are_its_outer_products_bit_for_bit(self, name):
+    def test_one_factor_images_are_one_contraction_bit_for_bit(self, name):
+        # of W = K* V, which for the identity is V itself
         pulm = kraus_maps()[name]
         (k,) = pulm.factors
         v = linalg.random_unitary(4, 5)[:, :3]
-        np.testing.assert_array_equal(pulm.rank_one_images(v),
-                                      maps._outer_stack(k.conj().T @ v))
+        values = np.random.default_rng(6).standard_normal((5, 3))
+        w = v if name == "identity" else k.conj().T @ v
+        np.testing.assert_array_equal(pulm.images(v, values),
+                                      maps._contract(w, values))
 
     def test_mixture_weights_are_folded_into_its_kraus_operators(self):
         # terms keeps the payload as given
@@ -223,9 +232,9 @@ class TestFactorForm:
         for (w, v), k in zip(pulm.terms, pulm.factors):
             np.testing.assert_allclose(k, np.sqrt(w) * v, rtol=0, atol=1e-15)
         x = linalg.random_unitary(4, 5)
-        expected = sum(w * maps._outer_stack(v.conj().T @ x)
+        expected = sum(w * maps._contract(v.conj().T @ x, np.eye(4))
                        for w, v in pulm.terms)
-        np.testing.assert_allclose(pulm.rank_one_images(x), expected,
+        np.testing.assert_allclose(pulm.images(x, np.eye(4)), expected,
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("weight", [np.inf, np.nan])
@@ -233,6 +242,49 @@ class TestFactorForm:
                                                                   weight):
         with pytest.raises(DomainError, match="positive and finite"):
             maps.Mixture(((weight, np.eye(2)),))
+
+
+#: Every map kind and the three controls of the tests, at n = 5.
+IMAGE_MAPS = {
+    **{kind: lambda kind=kind: maps.random_map(kind, 5, k=3, seed=21)
+       for kind in maps.MAP_KINDS},
+    "reflected-trace": lambda: ReflectedTrace(5),
+    "reflected-state": lambda: ReflectedState(5),
+    "blend": lambda: Blend(maps.NormalizedTrace(5), ReflectedState(5), 0.4),
+}
+
+
+def image_values(case, m):
+    """The values of one ``images`` case over ``m`` vectors: real ones, the
+    complex ones of ``moments.build_normal_block``, or ``I``."""
+    rng = np.random.default_rng(22)
+    if case == "real":
+        return rng.standard_normal((4, m))
+    if case == "complex":
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        x = np.stack([np.ones_like(z), z, z.real * z.real + z.imag * z.imag])
+        return (x.conj()[:, np.newaxis] * x).reshape(9, -1)
+    return np.eye(m)
+
+
+class TestImages:
+    """``images(V, values)`` of every map is its direct route, the sum of
+    ``values[p, j] Phi(v_j v_j*)``, to a few ulps of that sum's size."""
+
+    @pytest.mark.parametrize("case", ["real", "complex", "identity"])
+    @pytest.mark.parametrize("m", [5, 3])
+    @pytest.mark.parametrize("name", sorted(IMAGE_MAPS))
+    def test_images_are_the_direct_route(self, name, m, case):
+        pulm = IMAGE_MAPS[name]()
+        vectors = linalg.random_unitary(5, 23)[:, :m]
+        values = image_values(case, m)
+        got = pulm.images(vectors, values)
+        k = pulm.codomain_dim
+        assert got.shape == (len(values), k, k)
+        # the controls' images are at most 3 in size, as 2 tr(v v*)/n + |v|^2
+        size = 3.0 * np.abs(values).sum(axis=1).max()
+        assert (np.max(np.abs(got - direct_images(pulm, vectors, values)))
+                <= 4 * np.finfo(float).eps * size)
 
 
 class TestUnitalityAtConstruction:
@@ -320,7 +372,7 @@ class TestRankOnePositivity:
         blend = Blend(maps.NormalizedTrace(4), ReflectedState(4),
                       (1.0 + 1e-3) / 3.0)
         assert blend.apply(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
-        images = blend.rank_one_images(np.eye(4)).ravel()
+        images = blend.images(np.eye(4), np.eye(4)).ravel()
         assert images[0] == pytest.approx(-2.5e-4, rel=1e-9)
         assert np.all(images[1:] > 0.0)
         np.testing.assert_allclose(

@@ -13,8 +13,8 @@ from momenta.errors import (DomainError, NotHermitianError, NotNormalError,
 
 from conftest import (EXAMPLE_3X3, ReflectedState, ReflectedTrace,
                       centered_solve_blocks, direct_centered_fourth_moment,
-                      direct_log_blocks, direct_normal_block, direct_powers,
-                      psd_at_own_norm, random_psd)
+                      direct_images, direct_log_blocks, direct_normal_block,
+                      direct_powers, psd_at_own_norm, random_psd)
 
 TR2 = maps.NormalizedTrace(2)
 TR3 = maps.NormalizedTrace(3)
@@ -107,12 +107,6 @@ def operand_scale_oracle(kind, table, r, pair=None):
                    for d, c in weights.items()) for e in range(2 * r + 1))
 
 
-def projection_images(pulm, vectors):
-    """``Phi(v v*)`` for each column ``v``, one ``apply`` on one explicit
-    rank-one matrix at a time: an oracle for ``rank_one_images``."""
-    return np.stack([pulm.apply(np.outer(v, v.conj())) for v in vectors.T])
-
-
 def gap_block(table, r, pair):
     """The ``gap_product`` block of one eigenvalue pair: the one-pair family
     of :func:`moments.build_blocks`."""
@@ -132,7 +126,7 @@ def spectral_sum_table(pulm, a, k_min, k_max):
     """Spectral-route powers as per-eigenpair sums ``sum_j lambda_j^k
     Phi(v_j v_j*)``, one power at a time: an oracle for the contraction."""
     spectrum = linalg.hermitian_eig(a)
-    images = projection_images(pulm, spectrum.eigenvectors)
+    images = direct_images(pulm, spectrum.eigenvectors, np.eye(len(a)))
     return [linalg.hermitian_part(sum((lam ** k) * w for lam, w in
                                       zip(spectrum.eigenvalues, images)))
             for k in range(k_min, k_max + 1)]
@@ -254,16 +248,13 @@ class TestMomentTable:
     def test_spectral_images(self, kind):
         pulm = maps.random_map(kind, 4, k=2, seed=13)
         vectors = linalg.hermitian_eig(linalg.random_hermitian(4, 14)).eigenvectors
-        images = pulm.rank_one_images(vectors)
-        expected = projection_images(pulm, vectors)
+        images = pulm.images(vectors, np.eye(4))
+        expected = direct_images(pulm, vectors, np.eye(4))
         k = pulm.codomain_dim
         assert images.shape == (4, k, k)
-        if kind in ("identity", "pinching"):
-            # the same products v_a conj(v_b), kept or zeroed
-            np.testing.assert_array_equal(images, expected)
-        else:
-            # W = K* V multiplies in another order; entries are at most 1
-            assert np.max(np.abs(images - expected)) <= 8 * 4 * np.finfo(float).eps
+        # one product sums the rank-one terms, where apply multiplies each
+        # out; entries are at most 1
+        assert np.max(np.abs(images - expected)) <= 8 * 4 * np.finfo(float).eps
         # the eigenprojections sum to I, and the map is unital
         np.testing.assert_allclose(images.sum(axis=0), np.eye(k), atol=1e-12)
 
@@ -273,18 +264,18 @@ class TestMomentTable:
     def test_images_of_an_orthonormal_basis(self, kind, n, k_frac, seed):
         k = 1 + int(k_frac * (n - 1))
         pulm = maps.random_map(kind, n, k=k, seed=seed)
-        images = pulm.rank_one_images(linalg.random_unitary(n, seed + 1))
+        images = pulm.images(linalg.random_unitary(n, seed + 1), np.eye(n))
         k = pulm.codomain_dim
         assert images.shape == (n, k, k)
         np.testing.assert_allclose(images.sum(axis=0), np.eye(k), atol=1e-12)
         for image in images:
             assert np.linalg.eigvalsh(image)[0] >= -1e-12
 
-    def test_rank_one_images_check_the_shape(self):
+    def test_images_check_the_shape(self):
         with pytest.raises(ShapeError):
-            maps.Identity(3).rank_one_images(np.eye(4))
+            maps.Identity(3).images(np.eye(4), np.eye(4))
         with pytest.raises(ShapeError):
-            maps.NormalizedTrace(3).rank_one_images(np.ones(3))
+            maps.NormalizedTrace(3).images(np.ones(3), np.eye(1))
 
     @pytest.mark.parametrize("kind", maps.MAP_KINDS)
     def test_route_equivalence(self, kind):
@@ -764,17 +755,17 @@ class TestLogBlocks:
             moments.build_log_endpoint_blocks(TR2, np.diag([0.0, 3.0]))
 
     def test_endpoint_blocks_apply_the_map_once_per_image(self, monkeypatch):
-        # the six images are rows of one contraction of the eigenprojections'
-        # images, with no apply; the off-diagonal image is shared, and the
-        # blocks are the direct route's to rounding
+        # the six images are the rows of one contraction by the map, with no
+        # apply; the off-diagonal image is shared, and the blocks are the
+        # direct route's to rounding
         a = linalg.hermitian_with_spectrum([0.3, 1.1, 2.0, 2.7], 5)
         pulm = maps.random_map("compression", 4, k=2, seed=8)
         _, expected_upper, expected_lower = direct_log_blocks(pulm, a)
 
         calls = []
-        images = maps.Compression.rank_one_images
-        monkeypatch.setattr(maps.Compression, "rank_one_images",
-                            lambda self, v: calls.append(v) or images(self, v))
+        images = maps.Compression.images
+        monkeypatch.setattr(maps.Compression, "images", lambda self, v, x:
+                            calls.append(v) or images(self, v, x))
         monkeypatch.setattr(maps.Compression, "apply", _no_apply)
         upper, lower = moments.build_log_endpoint_blocks(pulm, a)
         assert len(calls) == 1
@@ -837,9 +828,8 @@ class TestOneRoute:
             pulm = maps.random_map(kind, 6, k=3, seed=seed + 31)
             a = random_psd(6, seed + 32) + 0.5 * np.eye(6)
             spectrum = linalg.hermitian_eig(a)
-            table = moments._table(
-                pulm.rank_one_images(spectrum.eigenvectors),
-                spectrum.eigenvalues, -1, 3)
+            table = moments._table(pulm, spectrum.eigenvectors,
+                                   spectrum.eigenvalues, -1, 3)
             direct = direct_powers(pulm, a, -1, 3)
             for k in range(-1, 4):
                 assert (np.max(np.abs(table.power(k) - direct[k + 1]))
@@ -859,29 +849,29 @@ class TestOneRoute:
                         <= 1e-12 * scale)
 
     @pytest.mark.parametrize("kind", ["vector-state", "trace"])
-    def test_centered_blocks_apply_the_map_once(self, kind, monkeypatch):
-        # the mean and the centered table are contracted from one stack of
-        # rank-one images, with no apply, and give bit for bit the blocks of
-        # the route that formed a stack for each
+    def test_centered_blocks_are_two_contractions_of_one_solve(self, kind,
+                                                               monkeypatch):
+        # the mean and the centered table are contracted by the functional
+        # from A's eigenvectors, with no apply, and give bit for bit the
+        # blocks of the table contracted at the shifted eigenvalues
         a = linalg.random_hermitian(5, 63)
         functional = maps.random_map(kind, 5, seed=64)
         spectrum = linalg.hermitian_eig(a)
-        lam = spectrum.eigenvalues
-        mean = float(moments.spectral_images(functional, spectrum,
+        lam, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+        mean = float(moments.spectral_images(functional, vectors,
                                              lam[np.newaxis])[0, 0, 0].real)
-        table = moments._table(
-            functional.rank_one_images(spectrum.eigenvectors), lam - mean,
-            0, 6)
+        table = moments._table(functional, vectors, lam - mean, 0, 6)
         expected = list(moments.build_blocks(table, 2, ("lower_shift",
                                                         "upper_shift")))
 
         cls, calls = type(functional), []
-        images = cls.rank_one_images
-        monkeypatch.setattr(cls, "rank_one_images",
-                            lambda self, v: calls.append(v) or images(self, v))
+        images = cls.images
+        monkeypatch.setattr(cls, "images", lambda self, v, x:
+                            calls.append(v) or images(self, v, x))
         monkeypatch.setattr(cls, "apply", _no_apply)
         got = list(moments.build_centered_blocks(functional, a, 2))
-        assert len(calls) == 1
+        assert len(calls) == 2
+        assert all(np.array_equal(v, vectors) for v in calls)
         assert [name for name, _ in got] == [name for name, _ in expected]
         for (_, block), (_, want) in zip(got, expected):
             assert block.scale == want.scale
@@ -892,7 +882,7 @@ class TestOneRoute:
         a = linalg.random_hermitian(5, 61)
         functional = maps.random_map(kind, 5, seed=62)
         spectrum = linalg.hermitian_eig(a)
-        mean = moments.spectral_images(functional, spectrum,
+        mean = moments.spectral_images(functional, spectrum.eigenvectors,
                                        spectrum.eigenvalues[np.newaxis])
         assert mean.shape == (1, 1, 1)
         assert abs(mean[0, 0, 0] - functional.apply(a)[0, 0]) <= 1e-14 * max(
@@ -918,9 +908,8 @@ class TestNormalBlock:
                 pulm = maps.random_map(kind, 5, k=k, seed=seed + 70)
                 x = np.stack([np.ones_like(z), z,
                               z.real * z.real + z.imag * z.imag])
-                grid = moments._images(
-                    pulm.rank_one_images(u),
-                    (x.conj()[:, np.newaxis] * x).reshape(9, -1), "grid")
+                grid = pulm.images(
+                    u, (x.conj()[:, np.newaxis] * x).reshape(9, -1))
                 layout = np.block([list(grid[p:p + 3]) for p in (0, 3, 6)])
                 block = moments.build_normal_block(pulm, z, u)
                 assert (block.assembled.tobytes()
