@@ -211,8 +211,7 @@ def oracle_suite(inst: Instance) -> list[CheckRecord]:
 
     if inst.pulm.is_functional:
         spectrum = hermitian_eig(inst.matrix)
-        weights = inst.pulm.images(spectrum.eigenvectors,
-                                   np.eye(inst.n)).real.ravel()
+        weights = inst.pulm.weights(spectrum.eigenvectors)
         v = spectrum.eigenvalues[:, np.newaxis] ** np.arange(r + 1)
         acc = (v.T * weights) @ v  # sum_j w_j v_j v_j^T
         err = float(np.max(np.abs(acc - hank.assembled.real)))

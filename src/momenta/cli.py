@@ -352,8 +352,9 @@ _COMPARATOR = ("comparator (trace moments): lambda_min <= {ws_min_upper}, "
 def cmd_bounds(args, config: RunConfig) -> dict:
     m, e, functional = _load(args, config)
     if not functional.is_functional:
-        raise ValueError("bounds needs a functional map (trace or "
-                         f"vector-state), got {config.map!r}")
+        raise ValueError("bounds needs a functional map, with a 1x1 codomain "
+                         "(trace, vector-state or compression:1), got "
+                         f"{config.map!r}")
     report = eigenbounds.spectral_bounds(functional, m)
     values = {"gamma": report.gamma}
     lines = [_NO_CUBIC if report.degenerate else _CUBIC]

@@ -72,17 +72,13 @@ class CentralMoments:
 def _spectral_measure(functional: PositiveUnitalMap,
                       a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, weights ``phi(v_j v_j*)`` and validated matrix of ``A``."""
-    if not functional.is_functional:
-        raise ShapeError("central moments need a functional (1x1 codomain)")
     if isinstance(functional, NormalizedTrace):
         # the trace weighs every unit vector 1/n, whatever the basis
         h = functional._check_input(symmetrize(a))
         return (hermitian_eig(h, vectors=False).eigenvalues,
                 np.full(functional.n, 1.0 / functional.n), h)
     spectrum = hermitian_eig(a)
-    return (spectrum.eigenvalues,
-            functional.images(spectrum.eigenvectors,
-                              np.eye(len(spectrum.eigenvalues))).real.ravel(),
+    return (spectrum.eigenvalues, functional.weights(spectrum.eigenvectors),
             spectrum.matrix)
 
 

@@ -13,14 +13,15 @@ one payload condition left. Construction enforces it with the structure
 (shapes, a genuine partition, positive mixture weights): the factor maps --
 the identity (the Kraus operator ``I``), compressions (``V``), mixtures
 (``K_i = sqrt(w_i) V_i``, each weight folded in once) and vector states
-(``x`` as an n x 1 column) -- store their Kraus operators and raise
-:class:`DomainError` unless ``sum_i K_i* K_i = I`` within
-``UNITALITY_TOL``; pinchings and the normalized trace are unital by their
-structure. A map sends a spectral sum ``sum_j f(z_j) v_j v_j*`` to ``sum_i
+(``x`` as an n x 1 column) -- store only their Kraus operators, apply
+them as that sum, and raise :class:`DomainError` unless ``sum_i K_i* K_i
+= I`` within ``UNITALITY_TOL``; pinchings and the normalized trace are
+unital by their structure. A map sends ``sum_j f(z_j) v_j v_j*`` to ``sum_i
 W_i diag(f(z)) W_i*``, ``W_i = K_i* V`` (:meth:`PositiveUnitalMap.images`),
 one matrix product per factor: of ``V`` itself for the identity and the
 pinching, which zeroes the entries off its blocks, and of ``|v_j|^2 / n``
-for the trace. No rank-one image ``Phi(v_j v_j*)`` is formed.
+for the trace; a functional's weights are its ``weights``. No rank-one
+image ``Phi(v_j v_j*)`` is formed.
 """
 
 from __future__ import annotations
@@ -44,15 +45,15 @@ MAP_KINDS = ("trace", "vector-state", "compression", "pinching", "identity",
 class PositiveUnitalMap:
     """Common interface of the map variants.
 
-    Every subclass implements a linear ``apply``, the map's definition, which
-    takes any complex square matrix; only the direct route of the
-    ``route_agreement`` oracle uses it. A map in factor form stores
-    ``factors``, the Kraus operators ``K_i`` of ``A -> sum_i K_i* A K_i``,
-    each an n-by-k matrix, once they are unital, and inherits
-    ``domain_dim``, ``codomain_dim`` and ``images`` from them (the identity
-    contracts ``V`` itself); any other map implements those three. Every
-    image of a Hermitian or normal matrix is a row of ``images``, and a
-    functional's weights ``phi(v_j v_j*)`` are ``images(V, I)``.
+    ``apply`` is the map's definition, linear, on any complex square matrix;
+    only the direct route of the ``route_agreement`` oracle uses it. A map in
+    factor form stores ``factors``, the Kraus operators ``K_i`` of ``A ->
+    sum_i K_i* A K_i``, each an n-by-k matrix, once they are unital, and
+    inherits ``domain_dim``, ``codomain_dim``, ``apply`` and ``images`` from
+    them (the identity copies ``A`` and contracts ``V`` itself); any other
+    map implements those four. Every image of a Hermitian or normal matrix
+    is a row of ``images``, and a functional's weights ``phi(v_j v_j*)`` are
+    ``weights(V)``, its images at ``values = I``.
     """
 
     factors: tuple
@@ -66,7 +67,13 @@ class PositiveUnitalMap:
         return self.factors[0].shape[1]
 
     def apply(self, a) -> np.ndarray:
-        raise NotImplementedError
+        m = self._check_input(a)
+        # from the first term, as in images
+        k, *rest = self.factors
+        image = k.conj().T @ m @ k
+        for k in rest:
+            image += k.conj().T @ m @ k
+        return image
 
     def images(self, vectors, values) -> np.ndarray:
         """``Phi(sum_j values[p, j] v_j v_j*)`` for the columns ``v_j`` of an
@@ -80,6 +87,15 @@ class PositiveUnitalMap:
         for k in rest:
             images += _contract(k.conj().T @ x, values)
         return images
+
+    def weights(self, vectors) -> np.ndarray:
+        """A functional's weights ``phi(v_j v_j*)`` on the columns ``v_j`` of
+        an ``(n, m)`` array, real: ``images(V, I)``."""
+        if not self.is_functional:
+            raise ShapeError("a spectral measure needs a functional (1x1 "
+                             f"codomain), got dimension {self.codomain_dim}")
+        x = self._check_vectors(vectors)
+        return self.images(x, np.eye(x.shape[1])).real.ravel()
 
     @property
     def is_functional(self) -> bool:
@@ -152,12 +168,8 @@ class Compression(PositiveUnitalMap):
                 f"isometry must be tall or square, got shape {v.shape}"
             )
         self._set_factors("compression", (v,))
-        self.isometry = v
 
-    def apply(self, a) -> np.ndarray:
-        m = self._check_input(a)
-        v = self.isometry
-        return v.conj().T @ m @ v
+    apply = PositiveUnitalMap.apply  # in vars(cls): bench/tracer.py wraps it
 
 
 class Mixture(PositiveUnitalMap):
@@ -180,12 +192,9 @@ class Mixture(PositiveUnitalMap):
             kraus.append(math.sqrt(float(w)) * as_matrix(v))
         if len({k.shape for k in kraus}) > 1:
             raise ShapeError("mixture factors must share one shape")
-        self.terms = terms
         self._set_factors("mixture", kraus)
 
-    def apply(self, a) -> np.ndarray:
-        m = self._check_input(a)
-        return sum(k.conj().T @ m @ k for k in self.factors)
+    apply = PositiveUnitalMap.apply  # in vars(cls): bench/tracer.py wraps it
 
 
 class Pinching(PositiveUnitalMap):
@@ -236,12 +245,8 @@ class VectorState(PositiveUnitalMap):
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise DomainError("state vector must be non-empty and finite")
         self._set_factors("vector state", (x[:, np.newaxis],))
-        self.vector = x
 
-    def apply(self, a) -> np.ndarray:
-        m = self._check_input(a)
-        x = self.vector
-        return np.array([[np.vdot(x, m @ x)]], dtype=np.complex128)
+    apply = PositiveUnitalMap.apply  # in vars(cls): bench/tracer.py wraps it
 
 
 class NormalizedTrace(PositiveUnitalMap):

@@ -668,9 +668,7 @@ def centered_fourth_moment(functional: PositiveUnitalMap, z, u,
     moment weighted by ``phi(u_j u_j*)``. The middle term is 0 when
     ``phi(|B|^2)`` vanishes (its numerator does too, by Cauchy-Schwarz).
     """
-    if not functional.is_functional:
-        raise ShapeError("centered fourth moment needs a functional (1x1 codomain)")
-    w = functional.images(u, np.eye(len(z))).real.ravel()
+    w = functional.weights(u)
     # numpy scalars, so an overflow gives inf or nan, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         b = z - w @ z

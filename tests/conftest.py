@@ -1,5 +1,9 @@
 import dataclasses
+import functools
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,23 @@ EXAMPLE_3X3 = np.array([
     [-3.0 * ROOT2, -6.0, -3.0 * ROOT2],
     [-9.0, -3.0 * ROOT2, 3.0],
 ], dtype=np.complex128)
+
+
+@functools.cache
+def load_bench(name):
+    """The module of ``bench/<name>.py``, executed from its file with
+    bytecode off, so that nothing is written under ``bench/``."""
+    spec = importlib.util.spec_from_file_location(
+        f"momenta_bench_{name}",
+        Path(__file__).resolve().parent.parent / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
 
 
 def reconstruct(spectrum):

@@ -63,10 +63,9 @@ import numpy as np
 
 from momenta import cli, linalg
 
-from conftest import random_psd
+from conftest import load_bench, random_psd
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-import workloads  # noqa: E402
+workloads = load_bench("workloads")
 
 MAPS = ["trace", "vector-state", "compression:4", "pinching", "identity"]
 NORMAL_MAPS = ["trace", "compression:2", "vector-state"]

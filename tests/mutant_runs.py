@@ -1,4 +1,4 @@
-"""Verdicts of five probes under six single-line mutants.
+"""Verdicts of five probes under seven single-line mutants.
 
 Each mutant is installed with ``unittest.mock.patch`` on the module
 attribute that the package reads, so no source file is edited:
@@ -13,7 +13,10 @@ attribute that the package reads, so no source file is edited:
 - ``half_schur``: ``moments._third_moment`` with half the Schur term in the
   bound of ``third_moment_lower``;
 - ``gamma_sign``: ``eigenbounds.spectral_bounds`` reporting ``gamma`` with
-  its sign flipped.
+  its sign flipped;
+- ``apply_first_factor``: the shared ``apply`` of ``maps.Compression``,
+  ``maps.Mixture`` and ``maps.VectorState``, each class's own binding of
+  ``PositiveUnitalMap.apply``, summing over the first Kraus operator only.
 
 The probes are:
 
@@ -73,7 +76,7 @@ from momenta import campaign, eigenbounds, linalg, maps, moments
 
 #: The mutants that the probes must kill.
 KILLED = ("jacobi_e2", "passes_tol", "is_psd_max", "middle_node",
-          "half_schur", "gamma_sign")
+          "half_schur", "gamma_sign", "apply_first_factor")
 
 #: Largest error of a witness's ``lambda_min_upper``, relative to the
 #: spectral radius.
@@ -132,6 +135,11 @@ def _gamma_sign(functional, a):
     return dataclasses.replace(report, gamma=-report.gamma)
 
 
+def _apply_first_factor(self, a):
+    k = self.factors[0]
+    return k.conj().T @ self._check_input(a) @ k
+
+
 def _half_schur_lower():
     # scalar_checks forms the lower third-moment block first, then the upper
     calls = itertools.count()
@@ -156,6 +164,11 @@ MUTANTS = {
                             _half_schur_lower())],
     "gamma_sign": lambda: [("momenta.eigenbounds.spectral_bounds",
                             _gamma_sign)],
+    # patched where it is bound: each class holds the base apply itself
+    "apply_first_factor": lambda: [(f"momenta.maps.{cls}.apply",
+                                    _apply_first_factor)
+                                   for cls in ("Compression", "Mixture",
+                                               "VectorState")],
 }
 
 

@@ -300,6 +300,16 @@ class TestBoundsCommand:
         path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
         assert cli.main(["bounds", path, "--map", "identity"]) == 1
 
+    def test_a_functional_is_any_map_with_a_1x1_codomain(self, tmp_path,
+                                                         capsys):
+        path = write(tmp_path, "m.csv", cli.write_matrix_csv(EXAMPLE_3X3))
+        assert cli.main(["bounds", path, "--map", "compression:2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bounds needs a functional map, with a 1x1 codomain "
+            "(trace, vector-state or compression:1), got 'compression:2'\n")
+        assert cli.main(["bounds", path, "--map", "compression:1"]) == 0
+        assert "lambda_min <= " in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert cli.main(["bounds", "/nonexistent/m.csv"]) == 1
 

@@ -63,7 +63,7 @@ class TestCentralMoments:
         a = linalg.random_hermitian(5, 3)
         x = maps.random_map("vector-state", 5, seed=4)
         spectrum = linalg.hermitian_eig(a)
-        weights = [abs(np.vdot(x.vector, v)) ** 2
+        weights = [abs(np.vdot(x.factors[0], v)) ** 2
                    for v in spectrum.eigenvectors.T]
         oracle = brute_central_moments(spectrum.eigenvalues, weights)
         cm = eigenbounds.central_moments(x, a)
@@ -371,7 +371,7 @@ class TestSpectralBounds:
             x = maps.random_map("vector-state", n, seed=trial)
             functional = maps.NormalizedTrace(n) if trial % 2 else x
             weights = (np.full(n, 1.0 / n) if trial % 2
-                       else np.abs(x.vector) ** 2)
+                       else np.abs(x.factors[0].ravel()) ** 2)
             report = eigenbounds.spectral_bounds(functional, np.diag(lam))
             if report.degenerate:
                 continue

@@ -197,6 +197,11 @@ class TestFactorForm:
         # per class by the benchmark's tracer
         assert "apply" in vars(cls)
 
+    @pytest.mark.parametrize("cls", FACTOR_MAPS[1:])
+    def test_a_factor_map_binds_the_base_apply(self, cls):
+        # sum_i K_i* A K_i once, for all three; the identity copies A
+        assert vars(cls)["apply"] is maps.PositiveUnitalMap.apply
+
     @pytest.mark.parametrize("cls", FACTOR_MAPS)
     def test_a_factor_map_inherits_its_shape_and_contraction(self, cls):
         # the identity contracts V itself, with no product I* V
@@ -227,13 +232,16 @@ class TestFactorForm:
                                       maps._contract(w, values))
 
     def test_mixture_weights_are_folded_into_its_kraus_operators(self):
-        # terms keeps the payload as given
+        # the payload of kraus_maps' mixture; the map keeps no copy of it
+        u = linalg.random_unitary(4, 3)
+        terms = ((0.25, u[:, :2]), (0.75, u[:, 2:]))
         pulm = kraus_maps()["mixture"]
-        for (w, v), k in zip(pulm.terms, pulm.factors):
+        assert list(vars(pulm)) == ["factors"]
+        for (w, v), k in zip(terms, pulm.factors):
             np.testing.assert_allclose(k, np.sqrt(w) * v, rtol=0, atol=1e-15)
         x = linalg.random_unitary(4, 5)
         expected = sum(w * maps._contract(v.conj().T @ x, np.eye(4))
-                       for w, v in pulm.terms)
+                       for w, v in terms)
         np.testing.assert_allclose(pulm.images(x, np.eye(4)), expected,
                                    rtol=0, atol=1e-15)
 
@@ -285,6 +293,41 @@ class TestImages:
         size = 3.0 * np.abs(values).sum(axis=1).max()
         assert (np.max(np.abs(got - direct_images(pulm, vectors, values)))
                 <= 4 * np.finfo(float).eps * size)
+
+
+#: Every functional of the package, a 1x1 codomain by construction or by
+#: size, and the three controls at a 1x1 codomain.
+FUNCTIONALS = {
+    "trace": lambda: maps.random_map("trace", 4),
+    "vector-state": lambda: maps.random_map("vector-state", 4, seed=24),
+    "compression:1": lambda: maps.random_map("compression", 4, k=1, seed=24),
+    "mixture:1": lambda: maps.random_map("mixture", 4, k=1, seed=24),
+    "identity-1": lambda: maps.Identity(1),
+    "pinching-1": lambda: maps.random_map("pinching", 1, seed=24),
+    "reflected-trace-1": lambda: ReflectedTrace(1),
+    "reflected-state": lambda: ReflectedState(4),
+    "blend": lambda: Blend(maps.NormalizedTrace(4), ReflectedState(4), 0.4),
+}
+
+
+class TestWeights:
+    """``weights(V)`` is a functional's ``images(V, I)``, real and flat."""
+
+    @pytest.mark.parametrize("m", [4, 2])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_weights_are_the_images_at_the_identity_bit_for_bit(self, name,
+                                                                 m):
+        pulm = FUNCTIONALS[name]()
+        n = pulm.domain_dim
+        vectors = linalg.random_unitary(n, 25)[:, :min(m, n)]
+        expected = pulm.images(vectors, np.eye(vectors.shape[1])).real.ravel()
+        assert _bits(pulm.weights(vectors)) == _bits(expected)
+
+    @pytest.mark.parametrize("kind", ["identity", "pinching", "compression"])
+    def test_a_map_with_a_matrix_codomain_has_no_weights(self, kind):
+        pulm = maps.random_map(kind, 3, k=2, seed=26)
+        with pytest.raises(ShapeError, match="needs a functional"):
+            pulm.weights(np.eye(3))
 
 
 class TestUnitalityAtConstruction:
@@ -382,13 +425,15 @@ class TestRankOnePositivity:
 class TestRandomMap:
     def test_square_compression_is_unitary_conjugation(self):
         pulm = maps.random_map("compression", 3, k=3, seed=2)
-        v = pulm.isometry
+        (v,) = pulm.factors
         assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 1e-12
         assert np.linalg.norm(v @ v.conj().T - np.eye(3)) <= 1e-12
 
     def test_vector_state_is_normalized(self):
         pulm = maps.random_map("vector-state", 3, seed=7)
-        assert abs(np.linalg.norm(pulm.vector) - 1.0) <= 1e-12
+        (x,) = pulm.factors
+        assert x.shape == (3, 1)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
     def test_deterministic(self):
         a = maps.random_map("pinching", 6, seed=9)

@@ -9,25 +9,16 @@ from its file and nothing under ``bench/`` is written.
 
 from __future__ import annotations
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
 import momenta
 from momenta import cli
 
+from conftest import load_bench
 
-def _load_tracer():
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("momenta_bench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _load_tracer()
+tracer = load_bench("tracer")
 
 
 def _bindings() -> dict:

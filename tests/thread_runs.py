@@ -42,11 +42,10 @@ from pathlib import Path
 
 from momenta import cli, linalg
 
+from conftest import load_bench
 from equivalence_runs import digest, verdicts
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-import workloads  # noqa: E402
-from run import THREAD_VARS, _nproc  # noqa: E402
+workloads, bench_run = load_bench("workloads"), load_bench("run")
 
 _COUNT_LINE = re.compile(r"^\S+: \d+/\d+ passed(, \d+ skipped)?$")
 _TOTAL_LINE = re.compile(r"^(\d+ checks, \d+ passed), worst margin ")
@@ -110,7 +109,8 @@ def child() -> int:
 def _child_lines(threads: int) -> list[list[str]] | None:
     """The digest lines of one child at ``threads`` BLAS threads, split into
     fields; None (after its stderr) if it fails."""
-    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, str(threads)))
+    env = dict(os.environ,
+               **dict.fromkeys(bench_run.THREAD_VARS, str(threads)))
     proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -122,7 +122,7 @@ def _child_lines(threads: int) -> list[list[str]] | None:
 
 
 def main() -> int:
-    nproc = _nproc()
+    nproc = bench_run._nproc()
     one, many = _child_lines(1), _child_lines(nproc)
     if one is None or many is None:
         return 1

@@ -1,9 +1,9 @@
 """LAPACK eigensolver work of the three benchmark workloads, per pass.
 
-Builds the seed-1 op table of each workload of ``bench/workloads.py`` (the
-file is loaded read-only, as ``tests/test_tracer_contract.py`` loads the
-tracer) and runs it twice in process, each op one ``momenta.cli.main(argv)``
-call with its output discarded, in a temporary directory. Around the runs it
+Builds the seed-1 op table of each workload of ``bench/workloads.py``
+(loaded by ``conftest.load_bench``, which writes nothing under ``bench/``)
+and runs it twice in process, each op one ``momenta.cli.main(argv)`` call
+with its output discarded, in a temporary directory. Around the runs it
 wraps ``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh``, the two LAPACK
 routines the package solves with, and counts per pass each one's calls and
 its work ``sum n^3`` over the matrices it solved (a stack of matrices counts
@@ -23,30 +23,19 @@ not collect it; run it from the repository root as
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import math
 import os
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from momenta import cli
 
+from conftest import load_bench
+
 ROUTINES = ("eigh", "eigvalsh")
-
-
-def _load_workloads():
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("momenta_bench_workloads",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look it up
-    sys.dont_write_bytecode = True  # leave no cache under bench/
-    spec.loader.exec_module(module)
-    return module
 
 
 @contextlib.contextmanager
@@ -86,7 +75,7 @@ def run_pass(ops) -> dict:
 
 
 def main() -> int:
-    workloads = _load_workloads()
+    workloads = load_bench("workloads")
     differ = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
